@@ -5,14 +5,13 @@
 //
 // Two scalar baselines are measured for every kernel:
 //
-//   engine per-point  - the generic sweep path the kernels replaced
-//                       (still present behind sweep_kernels=false, see
-//                       engine::eval_sweep): per grid point, clone the
-//                       target JSON doc, poke the swept member,
-//                       re-canonicalize through parse_request, evaluate,
-//                       dump the result, and re-parse it to extract the
-//                       primary metric.  This is the gated comparison
-//                       (>= 4x).
+//   engine per-point  - the generic sweep path the kernels replaced,
+//                       kept only here as the baseline: per grid point,
+//                       clone the target JSON doc, poke the swept
+//                       member, re-canonicalize through parse_request,
+//                       evaluate, dump the result, and re-parse it to
+//                       extract the primary metric.  This is the gated
+//                       comparison (>= 4x).
 //   library scalar    - the scalar model API called per lane (model
 //                       construction + unit-typed evaluation).  Not
 //                       gated; reported for context, and used as the

@@ -6,21 +6,22 @@
 // Two scalar baselines are measured, mirroring bench_batch_kernels:
 //
 //   engine per-point  - the generic sweep shape over the `chiplet`
-//                       endpoint: per grid point, clone the target JSON
-//                       doc, poke the area, re-canonicalize through
-//                       parse_request, evaluate, dump, and re-parse to
-//                       extract cost_per_good_system_usd.  This is the
-//                       gated comparison (>= 4x).
+//                       endpoint, kept only here as the baseline: per
+//                       grid point, clone the target JSON doc, poke the
+//                       area, re-canonicalize through parse_request,
+//                       evaluate, dump, and re-parse to extract
+//                       cost_per_good_system_usd.  This is the gated
+//                       comparison (>= 4x).
 //   library scalar    - scaled_to_total + evaluate_chiplet per lane.
 //                       Not gated; it is the bit-exactness reference
 //                       (the kernel calls the same scalar core, so any
 //                       mismatch is a real defect, not rounding).
 //
 // The crossover check is deterministic and runs even in tiny mode: one
-// partition_explore request is served at parallelism 1/4/0 with the
-// sweep kernels on and off, all six responses must be byte-identical,
-// monolithic must win the low end of the grid and a split the high end
-// (Chiplet Actuary's die-size crossover, arXiv:2203.12268).
+// partition_explore request is served at parallelism 1/4/0, all three
+// responses must be byte-identical, monolithic must win the low end of
+// the grid and a split the high end (Chiplet Actuary's die-size
+// crossover, arXiv:2203.12268).
 //
 // Results land in BENCH_chiplet.json (machine readable, git-tracked);
 // an optional argv[1] overrides the output path so the ctest smoke can
@@ -164,30 +165,25 @@ int main(int argc, char** argv) {
         kernel_rate / engine_rate, bit_exact ? "yes" : "NO");
 
     // Crossover stability: the same explore request must serialize
-    // byte-identically at every thread count with the kernels on and
-    // off, and the crossover must exist with monolithic winning the
-    // low end.  Deterministic, so it runs even in tiny mode.
+    // byte-identically at every thread count, and the crossover must
+    // exist with monolithic winning the low end.  Deterministic, so it
+    // runs even in tiny mode.
     const std::string explore_line =
         "{\"op\":\"partition_explore\",\"splits\":\"1,2,4\","
         "\"area_from_mm2\":40,\"area_to_mm2\":1000,\"count\":25}";
     std::string reference;
     bool responses_identical = true;
     for (const unsigned threads : {1u, 4u, 0u}) {
-        for (const bool kernels : {true, false}) {
-            serve::engine_config c;
-            c.parallelism = threads;
-            c.sweep_kernels = kernels;
-            serve::engine e{c};
-            const std::string response = e.handle_line(explore_line);
-            if (reference.empty()) {
-                reference = response;
-            } else if (response != reference) {
-                responses_identical = false;
-                std::printf(
-                    "FAIL: partition_explore differs at threads=%u "
-                    "kernels=%d\n",
-                    threads, kernels ? 1 : 0);
-            }
+        serve::engine_config c;
+        c.parallelism = threads;
+        serve::engine e{c};
+        const std::string response = e.handle_line(explore_line);
+        if (reference.empty()) {
+            reference = response;
+        } else if (response != reference) {
+            responses_identical = false;
+            std::printf("FAIL: partition_explore differs at threads=%u\n",
+                        threads);
         }
     }
     double crossover_area = 0.0;

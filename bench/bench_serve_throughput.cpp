@@ -10,10 +10,12 @@
 // 2. The cold-batch ablation gate (the perf target of the batch
 //    execution work): a sweep-heavy, duplicate-heavy batch served by a
 //    fresh engine with the batch machinery ON (hot path, intra-batch
-//    dedup, SoA sweep kernels) versus a fresh engine with all three
-//    flags OFF.  Responses must be byte-identical; throughput must be
-//    >= 3x.  This is an apples-to-apples single-process A/B — the same
-//    binary, the same workload, only the engine_config flags differ.
+//    dedup) versus a fresh engine with both flags OFF.  Responses must
+//    be byte-identical; throughput must be >= 3x.  This is an
+//    apples-to-apples single-process A/B — the same binary, the same
+//    workload, only the engine_config flags differ.  Sweeps run on the
+//    one lane planner either way; the kernel-vs-per-point speedup is
+//    gated by bench_batch_kernels and bench_chiplet.
 //
 // Results land in BENCH_serve.json (machine readable, git-tracked).
 // SILICON_BENCH_TINY=1 shrinks the workload and skips both gates so CI
@@ -189,7 +191,6 @@ int main() {
     off_config.parallelism = 0;
     off_config.hot_path = false;
     off_config.batch_dedup = false;
-    off_config.sweep_kernels = false;
     serve::engine off_engine{off_config};
 
     std::vector<std::string> on_responses;

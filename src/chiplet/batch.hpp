@@ -11,9 +11,10 @@
 // Unlike the closed-form cost/yield kernels, the per-lane work here is
 // dominated by the Maly-row gross-die scan, so the lane body simply
 // calls the scalar core (`evaluate_chiplet`) — bit-identity with the
-// scalar path is by construction, and the kernel's win over the
-// engine's per-point path is skipping the parse/canonicalize/
-// serialize round-trip per grid point, not the arithmetic itself.
+// scalar path is by construction, and the kernel's win over a
+// per-point serve path (bench_chiplet's baseline) is skipping the
+// parse/canonicalize/serialize round-trip per grid point, not the
+// arithmetic itself.
 
 #pragma once
 

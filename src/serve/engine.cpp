@@ -26,6 +26,7 @@
 #include <cmath>
 #include <cstring>
 #include <exception>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <unordered_map>
@@ -371,11 +372,7 @@ std::vector<int> parse_splits(const std::string& splits) {
 /// Grid cells a partition_explore request evaluates (splits x points);
 /// the structural budget check charges against max_sweep_points.
 std::size_t explore_cells(const partition_explore_request& q) {
-    std::size_t split_count = 1;
-    for (const char c : q.splits) {
-        split_count += c == ',' ? 1 : 0;
-    }
-    return static_cast<std::size_t>(q.count) * split_count;
+    return static_cast<std::size_t>(q.count) * parse_splits(q.splits).size();
 }
 
 /// Grid points on [from, to], endpoints inclusive, linear or geometric.
@@ -401,30 +398,19 @@ std::vector<double> grid_points(double from, double to, int count,
     return xs;
 }
 
-/// Grid points of a sweep: linear or geometric, endpoints inclusive.
-std::vector<double> sweep_grid(const sweep_request& q) {
-    return grid_points(q.from, q.to, q.count, q.scale == "log");
-}
-
-/// Find the dotted-path member in a (mutable) document.
-json::value* walk(json::value& root, std::string_view path) {
-    json::value* node = &root;
-    std::size_t begin = 0;
-    for (;;) {
-        const std::size_t dot = path.find('.', begin);
-        const std::string_view segment =
-            path.substr(begin,
-                        dot == std::string_view::npos ? path.size() - begin
-                                                      : dot - begin);
-        if (!node->is_object()) {
-            return nullptr;
+/// Grid values or lane metrics as a JSON array; NaN (a null lane)
+/// prints as null.
+json::value lanes_json(const std::vector<double>& v) {
+    json::array a;
+    a.reserve(v.size());
+    for (const double x : v) {
+        if (std::isnan(x)) {
+            a.emplace_back(nullptr);
+        } else {
+            a.emplace_back(x);
         }
-        node = node->as_object().find(segment);
-        if (node == nullptr || dot == std::string_view::npos) {
-            return node;
-        }
-        begin = dot + 1;
     }
+    return json::value{std::move(a)};
 }
 
 std::string error_code_for(const std::exception& e) {
@@ -879,82 +865,77 @@ std::shared_ptr<const std::string> engine::result_for(
     return result;
 }
 
-bool engine::eval_sweep_fast(const sweep_request& q,
-                             const std::vector<double>& xs,
-                             std::vector<json::value>& ys,
-                             const exec::cancel_token* cancel) {
-    if (q.target == nullptr) {
-        return false;
-    }
-    const request& tgt = *q.target;
-    // mc_yield points are expensive and benefit from per-point
-    // memoization + nested parallelism; table3/stats/sweep targets
-    // have no double parameters worth kernelizing.
-    if (tgt.op == op_code::mc_yield || tgt.op == op_code::table3 ||
-        tgt.op == op_code::sweep || tgt.op == op_code::stats) {
-        return false;
-    }
+namespace {
 
-    const std::size_t n = xs.size();
-    const bool fm = config_.fast_math;
-    request tmp = tgt;
-    double* slot = numeric_param_ptr(tmp, q.param);
-    if (slot == nullptr) {
-        return false;  // integer-typed parameter: generic path
-    }
+/// A null lane (printed as JSON null).
+constexpr double null_lane = std::numeric_limits<double>::quiet_NaN();
 
-    // Cache-aware planning for the SoA-kernel targets: compute each
-    // lane's canonical point key once, splice lanes the point cache
-    // already holds, and run the kernel over the missing lanes only.
-    // Lanes are independent and sub-range kernel calls are bit-exact
-    // (batch contract), so a gathered evaluation produces the very
-    // bytes a full-grid run would; cached lanes carry bytes a fresh
-    // scalar evaluation wrote, so the spliced response is identical at
-    // --threads 1/4/0 and to an empty-cache run.  fast_math is
-    // excluded both ways: fast lanes never enter the point cache and
-    // must never be answered from it.
-    const bool kernel_op = tgt.op == op_code::scenario1 ||
-                           tgt.op == op_code::scenario2 ||
-                           tgt.op == op_code::yield;
-    const bool lane_cache =
-        config_.cache_capacity != 0 && !config_.fast_math && kernel_op;
-    std::vector<std::string> keys;  // lane i -> canonical point key
-    std::vector<std::shared_ptr<const std::string>> hit;
-    std::vector<double> missing_xs;      // kernel input (cache misses)
-    std::vector<std::size_t> lane_of;    // kernel lane j -> grid lane i
-    if (lane_cache) {
-        keys.resize(n);
-        exec::parallel_for(
-            n, config_.parallelism,
-            [&](const exec::shard_range& r) {
-                request local = tgt;
-                double* lslot = numeric_param_ptr(local, q.param);
-                for (std::size_t i = r.begin; i < r.end; ++i) {
-                    *lslot = xs[i];
-                    keys[i] = json::canonical(request_to_json(local));
-                }
-            },
-            cancel);
-        hit.resize(n);
-        missing_xs.reserve(n);
-        lane_of.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            // get_if_present: a hit counts, a planning miss does not —
-            // the authoritative misses stay wherever evaluation runs,
-            // so hit/miss accounting matches the pre-planning engine.
-            hit[i] = cache_.get_if_present(keys[i]);
-            if (hit[i] == nullptr) {
-                missing_xs.push_back(xs[i]);
-                lane_of.push_back(i);
-            }
+/// A result object's primary metric as a lane value; null when the
+/// member is absent or not a number.
+double metric_of(const json::value& result, const char* metric) {
+    const json::value* m = result.as_object().find(metric);
+    return m != nullptr && m->is_number() ? m->as_number() : null_lane;
+}
+
+/// The one splice of a cached lane: json::parse -> primary metric.
+/// Cached bytes are a fresh scalar evaluation's result object and
+/// doubles print shortest-round-trip, so this reproduces the lane value
+/// bit for bit.
+double cached_metric(const std::string& bytes, const char* metric) {
+    try {
+        return metric_of(json::parse(bytes), metric);
+    } catch (const std::exception&) {
+        return null_lane;  // defensive: cached JSON always parses
+    }
+}
+
+/// Receives lane j's point result bytes for the point cache.
+using lane_sink = std::function<void(std::size_t j, std::string bytes)>;
+
+/// Hands every finite kernel lane in `out` to `keep` (when set) as
+/// lane_result(j) serialized; NaN lanes, and lanes whose side values
+/// throw, are never cached.
+template <typename LaneResult>
+void keep_lanes(const std::vector<double>& out, const lane_sink* keep,
+                LaneResult&& lane_result) {
+    for (std::size_t j = 0; keep != nullptr && j < out.size(); ++j) {
+        if (std::isnan(out[j])) {
+            continue;
+        }
+        try {
+            (*keep)(j, json::dump(lane_result(j)));
+        } catch (const std::exception&) {
+            // Side values threw where the metric did not: uncached.
         }
     }
-    const std::vector<double>& kxs = lane_cache ? missing_xs : xs;
+}
+
+/// True when a sweep runs on the SoA batch kernels: scenario #1/#2 and
+/// every yield model, swept over a double parameter.
+bool has_sweep_kernel(const sweep_request& q) {
+    request probe = *q.target;
+    return (probe.op == op_code::scenario1 ||
+            probe.op == op_code::scenario2 || probe.op == op_code::yield) &&
+           numeric_param_ptr(probe, q.param) != nullptr;
+}
+
+/// The SoA sweep kernels (yield/batch.hpp, cost/batch.hpp) over the
+/// values `kxs` of the swept parameter: each lane's metric into `out`
+/// (NaN where the scalar library throws) and, to `keep`, each lane's
+/// point result rebuilt with the bytes a scalar evaluation writes.
+/// Sub-range kernel calls are bit-exact (batch contract), so any gather
+/// of lanes at any thread count gives the same values.
+void sweep_kernel(const request& tgt, std::string_view param,
+                  const std::vector<double>& kxs, std::vector<double>& out,
+                  const lane_sink* keep, unsigned parallelism,
+                  bool fm, const exec::cancel_token* cancel) {
     const std::size_t m = kxs.size();
+    request tmp = tgt;
+    const double* slot = numeric_param_ptr(tmp, param);
+    out.assign(m, null_lane);
 
     // Expand one payload member into a parameter column: the swept
-    // member carries the (cache-missing) grid, everything else is a
-    // constant lane.
+    // member carries the grid, everything else is a constant lane.
     const auto col = [&](const double& member) {
         std::vector<double> v(m, member);
         if (&member == slot) {
@@ -964,76 +945,19 @@ bool engine::eval_sweep_fast(const sweep_request& q,
     };
     const auto shard = [&](auto&& body) {
         exec::parallel_for(
-            m, config_.parallelism,
+            m, parallelism,
             [&](const exec::shard_range& r) {
                 body(r.begin, r.end - r.begin);
             },
             cancel);
     };
-    const auto emit = [&](const std::vector<double>& out) {
-        for (std::size_t j = 0; j < m; ++j) {
-            const std::size_t i = lane_cache ? lane_of[j] : j;
-            ys[i] = std::isnan(out[j]) ? json::value{nullptr}
-                                       : json::value{out[j]};
-        }
-        if (!lane_cache) {
-            return;
-        }
-        // Splice cached lanes back in lane order.  The cached bytes
-        // are a fresh scalar evaluation's result object; doubles print
-        // shortest-round-trip, so parse -> primary metric reproduces
-        // the lane value bit for bit.  NaN lanes are never cached, so
-        // a hit always carries the metric.
-        for (std::size_t i = 0; i < n; ++i) {
-            if (hit[i] == nullptr) {
-                continue;
-            }
-            try {
-                const json::value res = json::parse(*hit[i]);
-                const json::value* metric =
-                    res.as_object().find(primary_metric(tgt.op));
-                ys[i] = metric != nullptr ? *metric : json::value{};
-            } catch (const std::exception&) {
-                ys[i] = json::value{nullptr};  // defensive: cached JSON
-            }
-        }
-    };
-    // Share kernel lanes with the point cache: each successful lane is
-    // stored under the canonical key of its point request with bytes
-    // identical to a fresh scalar evaluation (`lane_result` rebuilds
-    // the endpoint's exact result object from kernel output + lane
-    // parameters), so a post-sweep point query is a warm hit.  NaN
-    // (scalar-throw) lanes are never cached — errors never are.
-    const auto populate = [&](const std::vector<double>& out,
-                              auto&& lane_result) {
-        // fast_math lanes never enter the point cache: point queries
-        // always evaluate the scalar library, and a fast lane's bytes
-        // can differ within the documented ULP bounds.
-        if (!lane_cache) {
-            return;
-        }
-        for (std::size_t j = 0; j < m; ++j) {
-            if (std::isnan(out[j])) {
-                continue;
-            }
-            if (cancel != nullptr && cancel->expired()) {
-                return;  // best effort: the response needs no cache
-            }
-            try {
-                cache_.put(keys[lane_of[j]], json::dump(lane_result(j)));
-            } catch (const std::exception&) {
-                // Side values threw where the metric did not: skip.
-            }
-        }
-    };
 
-    switch (tgt.op) {
+    switch (tmp.op) {
         case op_code::scenario1: {
             const auto& t = std::get<scenario1_request>(tmp.payload);
             const auto lambda = col(t.lambda_um), c0 = col(t.c0_usd),
                        x = col(t.x), r = col(t.wafer_radius_cm),
                        dd = col(t.design_density);
-            std::vector<double> out(m);
             shard([&](std::size_t b, std::size_t len) {
                 cost::batch::scenario_columns cols;
                 cols.lambda_um = lambda.data() + b;
@@ -1045,21 +969,19 @@ bool engine::eval_sweep_fast(const sweep_request& q,
                     : cost::batch::scenario1_cost_per_transistor)(
                     cols, out.data() + b, len);
             });
-            emit(out);
-            populate(out, [&](std::size_t i) {
+            keep_lanes(out, keep, [&](std::size_t i) {
                 json::object o;
                 o.set("cost_per_transistor_usd", out[i]);
                 o.set("cost_per_transistor_micro_usd", out[i] * 1e6);
                 return json::value{std::move(o)};
             });
-            return true;
+            return;
         }
         case op_code::scenario2: {
             const auto& t = std::get<scenario2_request>(tmp.payload);
             const auto lambda = col(t.lambda_um), c0 = col(t.c0_usd),
                        x = col(t.x), r = col(t.wafer_radius_cm),
                        dd = col(t.design_density), y0 = col(t.y0);
-            std::vector<double> out(m);
             shard([&](std::size_t b, std::size_t len) {
                 cost::batch::scenario_columns cols;
                 cols.lambda_um = lambda.data() + b;
@@ -1072,8 +994,7 @@ bool engine::eval_sweep_fast(const sweep_request& q,
                     : cost::batch::scenario2_cost_per_transistor)(
                     cols, out.data() + b, len);
             });
-            emit(out);
-            populate(out, [&](std::size_t i) {
+            keep_lanes(out, keep, [&](std::size_t i) {
                 core::scenario2 s;
                 s.wafer_cost =
                     cost::wafer_cost_model{dollars{c0[i]}, x[i]};
@@ -1088,83 +1009,21 @@ bool engine::eval_sweep_fast(const sweep_request& q,
                 o.set("transistors", s.transistors(l));
                 return json::value{std::move(o)};
             });
-            return true;
+            return;
         }
         case op_code::yield: {
             const auto& t = std::get<yield_request>(tmp.payload);
-            if (t.model == "poisson" || t.model == "murphy" ||
-                t.model == "seeds" || t.model == "bose_einstein" ||
-                t.model == "neg_binomial") {
-                const auto ef = col(t.expected_faults),
-                           area = col(t.die_area_cm2),
-                           dpc = col(t.defects_per_cm2);
-                const std::vector<double> alpha =
-                    t.model == "neg_binomial" ? col(t.alpha)
-                                              : std::vector<double>{};
-                std::vector<double> out(m);
-                shard([&](std::size_t b, std::size_t len) {
-                    // Serve-level fault derivation (eval_yield): the
-                    // explicit count wins, else area * density, both
-                    // gated by the finite/non-negative request check.
-                    std::vector<double> faults(len);
-                    for (std::size_t i = 0; i < len; ++i) {
-                        const double f = ef[b + i] >= 0.0
-                                             ? ef[b + i]
-                                             : area[b + i] * dpc[b + i];
-                        faults[i] =
-                            (!(f >= 0.0) || !std::isfinite(f))
-                                ? std::numeric_limits<
-                                      double>::quiet_NaN()
-                                : f;
-                    }
-                    if (t.model == "poisson") {
-                        (fm ? yield::batch::poisson_yield_fast
-                            : yield::batch::poisson_yield)(
-                            faults.data(), out.data() + b, len);
-                    } else if (t.model == "murphy") {
-                        (fm ? yield::batch::murphy_yield_fast
-                            : yield::batch::murphy_yield)(
-                            faults.data(), out.data() + b, len);
-                    } else if (t.model == "seeds") {
-                        yield::batch::seeds_yield(faults.data(),
-                                                  out.data() + b, len);
-                    } else if (t.model == "bose_einstein") {
-                        (fm ? yield::batch::bose_einstein_yield_fast
-                            : yield::batch::bose_einstein_yield)(
-                            faults.data(), t.critical_steps,
-                            out.data() + b, len);
-                    } else {
-                        (fm ? yield::batch::negative_binomial_yield_fast
-                            : yield::batch::negative_binomial_yield)(
-                            faults.data(), alpha.data() + b,
-                            out.data() + b, len);
-                    }
-                });
-                emit(out);
-                populate(out, [&](std::size_t i) {
-                    const double f = ef[i] >= 0.0 ? ef[i]
-                                                  : area[i] * dpc[i];
-                    json::object o;
-                    o.set("model", t.model);
-                    o.set("expected_faults", f);
-                    o.set("yield", out[i]);
-                    return json::value{std::move(o)};
-                });
-                return true;
-            }
             if (t.model == "scaled_poisson") {
                 const auto area = col(t.die_area_cm2),
                            lambda = col(t.lambda_um), d = col(t.d),
                            p = col(t.p);
-                std::vector<double> out(m);
                 shard([&](std::size_t b, std::size_t len) {
                     (fm ? yield::batch::scaled_poisson_yield_fast
                         : yield::batch::scaled_poisson_yield)(
                         area.data() + b, lambda.data() + b, d.data() + b,
                         p.data() + b, out.data() + b, len);
                 });
-                emit(out);
-                populate(out, [&](std::size_t i) {
+                keep_lanes(out, keep, [&](std::size_t i) {
                     const yield::scaled_poisson_model model{d[i], p[i]};
                     json::object o;
                     o.set("model", t.model);
@@ -1174,20 +1033,18 @@ bool engine::eval_sweep_fast(const sweep_request& q,
                               microns{lambda[i]}));
                     return json::value{std::move(o)};
                 });
-                return true;
+                return;
             }
             if (t.model == "reference") {
                 const auto area = col(t.die_area_cm2), y0 = col(t.y0),
                            a0 = col(t.a0_cm2);
-                std::vector<double> out(m);
                 shard([&](std::size_t b, std::size_t len) {
                     (fm ? yield::batch::reference_yield_fast
                         : yield::batch::reference_yield)(
                         area.data() + b, y0.data() + b, a0.data() + b,
                         out.data() + b, len);
                 });
-                emit(out);
-                populate(out, [&](std::size_t i) {
+                keep_lanes(out, keep, [&](std::size_t i) {
                     const yield::reference_die_yield model{
                         probability{y0[i]}, square_centimeters{a0[i]}};
                     json::object o;
@@ -1197,122 +1054,212 @@ bool engine::eval_sweep_fast(const sweep_request& q,
                           model.equivalent_defect_density());
                     return json::value{std::move(o)};
                 });
-                return true;
+                return;
             }
-            break;  // unreachable: every validated model has a lane
+            // The fault-count models (parse validated the name).
+            const auto ef = col(t.expected_faults),
+                       area = col(t.die_area_cm2),
+                       dpc = col(t.defects_per_cm2);
+            const std::vector<double> alpha =
+                t.model == "neg_binomial" ? col(t.alpha)
+                                          : std::vector<double>{};
+            shard([&](std::size_t b, std::size_t len) {
+                // Serve-level fault derivation (eval_yield): the
+                // explicit count wins, else area * density, both
+                // gated by the finite/non-negative request check.
+                std::vector<double> faults(len);
+                for (std::size_t i = 0; i < len; ++i) {
+                    const double f = ef[b + i] >= 0.0
+                                         ? ef[b + i]
+                                         : area[b + i] * dpc[b + i];
+                    faults[i] = (!(f >= 0.0) || !std::isfinite(f))
+                                    ? null_lane
+                                    : f;
+                }
+                if (t.model == "poisson") {
+                    (fm ? yield::batch::poisson_yield_fast
+                        : yield::batch::poisson_yield)(
+                        faults.data(), out.data() + b, len);
+                } else if (t.model == "murphy") {
+                    (fm ? yield::batch::murphy_yield_fast
+                        : yield::batch::murphy_yield)(
+                        faults.data(), out.data() + b, len);
+                } else if (t.model == "seeds") {
+                    yield::batch::seeds_yield(faults.data(),
+                                              out.data() + b, len);
+                } else if (t.model == "bose_einstein") {
+                    (fm ? yield::batch::bose_einstein_yield_fast
+                        : yield::batch::bose_einstein_yield)(
+                        faults.data(), t.critical_steps, out.data() + b,
+                        len);
+                } else {
+                    (fm ? yield::batch::negative_binomial_yield_fast
+                        : yield::batch::negative_binomial_yield)(
+                        faults.data(), alpha.data() + b, out.data() + b,
+                        len);
+                }
+            });
+            keep_lanes(out, keep, [&](std::size_t i) {
+                const double f = ef[i] >= 0.0 ? ef[i] : area[i] * dpc[i];
+                json::object o;
+                o.set("model", t.model);
+                o.set("expected_faults", f);
+                o.set("yield", out[i]);
+                return json::value{std::move(o)};
+            });
+            return;
         }
         default:
-            break;
+            return;  // has_sweep_kernel admits no other op
     }
-
-    // Typed per-lane evaluation (cost_tr, gross_die, chiplet,
-    // swept-integer parameters): skips the per-point JSON clone/parse
-    // round trip; each shard pokes its own copy of the target request.
-    // Successful lanes still land in the point cache under their
-    // canonical key, same as the generic path, so post-sweep point
-    // queries are warm hits.  The per-point catch never swallows
-    // cancellation: mc_yield targets were excluded above, so nothing
-    // inside a point can throw cancelled_error — the cancellable
-    // parallel_for owns the deadline.
-    exec::parallel_for(
-        n, config_.parallelism,
-        [&](const exec::shard_range& r) {
-            request local = tgt;
-            double* lslot = numeric_param_ptr(local, q.param);
-            std::string key;
-            for (std::size_t i = r.begin; i < r.end; ++i) {
-                *lslot = xs[i];
-                try {
-                    if (config_.cache_capacity != 0) {
-                        // Cache-aware lane: a point the cache already
-                        // holds is spliced instead of re-evaluated —
-                        // cached bytes are a fresh scalar evaluation's,
-                        // so the response is byte-identical either way.
-                        key = json::canonical(request_to_json(local));
-                        if (const auto cached = cache_.get_if_present(key)) {
-                            const json::value res = json::parse(*cached);
-                            const json::value* metric = res.as_object().find(
-                                primary_metric(local.op));
-                            ys[i] = metric != nullptr ? *metric
-                                                      : json::value{};
-                            continue;
-                        }
-                    }
-                    const json::value res = evaluate(local);
-                    const json::value* metric =
-                        res.as_object().find(primary_metric(local.op));
-                    ys[i] = metric != nullptr ? *metric : json::value{};
-                    if (config_.cache_capacity != 0) {
-                        cache_.put(key, json::dump(res));
-                    }
-                } catch (const std::exception&) {
-                    ys[i] = json::value{nullptr};
-                }
-            }
-        },
-        cancel);
-    return true;
 }
 
-json::value engine::eval_sweep(const sweep_request& q,
-                               const exec::cancel_token* cancel) {
-    const std::vector<double> xs = sweep_grid(q);
-    std::vector<json::value> ys(xs.size());
+}  // namespace
 
-    // Grid points are independent; inside a batch worker this degrades
-    // to serial with the identical decomposition (exec contract), so
-    // sweep responses are byte-stable at every nesting/thread level.
-    // The SoA kernel path is lane-for-lane bit-identical to the
-    // per-point path below (tests/serve/test_engine.cpp pins this) and
-    // populates the same per-point memoization cache.
-    if (!config_.sweep_kernels || !eval_sweep_fast(q, xs, ys, cancel)) {
-        // A point's catch may swallow a cancelled_error thrown by a
-        // nested mc_yield evaluation (null slot), but the cancellable
-        // parallel_for re-raises after the join — the expired token is
-        // sticky — so a deadline always surfaces as deadline_exceeded,
-        // never as a response with nondeterministic nulls.
+/// A grid of point requests ("lanes") for the lane planner: lane i is
+/// `base` bound to the grid value xs[i].
+struct engine::lane_grid {
+    request base;
+    /// Makes `lane` (a copy of `base`) the point request at grid value
+    /// `x`; throws request_error when parse_request would reject it.
+    std::function<void(double x, request& lane)> bind;
+    /// The lanes' primary metric.
+    const char* metric = nullptr;
+    /// Batch kernel over the grid values `xs` of the lanes to evaluate:
+    /// out[j] is lane j's metric (NaN = infeasible), and `keep` (when
+    /// set) receives each cacheable lane's point result bytes.  Empty
+    /// function: lanes evaluate one by one on the scalar library.
+    std::function<void(const std::vector<double>& xs,
+                       std::vector<double>& out, const lane_sink* keep)>
+        kernel;
+};
+
+std::vector<double> engine::eval_lanes(const std::vector<double>& xs,
+                                       const lane_grid& grid,
+                                       const exec::cancel_token* cancel) {
+    const std::size_t n = xs.size();
+    // The one cache rule: a lane reads and writes the point cache
+    // exactly when scalar code evaluates it — never a fast_math kernel
+    // lane (point queries must keep returning scalar bytes), and never
+    // with caching off.
+    const bool use_cache =
+        config_.cache_capacity != 0 && !(grid.kernel && config_.fast_math);
+    std::vector<double> ys(n, null_lane);
+
+    // 1-2. Key every lane and probe the cache.  get_if_present counts a
+    // hit but not a miss.  A lane rejected as a point request stays
+    // null and is never probed.
+    std::vector<std::string> keys(use_cache ? n : 0);
+    std::vector<std::shared_ptr<const std::string>> hits(use_cache ? n : 0);
+    std::vector<std::size_t> missing;
+    missing.reserve(n);
+    if (use_cache) {
         exec::parallel_for(
-            xs.size(), config_.parallelism,
+            n, config_.parallelism,
             [&](const exec::shard_range& r) {
+                request lane = grid.base;
                 for (std::size_t i = r.begin; i < r.end; ++i) {
-                    json::value doc{q.target_params};
-                    json::value* slot = walk(doc, q.param);
-                    if (slot == nullptr) {
-                        continue;  // validated at parse time; cannot happen
-                    }
-                    *slot = json::value{xs[i]};
                     try {
-                        const request point = parse_request(doc);
-                        const std::shared_ptr<const std::string> result =
-                            result_for(point, cancel);
-                        const json::value parsed = json::parse(*result);
-                        const json::value* metric =
-                            parsed.as_object().find(primary_metric(point.op));
-                        if (metric != nullptr) {
-                            ys[i] = *metric;
+                        grid.bind(xs[i], lane);
+                    } catch (const request_error&) {
+                        continue;
+                    }
+                    canonical_key_into(lane, keys[i]);
+                }
+            },
+            cancel);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!use_cache) {
+            missing.push_back(i);
+        } else if (!keys[i].empty()) {
+            hits[i] = cache_.get_if_present(keys[i]);
+            if (hits[i] == nullptr) {
+                missing.push_back(i);
+            }
+        }
+    }
+
+    // 3-4. Evaluate the missing lanes only, and cache each successful
+    // one as it completes (errors never are).
+    const std::size_t m = missing.size();
+    const lane_sink put = [&](std::size_t j, std::string bytes) {
+        cache_.put(keys[missing[j]], std::move(bytes));
+    };
+    const lane_sink* keep = use_cache ? &put : nullptr;
+    if (grid.kernel) {
+        std::vector<double> kxs(m);
+        for (std::size_t j = 0; j < m; ++j) {
+            kxs[j] = xs[missing[j]];
+        }
+        std::vector<double> out;
+        grid.kernel(kxs, out, keep);
+        for (std::size_t j = 0; j < m; ++j) {
+            ys[missing[j]] = out[j];
+        }
+    } else {
+        exec::parallel_for(
+            m, config_.parallelism,
+            [&](const exec::shard_range& r) {
+                request lane = grid.base;
+                for (std::size_t j = r.begin; j < r.end; ++j) {
+                    try {
+                        grid.bind(xs[missing[j]], lane);
+                        const json::value res = evaluate_impl(lane, cancel);
+                        ys[missing[j]] = metric_of(res, grid.metric);
+                        if (keep != nullptr) {
+                            (*keep)(j, json::dump(res));
                         }
                     } catch (const std::exception&) {
-                        // Infeasible point (die does not fit, yield
-                        // underflow, negative parameter): null slot.
-                        ys[i] = json::value{nullptr};
+                        // Infeasible or rejected point: null lane.  A
+                        // cancelled Monte-Carlo lane lands here too, but
+                        // the cancellable parallel_for re-raises after
+                        // the join, so a deadline always surfaces as
+                        // deadline_exceeded, never as nulls.
                     }
                 }
             },
             cancel);
     }
 
-    json::array xs_json;
-    xs_json.reserve(xs.size());
-    for (const double x : xs) {
-        xs_json.emplace_back(x);
+    if (!use_cache) {
+        return ys;
     }
+    // 5. Splice the cached lanes back in lane order.
+    for (std::size_t i = 0; i < n; ++i) {
+        if (hits[i] != nullptr) {
+            ys[i] = cached_metric(*hits[i], grid.metric);
+        }
+    }
+    return ys;
+}
+
+json::value engine::eval_sweep(const sweep_request& q,
+                               const exec::cancel_token* cancel) {
+    const std::vector<double> xs =
+        grid_points(q.from, q.to, q.count, q.scale == "log");
+    lane_grid grid;
+    grid.base = *q.target;
+    grid.bind = [&q](double x, request& lane) {
+        set_numeric_param(lane, q.param, x);
+    };
+    grid.metric = primary_metric(q.target->op);
+    if (has_sweep_kernel(q)) {
+        grid.kernel = [&](const std::vector<double>& kxs,
+                          std::vector<double>& out,
+                          const lane_sink* keep) {
+            sweep_kernel(*q.target, q.param, kxs, out, keep,
+                         config_.parallelism, config_.fast_math, cancel);
+        };
+    }
+
     json::object o;
     o.set("target_op", std::string{to_string(q.target->op)});
     o.set("param", q.param);
     o.set("metric", primary_metric(q.target->op));
     o.set("scale", q.scale);
-    o.set("xs", std::move(xs_json));
-    o.set("ys", std::move(ys));
+    o.set("xs", lanes_json(xs));
+    o.set("ys", lanes_json(eval_lanes(xs, grid, cancel)));
     return json::value{std::move(o)};
 }
 
@@ -1324,144 +1271,59 @@ json::value engine::eval_partition_explore(
     const chiplet::chiplet_spec base = spec_from(q.base);
     const std::size_t n = xs.size();
 
-    // One cost matrix, filled split-by-split (the outer list is <= 8
-    // entries; the per-split grid is where the work is).  Both default
-    // paths run the identical scalar core per cell — the kernel only
-    // batches lanes — so the matrix is bit-identical for either flag
-    // value and any thread count, and infeasible cells are NaN, never
-    // a throw.  Under fast_math the transcendental tail runs on the
-    // vector math instead (cells drift within DESIGN.md §15 bounds,
-    // same NaN classification, still thread-count deterministic).
-    std::vector<std::vector<double>> cost(splits.size(),
-                                          std::vector<double>(n));
-    // Explore cells share the point cache with the chiplet endpoint
-    // (kernel path, scalar math, cache enabled): each feasible cell is
-    // exactly the chiplet point request for the scaled spec at that
-    // split, so cells land in — and are answered from — the same
-    // per-point memoization as a direct `op:chiplet` query.  Cached
-    // bytes are a fresh scalar evaluation's result object, so splicing
-    // the metric back keeps the response byte-identical to an
-    // empty-cache run at every thread count and either kernel flag.
-    const bool lane_cache = config_.sweep_kernels &&
-                            config_.cache_capacity != 0 &&
-                            !config_.fast_math;
-    for (std::size_t s = 0; s < splits.size(); ++s) {
-        double* out = cost[s].data();
-        const int split = splits[s];
-        if (lane_cache) {
-            std::vector<std::string> keys(n);
-            std::vector<std::shared_ptr<const std::string>> hit(n);
-            exec::parallel_for(
-                n, config_.parallelism,
-                [&](const exec::shard_range& r) {
-                    request cell;
-                    cell.op = op_code::chiplet;
-                    chiplet_request point = q.base;
-                    point.chiplets = split;
-                    for (std::size_t i = r.begin; i < r.end; ++i) {
-                        const chiplet::chiplet_spec spec =
-                            chiplet::scaled_to_total(base, xs[i]);
-                        point.logic_area_mm2 = spec.logic_area_mm2;
-                        point.memory_area_mm2 = spec.memory_area_mm2;
-                        point.io_area_mm2 = spec.io_area_mm2;
-                        cell.payload = point;
-                        keys[i] = json::canonical(request_to_json(cell));
-                    }
-                },
-                cancel);
-            std::vector<double> missing_xs;
-            std::vector<std::size_t> lane_of;
-            missing_xs.reserve(n);
-            lane_of.reserve(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                hit[i] = cache_.get_if_present(keys[i]);
-                if (hit[i] == nullptr) {
-                    missing_xs.push_back(xs[i]);
-                    lane_of.push_back(i);
-                }
-            }
-            const std::size_t m = missing_xs.size();
-            std::vector<double> missing_out(m);
-            std::vector<chiplet::chiplet_breakdown> breakdowns(m);
+    // One lane grid per split (<= 8).  Each cell is the chiplet point
+    // request for the base rescaled to that total area at that split,
+    // so cells share the point cache with `op:chiplet`; the kernel runs
+    // the scalar core per cell (infeasible cells are NaN, never a
+    // throw), or under fast_math the vector tail (DESIGN.md §15).
+    std::vector<std::vector<double>> cost;
+    cost.reserve(splits.size());
+    for (const int split : splits) {
+        lane_grid grid;
+        chiplet_request point = q.base;
+        point.chiplets = split;
+        grid.base.op = op_code::chiplet;
+        grid.base.payload = std::move(point);
+        grid.bind = [&base](double x, request& lane) {
+            const chiplet::chiplet_spec spec =
+                chiplet::scaled_to_total(base, x);
+            auto& cell = std::get<chiplet_request>(lane.payload);
+            cell.logic_area_mm2 = spec.logic_area_mm2;
+            cell.memory_area_mm2 = spec.memory_area_mm2;
+            cell.io_area_mm2 = spec.io_area_mm2;
+        };
+        grid.metric = "cost_per_good_system_usd";
+        grid.kernel = [&, split](const std::vector<double>& kxs,
+                                 std::vector<double>& out,
+                                 const lane_sink* keep) {
+            const std::size_t m = kxs.size();
+            out.resize(m);
+            std::vector<chiplet::chiplet_breakdown> breakdowns(
+                config_.fast_math ? 0 : m);
             exec::parallel_for(
                 m, config_.parallelism,
                 [&](const exec::shard_range& r) {
-                    chiplet::batch::cost_per_good_system(
-                        base, split, missing_xs.data() + r.begin,
-                        missing_out.data() + r.begin,
-                        breakdowns.data() + r.begin, r.end - r.begin);
-                },
-                cancel);
-            for (std::size_t j = 0; j < m; ++j) {
-                out[lane_of[j]] = missing_out[j];
-                if (std::isnan(missing_out[j])) {
-                    continue;  // infeasible cells are never cached
-                }
-                try {
-                    cache_.put(keys[lane_of[j]],
-                               json::dump(chiplet_result_json(
-                                   breakdowns[j], q.base.substrate)));
-                } catch (const std::exception&) {
-                    // Allocation failure caching a side value: skip.
-                }
-            }
-            for (std::size_t i = 0; i < n; ++i) {
-                if (hit[i] == nullptr) {
-                    continue;
-                }
-                // NaN cells never enter the cache, so a hit always
-                // carries a finite metric; shortest-round-trip doubles
-                // make parse -> metric the identical cell value.
-                out[i] = std::numeric_limits<double>::quiet_NaN();
-                try {
-                    const json::value res = json::parse(*hit[i]);
-                    const json::value* metric = res.as_object().find(
-                        "cost_per_good_system_usd");
-                    if (metric != nullptr && metric->is_number()) {
-                        out[i] = metric->as_number();
-                    }
-                } catch (const std::exception&) {
-                    // Defensive: cached values always parse.
-                }
-            }
-        } else if (config_.sweep_kernels) {
-            const bool fm = config_.fast_math;
-            exec::parallel_for(
-                n, config_.parallelism,
-                [&](const exec::shard_range& r) {
-                    if (fm) {
+                    const std::size_t b = r.begin;
+                    const std::size_t len = r.end - r.begin;
+                    if (config_.fast_math) {
                         chiplet::batch::cost_per_good_system_fast(
-                            base, split, xs.data() + r.begin,
-                            out + r.begin, r.end - r.begin);
+                            base, split, kxs.data() + b, out.data() + b,
+                            len);
                     } else {
                         chiplet::batch::cost_per_good_system(
-                            base, split, xs.data() + r.begin,
-                            out + r.begin, r.end - r.begin);
+                            base, split, kxs.data() + b, out.data() + b,
+                            breakdowns.data() + b, len);
                     }
                 },
                 cancel);
-        } else {
-            exec::parallel_for(
-                n, config_.parallelism,
-                [&](const exec::shard_range& r) {
-                    for (std::size_t i = r.begin; i < r.end; ++i) {
-                        try {
-                            chiplet::chiplet_spec spec =
-                                chiplet::scaled_to_total(base, xs[i]);
-                            spec.chiplets = split;
-                            out[i] = chiplet::evaluate_chiplet(spec)
-                                         .cost_per_good_system_usd;
-                        } catch (const std::exception&) {
-                            out[i] = std::numeric_limits<
-                                double>::quiet_NaN();
-                        }
-                    }
-                },
-                cancel);
-        }
+            keep_lanes(out, keep, [&](std::size_t j) {
+                return chiplet_result_json(breakdowns[j], q.base.substrate);
+            });
+        };
+        cost.push_back(eval_lanes(xs, grid, cancel));
     }
 
-    // Shared post-processing: per grid point, the cheapest feasible
+    // Post-processing: per grid point, the cheapest feasible
     // split (ties break to the coarser split, so the monolithic
     // baseline wins exact draws), and the first area where a real
     // multi-die split beats it — the published crossover.
@@ -1489,11 +1351,6 @@ json::value engine::eval_partition_explore(
         }
     }
 
-    json::array xs_json;
-    xs_json.reserve(n);
-    for (const double x : xs) {
-        xs_json.emplace_back(x);
-    }
     json::array splits_json;
     splits_json.reserve(splits.size());
     for (const int split : splits) {
@@ -1501,22 +1358,15 @@ json::value engine::eval_partition_explore(
     }
     json::array ys;
     ys.reserve(splits.size());
-    for (std::size_t s = 0; s < splits.size(); ++s) {
-        json::array row;
-        row.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            row.push_back(std::isnan(cost[s][i])
-                              ? json::value{nullptr}
-                              : json::value{cost[s][i]});
-        }
-        ys.emplace_back(std::move(row));
+    for (const std::vector<double>& row : cost) {
+        ys.push_back(lanes_json(row));
     }
 
     json::object o;
     o.set("metric", "cost_per_good_system_usd");
     o.set("scale", q.scale);
     o.set("splits", std::move(splits_json));
-    o.set("xs", std::move(xs_json));
+    o.set("xs", lanes_json(xs));
     o.set("ys", std::move(ys));
     o.set("best_split", std::move(best_split));
     o.set("crossover_area_mm2", std::move(crossover));
@@ -1705,7 +1555,6 @@ json::value engine::statusz_json() const {
     config.set("cache_shards", static_cast<double>(config_.cache_shards));
     config.set("hot_path", config_.hot_path);
     config.set("batch_dedup", config_.batch_dedup);
-    config.set("sweep_kernels", config_.sweep_kernels);
     config.set("fast_math", config_.fast_math);
     config.set("simd_target",
                std::string{simd::to_string(simd::active_target())});

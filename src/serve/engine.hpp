@@ -20,8 +20,8 @@
 //     (cache.hpp) keyed by the request's canonical serialization;
 //     endpoints are pure functions of their canonical request, so a
 //     hit returns exactly the bytes a fresh evaluation would produce.
-//     Sweep grid points share the same cache as top-level requests on
-//     both the kernel and the per-point path (see engine_config).
+//     Sweep and partition_explore lanes share the same cache as
+//     top-level point requests (see the lane planner below).
 //   * Hot path (`hot_path`): a warm cache hit is answered without a
 //     single heap allocation — the line is parsed into a per-thread
 //     monotonic arena (json_arena.hpp), canonicalized by the
@@ -37,13 +37,13 @@
 //     responses are never coalesced — a twin whose representative
 //     failed re-evaluates individually, and every response keeps its
 //     own `id`.
-//   * SoA sweep kernels (`sweep_kernels`): eligible sweep targets
-//     (scenario #1/#2, every yield model) evaluate on the
-//     structure-of-arrays batch kernels in
-//     yield/batch.hpp and cost/batch.hpp, bit-identical to the
-//     per-point path; other targets with a swept double parameter use
-//     a typed per-lane evaluation that skips the per-point JSON round
-//     trip.
+//   * Lane planner: `sweep` and `partition_explore` evaluate their grid
+//     as lanes, one point request each, keyed and probed in the cache.
+//     Only missing lanes are evaluated — on the SoA batch kernels where
+//     the op has one (cost/, yield/ and chiplet/batch.hpp, bit-identical
+//     to the scalar library), else lane by lane — and cached lanes
+//     splice back in order.  A lane uses the cache exactly when scalar
+//     code evaluates it (DESIGN.md §10).
 //   * Parallel kernels: endpoints that are themselves parallel
 //     (mc_yield) inherit the engine parallelism; nested use inside a
 //     batch degrades to serial per the exec engine rules, with
@@ -91,11 +91,6 @@ struct engine_config {
     /// call (requires a non-zero cache_capacity).  Off = every line
     /// evaluates independently, exactly as before.
     bool batch_dedup = true;
-    /// Evaluate eligible sweep targets on the SoA batch kernels.
-    /// Kernel lanes populate the per-point memoization cache just like
-    /// the per-point path (a post-sweep point query is a warm hit), so
-    /// this knob changes throughput only, never bytes or cache sharing.
-    bool sweep_kernels = true;
     /// Route sweep/partition_explore kernels through the *_fast
     /// variants (vector transcendentals via simd/math.hpp, dispatched
     /// once per process to AVX2/NEON/scalar — see simd/dispatch.hpp).
@@ -235,7 +230,7 @@ private:
 
     /// Cached result JSON for a request (everything except `stats`).
     /// `probe` (optional) captures the cache/exec stage timings for the
-    /// top-level line; sweep grid points pass nullptr.
+    /// line.
     [[nodiscard]] std::shared_ptr<const std::string> result_for(
         const request& req, const exec::cancel_token* cancel,
         line_probe* probe = nullptr);
@@ -274,17 +269,17 @@ private:
     /// Shed cache shards if configured (called on overloaded rejects).
     void on_overload();
 
+    /// A grid of point requests for the lane planner (engine.cpp).
+    struct lane_grid;
+    /// The lane planner: each lane's primary metric, NaN for a null
+    /// lane (infeasible, or rejected as a point request).
+    [[nodiscard]] std::vector<double> eval_lanes(
+        const std::vector<double>& xs, const lane_grid& grid,
+        const exec::cancel_token* cancel);
     [[nodiscard]] json::value eval_sweep(const sweep_request& q,
                                          const exec::cancel_token* cancel);
-    /// SoA-kernel / typed per-lane sweep evaluation; false = target
-    /// shape not eligible, use the generic per-point path.
-    bool eval_sweep_fast(const sweep_request& q,
-                         const std::vector<double>& xs,
-                         std::vector<json::value>& ys,
-                         const exec::cancel_token* cancel);
     /// Monolithic-vs-N-way split exploration over a total-area grid:
-    /// SoA chiplet kernel when `sweep_kernels` is on, per-point
-    /// library evaluation otherwise — bit-identical either way.
+    /// one lane grid per split, evaluated on the SoA chiplet kernel.
     [[nodiscard]] json::value eval_partition_explore(
         const partition_explore_request& q,
         const exec::cancel_token* cancel);

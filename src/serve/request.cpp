@@ -1,5 +1,7 @@
 #include "serve/request.hpp"
 
+#include "serve/request_fast.hpp"
+
 #include <cmath>
 #include <initializer_list>
 #include <string>
@@ -52,6 +54,19 @@ const char* primary_metric(op_code op) {
     return nullptr;
 }
 
+void check_mc_dies(int dies) {
+    if (dies < 1 || dies > 100000000) {
+        throw request_error("bad_param", "mc_yield: dies must be in [1, 1e8]");
+    }
+}
+
+void check_chiplets(int chiplets) {
+    if (chiplets < 1 || chiplets > 16) {
+        throw request_error("bad_param",
+                            "chiplet: chiplets must be in [1, 16]");
+    }
+}
+
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -82,8 +97,7 @@ public:
         if (v == nullptr) {
             return fallback;
         }
-        if (!v->is_number() || v->as_number() != std::floor(v->as_number()) ||
-            std::abs(v->as_number()) > 2147483647.0) {
+        if (!v->is_number() || !is_int_value(v->as_number())) {
             fail_type(key, "an integer");
         }
         return static_cast<int>(v->as_number());
@@ -95,8 +109,7 @@ public:
         if (v == nullptr) {
             return fallback;
         }
-        if (!v->is_number() || v->as_number() != std::floor(v->as_number()) ||
-            v->as_number() < 0.0 || v->as_number() > 9007199254740992.0) {
+        if (!v->is_number() || !is_uint53_value(v->as_number())) {
             fail_type(key, "a non-negative integer (<= 2^53)");
         }
         return static_cast<std::uint64_t>(v->as_number());
@@ -469,36 +482,8 @@ mc_yield_request parse_mc_yield(field_reader& r) {
     out.extra_material_fraction =
         r.number("extra_material_fraction", out.extra_material_fraction);
     out.seed = r.uinteger("seed", out.seed);
-    if (out.dies < 1 || out.dies > 100000000) {
-        throw request_error("bad_param",
-                            "mc_yield: dies must be in [1, 1e8]");
-    }
+    check_mc_dies(out.dies);
     return out;
-}
-
-/// Walk a dotted path ("product.feature_size_um") through nested
-/// objects; returns the addressed value or nullptr.
-json::value* walk_path(json::value& root, std::string_view path) {
-    json::value* node = &root;
-    std::size_t begin = 0;
-    while (begin <= path.size()) {
-        const std::size_t dot = path.find('.', begin);
-        const std::string_view segment =
-            path.substr(begin, dot == std::string_view::npos ? path.size() - begin
-                                                             : dot - begin);
-        if (segment.empty() || !node->is_object()) {
-            return nullptr;
-        }
-        node = node->as_object().find(segment);
-        if (node == nullptr) {
-            return nullptr;
-        }
-        if (dot == std::string_view::npos) {
-            return node;
-        }
-        begin = dot + 1;
-    }
-    return nullptr;
 }
 
 sweep_request parse_sweep(field_reader& r) {
@@ -536,18 +521,12 @@ sweep_request parse_sweep(field_reader& r) {
                             "sweep: 'param' must be a string path");
     }
     out.param = param->as_string();
-
-    // The canonical target (defaults filled in) is what points are
-    // rebound against, so the swept path always resolves.
-    json::value canonical_target = request_to_json(*parsed);
-    json::value* addressed = walk_path(canonical_target, out.param);
-    if (addressed == nullptr || !addressed->is_number()) {
+    if (!numeric_param_exists(*parsed, out.param)) {
         throw request_error("bad_param",
                             "sweep: param '" + out.param +
                                 "' does not address a numeric parameter of "
                                 "the target");
     }
-    out.target_params = canonical_target.as_object();
     out.target = std::move(parsed);
 
     const json::value* from = r.raw("from");
@@ -633,10 +612,7 @@ void parse_chiplet_base(field_reader& r, chiplet_request& out) {
 chiplet_request parse_chiplet(field_reader& r) {
     chiplet_request out;
     out.chiplets = r.integer("chiplets", out.chiplets);
-    if (out.chiplets < 1 || out.chiplets > 16) {
-        throw request_error("bad_param",
-                            "chiplet: chiplets must be in [1, 16]");
-    }
+    check_chiplets(out.chiplets);
     parse_chiplet_base(r, out);
     return out;
 }
@@ -736,7 +712,7 @@ void mc_yield_to_json(const mc_yield_request& q, json::object& o) {
 }
 
 void sweep_to_json(const sweep_request& q, json::object& o) {
-    o.set("target", json::value{q.target_params});
+    o.set("target", request_to_json(*q.target));
     o.set("param", q.param);
     o.set("from", q.from);
     o.set("to", q.to);

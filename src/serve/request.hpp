@@ -36,6 +36,7 @@
 
 #include "serve/json.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -211,7 +212,6 @@ struct request;
 /// null.  Targets `sweep` and `stats` are rejected.
 struct sweep_request {
     std::shared_ptr<const request> target;  ///< parsed target (canonical)
-    json::object target_params;             ///< raw params for re-binding
     std::string param;
     double from = 0.0;
     double to = 1.0;
@@ -313,6 +313,19 @@ struct request {
 /// (defaults filled in), as an object {"op": ..., <params>}.  `id` is
 /// not included.  `canonical_key == json::canonical(request_to_json(r))`.
 [[nodiscard]] json::value request_to_json(const request& r);
+
+/// Integer checks shared by parse_request, parse_request_fast and the
+/// sweep lane setter, so a lane is null exactly when its point request
+/// is rejected: integral within the int range / within [0, 2^53], and
+/// (throwing bad_param) dies in [1, 1e8], chiplets in [1, 16].
+[[nodiscard]] inline bool is_int_value(double v) noexcept {
+    return v == std::floor(v) && std::abs(v) <= 2147483647.0;
+}
+[[nodiscard]] inline bool is_uint53_value(double v) noexcept {
+    return v == std::floor(v) && v >= 0.0 && v <= 9007199254740992.0;
+}
+void check_mc_dies(int dies);
+void check_chiplets(int chiplets);
 
 /// The response member holding the endpoint's primary scalar — the
 /// value a sweep extracts per grid point.  nullptr for endpoints that

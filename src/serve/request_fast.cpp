@@ -49,8 +49,7 @@ class fast_reader {
         if (v == nullptr) {
             return fallback;
         }
-        if (!v->is_number() || v->number != std::floor(v->number) ||
-            std::abs(v->number) > 2147483647.0) {
+        if (!v->is_number() || !is_int_value(v->number)) {
             fail_type(key, "an integer");
         }
         return static_cast<int>(v->number);
@@ -62,8 +61,7 @@ class fast_reader {
         if (v == nullptr) {
             return fallback;
         }
-        if (!v->is_number() || v->number != std::floor(v->number) ||
-            v->number < 0.0 || v->number > 9007199254740992.0) {
+        if (!v->is_number() || !is_uint53_value(v->number)) {
             fail_type(key, "a non-negative integer (<= 2^53)");
         }
         return static_cast<std::uint64_t>(v->number);
@@ -390,10 +388,7 @@ void parse_mc_yield_fast(fast_reader& r, request& req) {
     out.extra_material_fraction =
         r.number("extra_material_fraction", out.extra_material_fraction);
     out.seed = r.uinteger("seed", out.seed);
-    if (out.dies < 1 || out.dies > 100000000) {
-        throw request_error("bad_param",
-                            "mc_yield: dies must be in [1, 1e8]");
-    }
+    check_mc_dies(out.dies);
 }
 
 void parse_chiplet_base_fast(fast_reader& r, chiplet_request& out) {
@@ -442,10 +437,7 @@ void parse_chiplet_base_fast(fast_reader& r, chiplet_request& out) {
 void parse_chiplet_fast(fast_reader& r, request& req) {
     chiplet_request& out = ensure_payload<chiplet_request>(req);
     out.chiplets = r.integer("chiplets", out.chiplets);
-    if (out.chiplets < 1 || out.chiplets > 16) {
-        throw request_error("bad_param",
-                            "chiplet: chiplets must be in [1, 16]");
-    }
+    check_chiplets(out.chiplets);
     parse_chiplet_base_fast(r, out);
 }
 
@@ -919,9 +911,9 @@ void parse_sweep_fast(fast_reader& r, fast_parse_state& st) {
                                 "' does not address a numeric parameter of "
                                 "the target");
     }
-    // Unlike the legacy parser, target/target_params stay empty: the fast
-    // path only needs the canonical key, and a cache miss re-parses the
-    // line through the legacy pipeline before evaluating.
+    // Unlike the legacy parser, `target` stays empty: the fast path only
+    // needs the canonical key, and a cache miss re-parses the line
+    // through the legacy pipeline before evaluating.
 
     const aview* from = r.raw("from");
     const aview* to_v = r.raw("to");
@@ -985,11 +977,11 @@ void canonical_key_into(const request& r, std::string& out) {
             emit_mc_yield_key(std::get<mc_yield_request>(r.payload), out);
             break;
         case op_code::sweep: {
-            // Test/utility path for legacy-parsed sweeps (target_params
-            // populated); the hot path splices the precomputed target key.
+            // Legacy-parsed sweeps (`target` set); the hot path splices
+            // the target key it canonicalized while parsing.
             const auto& q = std::get<sweep_request>(r.payload);
             std::string target_key;
-            json::canonical_into(json::value{q.target_params}, target_key);
+            canonical_key_into(*q.target, target_key);
             emit_sweep_key(q, target_key, out);
             break;
         }
@@ -1007,7 +999,7 @@ void canonical_key_into(const request& r, std::string& out) {
 }
 
 // ---------------------------------------------------------------------------
-// Numeric parameter tables (mirror of parse_sweep's canonical-JSON walk)
+// Numeric parameter tables (the numeric members of request_to_json)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -1118,7 +1110,7 @@ double* mc_yield_param(mc_yield_request& q, std::string_view p) {
 }
 
 /// Numeric members serialized from integer storage: addressable by a
-/// sweep per the canonical-JSON walk, but not double-pokeable.
+/// sweep, but not double-pokeable (set_numeric_param checks them).
 bool integer_param_exists(const request& r, std::string_view p) {
     switch (r.op) {
         case op_code::yield:
@@ -1171,6 +1163,35 @@ bool numeric_param_exists(const request& r, std::string_view path) {
     }
     // The pointer table never writes through a const request.
     return numeric_param_ptr(const_cast<request&>(r), path) != nullptr;
+}
+
+void set_numeric_param(request& r, std::string_view path, double v) {
+    if (double* slot = numeric_param_ptr(r, path)) {
+        *slot = v;
+        return;
+    }
+    if (path == "seed") {  // mc_yield's only unsigned parameter
+        if (!is_uint53_value(v)) {
+            throw request_error("bad_param", "sweep: lane is not a seed");
+        }
+        std::get<mc_yield_request>(r.payload).seed =
+            static_cast<std::uint64_t>(v);
+        return;
+    }
+    if (!is_int_value(v)) {
+        throw request_error("bad_param", "sweep: lane is not an integer");
+    }
+    const int i = static_cast<int>(v);
+    if (r.op == op_code::yield) {
+        std::get<yield_request>(r.payload).critical_steps = i;
+    } else if (r.op == op_code::mc_yield) {
+        auto& q = std::get<mc_yield_request>(r.payload);
+        (path == "dies" ? q.dies : q.line_count) = i;
+        check_mc_dies(q.dies);
+    } else {
+        std::get<chiplet_request>(r.payload).chiplets = i;
+        check_chiplets(i);
+    }
 }
 
 }  // namespace silicon::serve

@@ -17,10 +17,10 @@
 // failure falls back to the legacy pipeline, so a bug here can cost
 // speed, never bytes.
 //
-// `numeric_param_exists` / `numeric_param_ptr` are compile-time member
-// tables mirroring parse_sweep's walk over the canonical target JSON; the
-// pointer variant is what the engine's batched sweep evaluation pokes per
-// grid point instead of cloning and re-parsing a JSON document.
+// `numeric_param_exists` / `numeric_param_ptr` / `set_numeric_param` are
+// member tables over a request's numeric parameters: the `param` values a
+// sweep accepts, and what each sweep lane writes instead of cloning and
+// re-parsing a JSON document.
 
 #pragma once
 
@@ -64,14 +64,20 @@ void parse_request_fast(const json::aview& doc, fast_parse_state& st);
 void canonical_key_into(const request& r, std::string& out);
 
 /// True when dotted `path` addresses a numeric parameter of `r`'s
-/// canonical serialization — the exact acceptance set of parse_sweep's
-/// walk over request_to_json (integer-typed parameters included).
+/// canonical serialization (integer-typed parameters included) — the
+/// set of `param` values a sweep accepts.
 [[nodiscard]] bool numeric_param_exists(const request& r,
                                         std::string_view path);
 
 /// Pointer to the double member of `r` addressed by `path`; nullptr when
-/// the path is invalid or addresses an integer-typed parameter (those
-/// sweeps take the generic path).
+/// the path is invalid or addresses an integer-typed parameter.
 [[nodiscard]] double* numeric_param_ptr(request& r, std::string_view path);
+
+/// Sets the numeric parameter `path` of `r` to `v` — one sweep lane.
+/// `path` must be one numeric_param_exists accepts for a sweepable op.
+/// Throws request_error exactly when parse_request would reject `v`
+/// there (an integer out of range or not integral, dies outside
+/// [1, 1e8], chiplets outside [1, 16]).
+void set_numeric_param(request& r, std::string_view path, double v);
 
 }  // namespace silicon::serve

@@ -1,5 +1,6 @@
 #include "serve/engine.hpp"
 
+#include "grid_reference.hpp"
 #include "opt/partition.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 
 namespace serve = silicon::serve;
 namespace json = silicon::serve::json;
+namespace grid_reference = silicon::serve::grid_reference;
 
 namespace {
 
@@ -254,23 +256,32 @@ TEST(Engine, StatsEndpointIsLive) {
 }
 
 TEST(Engine, SweepSharesCacheWithPointQueries) {
-    // Point/sweep cache sharing holds on the generic per-point path
-    // (which answers pre-warmed points from the cache) — and the SoA
-    // kernel path populates the same cache from its lanes, so the
-    // sharing is bidirectional under either flag.
-    serve::engine_config config = config_with(1);
-    config.sweep_kernels = false;
-    serve::engine engine{config};
-    // Pre-answer one grid point as a standalone request.
-    (void)engine.handle_line(R"({"op":"scenario1","lambda_um":0.5})");
-    const auto before = engine.cache_stats();
-
-    (void)engine.handle_line(
-        R"({"op":"sweep","param":"lambda_um","from":0.5,"to":1.0,"count":2,
-            "target":{"op":"scenario1"}})");
-    const auto after = engine.cache_stats();
-    // The sweep hit the pre-warmed 0.5 point.
-    EXPECT_GT(after.hits, before.hits);
+    // A grid point answered earlier as a standalone request is a cache
+    // hit inside a later sweep — on kernel lanes (scenario1) and scalar
+    // lanes (an integer chiplet parameter, an mc_yield target) alike —
+    // and the spliced reply still matches the per-point reference.
+    serve::engine reference{config_with(1, /*cache_capacity=*/0)};
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {R"({"op":"scenario1","lambda_um":0.5})",
+         R"({"op":"sweep","param":"lambda_um","from":0.5,"to":1.0,"count":2,
+             "target":{"op":"scenario1"}})"},
+        {R"({"op":"chiplet","chiplets":2})",
+         R"({"op":"sweep","param":"chiplets","from":1,"to":3,"count":3,
+             "target":{"op":"chiplet"}})"},
+        {R"({"op":"mc_yield","dies":200,"seed":2})",
+         R"({"op":"sweep","param":"seed","from":1,"to":3,"count":3,
+             "target":{"op":"mc_yield","dies":200}})"},
+    };
+    for (const auto& [point, sweep] : cases) {
+        serve::engine engine{config_with(1)};
+        (void)engine.handle_line(point);
+        const auto before = engine.cache_stats();
+        const std::string got = engine.handle_line(sweep);
+        // The sweep hit the pre-warmed point.
+        EXPECT_GT(engine.cache_stats().hits, before.hits) << sweep;
+        EXPECT_EQ(got, grid_reference::sweep_reference(reference, sweep, got))
+            << sweep;
+    }
 }
 
 TEST(Engine, SweepKernelLanesPopulateThePointCache) {
@@ -301,7 +312,7 @@ TEST(Engine, SweepKernelLanesPopulateThePointCache) {
          R"({"op":"chiplet","chiplets":4,"d2d_area_mm2":6})"},
     };
     for (const auto& [sweep, point] : cases) {
-        serve::engine engine{config_with(1)};  // sweep_kernels default on
+        serve::engine engine{config_with(1)};
         (void)engine.handle_line(sweep);
         const auto before = engine.cache_stats();
         const std::string warm = engine.handle_line(point);
@@ -507,10 +518,38 @@ TEST(Engine, BatchDedupDisabledLeavesBehaviorIntact) {
     EXPECT_EQ(engine.dedup_hits(), 0u);
 }
 
-TEST(Engine, SweepKernelMatchesGenericPath) {
-    // The SoA kernel sweep path must be byte-identical to the generic
-    // per-point path for every kernel-eligible target, at every thread
-    // count, including infeasible (null) lanes.
+/// Serves every sweep at --threads 1/4/0 three ways — on a cold
+/// engine, with caching off, and after each lane's point request was
+/// answered on its own (so every lane splices from the cache) — and
+/// checks every reply lane by lane against the per-point reference.
+void expect_lanes_match_point_requests(
+    const std::vector<std::string>& sweeps) {
+    serve::engine reference{config_with(1, /*cache_capacity=*/0)};
+    for (const unsigned parallelism : {1u, 4u, 0u}) {
+        serve::engine cold{config_with(parallelism)};
+        serve::engine uncached{config_with(parallelism, 0)};
+        serve::engine warm{config_with(parallelism)};
+        for (const std::string& line : sweeps) {
+            SCOPED_TRACE("parallelism=" + std::to_string(parallelism) +
+                         " line=" + line);
+            const std::string got = cold.handle_line(line);
+            ASSERT_NE(got.find(R"("ok":true)"), std::string::npos) << got;
+            EXPECT_EQ(got,
+                      grid_reference::sweep_reference(reference, line, got));
+            EXPECT_EQ(uncached.handle_line(line), got);
+            for (const json::value& point :
+                 grid_reference::sweep_points(line, got)) {
+                (void)warm.handle_line(json::dump(point));
+            }
+            EXPECT_EQ(warm.handle_line(line), got);
+        }
+    }
+}
+
+TEST(Engine, SweepLanesMatchPointRequests) {
+    // Every sweep lane — SoA-kernel targets and scalar-lane targets,
+    // including infeasible (null) lanes — equals the primary metric of
+    // its point request, at every thread count and cache state.
     const std::vector<std::string> sweeps = {
         R"({"op":"sweep","param":"lambda_um","from":0.5,"to":1.5,"count":7,
             "target":{"op":"scenario1"}})",
@@ -553,24 +592,85 @@ TEST(Engine, SweepKernelMatchesGenericPath) {
         R"({"op":"sweep","param":"bond_yield","from":0.5,"to":1.5,"count":5,
             "target":{"op":"chiplet","chiplets":8}})",
     };
-    for (unsigned parallelism : {1u, 4u, 0u}) {
-        serve::engine_config on = config_with(parallelism);
-        serve::engine_config off = config_with(parallelism);
-        off.sweep_kernels = false;
-        serve::engine kernel{on};
-        serve::engine generic{off};
-        for (const std::string& line : sweeps) {
-            EXPECT_EQ(generic.handle_line(line), kernel.handle_line(line))
-                << "parallelism=" << parallelism << " line=" << line;
-        }
+    expect_lanes_match_point_requests(sweeps);
+}
+
+TEST(SweepLanes, IntegerParametersMatchPointRequests) {
+    // Integer-typed parameters: a lane is null exactly when its point
+    // request is rejected (non-integral, outside the int or 2^53
+    // range, dies outside [1, 1e8], chiplets outside [1, 16]) or fails
+    // to evaluate.  Log grids land off the integers too.
+    expect_lanes_match_point_requests({
+        R"({"op":"sweep","param":"critical_steps","from":-2,"to":3,
+            "count":11,"target":{"op":"yield","model":"bose_einstein",
+                                 "expected_faults":1.5}})",
+        R"({"op":"sweep","param":"critical_steps","from":2147483640,
+            "to":2147483655,"count":6,
+            "target":{"op":"yield","model":"bose_einstein"}})",
+        R"({"op":"sweep","param":"critical_steps","from":1,"to":40,
+            "count":5,"target":{"op":"yield","model":"poisson"}})",
+        R"({"op":"sweep","param":"dies","from":0,"to":2,"count":5,
+            "target":{"op":"mc_yield","seed":7}})",
+        R"({"op":"sweep","param":"dies","from":100000001,"to":3e9,
+            "count":2,"target":{"op":"mc_yield"}})",
+        R"({"op":"sweep","param":"line_count","from":-1,"to":4,"count":11,
+            "target":{"op":"mc_yield","dies":200}})",
+        R"({"op":"sweep","param":"line_count","from":2147483648,"to":3e9,
+            "count":2,"target":{"op":"mc_yield","dies":200}})",
+        R"({"op":"sweep","param":"seed","from":-1,"to":3,"count":9,
+            "target":{"op":"mc_yield","dies":100}})",
+        R"({"op":"sweep","param":"seed","from":9007199254740990,
+            "to":9007199254740994,"count":5,
+            "target":{"op":"mc_yield","dies":100}})",
+        R"({"op":"sweep","param":"chiplets","from":0,"to":20,"count":21,
+            "target":{"op":"chiplet"}})",
+        R"({"op":"sweep","param":"chiplets","from":0.5,"to":4.5,"count":9,
+            "target":{"op":"chiplet","logic_area_mm2":600}})",
+        R"({"op":"sweep","param":"chiplets","from":1,"to":16,"count":5,
+            "scale":"log","target":{"op":"chiplet"}})",
+    });
+}
+
+TEST(SweepLanes, McYieldTargetsMatchPointRequests) {
+    expect_lanes_match_point_requests({
+        R"({"op":"sweep","param":"defects_per_um2","from":0,"to":4e-4,
+            "count":5,"target":{"op":"mc_yield","dies":300,"seed":3}})",
+        R"({"op":"sweep","param":"line_spacing_um","from":-0.4,"to":1.6,
+            "count":6,"target":{"op":"mc_yield","dies":200}})",
+        R"({"op":"sweep","param":"extra_material_fraction","from":0,"to":1,
+            "count":3,"target":{"op":"mc_yield","dies":250,"seed":9}})",
+        R"({"op":"sweep","param":"defect_r0_um","from":0.2,"to":2,
+            "count":4,"scale":"log","target":{"op":"mc_yield","dies":150}})",
+    });
+}
+
+TEST(SweepLanes, McYieldSweepDeadlineIsDeadlineExceeded) {
+    // The deadline reaches the Monte-Carlo lanes, and the sweep
+    // re-raises it: never an ok reply with nulls where lanes were cut.
+    for (const unsigned parallelism : {1u, 4u, 0u}) {
+        serve::engine engine{config_with(parallelism)};
+        const std::string zero = engine.handle_line(
+            R"({"op":"sweep","deadline_ms":0,"param":"seed","from":1,
+                "to":4,"count":4,"target":{"op":"mc_yield","dies":200}})");
+        EXPECT_NE(zero.find(R"("code":"deadline_exceeded")"),
+                  std::string::npos)
+            << "parallelism=" << parallelism << " " << zero;
+        const std::string late = engine.handle_line(
+            R"({"op":"sweep","deadline_ms":1,"param":"seed","from":1,
+                "to":8,"count":8,
+                "target":{"op":"mc_yield","dies":20000000}})");
+        EXPECT_NE(late.find(R"("code":"deadline_exceeded")"),
+                  std::string::npos)
+            << "parallelism=" << parallelism << " " << late;
+        EXPECT_EQ(engine.deadline_exceeded_total(), 2u);
     }
 }
 
-TEST(Engine, PartitionExploreBitIdenticalAcrossKernelsAndThreads) {
-    // The crossover response is golden material: the SoA chiplet kernel
-    // and the per-point fallback must agree byte for byte at every
-    // thread count (the acceptance property the silicond smoke pins
-    // end-to-end).
+TEST(Engine, PartitionExploreMatchesPointRequestsAcrossThreads) {
+    // The crossover response is golden material: every cost cell equals
+    // the chiplet point request for the rescaled base at that split,
+    // byte for byte at every thread count and with caching off (the
+    // acceptance property the silicond smoke pins end-to-end).
     const std::vector<std::string> lines = {
         R"({"op":"partition_explore"})",
         R"({"op":"partition_explore","splits":"1,2,4,8","count":17,
@@ -583,26 +683,22 @@ TEST(Engine, PartitionExploreBitIdenticalAcrossKernelsAndThreads) {
         R"({"op":"partition_explore","splits":"1,16","count":8,
             "area_from_mm2":5,"area_to_mm2":70000,"scale":"log"})",
     };
-    serve::engine reference{[] {
-        serve::engine_config c = config_with(1);
-        c.sweep_kernels = false;
-        return c;
-    }()};
+    serve::engine reference{config_with(1, /*cache_capacity=*/0)};
     std::vector<std::string> expected;
-    expected.reserve(lines.size());
-    for (const std::string& line : lines) {
-        expected.push_back(reference.handle_line(line));
-    }
-    for (unsigned parallelism : {1u, 4u, 0u}) {
-        for (const bool kernels : {true, false}) {
-            serve::engine_config config = config_with(parallelism);
-            config.sweep_kernels = kernels;
-            serve::engine engine{config};
-            for (std::size_t i = 0; i < lines.size(); ++i) {
-                EXPECT_EQ(engine.handle_line(lines[i]), expected[i])
-                    << "parallelism=" << parallelism
-                    << " kernels=" << kernels << " line=" << lines[i];
+    for (const unsigned parallelism : {1u, 4u, 0u}) {
+        serve::engine engine{config_with(parallelism)};
+        serve::engine uncached{config_with(parallelism, 0)};
+        for (std::size_t i = 0; i < lines.size(); ++i) {
+            SCOPED_TRACE("parallelism=" + std::to_string(parallelism) +
+                         " line=" + lines[i]);
+            const std::string got = engine.handle_line(lines[i]);
+            if (parallelism == 1) {
+                expected.push_back(got);
+                EXPECT_EQ(got, grid_reference::explore_reference(
+                                   reference, lines[i], got));
             }
+            EXPECT_EQ(got, expected[i]);
+            EXPECT_EQ(uncached.handle_line(lines[i]), got);
         }
     }
 }

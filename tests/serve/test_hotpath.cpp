@@ -14,6 +14,7 @@
 // documents, canonical keys, error codes/messages and response lines.
 
 #include "exec/arena.hpp"
+#include "grid_reference.hpp"
 #include "serve/engine.hpp"
 #include "serve/json.hpp"
 #include "serve/json_arena.hpp"
@@ -288,8 +289,28 @@ serve::engine_config legacy_config() {
     config.parallelism = 1;
     config.hot_path = false;
     config.batch_dedup = false;
-    config.sweep_kernels = false;
     return config;
+}
+
+/// What an ok sweep or partition_explore reply must equal: the reply
+/// with every lane rebuilt from its point request on `reference`
+/// (grid_reference.hpp).  Any other reply is returned as is.
+std::string grid_expected(serve::engine& reference, const std::string& line,
+                          const std::string& reply) {
+    if (reply.find(R"("ok":true)") == std::string::npos) {
+        return reply;
+    }
+    const std::string op =
+        serve::json::parse(line).as_object().find("op")->as_string();
+    if (op == "sweep") {
+        return serve::grid_reference::sweep_reference(reference, line,
+                                                      reply);
+    }
+    if (op == "partition_explore") {
+        return serve::grid_reference::explore_reference(reference, line,
+                                                        reply);
+    }
+    return reply;
 }
 
 // ---------------------------------------------------------------------------
@@ -570,6 +591,9 @@ TEST(FastParse, CanonicalKeysAndErrorsMatchLegacy) {
 TEST(HotPathEquivalence, ResponsesMatchLegacyColdAndWarm) {
     serve::engine fast{fast_config()};
     serve::engine legacy{legacy_config()};
+    serve::engine_config reference_config = legacy_config();
+    reference_config.cache_capacity = 0;
+    serve::engine reference{reference_config};
     std::vector<std::string> lines = corpus();
     const std::vector<std::string> extra = fuzz_corpus(300);
     lines.insert(lines.end(), extra.begin(), extra.end());
@@ -580,8 +604,11 @@ TEST(HotPathEquivalence, ResponsesMatchLegacyColdAndWarm) {
             continue;  // live snapshot: legitimately differs
         }
         // Cold, then warm (warm exercises the allocation-free splice).
+        const std::string cold = legacy.handle_line(line);
+        EXPECT_EQ(cold, fast.handle_line(line));
         EXPECT_EQ(legacy.handle_line(line), fast.handle_line(line));
-        EXPECT_EQ(legacy.handle_line(line), fast.handle_line(line));
+        // Grid replies also match the per-point reference lane by lane.
+        EXPECT_EQ(grid_expected(reference, line, cold), cold);
     }
 }
 
