@@ -75,6 +75,15 @@ std::shared_ptr<const std::string> memo_cache::get_if_present(
     return it->second->second;
 }
 
+bool memo_cache::contains(std::string_view key) const {
+    if (shards_ == nullptr) {
+        return false;
+    }
+    shard& s = shards_[shard_for(key, shard_count_)];
+    const std::lock_guard<std::mutex> lock(s.mutex);
+    return s.index.find(key) != s.index.end();
+}
+
 void memo_cache::put(std::string_view key, std::string value) {
     if (shards_ == nullptr) {
         return;

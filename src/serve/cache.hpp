@@ -71,6 +71,10 @@ public:
     [[nodiscard]] std::shared_ptr<const std::string> get_if_present(
         std::string_view key);
 
+    /// True when `key` is resident.  Counts nothing and leaves the LRU
+    /// order alone: a cost estimate, not a lookup.
+    [[nodiscard]] bool contains(std::string_view key) const;
+
     /// Insert or refresh `key`; evicts the least-recently-used entry of
     /// the key's shard when that shard is full.
     void put(std::string_view key, std::string value);

@@ -218,23 +218,27 @@ bool conn::on_jsonl_line(std::string_view line, bool oversized) {
         close_after_flush_ = true;
         return false;
     }
-    lines_.emplace_back(line);
-    if (lines_.size() >= shared_.config.batch) {
+    // Reuse the slot strings' capacity: a warm connection allocates
+    // nothing per line.
+    if (pending_ == lines_.size()) {
+        lines_.emplace_back(line);
+    } else {
+        lines_[pending_].assign(line.data(), line.size());
+    }
+    ++pending_;
+    if (pending_ >= shared_.config.batch) {
         flush_pending_batch();
     }
     return !dead_;
 }
 
 void conn::flush_pending_batch() {
-    if (lines_.empty() || dead_) {
+    if (pending_ == 0 || dead_) {
         return;
     }
     gather_.clear();
-    for (const std::string& response : shared_.eng.handle_batch(lines_)) {
-        gather_ += response;
-        gather_ += '\n';
-    }
-    lines_.clear();
+    shared_.eng.handle_batch_into({lines_.data(), pending_}, gather_);
+    pending_ = 0;
     shared_.flushes.add(1);
     shared_.flushed_bytes.add(gather_.size());
     enqueue(gather_);

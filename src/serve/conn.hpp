@@ -159,7 +159,9 @@ private:
     http::parser http_;
     std::string pending_http_line_;  ///< request line that triggered http mode
     bool switch_to_http_ = false;
+    /// Pending batch: the first `pending_` slots (capacity reused).
     std::vector<std::string> lines_;
+    std::size_t pending_ = 0;
     std::string gather_;
     std::string reject_;
     std::deque<out_buf> queue_;

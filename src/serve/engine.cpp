@@ -25,16 +25,37 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 namespace silicon::serve {
 
 namespace {
+
+// ---------------------------------------------------------------------------
+// The grain (DESIGN.md §7): estimated single-core cost, in ns, of the
+// units of work the engine hands to exec::parallel_for, taken from the
+// per-layer timings of the benchmark's traced runs.  They only decide
+// whether a call wakes the pool (exec::fanout_threshold_ns); no byte of
+// output depends on them.
+// ---------------------------------------------------------------------------
+
+constexpr double parse_line_ns = 1'500;   ///< fast parse + canonical key
+constexpr double point_line_ns = 2'000;   ///< probe + splice, or a closed-form miss
+constexpr double lane_ns = 500;           ///< a whole grid lane, for a line estimate
+constexpr double key_lane_ns = 250;       ///< bind + canonical key of one lane
+constexpr double kernel_lane_ns = 65;     ///< one SoA sweep-kernel lane
+constexpr double cell_lane_ns = 500;      ///< one chiplet-kernel cell
+constexpr double scalar_lane_ns = 3'000;  ///< evaluate + dump one scalar lane
+constexpr double mc_die_ns = 70;          ///< one Monte-Carlo die
+
+double mc_dies_ns(const request& r) {
+    return std::get<mc_yield_request>(r.payload).dies * mc_die_ns;
+}
 
 // ---------------------------------------------------------------------------
 // Endpoint evaluators: typed request -> result JSON.  Each routes into
@@ -949,7 +970,7 @@ void sweep_kernel(const request& tgt, std::string_view param,
             [&](const exec::shard_range& r) {
                 body(r.begin, r.end - r.begin);
             },
-            cancel);
+            cancel, kernel_lane_ns);
     };
 
     switch (tmp.op) {
@@ -1167,7 +1188,7 @@ std::vector<double> engine::eval_lanes(const std::vector<double>& xs,
                     canonical_key_into(lane, keys[i]);
                 }
             },
-            cancel);
+            cancel, key_lane_ns);
     }
     for (std::size_t i = 0; i < n; ++i) {
         if (!use_cache) {
@@ -1219,7 +1240,9 @@ std::vector<double> engine::eval_lanes(const std::vector<double>& xs,
                     }
                 }
             },
-            cancel);
+            cancel,
+            grid.base.op == op_code::mc_yield ? mc_dies_ns(grid.base)
+                                              : scalar_lane_ns);
     }
 
     if (!use_cache) {
@@ -1315,7 +1338,7 @@ json::value engine::eval_partition_explore(
                             breakdowns.data() + b, len);
                     }
                 },
-                cancel);
+                cancel, cell_lane_ns);
             keep_lanes(out, keep, [&](std::size_t j) {
                 return chiplet_result_json(breakdowns[j], q.base.substrate);
             });
@@ -1792,6 +1815,47 @@ std::string engine::prometheus_text() const {
     return out;
 }
 
+namespace {
+
+/// Estimated cost of serving one fast-parsed line: point ops are cheap;
+/// a sweep scales with its lanes, partition_explore with its cells,
+/// mc_yield with its dies.
+double line_cost_ns(const fast_parse_state& p) {
+    switch (p.req.op) {
+        case op_code::mc_yield:
+            return mc_dies_ns(p.req);
+        case op_code::sweep:
+            return std::get<sweep_request>(p.req.payload).count *
+                   (p.target_req.op == op_code::mc_yield
+                        ? mc_dies_ns(p.target_req)
+                        : lane_ns);
+        case op_code::partition_explore: {
+            const auto& q = std::get<partition_explore_request>(p.req.payload);
+            const auto splits =
+                std::count(q.splits.begin(), q.splits.end(), ',') + 1;
+            return static_cast<double>(q.count * splits) * lane_ns;
+        }
+        default:
+            return point_line_ns;
+    }
+}
+
+constexpr std::size_t no_rep = std::numeric_limits<std::size_t>::max();
+
+}  // namespace
+
+/// One batch line after phase A: its fast parse (views into a batch
+/// arena), cost estimate and dedup role.
+struct batch_line {
+    fast_parse_state parsed;
+    bool ok = false;             ///< parsed and canonicalized
+    std::uint64_t parse_ns = 0;  ///< time phase A spent on the line
+    std::uint64_t arena_bytes = 0;
+    double cost_ns = point_line_ns;
+    std::size_t key_hash = 0;
+    std::size_t rep = no_rep;  ///< representative line of a twin
+};
+
 std::string engine::handle_line(std::string_view line) {
     std::string out;
     handle_line_into(line, out);
@@ -1852,9 +1916,15 @@ void engine::on_overload() {
 void engine::serve_line(
     std::string_view line, std::string& out,
     const std::chrono::steady_clock::time_point* batch_deadline,
-    obs::flight_record* rec) {
+    obs::flight_record* rec, const batch_line* pre) {
     const obs::trace_span line_span{"serve.handle_line", "serve"};
-    const auto start = std::chrono::steady_clock::now();
+    // A line parsed ahead (handle_batch phase A) starts its clock that
+    // much earlier, so stage times, totals and deadlines still count
+    // its parse.
+    auto start = std::chrono::steady_clock::now();
+    if (pre != nullptr) {
+        start -= std::chrono::nanoseconds{pre->parse_ns};
+    }
     out.clear();
     if (config_.limits.max_line_bytes != 0 &&
         line.size() > config_.limits.max_line_bytes) {
@@ -1871,7 +1941,7 @@ void engine::serve_line(
         faults::maybe_delay("serve.line");
     }
     if (config_.hot_path &&
-        try_handle_line_hot(line, start, batch_deadline, out, rec)) {
+        try_handle_line_hot(line, start, batch_deadline, out, rec, pre)) {
         return;
     }
     handle_line_slow(line, start, batch_deadline, out, rec);
@@ -1880,9 +1950,9 @@ void engine::serve_line(
 bool engine::try_handle_line_hot(
     std::string_view line, std::chrono::steady_clock::time_point start,
     const std::chrono::steady_clock::time_point* batch_deadline,
-    std::string& out, obs::flight_record* rec) {
+    std::string& out, obs::flight_record* rec, const batch_line* pre) {
     line_state& st = tls_line_state();
-    if (config_.limits.max_arena_reserved_bytes != 0 &&
+    if (pre == nullptr && config_.limits.max_arena_reserved_bytes != 0 &&
         st.arena.bytes_reserved() > config_.limits.max_arena_reserved_bytes) {
         // Graceful degradation under memory pressure: hand the arena's
         // chunks back and let the legacy allocator path serve this
@@ -1897,18 +1967,28 @@ bool engine::try_handle_line_hot(
         return false;
     }
     try {
-        st.arena.reset();
-        const json::aview* doc = nullptr;
-        {
-            const obs::trace_span span{"serve.parse", "serve"};
-            doc = &st.parser.parse(line, st.arena);
+        const fast_parse_state* parsed = &st.parsed;
+        std::chrono::steady_clock::time_point t_parsed;
+        std::uint64_t arena_bytes = 0;
+        if (pre != nullptr) {
+            parsed = &pre->parsed;
+            t_parsed = start + std::chrono::nanoseconds{pre->parse_ns};
+            arena_bytes = pre->arena_bytes;
+        } else {
+            st.arena.reset();
+            const json::aview* doc = nullptr;
+            {
+                const obs::trace_span span{"serve.parse", "serve"};
+                doc = &st.parser.parse(line, st.arena);
+            }
+            {
+                const obs::trace_span span{"serve.canonicalize", "serve"};
+                parse_request_fast(*doc, st.parsed);
+            }
+            t_parsed = std::chrono::steady_clock::now();
+            arena_bytes = st.arena.bytes_allocated();
         }
-        {
-            const obs::trace_span span{"serve.canonicalize", "serve"};
-            parse_request_fast(*doc, st.parsed);
-        }
-        const auto t_parsed = std::chrono::steady_clock::now();
-        const request& req = st.parsed.req;
+        const request& req = parsed->req;
         if (req.op == op_code::stats) {
             return false;  // live snapshot: never cached, never hot
         }
@@ -1975,11 +2055,10 @@ bool engine::try_handle_line_hot(
             }
             cold = true;
         }
-        arena_bytes_.fetch_add(st.arena.bytes_allocated(),
-                               std::memory_order_relaxed);
+        arena_bytes_.fetch_add(arena_bytes, std::memory_order_relaxed);
         {
             const obs::trace_span span{"serve.serialize", "serve"};
-            envelope_into(st.parsed.id_view, st.parsed.trace_view, true,
+            envelope_into(parsed->id_view, parsed->trace_view, true,
                           "result", hit != nullptr ? *hit : st.cold, out);
         }
         const auto t_done = std::chrono::steady_clock::now();
@@ -1999,14 +2078,14 @@ bool engine::try_handle_line_hot(
             m.stage_exec.record(ns_between(t_probed, t_evaluated));
         }
         m.stage_serialize.record(ns_between(t_evaluated, t_done));
-        if (st.parsed.trace_view != nullptr) {
-            note_tail_exemplar(m, total_ns, st.parsed.trace_view->string);
+        if (parsed->trace_view != nullptr) {
+            note_tail_exemplar(m, total_ns, parsed->trace_view->string);
         }
         if (rec != nullptr) {
             obs::assign_field(rec->endpoint, to_string(req.op));
-            flight_id_field_view(rec->id, st.parsed.id_view);
-            if (st.parsed.trace_view != nullptr) {
-                obs::assign_field(rec->trace, st.parsed.trace_view->string);
+            flight_id_field_view(rec->id, parsed->id_view);
+            if (parsed->trace_view != nullptr) {
+                obs::assign_field(rec->trace, parsed->trace_view->string);
             }
             obs::assign_field(rec->code, "ok");
             rec->cache_hit = !cold;
@@ -2212,79 +2291,202 @@ void engine::handle_line_slow(
     out = std::move(response);
 }
 
+namespace {
+
+/// Per-thread batch scratch, reused by every batch the thread submits
+/// (phase A's pool workers write into the submitting thread's copy), so
+/// a warm batch allocates nothing.
+struct batch_scratch {
+    std::vector<batch_line> lines;
+    /// One arena per phase-A shard: parallel shards never share one.
+    std::deque<exec::arena> arenas;
+    std::vector<std::pair<std::size_t, std::size_t>> by_hash;
+    std::vector<std::string> responses;
+    std::vector<obs::flight_record> recs;
+    std::string out;
+};
+
+batch_scratch& tls_batch_scratch() {
+    thread_local batch_scratch scratch;
+    return scratch;
+}
+
+/// Phase A for one shard: fast-parse its lines into the scratch (its
+/// own arena), with each line's key hash and cost estimate.
+void parse_shard(std::span<const std::string> lines,
+                 const exec::shard_range& r, const limits_config& limits,
+                 const memo_cache& cache, batch_scratch& scratch) {
+    const std::size_t max_arena = limits.max_arena_reserved_bytes;
+    exec::arena& arena = scratch.arenas[r.index];
+    if (max_arena != 0 && arena.bytes_reserved() > max_arena) {
+        arena.release();  // over the budget: start small again
+    }
+    arena.reset();
+    json::arena_parser& parser = tls_line_state().parser;
+    for (std::size_t i = r.begin; i < r.end; ++i) {
+        batch_line& bl = scratch.lines[i];
+        bl.ok = false;
+        bl.rep = no_rep;
+        bl.cost_ns = point_line_ns;
+        if (limits.max_line_bytes != 0 &&
+            lines[i].size() > limits.max_line_bytes) {
+            continue;  // answered too_large, never parsed
+        }
+        const auto t0 = std::chrono::steady_clock::now();
+        const std::size_t before = arena.bytes_allocated();
+        try {
+            const json::aview* doc = nullptr;
+            {
+                const obs::trace_span span{"serve.parse", "serve"};
+                doc = &parser.parse(lines[i], arena);
+            }
+            const obs::trace_span span{"serve.canonicalize", "serve"};
+            parse_request_fast(*doc, bl.parsed);
+            bl.ok = max_arena == 0 || arena.bytes_reserved() <= max_arena;
+        } catch (...) {
+            // The line's own serve produces the real error.
+        }
+        bl.parse_ns = ns_between(t0, std::chrono::steady_clock::now());
+        if (bl.ok) {
+            const std::string& key = bl.parsed.req.canonical_key;
+            bl.arena_bytes = arena.bytes_allocated() - before;
+            bl.key_hash = std::hash<std::string_view>{}(key);
+            bl.cost_ns = line_cost_ns(bl.parsed);
+            if (bl.cost_ns > point_line_ns && cache.contains(key)) {
+                bl.cost_ns = point_line_ns;  // a heavy op, but cached
+            }
+        }
+    }
+}
+
+/// Intra-batch dedup over the first `n` parsed lines: the first
+/// occurrence of each canonical key is the representative, and each
+/// later twin gets `rep` set and a cache hit's cost.  Twins are found by
+/// sorting (hash, line) pairs — deterministic, and allocation-free once
+/// the scratch has grown.  Returns the number of twins.
+std::uint64_t mark_twins(batch_scratch& scratch, std::size_t n) {
+    std::vector<std::pair<std::size_t, std::size_t>>& by_hash =
+        scratch.by_hash;
+    by_hash.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+        const batch_line& bl = scratch.lines[i];
+        if (bl.ok && bl.parsed.req.op != op_code::stats) {
+            by_hash.emplace_back(bl.key_hash, i);
+        }
+    }
+    std::sort(by_hash.begin(), by_hash.end());
+    std::uint64_t twins = 0;
+    for (std::size_t g = 0; g < by_hash.size();) {
+        std::size_t end = g + 1;
+        while (end < by_hash.size() &&
+               by_hash[end].first == by_hash[g].first) {
+            ++end;
+        }
+        for (std::size_t j = g + 1; j < end; ++j) {
+            batch_line& twin = scratch.lines[by_hash[j].second];
+            for (std::size_t k = g; k < j; ++k) {
+                const std::size_t first = by_hash[k].second;
+                if (scratch.lines[first].rep == no_rep &&
+                    scratch.lines[first].parsed.req.canonical_key ==
+                        twin.parsed.req.canonical_key) {
+                    twin.rep = first;
+                    twin.cost_ns = point_line_ns;  // a cache hit
+                    ++twins;
+                    break;
+                }
+            }
+        }
+        g = end;
+    }
+    return twins;
+}
+
+}  // namespace
+
 std::vector<std::string> engine::handle_batch(
     const std::vector<std::string>& lines) {
+    std::string gather;
+    handle_batch_into(lines, gather);
+    // Replies are single JSON lines, so the gather splits back at '\n'.
+    std::vector<std::string> responses;
+    responses.reserve(lines.size());
+    std::size_t at = 0;
+    for (std::size_t nl = gather.find('\n'); nl != std::string::npos;
+         nl = gather.find('\n', at)) {
+        responses.emplace_back(gather, at, nl - at);
+        at = nl + 1;
+    }
+    return responses;
+}
+
+void engine::handle_batch_into(std::span<const std::string> lines,
+                               std::string& gather) {
     const obs::trace_span span{"serve.batch", "serve"};
-    std::vector<std::string> responses(lines.size());
+    const std::size_t n = lines.size();
+    const auto reply = [&gather](const std::string& r) {
+        gather += r;
+        gather += '\n';
+    };
 
     obs::flight_recorder& flight = obs::flight_recorder::instance();
     const bool record_flight = flight.enabled() && flight.capacity() != 0;
-    // One record slot per line, filled wherever the line completes and
-    // appended *in line order* afterwards — that ordering (plus the
-    // deterministic timing mode) is what makes dumps byte-identical at
-    // every thread count.  An unfilled slot (code "") is skipped.
-    std::vector<obs::flight_record> recs;
-    if (record_flight) {
-        recs.resize(lines.size());
-    }
-    const auto flush_records = [&] {
-        if (!record_flight) {
+    // Records are appended *in line order* (which, with the
+    // deterministic timing mode, makes dumps byte-identical at every
+    // thread count); an unfilled record (code "") is skipped.  Anomaly
+    // triggers fire after every record of the batch landed, so an armed
+    // dump always contains the batch that tripped it.
+    std::uint64_t anomalies = 0;
+    const auto append_record = [&](obs::flight_record& r) {
+        if (r.code[0] == '\0') {
             return;
         }
-        std::uint64_t anomalies = 0;
-        for (obs::flight_record& r : recs) {
-            if (r.code[0] == '\0') {
-                continue;
-            }
-            if (r.anomaly) {
-                ++anomalies;
-            }
-            flight.append(r);
-        }
-        // Triggers fire after every record landed, so an armed dump
-        // always contains the batch that tripped it.
-        for (std::uint64_t a = 0; a < anomalies; ++a) {
+        anomalies += r.anomaly ? 1 : 0;
+        flight.append(r);
+    };
+    const auto note_anomalies = [&] {
+        for (; anomalies != 0; --anomalies) {
             flight.note_anomaly();
         }
     };
-
-    // Batch-level budgets first: every line still gets exactly one
-    // well-formed reply, without parsing a byte of an over-budget batch.
-    if (config_.limits.max_batch_lines != 0 &&
-        lines.size() > config_.limits.max_batch_lines) {
-        admission_.note_rejection(reject_reason::batch_too_large,
-                                  lines.size());
-        for (std::size_t i = 0; i < lines.size(); ++i) {
-            const std::string_view trace_raw = scan_trace_id(lines[i]);
-            append_batch_too_large(config_.limits.max_batch_lines, trace_raw,
-                                   responses[i]);
+    // Batch-level rejections: every line still gets exactly one
+    // well-formed reply, without parsing a byte of it.
+    const auto reject_all = [&](const char* code, bool anomaly,
+                                const auto& append_reply) {
+        for (const std::string& line : lines) {
+            const std::string_view trace_raw = scan_trace_id(line);
+            append_reply(trace_raw, gather);
+            gather += '\n';
             if (record_flight) {
-                obs::assign_field(recs[i].trace, trace_raw);
-                obs::assign_field(recs[i].code, "too_large");
+                obs::flight_record r;
+                obs::assign_field(r.trace, trace_raw);
+                obs::assign_field(r.code, code);
+                r.anomaly = anomaly;
+                append_record(r);
             }
         }
-        flush_records();
-        return responses;
+        note_anomalies();
+    };
+
+    if (config_.limits.max_batch_lines != 0 &&
+        n > config_.limits.max_batch_lines) {
+        admission_.note_rejection(reject_reason::batch_too_large, n);
+        reject_all("too_large", false,
+                   [&](std::string_view trace_raw, std::string& out) {
+                       append_batch_too_large(
+                           config_.limits.max_batch_lines, trace_raw, out);
+                   });
+        return;
     }
     std::size_t batch_bytes = 0;
     for (const std::string& l : lines) {
         batch_bytes += l.size();
     }
     admission_controller::ticket ticket = admission_.admit(
-        batch_bytes, config_.limits.max_inflight_bytes, lines.size());
+        batch_bytes, config_.limits.max_inflight_bytes, n);
     if (!ticket) {
         on_overload();
-        for (std::size_t i = 0; i < lines.size(); ++i) {
-            const std::string_view trace_raw = scan_trace_id(lines[i]);
-            append_overloaded(trace_raw, responses[i]);
-            if (record_flight) {
-                obs::assign_field(recs[i].trace, trace_raw);
-                obs::assign_field(recs[i].code, "overloaded");
-                recs[i].anomaly = true;
-            }
-        }
-        flush_records();
-        return responses;
+        reject_all("overloaded", true, append_overloaded);
+        return;
     }
 
     // One deadline instant for the whole batch (a request's own
@@ -2299,97 +2501,109 @@ std::vector<std::string> engine::handle_batch(
         batch_deadline = &batch_deadline_storage;
     }
 
-    const auto rec_at = [&](std::size_t i) -> obs::flight_record* {
-        return record_flight ? &recs[i] : nullptr;
+    // Phase A: fast-parse every line once, into scratch that phase B
+    // serves from.  Lines the fast parser declines (malformed,
+    // unsupported shape, over the line or arena budget) are served
+    // from their raw bytes and are not dedupable.  A single line has
+    // nothing to share or split: it skips phase A, its serve parses it
+    // in the per-thread line state exactly as handle_line does, and any
+    // fan-out happens inside its evaluation.
+    batch_scratch& scratch = tls_batch_scratch();
+    const bool single = n == 1;
+    std::uint64_t twins = 0;
+    double work_ns = 0;
+    if (!single) {
+        if (scratch.lines.size() < n) {
+            scratch.lines.resize(n);
+        }
+        const std::size_t shards = exec::shard_count_for(n);
+        while (scratch.arenas.size() < shards) {
+            // A shard holds a few parsed lines (~1 KiB each): small
+            // chunks keep 64 of them cheap, and an arena grows when it
+            // must.
+            scratch.arenas.emplace_back(4096);
+        }
+        const auto parse = [&](const exec::shard_range& r) {
+            parse_shard(lines, r, config_.limits, cache_, scratch);
+        };
+        // One-reference capture: the std::function stays
+        // allocation-free.
+        exec::parallel_for(
+            n, config_.parallelism,
+            [&parse](const exec::shard_range& r) { parse(r); }, nullptr,
+            parse_line_ns);
+        if (config_.batch_dedup && config_.cache_capacity != 0) {
+            twins = mark_twins(scratch, n);
+            dedup_hits_.fetch_add(twins, std::memory_order_relaxed);
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            work_ns += scratch.lines[i].cost_ns;
+        }
+    }
+    const auto serve_at = [&](std::size_t i, std::string& out,
+                              obs::flight_record* rec) {
+        const batch_line* pre =
+            single || !scratch.lines[i].ok ? nullptr : &scratch.lines[i];
+        serve_line(lines[i], out, batch_deadline, rec, pre);
     };
 
-    if (!config_.batch_dedup || config_.cache_capacity == 0 ||
-        lines.size() < 2) {
-        exec::parallel_for(lines.size(), config_.parallelism,
-                           [&](const exec::shard_range& r) {
-                               for (std::size_t i = r.begin; i < r.end; ++i) {
-                                   serve_line(lines[i], responses[i],
-                                              batch_deadline, rec_at(i));
-                               }
-                           });
-        flush_records();
-        return responses;
+    if (single || exec::resolve_parallelism(config_.parallelism) <= 1 ||
+        !exec::worth_fanning_out(1, work_ns)) {
+        // Below the grain, or nothing to share: serve inline in line
+        // order.  A twin comes after its representative, so it answers
+        // from the cache — or, when the representative errored (errors
+        // are never cached, never coalesced), re-evaluates on its own.
+        obs::flight_record rec;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (record_flight) {
+                rec = obs::flight_record{};
+            }
+            serve_at(i, scratch.out, record_flight ? &rec : nullptr);
+            reply(scratch.out);
+            if (record_flight) {
+                append_record(rec);
+            }
+        }
+        note_anomalies();
+        return;
     }
 
-    // Phase A: canonicalize every line with the fast parser — no
-    // metrics or cache side effects.  Lines the fast parser declines
-    // (malformed, unsupported shape, stats) are simply not dedupable
-    // and evaluate individually.
-    constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
-    std::vector<std::string> keys(lines.size());
-    std::vector<char> dedupable(lines.size(), 0);
-    exec::parallel_for(
-        lines.size(), config_.parallelism, [&](const exec::shard_range& r) {
-            line_state& st = tls_line_state();
+    // Above the grain: phase B serves representatives and every line
+    // that is not a twin across the pool, phase C (only when there are
+    // twins) the twins, from the cache their representatives filled.
+    std::vector<std::string>& responses = scratch.responses;
+    if (responses.size() < n) {
+        responses.resize(n);
+    }
+    std::vector<obs::flight_record>& recs = scratch.recs;
+    if (record_flight) {
+        recs.assign(n, obs::flight_record{});
+    }
+    const auto serve_where = [&](bool twin_pass) {
+        return [&, twin_pass](const exec::shard_range& r) {
             for (std::size_t i = r.begin; i < r.end; ++i) {
-                try {
-                    st.arena.reset();
-                    const json::aview& doc =
-                        st.parser.parse(lines[i], st.arena);
-                    parse_request_fast(doc, st.parsed);
-                    if (st.parsed.req.op != op_code::stats) {
-                        keys[i] = st.parsed.req.canonical_key;
-                        dedupable[i] = 1;
-                    }
-                } catch (...) {
-                    // Not dedupable; the real parse error (if any) is
-                    // produced when the line evaluates below.
+                if ((scratch.lines[i].rep != no_rep) == twin_pass) {
+                    serve_at(i, responses[i],
+                             record_flight ? &recs[i] : nullptr);
                 }
             }
-        });
-
-    // The first occurrence of each canonical key is the representative;
-    // later twins wait for it and answer from the cache.  Sequential in
-    // line order so the choice is deterministic.
-    std::vector<std::size_t> rep(lines.size(), npos);
-    std::unordered_map<std::string_view, std::size_t> first;
-    first.reserve(lines.size());
-    std::uint64_t twins = 0;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        if (dedupable[i] == 0) {
-            continue;
-        }
-        const auto [it, inserted] =
-            first.try_emplace(std::string_view{keys[i]}, i);
-        if (!inserted) {
-            rep[i] = it->second;
-            ++twins;
+        };
+    };
+    exec::parallel_for(n, config_.parallelism, serve_where(false), nullptr,
+                       work_ns / static_cast<double>(n));
+    if (twins != 0) {
+        exec::parallel_for(n, config_.parallelism, serve_where(true),
+                           nullptr,
+                           static_cast<double>(twins) * point_line_ns /
+                               static_cast<double>(n));
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        reply(responses[i]);
+        if (record_flight) {
+            append_record(recs[i]);
         }
     }
-    dedup_hits_.fetch_add(twins, std::memory_order_relaxed);
-
-    // Phase B: evaluate representatives and non-dedupable lines.
-    exec::parallel_for(lines.size(), config_.parallelism,
-                       [&](const exec::shard_range& r) {
-                           for (std::size_t i = r.begin; i < r.end; ++i) {
-                               if (rep[i] == npos) {
-                                   serve_line(lines[i], responses[i],
-                                              batch_deadline, rec_at(i));
-                               }
-                           }
-                       });
-
-    // Phase C: twins.  A successful representative left its result in
-    // the cache, so these are warm (with hot_path: allocation-free)
-    // hits that splice each line's own id; a representative that
-    // *errored* cached nothing and each twin re-evaluates individually
-    // — error responses are never coalesced.
-    exec::parallel_for(lines.size(), config_.parallelism,
-                       [&](const exec::shard_range& r) {
-                           for (std::size_t i = r.begin; i < r.end; ++i) {
-                               if (rep[i] != npos) {
-                                   serve_line(lines[i], responses[i],
-                                              batch_deadline, rec_at(i));
-                               }
-                           }
-                       });
-    flush_records();
-    return responses;
+    note_anomalies();
 }
 
 }  // namespace silicon::serve

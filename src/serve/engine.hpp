@@ -9,13 +9,15 @@
 //
 // Six layers of speed, none of which may change a byte of output:
 //
-//   * Batching: `handle_batch` fans request lines across
-//     exec::parallel_for with the configured `parallelism` knob
-//     (0 = hardware concurrency, 1 = serial).  Every response depends
-//     only on its own request line, and responses are written into
-//     index-addressed slots, so the output is bit-identical at every
-//     thread count — the same determinism contract as the rest of the
-//     library (DESIGN.md §7/§8).
+//   * Batching: `handle_batch` parses each line once, estimates its
+//     work from the op, and fans the lines across exec::parallel_for
+//     with the configured `parallelism` knob (0 = hardware
+//     concurrency, 1 = serial) only when the batch carries more work
+//     than the exec grain; below it the lines run inline in line
+//     order.  Every response depends only on its own request line,
+//     and responses land in line order, so the output is
+//     bit-identical at every thread count — the same determinism
+//     contract as the rest of the library (DESIGN.md §7/§8).
 //   * Memoization: evaluated results are cached in a sharded LRU
 //     (cache.hpp) keyed by the request's canonical serialization;
 //     endpoints are pure functions of their canonical request, so a
@@ -32,11 +34,13 @@
 //     from scratch, so bytes, error messages and cache accounting are
 //     exactly the legacy ones (DESIGN.md §10).
 //   * Intra-batch dedup (`batch_dedup`): identical canonical keys
-//     within one `handle_batch` call evaluate once; the twins answer
-//     from the cache after the representative completes.  Error
+//     within one `handle_batch` call evaluate once — the first
+//     occurrence is the representative, and its twins answer from the
+//     cache after it: right after it inline, or in a twins-only pass
+//     (run only when there are twins) when the batch fans out.  Error
 //     responses are never coalesced — a twin whose representative
 //     failed re-evaluates individually, and every response keeps its
-//     own `id`.
+//     own `id` (DESIGN.md §10).
 //   * Lane planner: `sweep` and `partition_explore` evaluate their grid
 //     as lanes, one point request each, keyed and probed in the cache.
 //     Only missing lanes are evaluated — on the SoA batch kernels where
@@ -69,14 +73,19 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace silicon::serve {
 
+/// A batch line parsed ahead by handle_batch (engine.cpp).
+struct batch_line;
+
 struct engine_config {
-    /// Batch fan-out width: 0 = hardware concurrency, 1 = serial.
+    /// Max batch fan-out width: 0 = hardware concurrency, 1 = serial.
+    /// Work below the exec grain runs inline at any width.
     unsigned parallelism = 0;
     /// Total memoization-cache entry budget; 0 disables caching.
     std::size_t cache_capacity = 65536;
@@ -88,7 +97,8 @@ struct engine_config {
     /// identical either way).
     bool hot_path = true;
     /// Coalesce identical canonical keys within one `handle_batch`
-    /// call (requires a non-zero cache_capacity).  Off = every line
+    /// call (requires a non-zero cache_capacity): the first occurrence
+    /// evaluates, its twins answer from the cache.  Off = every line
     /// evaluates independently, exactly as before.
     bool batch_dedup = true;
     /// Route sweep/partition_explore kernels through the *_fast
@@ -124,10 +134,17 @@ public:
     /// tests/serve/test_hotpath.cpp with a counting allocator).
     void handle_line_into(std::string_view line, std::string& out);
 
-    /// Serve a batch of lines on the exec pool; response i answers
-    /// line i.  Output is bit-identical for every parallelism value.
+    /// Serve a batch of lines; response i answers line i.  Output is
+    /// bit-identical for every parallelism value.
     [[nodiscard]] std::vector<std::string> handle_batch(
         const std::vector<std::string>& lines);
+
+    /// `handle_batch` appending each response and its '\n', in line
+    /// order, straight to `gather` (not cleared; its capacity is reused)
+    /// — the transports' zero-copy entry point.  A warm batch below the
+    /// fan-out grain performs zero heap allocations.
+    void handle_batch_into(std::span<const std::string> lines,
+                           std::string& gather);
 
     /// Evaluate a parsed request directly, bypassing cache, metrics
     /// and the response envelope — the reference path golden tests
@@ -248,10 +265,13 @@ private:
     /// will append the filled record *in line order* (which is what
     /// keeps dumps byte-identical at any thread count) and fire the
     /// anomaly trigger afterwards.
+    /// `pre` non-null = the line was already fast-parsed by
+    /// handle_batch's phase A; the hot path serves from that parse.
     void serve_line(std::string_view line, std::string& out,
                     const std::chrono::steady_clock::time_point*
                         batch_deadline,
-                    obs::flight_record* rec);
+                    obs::flight_record* rec,
+                    const batch_line* pre = nullptr);
 
     /// Allocation-free warm-hit attempt; false = caller must run the
     /// legacy path (which owns all miss/error accounting).
@@ -259,7 +279,8 @@ private:
                              std::chrono::steady_clock::time_point start,
                              const std::chrono::steady_clock::time_point*
                                  batch_deadline,
-                             std::string& out, obs::flight_record* rec);
+                             std::string& out, obs::flight_record* rec,
+                             const batch_line* pre);
     void handle_line_slow(std::string_view line,
                           std::chrono::steady_clock::time_point start,
                           const std::chrono::steady_clock::time_point*

@@ -175,7 +175,12 @@ monte_carlo_result simulate_layout_yield(const wire_array_layout& layout,
             a.shorts += b.shorts;
             a.opens += b.opens;
             return a;
-        });
+        },
+        // The grain: about 40 ns per die plus as much per defect drawn
+        // (about 65 ns a die at the serve endpoint's defaults, as
+        // measured), so small runs stay on the caller instead of waking
+        // the pool (DESIGN.md §7).
+        40.0 * (1.0 + mean_defects));
 
     if (config.cancel != nullptr && config.cancel->expired()) {
         throw exec::cancelled_error{};

@@ -1,6 +1,8 @@
 // Tests for the sharding helpers, parallel_for and parallel_reduce.
 
 #include "exec/thread_pool.hpp"
+#include "obs/metrics.hpp"
+#include "yield/monte_carlo.hpp"
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace silicon::exec {
@@ -199,6 +202,100 @@ TEST(ParallelReduce, EmptyRangeReturnsInit) {
         0, 4, 42, [](const shard_range&) { return 0; },
         [](int a, int b) { return a + b; });
     EXPECT_EQ(result, 42);
+}
+
+std::uint64_t pool_runs() {
+    return obs::metrics_registry::global()
+        .get_counter("silicon_exec_pool_runs_total")
+        .value();
+}
+
+TEST(ParallelFor, BelowTheGrainRunsOnTheCaller) {
+    // 64 shards of cheap items: the same shards, in index order, on the
+    // calling thread, and the pool is never woken.
+    const std::uint64_t runs_before = pool_runs();
+    std::vector<std::size_t> order;
+    std::set<std::thread::id> ids;
+    parallel_for(
+        640, 0,
+        [&](const shard_range& r) {
+            order.push_back(r.index);
+            ids.insert(std::this_thread::get_id());
+        },
+        nullptr, fanout_threshold_ns / 1000.0);
+    std::vector<std::size_t> expected(64);
+    std::iota(expected.begin(), expected.end(), std::size_t{0});
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(ids, (std::set<std::thread::id>{std::this_thread::get_id()}));
+    EXPECT_EQ(pool_runs(), runs_before);
+}
+
+TEST(ParallelFor, AboveTheGrainWakesThePool) {
+    if (thread_pool::hardware_threads() < 2) {
+        GTEST_SKIP() << "single hardware thread: nothing to wake";
+    }
+    const std::uint64_t runs_before = pool_runs();
+    std::atomic<std::size_t> visited{0};
+    parallel_for(
+        640, 0, [&](const shard_range& r) { visited += r.size(); }, nullptr,
+        fanout_threshold_ns / 100.0);
+    EXPECT_EQ(visited.load(), 640u);
+    EXPECT_EQ(pool_runs(), runs_before + 1);
+}
+
+TEST(ParallelReduce, BitIdenticalAtEveryWidthOnBothSidesOfTheGrain) {
+    // A floating-point fold over per-shard RNG streams: any change in
+    // decomposition, seeding or merge order changes the bits.
+    const auto run = [](std::size_t items, unsigned width, double cost) {
+        return parallel_reduce(
+            items, width, 0.0,
+            [](const shard_range& r) {
+                std::uint64_t z = shard_seed(0x5eed, r.index);
+                double s = 0.0;
+                for (std::size_t i = r.begin; i < r.end; ++i) {
+                    z = shard_seed(z, i);
+                    s += static_cast<double>(z >> 11) * 0x1p-53 / (1.0 + i);
+                }
+                return s;
+            },
+            [](double a, double b) { return a + b; }, cost);
+    };
+    for (const std::size_t items : {std::size_t{50}, std::size_t{5000}}) {
+        const double reference = run(items, 1, unknown_item_cost);
+        for (const double cost : {1.0, unknown_item_cost}) {
+            ASSERT_EQ(worth_fanning_out(items, cost), cost != 1.0);
+            for (const unsigned width : {1u, 2u, 3u, 4u, 0u}) {
+                EXPECT_EQ(run(items, width, cost), reference)
+                    << "items " << items << " width " << width;
+            }
+        }
+    }
+}
+
+TEST(ParallelReduce, McYieldBitIdenticalAtEveryWidthOnBothSidesOfTheGrain) {
+    const yield::wire_array_layout layout;
+    const yield::defect_size_distribution sizes{0.5, 4.0, 2.0};
+    // 100 dies are below the grain (serial on the caller), 20000 above.
+    for (const std::size_t dies : {std::size_t{100}, std::size_t{20000}}) {
+        yield::monte_carlo_config config;
+        config.dies = dies;
+        config.defects_per_um2 = 1e-3;
+        config.seed = 77;
+        config.parallelism = 1;
+        const yield::monte_carlo_result reference =
+            yield::simulate_layout_yield(layout, sizes, config);
+        for (const unsigned width : {2u, 3u, 4u, 0u}) {
+            config.parallelism = width;
+            const yield::monte_carlo_result r =
+                yield::simulate_layout_yield(layout, sizes, config);
+            EXPECT_EQ(r.good_dies, reference.good_dies) << dies << "/" << width;
+            EXPECT_EQ(r.defects_thrown, reference.defects_thrown);
+            EXPECT_EQ(r.shorts, reference.shorts);
+            EXPECT_EQ(r.opens, reference.opens);
+            EXPECT_EQ(r.yield, reference.yield);
+            EXPECT_EQ(r.std_error, reference.std_error);
+        }
+    }
 }
 
 }  // namespace

@@ -40,6 +40,22 @@ TEST(MemoCache, EvictsLeastRecentlyUsed) {
     EXPECT_EQ(s.entries, 2u);
 }
 
+TEST(MemoCache, ContainsCountsNothingAndKeepsLruOrder) {
+    memo_cache cache{2, 1};
+    EXPECT_FALSE(cache.contains("a"));
+    cache.put("a", "1");
+    cache.put("b", "2");
+    EXPECT_TRUE(cache.contains("a"));  // no promotion: "a" stays LRU
+    cache.put("c", "3");               // so it is the one evicted
+    EXPECT_FALSE(cache.contains("a"));
+    EXPECT_TRUE(cache.contains("b"));
+
+    const memo_cache::stats s = cache.snapshot();
+    EXPECT_EQ(s.hits, 0u);
+    EXPECT_EQ(s.misses, 0u);
+    EXPECT_FALSE(memo_cache{0}.contains("a"));
+}
+
 TEST(MemoCache, PutRefreshesExistingKey) {
     memo_cache cache{2, 1};
     cache.put("a", "1");

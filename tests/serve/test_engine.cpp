@@ -1,6 +1,8 @@
 #include "serve/engine.hpp"
 
+#include "exec/thread_pool.hpp"
 #include "grid_reference.hpp"
+#include "obs/metrics.hpp"
 #include "opt/partition.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +16,8 @@
 namespace serve = silicon::serve;
 namespace json = silicon::serve::json;
 namespace grid_reference = silicon::serve::grid_reference;
+namespace exec = silicon::exec;
+namespace obs = silicon::obs;
 
 namespace {
 
@@ -516,6 +520,98 @@ TEST(Engine, BatchDedupDisabledLeavesBehaviorIntact) {
     const std::vector<std::string> responses = engine.handle_batch(lines);
     EXPECT_EQ(responses[0], responses[1]);
     EXPECT_EQ(engine.dedup_hits(), 0u);
+}
+
+std::uint64_t pool_runs() {
+    return obs::metrics_registry::global()
+        .get_counter("silicon_exec_pool_runs_total")
+        .value();
+}
+
+TEST(EngineFanOut, WarmTwoLineBatchWakesNoWorker) {
+    // Two warm lines are microseconds of work: below the grain the
+    // batch runs inline on the caller at the default width — also when
+    // a line's op is heavy but its result is already cached.
+    const std::string point = R"({"id":1,"op":"scenario1","lambda_um":0.5})";
+    for (const std::string& second :
+         {std::string{R"({"id":2,"op":"yield","expected_faults":1.5})"},
+          std::string{R"({"id":3,"op":"mc_yield","dies":20000})"}}) {
+        SCOPED_TRACE(second);
+        serve::engine engine{config_with(0)};
+        const std::vector<std::string> lines = {point, second};
+        const std::vector<std::string> cold = engine.handle_batch(lines);
+        const std::uint64_t before = pool_runs();
+        EXPECT_EQ(engine.handle_batch(lines), cold);
+        EXPECT_EQ(pool_runs(), before);
+        EXPECT_EQ(
+            engine.metrics().at(serve::op_code::scenario1).cache_hits.load(),
+            1u);
+    }
+}
+
+TEST(EngineFanOut, McYieldBatchStillFansOut) {
+    std::vector<std::string> lines;
+    for (int i = 0; i < 32; ++i) {
+        lines.push_back(R"({"id":)" + std::to_string(i) +
+                        R"(,"op":"mc_yield","dies":2000,"seed":)" +
+                        std::to_string(100 + i) + "}");
+    }
+    serve::engine serial{config_with(1)};
+    const std::vector<std::string> expected = serial.handle_batch(lines);
+    serve::engine engine{config_with(0)};
+    const std::uint64_t before = pool_runs();
+    EXPECT_EQ(engine.handle_batch(lines), expected);
+    if (exec::thread_pool::hardware_threads() > 1) {
+        EXPECT_GT(pool_runs(), before);
+        EXPECT_NE(engine.prometheus_text().find(
+                      "silicon_exec_pool_runs_total"),
+                  std::string::npos);
+    }
+}
+
+TEST(EngineFanOut, ErroredRepresentativeTwinsReEvaluateOnBothSidesOfTheGrain) {
+    // Inline (a two-line batch) and fanned out (behind enough Monte-Carlo
+    // work to cross the grain): the twin of an errored representative
+    // finds nothing cached and re-evaluates, and both count as errors.
+    const std::string bad = R"({"op":"scenario1","lambda_um":-1})";
+    for (const std::size_t heavy : {std::size_t{0}, std::size_t{16}}) {
+        std::vector<std::string> lines;
+        for (std::size_t i = 0; i < heavy; ++i) {
+            lines.push_back(R"({"op":"mc_yield","dies":5000,"seed":)" +
+                            std::to_string(i) + "}");
+        }
+        lines.push_back(bad);
+        lines.push_back(bad);
+        for (const unsigned parallelism : {1u, 0u}) {
+            SCOPED_TRACE("heavy=" + std::to_string(heavy) +
+                         " parallelism=" + std::to_string(parallelism));
+            serve::engine engine{config_with(parallelism)};
+            const std::vector<std::string> responses =
+                engine.handle_batch(lines);
+            ASSERT_EQ(responses.size(), lines.size());
+            EXPECT_NE(responses[heavy].find(R"("ok":false)"),
+                      std::string::npos);
+            EXPECT_EQ(responses[heavy], responses[heavy + 1]);
+            EXPECT_EQ(engine.dedup_hits(), 1u);
+            EXPECT_EQ(
+                engine.metrics().at(serve::op_code::scenario1).errors.load(),
+                2u);
+        }
+    }
+}
+
+TEST(EngineFanOut, HandleBatchIntoGathersTheBatchRepliesInOrder) {
+    serve::engine engine{config_with(0)};
+    std::vector<std::string> lines = endpoint_lines();
+    lines.push_back(lines.front());  // a twin
+    lines.push_back("not json");
+    std::string expected;
+    for (const std::string& r : engine.handle_batch(lines)) {
+        expected += r + "\n";
+    }
+    std::string gather = "kept|";
+    engine.handle_batch_into(lines, gather);
+    EXPECT_EQ(gather, "kept|" + expected);
 }
 
 /// Serves every sweep at --threads 1/4/0 three ways — on a cold

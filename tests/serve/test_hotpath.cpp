@@ -15,6 +15,8 @@
 
 #include "exec/arena.hpp"
 #include "grid_reference.hpp"
+#include "obs/metrics.hpp"
+#include "serve/conn.hpp"
 #include "serve/engine.hpp"
 #include "serve/json.hpp"
 #include "serve/json_arena.hpp"
@@ -25,10 +27,15 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <random>
 #include <string>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 // ---------------------------------------------------------------------------
 // Counting allocator: every global allocation bumps a thread-local
@@ -493,6 +500,70 @@ TEST_F(HotPathAllocations, HotPathOffStillAnswersCorrectly) {
         legacy.handle_line_into(line, b);
         EXPECT_EQ(a, b);
     }
+}
+
+TEST_F(HotPathAllocations, WarmConnOverSocketpairAllocatesNothing) {
+    // The transport half of the gate: request bytes in through a
+    // socket, framed by the conn, served by handle_batch_into at the
+    // default width (a warm batch this small stays inline), and the
+    // gathered replies written back — zero allocations per warm line
+    // once the connection is warm.
+    serve::engine_config config = fast_config();
+    config.parallelism = 0;
+    serve::engine engine{config};
+    serve::conn_shared shared{engine, serve::conn_config{}};
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    ASSERT_EQ(::fcntl(fds[0], F_SETFL, O_NONBLOCK), 0);
+    serve::conn c{fds[0], shared};  // owns fds[0]
+
+    const std::vector<std::string> lines = {
+        R"({"id":1,"op":"scenario1","lambda_um":0.5})",
+        R"({"id":2,"op":"scenario2","y0":0.9})",
+        R"({"id":3,"op":"yield","model":"murphy","expected_faults":1.5})",
+        R"({"id":"g","op":"gross_die","die_width_mm":12,"die_height_mm":9})",
+        R"({"id":5,"op":"table3","row":3,"trace_id":"conn-warm-5"})",
+        R"({"id":6,"op":"scenario1","lambda_um":0.5})",  // a twin
+        R"({"id":7,"op":"chiplet","chiplets":4,"substrate":"rdl"})",
+        R"({"id":8,"op":"cost_tr","product":{"transistors":1e6}})",
+    };
+    std::string request;
+    for (const std::string& line : lines) {
+        request += line + "\n";
+    }
+    std::string expected;
+    for (const std::string& r : engine.handle_batch(lines)) {
+        expected += r + "\n";
+    }
+    std::vector<char> reply(expected.size());
+    const auto round_trip = [&] {
+        ASSERT_EQ(::write(fds[1], request.data(), request.size()),
+                  static_cast<ssize_t>(request.size()));
+        c.on_readable();
+        std::size_t got = 0;
+        while (got < reply.size()) {
+            const ssize_t n =
+                ::read(fds[1], reply.data() + got, reply.size() - got);
+            ASSERT_GT(n, 0);
+            got += static_cast<std::size_t>(n);
+        }
+        ASSERT_EQ(std::memcmp(reply.data(), expected.data(), reply.size()),
+                  0);
+    };
+    for (int i = 0; i < 3; ++i) {
+        round_trip();
+    }
+    obs::counter& pool_runs = obs::metrics_registry::global().get_counter(
+        "silicon_exec_pool_runs_total");
+    const std::uint64_t runs_before = pool_runs.value();
+    const std::uint64_t before = t_allocations;
+    for (int i = 0; i < 5; ++i) {
+        round_trip();
+    }
+    EXPECT_EQ(t_allocations - before, 0u);
+    EXPECT_EQ(pool_runs.value(), runs_before);
+    EXPECT_FALSE(c.finished());
+    ::close(fds[1]);
 }
 
 // ---------------------------------------------------------------------------

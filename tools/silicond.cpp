@@ -50,7 +50,8 @@
 // flushed before exit.
 //
 // Flags:
-//   --threads N           batch fan-out width (0 = hardware, 1 = serial)
+//   --threads N           max batch fan-out width (0 = hardware, 1 = serial;
+//                         batches below the exec grain run inline anyway)
 //   --batch N             max lines per engine batch (default 1024)
 //   --cache-capacity N    memoization entries (0 disables; default 65536)
 //   --cache-shards N      cache shard count (default 16)
@@ -576,10 +577,7 @@ bool flush_batch(silicon::serve::engine& engine,
         return true;
     }
     gather.clear();
-    for (const std::string& response : engine.handle_batch(lines)) {
-        gather += response;
-        gather += '\n';
-    }
+    engine.handle_batch_into(lines, gather);
     lines.clear();
     if (!io::write_all_fd(fd, gather, is_socket)) {
         return false;
