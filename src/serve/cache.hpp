@@ -63,11 +63,8 @@ public:
     [[nodiscard]] std::shared_ptr<const std::string> get(
         std::string_view key);
 
-    /// Speculative probe used by the engine's hot path: behaves like
-    /// `get` on a hit (counts it, promotes to MRU) but does NOT count a
-    /// miss — the hot path falls back to the legacy pipeline whose `get`
-    /// records the single authoritative miss, keeping hit/miss stats
-    /// identical whether or not the fast path is enabled.
+    /// Probe used by the engine's lane planner: behaves like `get` on a
+    /// hit (counts it, promotes to MRU) but does NOT count a miss.
     [[nodiscard]] std::shared_ptr<const std::string> get_if_present(
         std::string_view key);
 

@@ -453,35 +453,6 @@ std::string error_code_for(const std::exception& e) {
     return "internal_error";
 }
 
-/// Assemble a response line.  The envelope is built by concatenation so
-/// a cache-hit result splices in verbatim and the bytes are identical
-/// to a fresh evaluation's.  `trace` (the client's trace_id, nullptr =
-/// none) echoes right after the id, so envelopes without one are
-/// byte-identical to the pre-trace format.
-std::string envelope(const json::value* id, const std::string* trace,
-                     bool ok, std::string_view body_key,
-                     std::string_view body) {
-    std::string out = "{";
-    if (id != nullptr) {
-        out += "\"id\":";
-        out += json::dump(*id);
-        out += ",";
-    }
-    if (trace != nullptr) {
-        out += "\"trace_id\":";
-        json::write_string_into(out, *trace);
-        out += ",";
-    }
-    out += "\"ok\":";
-    out += ok ? "true" : "false";
-    out += ",\"";
-    out += body_key;
-    out += "\":";
-    out += body;
-    out += "}";
-    return out;
-}
-
 std::string error_body(std::string_view code, std::string_view message) {
     json::object e;
     e.set("code", std::string{code});
@@ -489,10 +460,12 @@ std::string error_body(std::string_view code, std::string_view message) {
     return json::dump(json::value{std::move(e)});
 }
 
-/// `envelope` for the allocation-free path: identical bytes, appended
-/// to a reused buffer, with the `id` and `trace_id` spliced straight
-/// from the arena document views (write_string_into escapes exactly
-/// like json::dump, so both paths echo identical trace bytes).
+/// Assemble a response line into a reused buffer.  The envelope is built
+/// by concatenation so a cache-hit result splices in verbatim and the
+/// bytes are identical to a fresh evaluation's.  The `id` and
+/// `trace_id` (nullptr = none) splice straight from the arena document
+/// views; the trace echoes right after the id, so envelopes without one
+/// are byte-identical to the pre-trace format.
 void envelope_into(const json::aview* id, const json::aview* trace, bool ok,
                    std::string_view body_key, std::string_view body,
                    std::string& out) {
@@ -529,18 +502,7 @@ void flight_number_field(char (&dst)[32], double v) noexcept {
     }
 }
 
-void flight_id_field(char (&dst)[32], const json::value* id) {
-    if (id == nullptr) {
-        return;
-    }
-    if (id->is_string()) {
-        obs::assign_field(dst, id->as_string());
-    } else if (id->is_number()) {
-        flight_number_field(dst, id->as_number());
-    }
-}
-
-void flight_id_field_view(char (&dst)[32], const json::aview* id) {
+void flight_id_field(char (&dst)[32], const json::aview* id) {
     if (id == nullptr) {
         return;
     }
@@ -586,15 +548,15 @@ std::chrono::steady_clock::time_point deadline_from(
            std::chrono::milliseconds{static_cast<std::int64_t>(budget_ms)};
 }
 
-/// Per-thread hot-path scratch: the parse arena, the arena-view parser
-/// and the reused request.  Engine instances share it safely — it holds
-/// no engine state, only per-line storage that is fully rewritten by
-/// each parse.
+/// Per-thread line scratch: the parse arena, the arena-view parser and
+/// the reused request.  Engine instances share it safely — it holds no
+/// engine state, only per-line storage that is fully rewritten by each
+/// parse.
 struct line_state {
     exec::arena arena;
     json::arena_parser parser;
     fast_parse_state parsed;
-    /// Cold-miss result body, serialized in place (capacity reused).
+    /// Miss result body, serialized in place (capacity reused).
     std::string cold;
 };
 
@@ -603,8 +565,8 @@ line_state& tls_line_state() {
     return state;
 }
 
-/// Allocation-free twin of method_from_string for the cold-miss fast
-/// path (the generic helper builds std::strings while matching).
+/// Allocation-free twin of method_from_string for cold_result_into (the
+/// generic helper builds std::strings while matching).
 bool method_from_view(std::string_view name, geometry::gross_die_method& m) {
     using geometry::gross_die_method;
     if (name == "maly_rows") {
@@ -630,11 +592,11 @@ bool method_from_view(std::string_view name, geometry::gross_die_method& m) {
 /// byte-identical to json::dump(eval_*(q)) (same field order, same
 /// format_number_into/write_string_into bytes) without building a
 /// json::value tree, so a warm-capacity serve performs zero heap
-/// allocations end to end.  Returns false for ops whose evaluation
-/// allocates or needs the engine (the slow path serves those); inputs
-/// the scalar library rejects throw out of here exactly like eval_*,
-/// and the caller declines to the slow path for authoritative error
-/// accounting.
+/// allocations end to end.  Returns false (leaving `out` unspecified)
+/// for ops whose evaluation allocates or needs the engine, and for
+/// inputs whose error eval_* owns; the caller evaluates those through
+/// evaluate_impl.  Other inputs the scalar library rejects throw out of
+/// here exactly like eval_*.
 bool cold_result_into(const request& req, std::string& out) {
     switch (req.op) {
         case op_code::scenario1: {
@@ -707,7 +669,7 @@ bool cold_result_into(const request& req, std::string& out) {
                                       ? q.expected_faults
                                       : q.die_area_cm2 * q.defects_per_cm2;
             if (!(faults >= 0.0) || !std::isfinite(faults)) {
-                return false;  // slow path owns the bad_param error
+                return false;  // eval_yield owns the bad_param error
             }
             probability y{0.0};
             if (q.model == "poisson") {
@@ -722,7 +684,7 @@ bool cold_result_into(const request& req, std::string& out) {
             } else if (q.model == "neg_binomial") {
                 y = yield::negative_binomial_model{q.alpha}.yield(faults);
             } else {
-                return false;  // unknown model: slow path owns the error
+                return false;  // unknown model: eval_yield owns the error
             }
             out += ",\"expected_faults\":";
             json::format_number_into(faults, out);
@@ -735,7 +697,7 @@ bool cold_result_into(const request& req, std::string& out) {
             const auto& q = std::get<gross_die_request>(req.payload);
             geometry::gross_die_method m{};
             if (!method_from_view(q.method, m)) {
-                return false;  // slow path owns the bad_param error
+                return false;  // eval_gross_die owns the bad_param error
             }
             const geometry::wafer w{centimeters{q.wafer_radius_cm},
                                     centimeters{q.edge_exclusion_cm}};
@@ -838,52 +800,6 @@ json::value engine::evaluate_impl(const request& req,
                 std::get<partition_explore_request>(req.payload), cancel);
     }
     throw std::logic_error("engine: unhandled op");
-}
-
-std::shared_ptr<const std::string> engine::result_for(
-    const request& req, const exec::cancel_token* cancel,
-    line_probe* probe) {
-    {
-        const obs::trace_span span{"serve.cache", "serve"};
-        const auto t0 = std::chrono::steady_clock::now();
-        auto hit = cache_.get(req.canonical_key);
-        if (probe != nullptr) {
-            probe->cache_probed = true;
-            probe->cache_ns =
-                ns_between(t0, std::chrono::steady_clock::now());
-            probe->cache_hit = hit != nullptr;
-        }
-        if (hit) {
-            metrics_.at(req.op).cache_hits.fetch_add(
-                1, std::memory_order_relaxed);
-            return hit;
-        }
-    }
-    if (faults::enabled()) {
-        faults::maybe_delay("serve.eval");
-        if (faults::should_fail("serve.eval")) {
-            throw std::bad_alloc{};
-        }
-    }
-    std::shared_ptr<const std::string> result;
-    {
-        const obs::trace_span span{"serve.exec", "serve"};
-        const auto t0 = std::chrono::steady_clock::now();
-        if (probe != nullptr) {
-            probe->exec_ran = true;
-        }
-        result = std::make_shared<const std::string>(
-            json::dump(evaluate_impl(req, cancel)));
-        if (probe != nullptr) {
-            probe->exec_ns =
-                ns_between(t0, std::chrono::steady_clock::now());
-        }
-    }
-    // A cancelled evaluation threw above, so deadline errors are never
-    // cached; a result that *did* complete is bit-identical to an
-    // uncancelled run (shard-boundary cancellation) and safe to keep.
-    cache_.put(req.canonical_key, *result);
-    return result;
 }
 
 namespace {
@@ -1576,8 +1492,6 @@ json::value engine::statusz_json() const {
     config.set("cache_capacity",
                static_cast<double>(config_.cache_capacity));
     config.set("cache_shards", static_cast<double>(config_.cache_shards));
-    config.set("hot_path", config_.hot_path);
-    config.set("batch_dedup", config_.batch_dedup);
     config.set("fast_math", config_.fast_math);
     config.set("simd_target",
                std::string{simd::to_string(simd::active_target())});
@@ -1701,7 +1615,7 @@ std::string engine::prometheus_text() const {
     obs::prometheus_sample(out, "silicon_serve_dedup_hits_total",
                            dedup_hits_.load(std::memory_order_relaxed));
     obs::prometheus_header(out, "silicon_serve_arena_bytes_total", "counter",
-                           "Arena bytes consumed by hot-path cache hits");
+                           "Arena bytes consumed by served lines' parses");
     obs::prometheus_sample(out, "silicon_serve_arena_bytes_total",
                            arena_bytes_.load(std::memory_order_relaxed));
     obs::prometheus_header(out, "silicon_serve_parallelism", "gauge",
@@ -1731,8 +1645,8 @@ std::string engine::prometheus_text() const {
     obs::prometheus_sample(out, "silicon_serve_inflight_bytes",
                            admission_.inflight_bytes());
     obs::prometheus_header(out, "silicon_serve_hot_declines_total", "counter",
-                           "Hot-path declines forced by the arena byte "
-                           "budget");
+                           "Arena releases forced by the arena byte "
+                           "budget or an injected serve.arena fault");
     obs::prometheus_sample(out, "silicon_serve_hot_declines_total",
                            hot_declines_.load(std::memory_order_relaxed));
     obs::prometheus_header(out, "silicon_serve_cache_shed_entries_total",
@@ -1913,6 +1827,42 @@ void engine::on_overload() {
     }
 }
 
+void engine::evaluate_miss(const fast_parse_state& parsed,
+                           const exec::cancel_token* cancel,
+                           std::string& out) {
+    const request& req = parsed.req;
+    if (faults::enabled()) {
+        faults::maybe_delay("serve.eval");
+        if (faults::should_fail("serve.eval")) {
+            throw std::bad_alloc{};
+        }
+    }
+    const obs::trace_span span{"serve.exec", "serve"};
+    // Closed-form point ops serialize straight from the typed payload
+    // into the reused buffer, so a cold serve allocates only for the
+    // cache insert (and not even that with caching off — the zero-alloc
+    // gate in tests/serve/test_hotpath.cpp); every other op evaluates
+    // through the library.
+    out.clear();
+    if (!cold_result_into(req, out)) {
+        if (req.op == op_code::sweep) {
+            // A parsed sweep keeps its target in the parse state.
+            request sweep = req;
+            std::get<sweep_request>(sweep.payload).target =
+                std::make_shared<const request>(parsed.target_req);
+            out = json::dump(evaluate_impl(sweep, cancel));
+        } else {
+            out = json::dump(evaluate_impl(req, cancel));
+        }
+    }
+    // A cancelled evaluation threw above, so deadline errors are never
+    // cached; a result that *did* complete is bit-identical to an
+    // uncancelled run (shard-boundary cancellation) and safe to keep.
+    if (config_.cache_capacity != 0) {
+        cache_.put(req.canonical_key, out);
+    }
+}
+
 void engine::serve_line(
     std::string_view line, std::string& out,
     const std::chrono::steady_clock::time_point* batch_deadline,
@@ -1937,41 +1887,51 @@ void engine::serve_line(
         }
         return;
     }
-    if (faults::enabled()) {
-        faults::maybe_delay("serve.line");
-    }
-    if (config_.hot_path &&
-        try_handle_line_hot(line, start, batch_deadline, out, rec, pre)) {
-        return;
-    }
-    handle_line_slow(line, start, batch_deadline, out, rec);
-}
 
-bool engine::try_handle_line_hot(
-    std::string_view line, std::chrono::steady_clock::time_point start,
-    const std::chrono::steady_clock::time_point* batch_deadline,
-    std::string& out, obs::flight_record* rec, const batch_line* pre) {
     line_state& st = tls_line_state();
-    if (pre == nullptr && config_.limits.max_arena_reserved_bytes != 0 &&
-        st.arena.bytes_reserved() > config_.limits.max_arena_reserved_bytes) {
-        // Graceful degradation under memory pressure: hand the arena's
-        // chunks back and let the legacy allocator path serve this
-        // line.  The next hot line starts over with a small arena.
-        st.arena.release();
-        hot_declines_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-    if (faults::enabled() && faults::should_fail("serve.arena")) {
-        // Injected arena allocation failure: same decline, no throw.
-        hot_declines_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
+    // What the reply and the accounting know about the line: a request
+    // that parsed fills id, trace and op from its parse; one that did
+    // not keeps what its document shows (see the canonicalize step).
+    const json::aview* id = nullptr;
+    const json::aview* trace = nullptr;
+    std::optional<op_code> op;
+    std::string err_code;  // empty = ok
+    bool parsed = false;
+    bool probed = false;
+    bool evaluated = false;
+    bool cache_hit = false;
+    std::chrono::steady_clock::time_point t_parsed{};
+    std::chrono::steady_clock::time_point t_probed{};
+    std::chrono::steady_clock::time_point t_evaluated{};
+    bool have_deadline = false;
+    std::chrono::steady_clock::time_point deadline_at{};
     try {
-        const fast_parse_state* parsed = &st.parsed;
-        std::chrono::steady_clock::time_point t_parsed;
+        bool release_arena =
+            pre == nullptr && config_.limits.max_arena_reserved_bytes != 0 &&
+            st.arena.bytes_reserved() > config_.limits.max_arena_reserved_bytes;
+        if (faults::enabled()) {
+            faults::maybe_delay("serve.line");
+            if (faults::should_fail("serve.line")) {
+                // Injected allocation failure before the parse: the
+                // generic catch below answers internal_error — one valid
+                // reply per line even when memory is gone.
+                throw std::bad_alloc{};
+            }
+            // An injected arena allocation failure degrades like the
+            // budget does.
+            release_arena = faults::should_fail("serve.arena") || release_arena;
+        }
+        if (release_arena) {
+            // Graceful degradation: hand the per-thread arena's chunks
+            // back and parse the line again into it.
+            st.arena.release();
+            hot_declines_.fetch_add(1, std::memory_order_relaxed);
+            pre = nullptr;
+        }
+        const fast_parse_state* p = &st.parsed;
         std::uint64_t arena_bytes = 0;
         if (pre != nullptr) {
-            parsed = &pre->parsed;
+            p = &pre->parsed;
             t_parsed = start + std::chrono::nanoseconds{pre->parse_ns};
             arena_bytes = pre->arena_bytes;
         } else {
@@ -1981,211 +1941,38 @@ bool engine::try_handle_line_hot(
                 const obs::trace_span span{"serve.parse", "serve"};
                 doc = &st.parser.parse(line, st.arena);
             }
-            {
+            try {
                 const obs::trace_span span{"serve.canonicalize", "serve"};
                 parse_request_fast(*doc, st.parsed);
+            } catch (...) {
+                // A schema error still echoes the caller's id (any JSON
+                // value) and trace_id (strings only), and counts under
+                // its op when the name is known.
+                if (doc->is_object()) {
+                    id = doc->find("id");
+                    trace = doc->find("trace_id");
+                    if (trace != nullptr && !trace->is_string()) {
+                        trace = nullptr;
+                    }
+                    const json::aview* name = doc->find("op");
+                    if (name != nullptr && name->is_string()) {
+                        op = op_from_string(name->string);
+                    }
+                }
+                throw;
             }
             t_parsed = std::chrono::steady_clock::now();
             arena_bytes = st.arena.bytes_allocated();
         }
-        const request& req = parsed->req;
-        if (req.op == op_code::stats) {
-            return false;  // live snapshot: never cached, never hot
-        }
-        bool have_deadline = false;
-        std::chrono::steady_clock::time_point deadline_at{};
-        if (req.has_deadline || batch_deadline != nullptr ||
-            config_.limits.default_deadline_ms != 0) {
-            // A warm hit under a live deadline is fine; an expired one
-            // (deadline_ms: 0 always is) declines so the slow path
-            // produces the authoritative deadline_exceeded error.
-            if (req.has_deadline) {
-                deadline_at = deadline_from(start, req.deadline_ms);
-            } else if (batch_deadline != nullptr) {
-                deadline_at = *batch_deadline;
-            } else {
-                deadline_at =
-                    deadline_from(start, config_.limits.default_deadline_ms);
-            }
-            have_deadline = true;
-            exec::cancel_token deadline;
-            deadline.set_deadline(deadline_at);
-            if (deadline.expired()) {
-                return false;
-            }
-        }
-        std::shared_ptr<const std::string> hit;
-        {
-            const obs::trace_span span{"serve.cache", "serve"};
-            // Probe only: a miss is *not* counted here — whichever
-            // cold path serves it (the closed-form evaluation below or
-            // the legacy pipeline) re-probes with get() and owns the
-            // authoritative miss.
-            hit = cache_.get_if_present(req.canonical_key);
-        }
-        const auto t_probed = std::chrono::steady_clock::now();
-        auto t_evaluated = t_probed;
-        bool cold = false;
-        if (hit == nullptr) {
-            // Cold-miss fast path: closed-form point ops evaluate the
-            // scalar library straight from the typed payload and
-            // serialize into the reused TLS buffer, so a cold serve
-            // allocates only for the cache insert (and not even that
-            // when caching is disabled — the zero-alloc gate in
-            // tests/serve/test_hotpath.cpp runs with cache_capacity
-            // 0).  Fault injection stays on the slow path, which owns
-            // every error site.
-            if (faults::enabled()) {
-                return false;
-            }
-            st.cold.clear();
-            {
-                const obs::trace_span span{"serve.exec", "serve"};
-                if (!cold_result_into(req, st.cold)) {
-                    return false;  // ineligible op or slow-path error
-                }
-            }
-            t_evaluated = std::chrono::steady_clock::now();
-            // get() owns the authoritative miss count, exactly like
-            // result_for; a racing writer's bytes win (they are
-            // identical — both paths serialize the scalar library).
-            hit = cache_.get(req.canonical_key);
-            if (hit == nullptr && config_.cache_capacity != 0) {
-                cache_.put(req.canonical_key, st.cold);
-            }
-            cold = true;
-        }
-        arena_bytes_.fetch_add(arena_bytes, std::memory_order_relaxed);
-        {
-            const obs::trace_span span{"serve.serialize", "serve"};
-            envelope_into(parsed->id_view, parsed->trace_view, true,
-                          "result", hit != nullptr ? *hit : st.cold, out);
-        }
-        const auto t_done = std::chrono::steady_clock::now();
-        endpoint_metrics& m = metrics_.at(req.op);
-        m.requests.fetch_add(1, std::memory_order_relaxed);
-        if (!cold) {
-            m.cache_hits.fetch_add(1, std::memory_order_relaxed);
-        }
-        const std::uint64_t total_ns = ns_between(start, t_done);
-        m.latency.record(total_ns);
-        // Stage breakdown (all allocation-free): parse covers
-        // parse+canonicalize, cache the probe, exec the cold
-        // evaluation (warm hits skip it), serialize the splice.
-        m.stage_parse.record(ns_between(start, t_parsed));
-        m.stage_cache.record(ns_between(t_parsed, t_probed));
-        if (cold) {
-            m.stage_exec.record(ns_between(t_probed, t_evaluated));
-        }
-        m.stage_serialize.record(ns_between(t_evaluated, t_done));
-        if (parsed->trace_view != nullptr) {
-            note_tail_exemplar(m, total_ns, parsed->trace_view->string);
-        }
-        if (rec != nullptr) {
-            obs::assign_field(rec->endpoint, to_string(req.op));
-            flight_id_field_view(rec->id, parsed->id_view);
-            if (parsed->trace_view != nullptr) {
-                obs::assign_field(rec->trace, parsed->trace_view->string);
-            }
-            obs::assign_field(rec->code, "ok");
-            rec->cache_hit = !cold;
-            rec->parse_us = ns_to_us_u32(ns_between(start, t_parsed));
-            rec->cache_us = ns_to_us_u32(ns_between(t_parsed, t_probed));
-            if (cold) {
-                rec->exec_us =
-                    ns_to_us_u32(ns_between(t_probed, t_evaluated));
-            }
-            rec->serialize_us =
-                ns_to_us_u32(ns_between(t_evaluated, t_done));
-            rec->total_us = ns_to_us_u32(total_ns);
-            if (have_deadline) {
-                rec->deadline_slack_us =
-                    std::chrono::duration_cast<std::chrono::microseconds>(
-                        deadline_at - t_done)
-                        .count();
-            }
-        }
-        return true;
-    } catch (...) {
-        // Unsupported shape, schema error, anything: the legacy path
-        // re-parses from scratch and produces the authoritative
-        // response (and error accounting).
-        out.clear();
-        return false;
-    }
-}
-
-void engine::handle_line_slow(
-    std::string_view line, std::chrono::steady_clock::time_point start,
-    const std::chrono::steady_clock::time_point* batch_deadline,
-    std::string& out, obs::flight_record* rec) {
-    const json::value* id = nullptr;
-    json::value id_storage;
-    const std::string* trace = nullptr;
-    std::string trace_storage;
-    std::string response;
-    op_code op = op_code::stats;
-    bool op_known = false;
-    bool failed = false;
-    std::string err_code;
-    line_probe probe;
-    bool parsed = false;
-    std::chrono::steady_clock::time_point t_parsed{};
-    std::uint64_t serialize_ns = 0;
-    bool serialized = false;
-    bool have_deadline = false;
-    std::chrono::steady_clock::time_point deadline_at{};
-
-    try {
-        if (faults::enabled() && faults::should_fail("serve.line")) {
-            // Injected allocation failure while handling the line: the
-            // generic catch below answers internal_error — one valid
-            // reply per line even when memory is gone.
-            throw std::bad_alloc{};
-        }
-        json::value doc;
-        {
-            const obs::trace_span span{"serve.parse", "serve"};
-            doc = json::parse(line);
-        }
-        // Best-effort id/op/trace extraction so even schema errors echo
-        // the caller's correlation id and trace_id.
-        if (doc.is_object()) {
-            if (const json::value* raw_id = doc.as_object().find("id")) {
-                id_storage = *raw_id;
-                id = &id_storage;
-            }
-            if (const json::value* raw_trace =
-                    doc.as_object().find("trace_id")) {
-                if (raw_trace->is_string()) {
-                    trace_storage = raw_trace->as_string();
-                    trace = &trace_storage;
-                }
-            }
-            if (const json::value* raw_op = doc.as_object().find("op")) {
-                if (raw_op->is_string()) {
-                    if (const auto known =
-                            op_from_string(raw_op->as_string())) {
-                        op = *known;
-                        op_known = true;
-                    }
-                }
-            }
-        }
-        request req;
-        {
-            // Schema validation + canonical cache-key serialization.
-            const obs::trace_span span{"serve.canonicalize", "serve"};
-            req = parse_request(doc);
-        }
-        t_parsed = std::chrono::steady_clock::now();
-        parsed = true;
+        const request& req = p->req;
+        id = p->id_view;
+        trace = p->trace_view;
         op = req.op;
-        op_known = true;
+        parsed = true;
 
         // Arm the deadline: the request's own budget (from its line
-        // start) wins; otherwise the batch-level deadline; otherwise
-        // the configured default.  Checked here (so a zero budget
+        // start) wins; otherwise the batch-level deadline; otherwise the
+        // configured default.  Checked here (so a zero budget
         // deterministically errors even on a warm cache) and at every
         // task boundary inside cancellable endpoints.
         exec::cancel_token deadline;
@@ -2208,76 +1995,98 @@ void engine::handle_line_slow(
             }
         }
 
+        std::shared_ptr<const std::string> hit;
         if (req.op == op_code::stats) {
             // Stats are a live snapshot: never cached, never golden.
-            response = envelope(id, trace, true, "result",
-                                json::dump(stats_json()));
+            st.cold = json::dump(stats_json());
         } else {
-            const std::shared_ptr<const std::string> result =
-                result_for(req, cancel, &probe);
-            const obs::trace_span span{"serve.serialize", "serve"};
-            const auto t0 = std::chrono::steady_clock::now();
-            response = envelope(id, trace, true, "result", *result);
-            serialize_ns = ns_between(t0, std::chrono::steady_clock::now());
-            serialized = true;
+            {
+                const obs::trace_span span{"serve.cache", "serve"};
+                hit = cache_.get(req.canonical_key);
+            }
+            probed = true;
+            cache_hit = hit != nullptr;
+            t_probed = std::chrono::steady_clock::now();
+            t_evaluated = t_probed;
+            if (hit == nullptr) {
+                evaluated = true;
+                evaluate_miss(*p, cancel, st.cold);
+                t_evaluated = std::chrono::steady_clock::now();
+            }
         }
+        arena_bytes_.fetch_add(arena_bytes, std::memory_order_relaxed);
+        const obs::trace_span span{"serve.serialize", "serve"};
+        envelope_into(id, trace, true, "result",
+                      hit != nullptr ? *hit : st.cold, out);
     } catch (const json::parse_error& e) {
         parse_errors_.fetch_add(1, std::memory_order_relaxed);
-        failed = true;
         err_code = "parse_error";
-        response = envelope(id, trace, false, "error",
-                            error_body("parse_error", e.what()));
+        out.clear();
+        envelope_into(id, trace, false, "error",
+                      error_body(err_code, e.what()), out);
     } catch (const std::exception& e) {
         if (dynamic_cast<const exec::cancelled_error*>(&e) != nullptr) {
             deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
         }
-        failed = true;
         err_code = error_code_for(e);
-        response = envelope(id, trace, false, "error",
-                            error_body(err_code, e.what()));
+        out.clear();
+        envelope_into(id, trace, false, "error",
+                      error_body(err_code, e.what()), out);
     }
 
+    const bool failed = !err_code.empty();
     const auto t_done = std::chrono::steady_clock::now();
     const std::uint64_t total_ns = ns_between(start, t_done);
-    if (op_known || !failed) {
-        endpoint_metrics& m = metrics_.at(op);
+    // Stage breakdown (all allocation-free): parse covers
+    // parse+canonicalize, cache the probe, exec the miss evaluation (a
+    // failed one takes 0), serialize the envelope splice.
+    const bool serialized = probed && !failed;
+    const std::uint64_t parse_ns = parsed ? ns_between(start, t_parsed) : 0;
+    const std::uint64_t cache_ns = probed ? ns_between(t_parsed, t_probed) : 0;
+    const std::uint64_t exec_ns =
+        evaluated ? ns_between(t_probed, t_evaluated) : 0;
+    const std::uint64_t serialize_ns =
+        serialized ? ns_between(t_evaluated, t_done) : 0;
+    if (op.has_value()) {
+        endpoint_metrics& m = metrics_.at(*op);
         m.requests.fetch_add(1, std::memory_order_relaxed);
         if (failed) {
             m.errors.fetch_add(1, std::memory_order_relaxed);
         }
+        if (cache_hit) {
+            m.cache_hits.fetch_add(1, std::memory_order_relaxed);
+        }
         m.latency.record(total_ns);
         if (parsed) {
-            m.stage_parse.record(ns_between(start, t_parsed));
+            m.stage_parse.record(parse_ns);
         }
-        if (probe.cache_probed) {
-            m.stage_cache.record(probe.cache_ns);
+        if (probed) {
+            m.stage_cache.record(cache_ns);
         }
-        if (probe.exec_ran) {
-            m.stage_exec.record(probe.exec_ns);
+        if (evaluated) {
+            m.stage_exec.record(exec_ns);
         }
         if (serialized) {
             m.stage_serialize.record(serialize_ns);
         }
         if (trace != nullptr) {
-            note_tail_exemplar(m, total_ns, *trace);
+            note_tail_exemplar(m, total_ns, trace->string);
         }
     }
     if (rec != nullptr) {
-        if (op_known) {
-            obs::assign_field(rec->endpoint, to_string(op));
+        if (op.has_value()) {
+            obs::assign_field(rec->endpoint, to_string(*op));
         }
         flight_id_field(rec->id, id);
         if (trace != nullptr) {
-            obs::assign_field(rec->trace, *trace);
+            obs::assign_field(rec->trace, trace->string);
         }
         obs::assign_field(rec->code, failed ? std::string_view{err_code}
                                             : std::string_view{"ok"});
-        rec->cache_hit = probe.cache_hit;
-        if (parsed) {
-            rec->parse_us = ns_to_us_u32(ns_between(start, t_parsed));
-        }
-        rec->cache_us = ns_to_us_u32(probe.cache_ns);
-        rec->exec_us = ns_to_us_u32(probe.exec_ns);
+        rec->cache_hit = cache_hit;
+        rec->parse_us = ns_to_us_u32(parse_ns);
+        rec->cache_us = ns_to_us_u32(cache_ns);
+        rec->exec_us = ns_to_us_u32(exec_ns);
         rec->serialize_us = ns_to_us_u32(serialize_ns);
         rec->total_us = ns_to_us_u32(total_ns);
         if (have_deadline) {
@@ -2288,7 +2097,6 @@ void engine::handle_line_slow(
         }
         rec->anomaly = failed && anomalous_code(err_code);
     }
-    out = std::move(response);
 }
 
 namespace {
@@ -2501,10 +2309,10 @@ void engine::handle_batch_into(std::span<const std::string> lines,
         batch_deadline = &batch_deadline_storage;
     }
 
-    // Phase A: fast-parse every line once, into scratch that phase B
-    // serves from.  Lines the fast parser declines (malformed,
-    // unsupported shape, over the line or arena budget) are served
-    // from their raw bytes and are not dedupable.  A single line has
+    // Phase A: parse every line once, into scratch that phase B serves
+    // from.  A line that fails here (malformed, a schema error, over the
+    // line or arena budget) is not dedupable; its serve parses its raw
+    // bytes again and answers the error.  A single line has
     // nothing to share or split: it skips phase A, its serve parses it
     // in the per-thread line state exactly as handle_line does, and any
     // fan-out happens inside its evaluation.
@@ -2532,7 +2340,7 @@ void engine::handle_batch_into(std::span<const std::string> lines,
             n, config_.parallelism,
             [&parse](const exec::shard_range& r) { parse(r); }, nullptr,
             parse_line_ns);
-        if (config_.batch_dedup && config_.cache_capacity != 0) {
+        if (config_.cache_capacity != 0) {
             twins = mark_twins(scratch, n);
             dedup_hits_.fetch_add(twins, std::memory_order_relaxed);
         }

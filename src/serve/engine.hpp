@@ -7,7 +7,13 @@
 // cost/ (wafer cost) — and running batches on the src/exec thread
 // pool.
 //
-// Six layers of speed, none of which may change a byte of output:
+// One pipeline serves every line (`serve_line`): the line is parsed
+// once, into a per-thread monotonic arena (json_arena.hpp), and
+// canonicalized by the allocation-free request parser
+// (request_fast.hpp).  That one parse feeds the cache probe, the miss
+// evaluation, the stats reply and every error reply.
+//
+// Five layers of speed, none of which may change a byte of output:
 //
 //   * Batching: `handle_batch` parses each line once, estimates its
 //     work from the op, and fans the lines across exec::parallel_for
@@ -24,23 +30,19 @@
 //     hit returns exactly the bytes a fresh evaluation would produce.
 //     Sweep and partition_explore lanes share the same cache as
 //     top-level point requests (see the lane planner below).
-//   * Hot path (`hot_path`): a warm cache hit is answered without a
-//     single heap allocation — the line is parsed into a per-thread
-//     monotonic arena (json_arena.hpp), canonicalized by the
-//     allocation-free twin parser (request_fast.hpp), probed with
-//     memo_cache::get_if_present, and the response envelope is spliced
-//     into a reused buffer.  Any surprise (miss, unsupported shape,
-//     exception) falls back to the legacy pipeline, which re-parses
-//     from scratch, so bytes, error messages and cache accounting are
-//     exactly the legacy ones (DESIGN.md §10).
-//   * Intra-batch dedup (`batch_dedup`): identical canonical keys
-//     within one `handle_batch` call evaluate once — the first
-//     occurrence is the representative, and its twins answer from the
-//     cache after it: right after it inline, or in a twins-only pass
-//     (run only when there are twins) when the batch fans out.  Error
-//     responses are never coalesced — a twin whose representative
-//     failed re-evaluates individually, and every response keeps its
-//     own `id` (DESIGN.md §10).
+//     A warm cache hit is answered without a single heap allocation:
+//     the cached bytes are spliced into the response envelope in a
+//     reused buffer.  So is a miss of a closed-form point op with
+//     caching off: it serializes straight from the typed request
+//     (DESIGN.md §10).
+//   * Intra-batch dedup (on whenever the cache is): identical
+//     canonical keys within one `handle_batch` call evaluate once —
+//     the first occurrence is the representative, and its twins answer
+//     from the cache after it: right after it inline, or in a
+//     twins-only pass (run only when there are twins) when the batch
+//     fans out.  Error responses are never coalesced — a twin whose
+//     representative failed re-evaluates individually, and every
+//     response keeps its own `id` (DESIGN.md §10).
 //   * Lane planner: `sweep` and `partition_explore` evaluate their grid
 //     as lanes, one point request each, keyed and probed in the cache.
 //     Only missing lanes are evaluated — on the SoA batch kernels where
@@ -82,6 +84,8 @@ namespace silicon::serve {
 
 /// A batch line parsed ahead by handle_batch (engine.cpp).
 struct batch_line;
+/// A parsed request line (request_fast.hpp).
+struct fast_parse_state;
 
 struct engine_config {
     /// Max batch fan-out width: 0 = hardware concurrency, 1 = serial.
@@ -91,16 +95,6 @@ struct engine_config {
     std::size_t cache_capacity = 65536;
     /// Cache shard count (see memo_cache).
     std::size_t cache_shards = 16;
-    /// Arena-backed allocation-free parse/canonicalize/probe fast path
-    /// for `handle_line`; warm cache hits allocate nothing.  Off =
-    /// always take the legacy pipeline (A/B ablation knob; bytes are
-    /// identical either way).
-    bool hot_path = true;
-    /// Coalesce identical canonical keys within one `handle_batch`
-    /// call (requires a non-zero cache_capacity): the first occurrence
-    /// evaluates, its twins answer from the cache.  Off = every line
-    /// evaluates independently, exactly as before.
-    bool batch_dedup = true;
     /// Route sweep/partition_explore kernels through the *_fast
     /// variants (vector transcendentals via simd/math.hpp, dispatched
     /// once per process to AVX2/NEON/scalar — see simd/dispatch.hpp).
@@ -129,9 +123,9 @@ public:
     [[nodiscard]] std::string handle_line(std::string_view line);
 
     /// `handle_line` into a caller-owned buffer (cleared first, but its
-    /// capacity is reused) — with `hot_path` on, a warm cache hit
-    /// through here performs zero heap allocations (gated by
-    /// tests/serve/test_hotpath.cpp with a counting allocator).
+    /// capacity is reused) — a warm cache hit through here performs
+    /// zero heap allocations (gated by tests/serve/test_hotpath.cpp with
+    /// a counting allocator).
     void handle_line_into(std::string_view line, std::string& out);
 
     /// Serve a batch of lines; response i answers line i.  Output is
@@ -175,11 +169,12 @@ public:
     }
 
     /// In-batch duplicate lines coalesced behind a representative
-    /// evaluation since start (see `batch_dedup`).
+    /// evaluation since start (dedup runs whenever the cache is on).
     [[nodiscard]] std::uint64_t dedup_hits() const noexcept {
         return dedup_hits_.load(std::memory_order_relaxed);
     }
-    /// Arena bytes consumed by hot-path cache hits since start.
+    /// Arena bytes consumed by the parses of successfully served lines
+    /// since start.
     [[nodiscard]] std::uint64_t arena_bytes() const noexcept {
         return arena_bytes_.load(std::memory_order_relaxed);
     }
@@ -193,8 +188,9 @@ public:
     [[nodiscard]] std::uint64_t deadline_exceeded_total() const noexcept {
         return deadline_exceeded_.load(std::memory_order_relaxed);
     }
-    /// Hot-path declines forced by the arena byte budget (graceful
-    /// degradation to the legacy allocator path) since start.
+    /// Per-thread arena releases forced by the arena byte budget or an
+    /// injected `serve.arena` fault (graceful degradation: the line is
+    /// parsed again into the released arena) since start.
     [[nodiscard]] std::uint64_t hot_declines() const noexcept {
         return hot_declines_.load(std::memory_order_relaxed);
     }
@@ -235,23 +231,6 @@ public:
     [[nodiscard]] snapshot_stats snapshot_info() const;
 
 private:
-    /// Cache/exec stage capture for one line, filled by result_for and
-    /// folded into the stage histograms + flight record afterwards.
-    struct line_probe {
-        std::uint64_t cache_ns = 0;
-        std::uint64_t exec_ns = 0;
-        bool cache_probed = false;
-        bool exec_ran = false;
-        bool cache_hit = false;
-    };
-
-    /// Cached result JSON for a request (everything except `stats`).
-    /// `probe` (optional) captures the cache/exec stage timings for the
-    /// line.
-    [[nodiscard]] std::shared_ptr<const std::string> result_for(
-        const request& req, const exec::cancel_token* cancel,
-        line_probe* probe = nullptr);
-
     /// `evaluate` with an optional cooperative deadline token threaded
     /// into the cancellable endpoints (sweep, mc_yield) plus the
     /// structural too_large budget checks.
@@ -265,27 +244,19 @@ private:
     /// will append the filled record *in line order* (which is what
     /// keeps dumps byte-identical at any thread count) and fire the
     /// anomaly trigger afterwards.
-    /// `pre` non-null = the line was already fast-parsed by
-    /// handle_batch's phase A; the hot path serves from that parse.
+    /// `pre` non-null = the line was already parsed by handle_batch's
+    /// phase A; the line is served from that parse.
     void serve_line(std::string_view line, std::string& out,
                     const std::chrono::steady_clock::time_point*
                         batch_deadline,
                     obs::flight_record* rec,
                     const batch_line* pre = nullptr);
 
-    /// Allocation-free warm-hit attempt; false = caller must run the
-    /// legacy path (which owns all miss/error accounting).
-    bool try_handle_line_hot(std::string_view line,
-                             std::chrono::steady_clock::time_point start,
-                             const std::chrono::steady_clock::time_point*
-                                 batch_deadline,
-                             std::string& out, obs::flight_record* rec,
-                             const batch_line* pre);
-    void handle_line_slow(std::string_view line,
-                          std::chrono::steady_clock::time_point start,
-                          const std::chrono::steady_clock::time_point*
-                              batch_deadline,
-                          std::string& out, obs::flight_record* rec);
+    /// A cache miss of a parsed non-stats request: evaluate it, write
+    /// the result body into `out` and cache it.  Throws on failure
+    /// (nothing is cached then).
+    void evaluate_miss(const fast_parse_state& parsed,
+                       const exec::cancel_token* cancel, std::string& out);
 
     /// Shed cache shards if configured (called on overloaded rejects).
     void on_overload();

@@ -53,9 +53,9 @@ struct limits_config {
     /// Default per-batch deadline in milliseconds applied when a
     /// request carries no `deadline_ms` of its own.
     std::uint64_t default_deadline_ms = 0;
-    /// Hot-path arena budget: when a thread's parse arena holds more
-    /// reserved chunk bytes than this, the hot path releases it and
-    /// declines to the legacy allocator path (graceful degradation).
+    /// Parse-arena budget: when a thread's parse arena holds more
+    /// reserved chunk bytes than this, the next line releases it and
+    /// parses into a fresh one (graceful degradation; bytes unchanged).
     std::size_t max_arena_reserved_bytes = 0;
     /// Shed half the memoization-cache shards on every `overloaded`
     /// rejection (reclaims memory exactly when pressure is observed).

@@ -3,6 +3,8 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <variant>
 
@@ -17,12 +19,6 @@ namespace silicon::serve {
 namespace {
 
 using json::aview;
-
-/// Thrown when the fast parser declines an input it cannot mirror
-/// allocation-free (nested sweep targets, pathological member counts).
-/// Such inputs are always handled by the legacy fallback, so declining
-/// costs speed, never correctness.
-struct fast_parse_unsupported {};
 
 // ---------------------------------------------------------------------------
 // Validating field access over an arena view
@@ -104,7 +100,9 @@ class fast_reader {
   private:
     const aview* get(const char* key) {
         if (consumed_count_ >= consumed_.size()) {
-            throw fast_parse_unsupported{};  // no endpoint reads this many
+            // Bounds the keys an endpoint's code reads, which no input
+            // can raise: reaching it is a bug in this file.
+            throw std::logic_error("fast_reader: too many fields read");
         }
         consumed_[consumed_count_++] = key;
         return o_.find(key);
@@ -775,10 +773,10 @@ void emit_partition_explore_key(const partition_explore_request& q,
 
 void parse_sweep_fast(fast_reader& r, fast_parse_state& st);
 
-/// Parses a scalar (non-sweep) request document into `out` and appends
-/// its canonical key into `key_out` (cleared first).  `allow_sweep`
-/// distinguishes the top level (sweeps handled via `st`) from sweep
-/// targets (nested sweeps decline to the legacy path).
+/// Parses a request document into `out` and writes its canonical key
+/// into `key_out` (cleared first).  `sweep_state` is the top level's
+/// parse state (which holds a sweep's target); a sweep target passes
+/// nullptr.
 void parse_request_fast_inner(const aview& doc, request& out,
                               std::string& key_out,
                               fast_parse_state* sweep_state) {
@@ -786,6 +784,7 @@ void parse_request_fast_inner(const aview& doc, request& out,
         throw request_error("bad_request", "request must be a JSON object");
     }
     fast_reader r{doc, "request"};
+    std::unique_ptr<fast_parse_state> nested;
 
     const aview* op_member = r.raw("op");
     if (op_member == nullptr || !op_member->is_string()) {
@@ -836,10 +835,12 @@ void parse_request_fast_inner(const aview& doc, request& out,
         case op_code::mc_yield: parse_mc_yield_fast(r, out); break;
         case op_code::sweep:
             if (sweep_state == nullptr) {
-                // Nested sweep target: always rejected downstream, but the
-                // legacy parser surfaces the *target's* error first, which
-                // would need unbounded scratch to mirror.  Decline instead.
-                throw fast_parse_unsupported{};
+                // A sweep as a sweep target: its parent always rejects
+                // it, but only after it parsed, so an error inside it is
+                // the one parse_request raises.  Parse it recursively, in
+                // heap scratch of its own (error path only).
+                nested = std::make_unique<fast_parse_state>();
+                sweep_state = nested.get();
             }
             parse_sweep_fast(r, *sweep_state);
             break;
@@ -856,7 +857,7 @@ void parse_request_fast_inner(const aview& doc, request& out,
     key_out.clear();
     switch (*op) {
         case op_code::sweep:
-            emit_sweep_key(std::get<sweep_request>(out.payload),
+            emit_sweep_key(std::get<sweep_request>(sweep_state->req.payload),
                            sweep_state->target_key, key_out);
             break;
         default:
@@ -911,9 +912,9 @@ void parse_sweep_fast(fast_reader& r, fast_parse_state& st) {
                                 "' does not address a numeric parameter of "
                                 "the target");
     }
-    // Unlike the legacy parser, `target` stays empty: the fast path only
-    // needs the canonical key, and a cache miss re-parses the line
-    // through the legacy pipeline before evaluating.
+    // Unlike parse_request, `target` stays empty (attaching it would
+    // allocate): the key needs only `target_key`, and a cache miss
+    // evaluates from `st.target_req`.
 
     const aview* from = r.raw("from");
     const aview* to_v = r.raw("to");
@@ -977,8 +978,9 @@ void canonical_key_into(const request& r, std::string& out) {
             emit_mc_yield_key(std::get<mc_yield_request>(r.payload), out);
             break;
         case op_code::sweep: {
-            // Legacy-parsed sweeps (`target` set); the hot path splices
-            // the target key it canonicalized while parsing.
+            // Sweeps from parse_request (`target` set);
+            // parse_request_fast splices the target key it canonicalized
+            // while parsing.
             const auto& q = std::get<sweep_request>(r.payload);
             std::string target_key;
             canonical_key_into(*q.target, target_key);

@@ -1,21 +1,23 @@
-// request_fast.hpp — allocation-free request parsing for the serve hot path.
+// request_fast.hpp — allocation-free request parsing for the serve engine.
 //
 // `parse_request` (request.hpp) builds heap-owned `json::value` trees and
-// strings per line; that cost dominates a warm cache hit.  This module is
-// its allocation-free twin: it parses an arena-backed `json::aview`
-// document into a *reused* `request` (string members keep their capacity,
-// the payload variant keeps its alternative when the op repeats) and emits
-// the canonical cache key directly into a reused buffer through
-// hand-ordered sorted-key emitters — no DOM, no sort, no temporaries.
+// strings per line; that cost would dominate a warm cache hit.  This
+// module is the parser the engine serves every line with, and the
+// allocation-free twin of `parse_request`: it parses an arena-backed
+// `json::aview` document into a *reused* `request` (string members keep
+// their capacity, the payload variant keeps its alternative when the op
+// repeats) and emits the canonical cache key directly into a reused
+// buffer through hand-ordered sorted-key emitters — no DOM, no sort, no
+// temporaries.
 //
 // Equivalence contract (pinned by tests/serve/test_hotpath.cpp): for every
 // input document, `parse_request_fast` either
 //   - succeeds producing the byte-identical `canonical_key` that
 //     `parse_request(json::parse(line))` would produce, or
 //   - throws a `request_error` with the same code and message.
-// The engine additionally tolerates divergence defensively: any hot-path
-// failure falls back to the legacy pipeline, so a bug here can cost
-// speed, never bytes.
+// There is no third outcome: every shape, nested sweep targets included,
+// is parsed here.  `parse_request` stays as the reference the tests and
+// benchmarks compare against.
 //
 // `numeric_param_exists` / `numeric_param_ptr` / `set_numeric_param` are
 // member tables over a request's numeric parameters: the `param` values a
@@ -46,9 +48,9 @@ struct fast_parse_state {
     const json::aview* trace_view = nullptr;
 
     /// Sweep scratch: the parsed target and its canonical key.  A fast-
-    /// parsed sweep carries no evaluable payload (`sweep_request::target`
-    /// stays null) — the hot path only needs its canonical key; a cache
-    /// miss re-parses through the legacy path before evaluating.
+    /// parsed sweep leaves `sweep_request::target` null (attaching it
+    /// would allocate); the engine evaluates a sweep miss from
+    /// `target_req`.
     request target_req;
     std::string target_key;
 };

@@ -569,7 +569,6 @@ TEST(EngineFaults, AllocFailAtServeEvalAnswersInternalError) {
     const faults_guard guard;
     engine_config config;
     config.parallelism = 1;
-    config.hot_path = false;  // route through the legacy pipeline
     engine e{config};
     faults::configure("alloc_fail@serve.eval");
     EXPECT_EQ(error_code(e.handle_line("{\"op\":\"scenario1\"}")),
@@ -581,7 +580,6 @@ TEST(EngineFaults, AllocFailAtServeEvalCoversChipletEndpoints) {
     const faults_guard guard;
     engine_config config;
     config.parallelism = 1;
-    config.hot_path = false;  // route through the legacy pipeline
     engine e{config};
     faults::configure("alloc_fail@serve.eval");
     EXPECT_EQ(error_code(e.handle_line("{\"op\":\"chiplet\"}")),

@@ -2,6 +2,7 @@
 
 #include "exec/thread_pool.hpp"
 #include "grid_reference.hpp"
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "opt/partition.hpp"
 
@@ -241,6 +242,82 @@ TEST(Engine, MetricsCountRequestsAndErrors) {
     EXPECT_EQ(m.requests.load(), 3u);
     EXPECT_EQ(m.errors.load(), 1u);
     EXPECT_EQ(m.cache_hits.load(), 1u);
+}
+
+TEST(Engine, ErrorAccountingPerLineKind) {
+    // One failing line of each kind, and how each is counted: as a
+    // parse error, under which endpoint, and with which flight-record
+    // code.  Lines whose op is unknown count under no endpoint.
+    struct failing_line {
+        const char* line;
+        const char* code;
+        const char* endpoint;  // "" = counted under no endpoint
+        const char* id;        // flight-record id field
+    };
+    const std::vector<failing_line> lines = {
+        {R"({"id":1,"op":"scenario1")", "parse_error", "", ""},
+        {R"([1,2,3])", "bad_request", "", ""},
+        {R"({"id":3,"op":"nope","trace_id":"t3"})", "unknown_op", "", "3"},
+        {R"({"id":"4","op":"table3","row":99})", "bad_param", "table3", "4"},
+        {R"({"id":5,"op":"scenario1","deadline_ms":0})", "deadline_exceeded",
+         "scenario1", "5"},
+        {R"({"id":6,"op":"sweep","param":"from","target":{"op":"sweep",)"
+         R"("param":"lambda_um","target":{"op":"nope"}}})",
+         "unknown_op", "sweep", "6"},
+    };
+    obs::flight_recorder& flight = obs::flight_recorder::instance();
+    flight.clear();
+    flight.set_deterministic(true);
+    serve::engine engine{config_with(1)};
+    for (const failing_line& l : lines) {
+        SCOPED_TRACE(l.line);
+        const json::value reply = json::parse(engine.handle_line(l.line));
+        const json::object& error =
+            reply.as_object().find("error")->as_object();
+        EXPECT_EQ(error.find("code")->as_string(), l.code);
+    }
+    std::string dump;
+    flight.export_jsonl(dump);
+    flight.set_deterministic(false);
+    flight.clear();
+
+    const json::value stats =
+        json::parse(engine.handle_line(R"({"op":"stats"})"));
+    const json::object& result =
+        stats.as_object().find("result")->as_object();
+    EXPECT_EQ(result.find("parse_errors")->as_number(), 1.0);
+    EXPECT_EQ(engine.deadline_exceeded_total(), 1u);
+    for (const serve::op_code op :
+         {serve::op_code::table3, serve::op_code::scenario1,
+          serve::op_code::sweep}) {
+        SCOPED_TRACE(std::string{serve::to_string(op)});
+        EXPECT_EQ(engine.metrics().at(op).requests.load(), 1u);
+        EXPECT_EQ(engine.metrics().at(op).errors.load(), 1u);
+    }
+    std::uint64_t requests = 0;
+    for (int op = 0; op < serve::op_count; ++op) {
+        requests +=
+            engine.metrics().at(static_cast<serve::op_code>(op)).requests;
+    }
+    EXPECT_EQ(requests, 4u);  // three known-op lines, plus the stats probe
+
+    std::vector<json::value> records;
+    std::size_t at = 0;
+    for (std::size_t nl = dump.find('\n'); nl != std::string::npos;
+         nl = dump.find('\n', at)) {
+        records.push_back(json::parse(dump.substr(at, nl - at)));
+        at = nl + 1;
+    }
+    ASSERT_EQ(records.size(), lines.size());
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        SCOPED_TRACE(lines[i].line);
+        const json::object& r = records[i].as_object();
+        EXPECT_EQ(r.find("code")->as_string(), lines[i].code);
+        EXPECT_EQ(r.find("endpoint")->as_string(), lines[i].endpoint);
+        EXPECT_EQ(r.find("id")->as_string(), lines[i].id);
+        EXPECT_EQ(r.find("anomaly")->as_bool(),
+                  std::string{lines[i].code} == "deadline_exceeded");
+    }
 }
 
 TEST(Engine, StatsEndpointIsLive) {
@@ -510,9 +587,8 @@ TEST(Engine, BatchDedupDoesNotCoalesceErrors) {
 }
 
 TEST(Engine, BatchDedupDisabledLeavesBehaviorIntact) {
-    serve::engine_config config = config_with(1);
-    config.batch_dedup = false;
-    serve::engine engine{config};
+    // Dedup answers twins from the cache, so caching off turns it off.
+    serve::engine engine{config_with(1, /*cache_capacity=*/0)};
     const std::vector<std::string> lines = {
         R"({"op":"scenario1","lambda_um":0.5})",
         R"({"op":"scenario1","lambda_um":0.5})",

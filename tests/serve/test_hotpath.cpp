@@ -1,17 +1,19 @@
-// test_hotpath.cpp — the zero-allocation gate and fast/legacy
-// equivalence fuzz for the serve hot path (DESIGN.md §10).
+// test_hotpath.cpp — the zero-allocation gate and the equivalence fuzz
+// for the engine's line pipeline (DESIGN.md §10).
 //
 // This file lives in its own test binary (test_serve_hotpath) because
 // it replaces the global allocation functions with counting versions:
-// the tentpole contract "a warm cache hit performs zero heap
-// allocations" is enforced by literally counting operator-new calls
-// around `engine::handle_line_into`.
+// the contract "a warm cache hit performs zero heap allocations" is
+// enforced by literally counting operator-new calls around
+// `engine::handle_line_into`.
 //
-// The other half is differential testing: the allocation-free parser
-// (json_arena.hpp) and request canonicalizer (request_fast.hpp) are
-// deliberate twins of the legacy DOM pipeline, so every test here
-// drives both sides with the same corpus and requires byte-identical
-// documents, canonical keys, error codes/messages and response lines.
+// The other half is differential testing against the legacy DOM
+// pipeline, which the engine no longer serves with but which stays as
+// the reference: `json::parse` + `parse_request` + `engine::evaluate`
+// on a cache-off engine (`reference_reply` below).  The allocation-free
+// parser (json_arena.hpp) and request canonicalizer (request_fast.hpp)
+// must agree with it on every corpus line — byte-identical documents,
+// canonical keys, error codes/messages and response lines.
 
 #include "exec/arena.hpp"
 #include "grid_reference.hpp"
@@ -30,6 +32,7 @@
 #include <cstring>
 #include <new>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -177,6 +180,20 @@ std::vector<std::string> corpus() {
         R"({"id":"req-é☃","op":"scenario1"})",
         R"({"id":[1,"two",{"three":3}],"op":"scenario1"})",
         R"({"id":{"trace":"abc","span":9},"op":"scenario1"})",
+        // ...and echoed on error replies too, with the trace_id.
+        R"({"id":null,"op":"nope","trace_id":"e-1"})",
+        R"({"id":false,"op":"scenario1","bogus":1})",
+        R"({"id":-0.5,"op":"table3","row":99,"trace_id":"e-2"})",
+        R"({"id":"err","op":"scenario1","lambda_um":0,"trace_id":"e-3"})",
+        R"({"id":[{"a":[]}],"op":"gross_die","die_width_mm":1000})",
+        R"({"id":{"k":"v"},"op":42,"trace_id":"e-4"})",
+        R"({"id":7,"trace_id":["not","a","string"],"op":"nope"})",
+        // Deadlines: envelope-level, and a zero budget always expires.
+        R"({"op":"scenario1","deadline_ms":60000})",
+        R"({"id":"d0","op":"scenario1","deadline_ms":0,"trace_id":"dl"})",
+        R"({"op":"sweep","param":"lambda_um","from":0.5,"to":1.0,)"
+        R"("deadline_ms":0,"target":{"op":"scenario1"}})",
+        R"({"op":"scenario1","deadline_ms":-1})",
         // Numeric edge values.
         R"({"op":"scenario1","lambda_um":1e-300})",
         R"({"op":"scenario1","lambda_um":5e-324})",
@@ -202,6 +219,24 @@ std::vector<std::string> corpus() {
         R"("target":{"op":"scenario1"}})",
         R"({"op":"sweep","param":"lambda_um","target":{"op":"scenario1",)"
         R"("lambda_um":"x"}})",
+        // Sweeps as sweep targets: the innermost error wins, and a
+        // nested sweep that parses is rejected by its parent.
+        R"({"op":"sweep","param":"from","target":{"op":"sweep",)"
+        R"("param":"lambda_um","target":{"op":"nope"}}})",
+        R"({"op":"sweep","param":"from","target":{"op":"sweep",)"
+        R"("param":"lambda_um","target":{"op":"scenario1","bogus":1}}})",
+        R"({"op":"sweep","param":"from","target":{"op":"sweep",)"
+        R"("param":"nope","target":{"op":"scenario1"}}})",
+        R"({"op":"sweep","param":"from","target":{"op":"sweep",)"
+        R"("param":"lambda_um","from":0.5,"to":1.0,)"
+        R"("target":{"op":"scenario1"}}})",
+        R"({"id":"deep","op":"sweep","param":"from","target":{"op":"sweep",)"
+        R"("param":"from","target":{"op":"sweep","param":"lambda_um",)"
+        R"("from":0.5,"to":1.0,"target":{"op":"scenario2"}}}})",
+        R"({"op":"sweep","param":"from","target":{"op":"sweep",)"
+        R"("param":"lambda_um","count":0,"target":{"op":"scenario1"}}})",
+        R"({"op":"sweep","param":"from","target":{"op":"sweep",)"
+        R"("param":"lambda_um","target":{"op":"scenario1"},"extra":1}})",
         R"({"op":"chiplet","chiplets":0})",
         R"({"op":"chiplet","chiplets":2.5})",
         R"({"op":"chiplet","substrate":"glass"})",
@@ -291,12 +326,76 @@ serve::engine_config fast_config() {
     return config;
 }
 
-serve::engine_config legacy_config() {
+/// The engine every reference reply evaluates on: serial, cache off.
+serve::engine_config reference_config() {
     serve::engine_config config;
     config.parallelism = 1;
-    config.hot_path = false;
-    config.batch_dedup = false;
+    config.cache_capacity = 0;
     return config;
+}
+
+/// The reply the legacy DOM pipeline gives `line`: json::parse, then
+/// parse_request, then engine::evaluate on `reference` — in the
+/// engine's envelope, with the `id` echoed whatever its JSON type, the
+/// `trace_id` echoed when it is a string, and the error code from the
+/// engine's taxonomy with the exception's message.
+std::string reference_reply(serve::engine& reference,
+                            const std::string& line) {
+    namespace json = serve::json;
+    json::value doc;
+    const json::value* id = nullptr;
+    const json::value* trace = nullptr;
+    std::string result;
+    std::string code;
+    std::string message;
+    try {
+        doc = json::parse(line);
+        if (doc.is_object()) {
+            id = doc.as_object().find("id");
+            trace = doc.as_object().find("trace_id");
+            if (trace != nullptr && !trace->is_string()) {
+                trace = nullptr;
+            }
+        }
+        const serve::request req = serve::parse_request(doc);
+        if (req.has_deadline && req.deadline_ms == 0) {
+            throw exec::cancelled_error{};
+        }
+        result = json::dump(reference.evaluate(req));
+    } catch (const json::parse_error& e) {
+        code = "parse_error";
+        message = e.what();
+    } catch (const serve::request_error& e) {
+        code = e.code();
+        message = e.what();
+    } catch (const exec::cancelled_error& e) {
+        code = "deadline_exceeded";
+        message = e.what();
+    } catch (const std::domain_error& e) {
+        code = "domain_error";
+        message = e.what();
+    } catch (const std::invalid_argument& e) {
+        code = "bad_param";
+        message = e.what();
+    } catch (const std::exception& e) {
+        code = "internal_error";
+        message = e.what();
+    }
+    std::string reply = "{";
+    if (id != nullptr) {
+        reply += "\"id\":" + json::dump(*id) + ",";
+    }
+    if (trace != nullptr) {
+        reply += "\"trace_id\":" + json::dump(*trace) + ",";
+    }
+    if (code.empty()) {
+        return reply + "\"ok\":true,\"result\":" + result + "}";
+    }
+    json::object error;
+    error.set("code", code);
+    error.set("message", message);
+    return reply + "\"ok\":false,\"error\":" +
+           json::dump(json::value{std::move(error)}) + "}";
 }
 
 /// What an ok sweep or partition_explore reply must equal: the reply
@@ -444,22 +543,23 @@ TEST_F(HotPathAllocations, ColdMissWithCacheDisabledAllocatesNothing) {
     EXPECT_EQ(engine.cache_stats().entries, 0u);
 
     // And the bytes are exactly the legacy pipeline's.
-    serve::engine legacy{legacy_config()};
+    serve::engine reference{reference_config()};
     for (const std::string& line : lines) {
         SCOPED_TRACE(line);
         engine.handle_line_into(line, out);
-        EXPECT_EQ(out, legacy.handle_line(line));
+        EXPECT_EQ(out, reference_reply(reference, line));
     }
 }
 
 TEST_F(HotPathAllocations, ColdMissIneligibleOpsStillAnswerCorrectly) {
-    // Point ops outside the cold-miss fast set (table3, chiplet,
-    // cost_tr, mc_yield, sweeps) decline to the legacy pipeline at
-    // cache capacity 0 — allocations are allowed, bytes must match.
+    // Ops outside the closed-form cold set (table3, chiplet, cost_tr,
+    // mc_yield, sweeps) and inputs whose error the library owns evaluate
+    // through engine::evaluate's path at cache capacity 0 — allocations
+    // are allowed, bytes must match the legacy pipeline's.
     serve::engine_config config = fast_config();
     config.cache_capacity = 0;
     serve::engine engine{config};
-    serve::engine legacy{legacy_config()};
+    serve::engine reference{reference_config()};
     const std::vector<std::string> lines = {
         R"({"op":"table3","row":3})",
         R"({"op":"chiplet","chiplets":4,"substrate":"rdl"})",
@@ -475,7 +575,7 @@ TEST_F(HotPathAllocations, ColdMissIneligibleOpsStillAnswerCorrectly) {
         SCOPED_TRACE(line);
         for (int i = 0; i < 2; ++i) {
             engine.handle_line_into(line, out);
-            EXPECT_EQ(out, legacy.handle_line(line));
+            EXPECT_EQ(out, reference_reply(reference, line));
         }
     }
 }
@@ -490,15 +590,15 @@ TEST_F(HotPathAllocations, ColdAndLegacyPathsStillWork) {
 }
 
 TEST_F(HotPathAllocations, HotPathOffStillAnswersCorrectly) {
+    // The cold serve and every warm one give the legacy pipeline's reply.
     serve::engine fast{fast_config()};
-    serve::engine legacy{legacy_config()};
+    serve::engine reference{reference_config()};
     const std::string line = R"({"id":1,"op":"scenario1","lambda_um":0.5})";
+    const std::string expected = reference_reply(reference, line);
     std::string a;
-    std::string b;
     for (int i = 0; i < 3; ++i) {
         fast.handle_line_into(line, a);
-        legacy.handle_line_into(line, b);
-        EXPECT_EQ(a, b);
+        EXPECT_EQ(a, expected);
     }
 }
 
@@ -614,7 +714,6 @@ TEST(FastParse, CanonicalKeysAndErrorsMatchLegacy) {
     const std::vector<std::string> extra = fuzz_corpus(1000);
     lines.insert(lines.end(), extra.begin(), extra.end());
 
-    std::size_t declined = 0;
     for (const std::string& line : lines) {
         SCOPED_TRACE(line);
 
@@ -639,47 +738,45 @@ TEST(FastParse, CanonicalKeysAndErrorsMatchLegacy) {
             fast_key = state.req.canonical_key;
         } catch (const serve::request_error& e) {
             fast_error = std::string{e.code()} + ": " + e.what();
-        } catch (...) {
-            // fast_parse_unsupported: the fast parser may decline any
-            // shape (the engine falls back to legacy), but it must
-            // never *disagree*.
-            ++declined;
-            continue;
         }
 
         EXPECT_EQ(legacy_error, fast_error);
         EXPECT_EQ(legacy_key, fast_key);
     }
-    // The corpus is overwhelmingly supported; declines are the rare
-    // exception (nested-sweep error shapes), not the rule.
-    EXPECT_LT(declined, lines.size() / 20);
 }
 
 // ---------------------------------------------------------------------------
-// Differential: whole-engine responses, fast stack vs legacy stack.
+// Differential: whole-engine responses vs the legacy pipeline's.
 // ---------------------------------------------------------------------------
 
 TEST(HotPathEquivalence, ResponsesMatchLegacyColdAndWarm) {
-    serve::engine fast{fast_config()};
-    serve::engine legacy{legacy_config()};
-    serve::engine_config reference_config = legacy_config();
-    reference_config.cache_capacity = 0;
-    serve::engine reference{reference_config};
+    serve::engine reference{reference_config()};
     std::vector<std::string> lines = corpus();
     const std::vector<std::string> extra = fuzz_corpus(300);
     lines.insert(lines.end(), extra.begin(), extra.end());
-
+    std::vector<std::string> expected;
     for (const std::string& line : lines) {
-        SCOPED_TRACE(line);
-        if (line.find("\"stats\"") != std::string::npos) {
-            continue;  // live snapshot: legitimately differs
+        expected.push_back(reference_reply(reference, line));
+    }
+
+    for (const unsigned parallelism : {1u, 4u, 0u}) {
+        serve::engine_config config = fast_config();
+        config.parallelism = parallelism;
+        serve::engine engine{config};
+        for (std::size_t i = 0; i < lines.size(); ++i) {
+            const std::string& line = lines[i];
+            SCOPED_TRACE(line);
+            if (line.find("\"stats\"") != std::string::npos) {
+                continue;  // live snapshot: legitimately differs
+            }
+            // Cold, then warm (warm exercises the allocation-free splice).
+            const std::string cold = engine.handle_line(line);
+            EXPECT_EQ(cold, expected[i]) << "parallelism " << parallelism;
+            EXPECT_EQ(engine.handle_line(line), expected[i])
+                << "parallelism " << parallelism;
+            // Grid replies also match the per-point reference lane by lane.
+            EXPECT_EQ(grid_expected(reference, line, cold), cold);
         }
-        // Cold, then warm (warm exercises the allocation-free splice).
-        const std::string cold = legacy.handle_line(line);
-        EXPECT_EQ(cold, fast.handle_line(line));
-        EXPECT_EQ(legacy.handle_line(line), fast.handle_line(line));
-        // Grid replies also match the per-point reference lane by lane.
-        EXPECT_EQ(grid_expected(reference, line, cold), cold);
     }
 }
 
@@ -691,36 +788,30 @@ TEST(HotPathEquivalence, BatchesMatchLegacyAtEveryParallelism) {
     for (std::size_t i = 0; i < 50 && i < lines.size(); ++i) {
         lines.push_back(lines[i]);
     }
-
-    std::vector<std::vector<std::string>> outputs;
-    for (const unsigned parallelism : {1u, 4u, 0u}) {
-        serve::engine_config on = fast_config();
-        on.parallelism = parallelism;
-        serve::engine_config off = legacy_config();
-        off.parallelism = parallelism;
-        serve::engine fast{on};
-        serve::engine legacy{off};
-
-        std::vector<std::string> fast_out = fast.handle_batch(lines);
-        const std::vector<std::string> legacy_out =
-            legacy.handle_batch(lines);
-        ASSERT_EQ(fast_out.size(), legacy_out.size());
-        for (std::size_t i = 0; i < fast_out.size(); ++i) {
-            if (lines[i].find("\"stats\"") != std::string::npos) {
-                continue;
-            }
-            SCOPED_TRACE(lines[i]);
-            EXPECT_EQ(legacy_out[i], fast_out[i]) << "line " << i;
-        }
-        outputs.push_back(std::move(fast_out));
+    serve::engine reference{reference_config()};
+    std::vector<std::string> expected;
+    for (const std::string& line : lines) {
+        expected.push_back(reference_reply(reference, line));
     }
-    // Thread-count determinism of the fast stack itself.
-    for (std::size_t i = 0; i < outputs[0].size(); ++i) {
-        if (lines[i].find("\"stats\"") != std::string::npos) {
-            continue;
+
+    for (const unsigned parallelism : {1u, 4u, 0u}) {
+        serve::engine_config config = fast_config();
+        config.parallelism = parallelism;
+        serve::engine engine{config};
+        // Cold, then the same batch again warm.
+        for (int pass = 0; pass < 2; ++pass) {
+            const std::vector<std::string> out = engine.handle_batch(lines);
+            ASSERT_EQ(out.size(), lines.size());
+            for (std::size_t i = 0; i < out.size(); ++i) {
+                if (lines[i].find("\"stats\"") != std::string::npos) {
+                    continue;
+                }
+                SCOPED_TRACE(lines[i]);
+                EXPECT_EQ(out[i], expected[i])
+                    << "line " << i << ", parallelism " << parallelism
+                    << ", pass " << pass;
+            }
         }
-        EXPECT_EQ(outputs[0][i], outputs[1][i]);
-        EXPECT_EQ(outputs[0][i], outputs[2][i]);
     }
 }
 

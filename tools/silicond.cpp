@@ -199,27 +199,27 @@ void process_flight_dump_request() {
 
 /// Snapshot plumbing: set once in main before any transport thread
 /// starts, then read-only.  Empty path = snapshots disabled.
-std::string g_snapshot_path;                      // NOLINT
+std::string g_snapshot_file;                      // NOLINT
 silicon::serve::engine* g_snapshot_engine = nullptr;  // NOLINT
 
 /// Write a cache snapshot to --cache-snapshot and log the outcome.
 /// Safe from any thread (the engine serializes writers internally);
 /// a failed write leaves any previous snapshot file intact.
 void write_snapshot(const char* why) {
-    if (g_snapshot_path.empty() || g_snapshot_engine == nullptr) {
+    if (g_snapshot_file.empty() || g_snapshot_engine == nullptr) {
         return;
     }
     const silicon::serve::snapshot::write_result r =
-        g_snapshot_engine->snapshot_write(g_snapshot_path);
+        g_snapshot_engine->snapshot_write(g_snapshot_file);
     if (r.ok) {
         silicon::obs::log_info("silicond.snapshot_written",
-                               {{"path", g_snapshot_path},
+                               {{"path", g_snapshot_file},
                                 {"reason", why},
                                 {"entries", r.entries},
                                 {"bytes", r.bytes}});
     } else {
         silicon::obs::log_error("silicond.snapshot_failed",
-                                {{"path", g_snapshot_path},
+                                {{"path", g_snapshot_file},
                                  {"reason", why},
                                  {"error", r.error}});
     }
@@ -942,7 +942,7 @@ int main(int argc, char** argv) {
     silicon::serve::engine engine{config};
 
     if (!opt.cache_snapshot.empty()) {
-        g_snapshot_path = opt.cache_snapshot;
+        g_snapshot_file = opt.cache_snapshot;
         g_snapshot_engine = &engine;
         const silicon::serve::snapshot::restore_result restored =
             engine.snapshot_restore(opt.cache_snapshot);

@@ -47,13 +47,26 @@ def check_serve(doc, path):
     for key in ("serial_cold_req_per_s", "cache_warm_req_per_s",
                 "warm_speedup_vs_serial", "required_speedup"):
         errors += require(doc["memoization"], path, key, (int, float))
+    # The cold-batch gate is deterministic, so it holds in tiny mode
+    # too: replies byte-identical to a serial cache-off engine, and
+    # dedup coalescing exactly the lines beyond the distinct keys.  The
+    # req/s columns are recorded, never compared.
     cold = doc["cold_batch_ablation"]
-    for key in ("flags_off_req_per_s", "flags_on_req_per_s", "speedup",
-                "required_speedup", "dedup_hits", "arena_bytes"):
+    for key in ("lines", "distinct_keys", "req_per_s",
+                "reference_req_per_s", "dedup_hits", "expected_dedup_hits",
+                "arena_bytes"):
         errors += require(cold, path, key, (int, float))
     errors += require(cold, path, "responses_identical", bool)
-    if cold.get("responses_identical") is False:
-        errors += fail(path, "ablation responses were not byte-identical")
+    if errors:
+        return errors
+    if cold["responses_identical"] is False:
+        errors += fail(path, "cold batch replies differ from the reference")
+    if cold["expected_dedup_hits"] != cold["lines"] - cold["distinct_keys"]:
+        errors += fail(path, "expected_dedup_hits is not lines minus "
+                             "distinct_keys")
+    if cold["dedup_hits"] != cold["expected_dedup_hits"]:
+        errors += fail(path, f"dedup_hits {cold['dedup_hits']}, want "
+                             f"{cold['expected_dedup_hits']}")
     return errors
 
 
