@@ -29,9 +29,9 @@ constexpr int max_depth = 128;  // must match json.cpp's parser guard
 // grammar, same duplicate-key and depth rules, same number conversion
 // (from_chars with the strtod out-of-range fallback), so both parsers
 // accept the same inputs and produce bit-identical doubles and identical
-// decoded strings.  Divergence here would let the hot path compute a
-// canonical key for a line the legacy path rejects (or vice versa), which
-// the fallback design tolerates but the equivalence test forbids.
+// decoded strings.  Divergence here would make the engine serve a line
+// `json::parse` rejects (or reject one it accepts); the equivalence test
+// forbids it.
 class arena_parser_impl {
   public:
     arena_parser_impl(arena_parser& parser, std::string_view text,
@@ -384,7 +384,7 @@ class arena_parser_impl {
                                                text_.data() + pos_, result);
         (void)ptr;
         if (ec == std::errc::result_out_of_range) {
-            // Same IEEE semantics as the legacy parser (huge -> +-inf,
+            // Same IEEE semantics as json::parse (huge -> +-inf,
             // tiny -> +-0); a stack buffer keeps the common case of this
             // rare path allocation-free.
             const std::size_t n = pos_ - start;

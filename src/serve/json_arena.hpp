@@ -11,9 +11,10 @@
 // Contract: `arena_parser::parse` accepts exactly the same inputs as
 // `json::parse` (same grammar, same duplicate-key and depth rules) and
 // yields identical values — the same doubles bit-for-bit (shared
-// from_chars/strtod path) and the same decoded strings — so the hot path
-// can canonicalize from an `aview` and hit the same cache entries the
-// legacy path would.  Equivalence is pinned by tests/serve/test_hotpath.cpp.
+// from_chars/strtod path) and the same decoded strings — so the engine
+// can canonicalize from an `aview` and hit the same cache entries
+// `parse_request(json::parse(line))` keys.  Equivalence is pinned by
+// tests/serve/test_hotpath.cpp.
 //
 // Lifetime: returned views point into the arena and, for escape-free
 // strings, into the input text; both must outlive the view.  `aview` is
