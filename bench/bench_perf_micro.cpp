@@ -119,6 +119,29 @@ void bm_monte_carlo_100k_dies(benchmark::State& state) {
 }
 BENCHMARK(bm_monte_carlo_100k_dies)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(0);
 
+// The mc_yield endpoint's defaults (15 wires of 150 um at 1.2 um spacing,
+// 1e-4 defects/um^2, 10k dies), run serially: the shape silicond serves,
+// reported as dies per second.
+void bm_monte_carlo_endpoint_defaults(benchmark::State& state) {
+    yield::wire_array_layout layout;
+    layout.line_width = 1.0;
+    layout.line_spacing = 1.2;
+    layout.line_length = 150.0;
+    layout.line_count = 15;
+    const yield::defect_size_distribution sizes{0.6, 4.07};
+    yield::monte_carlo_config config;
+    config.dies = 10000;
+    config.defects_per_um2 = 1e-4;
+    config.parallelism = 1;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            yield::simulate_layout_yield(layout, sizes, config));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(config.dies));
+}
+BENCHMARK(bm_monte_carlo_endpoint_defaults);
+
 void bm_contour_extraction(benchmark::State& state) {
     const analysis::grid g = analysis::evaluate_grid(
         analysis::linspace(-2.0, 2.0, 101),

@@ -51,7 +51,7 @@ constexpr double key_lane_ns = 250;       ///< bind + canonical key of one lane
 constexpr double kernel_lane_ns = 65;     ///< one SoA sweep-kernel lane
 constexpr double cell_lane_ns = 500;      ///< one chiplet-kernel cell
 constexpr double scalar_lane_ns = 3'000;  ///< evaluate + dump one scalar lane
-constexpr double mc_die_ns = 70;          ///< one Monte-Carlo die
+constexpr double mc_die_ns = 45;          ///< one Monte-Carlo die
 
 double mc_dies_ns(const request& r) {
     return std::get<mc_yield_request>(r.payload).dies * mc_die_ns;

@@ -27,6 +27,7 @@ defect_size_distribution::defect_size_distribution(double r0, double p,
     const double body = std::pow(r0_, q_ + 1.0) / (q_ + 1.0);
     const double tail = std::pow(r0_, q_ + 1.0) / (p_ - 1.0);
     k_ = 1.0 / (body + tail);
+    tail_scale_ = k_ * std::pow(r0_, q_ + p_);
     body_mass_ = k_ * body;
     tail_mass_ = k_ * tail;
 }
@@ -38,7 +39,7 @@ double defect_size_distribution::pdf(double r) const {
     if (r <= r0_) {
         return k_ * std::pow(r, q_);
     }
-    return k_ * std::pow(r0_, q_ + p_) * std::pow(r, -p_);
+    return tail_scale_ * std::pow(r, -p_);
 }
 
 double defect_size_distribution::cdf(double r) const {
@@ -49,7 +50,7 @@ double defect_size_distribution::cdf(double r) const {
         return k_ * std::pow(r, q_ + 1.0) / (q_ + 1.0);
     }
     // body_mass_ + integral of tail from r0 to r.
-    const double tail_part = k_ * std::pow(r0_, q_ + p_) / (p_ - 1.0) *
+    const double tail_part = tail_scale_ / (p_ - 1.0) *
                              (std::pow(r0_, 1.0 - p_) - std::pow(r, 1.0 - p_));
     return body_mass_ + tail_part;
 }
@@ -62,7 +63,7 @@ double defect_size_distribution::survival(double r) const {
         return 1.0 - cdf(r);
     }
     // P(R > r) = k * r0^(q+p) * r^(1-p) / (p-1): exact, no cancellation.
-    return k_ * std::pow(r0_, q_ + p_) * std::pow(r, 1.0 - p_) / (p_ - 1.0);
+    return tail_scale_ * std::pow(r, 1.0 - p_) / (p_ - 1.0);
 }
 
 double defect_size_distribution::moment(int n) const {
@@ -93,8 +94,7 @@ double defect_size_distribution::quantile(double u) const {
         return std::pow((q_ + 1.0) * u / k_, 1.0 / (q_ + 1.0));
     }
     // Tail: survival(r) = 1-u  =>  r^(1-p) = (1-u)(p-1)/(k r0^(q+p)).
-    const double s = (1.0 - u) * (p_ - 1.0) /
-                     (k_ * std::pow(r0_, q_ + p_));
+    const double s = (1.0 - u) * (p_ - 1.0) / tail_scale_;
     return std::pow(s, 1.0 / (1.0 - p_));
 }
 

@@ -64,11 +64,16 @@ public:
     /// Fraction of the distribution's mass on the tail branch (r > r0).
     [[nodiscard]] double tail_mass() const noexcept { return tail_mass_; }
 
+    /// Fraction of the mass on the rising branch (r <= r0): the largest u
+    /// that quantile() inverts on that branch.
+    [[nodiscard]] double body_mass() const noexcept { return body_mass_; }
+
 private:
     double r0_;
     double p_;
     double q_;
     double k_;          // normalization constant
+    double tail_scale_; // k * r0^(q+p), the tail branch's coefficient
     double tail_mass_;  // P(R > r0)
     double body_mass_;  // P(R <= r0)
 };

@@ -10,6 +10,22 @@
 //
 // The simulator alternates extra-material and missing-material defect
 // populations with a configurable split (real lines see both kinds).
+//
+// Cost per defect.  Every defect draws its position, size quantile u and
+// kind, in that order, so the RNG stream never depends on what follows.
+// A disc narrower than the gap cannot bridge it, and one narrower than a
+// wire cannot cut it; at the endpoint's defaults that is over nine
+// defects in ten.  So a run precomputes cdf(spacing·(1-1e-6)) and
+// cdf(width·(1-1e-6)) and drops a defect whose u falls below the one for
+// its kind without computing its size or testing a wire.  The 1e-6 slack
+// must cover the rounding of the disc's edges and of the wire edges,
+// which grows with the largest coordinate of the run: a run checks that
+// it does (and that quantile inverts cdf that closely) and classifies
+// every defect of that kind where it does not, as for a layout some 5e8
+// gaps tall.
+// A defect that is kept is tested only against the few wires its extent
+// can reach, not the whole array.  Counters are bit-identical to testing
+// every defect against every wire (tests/yield/test_monte_carlo.cpp).
 
 #pragma once
 
@@ -71,13 +87,19 @@ struct monte_carlo_config {
                                        double diameter);
 
 /// Run the simulation.  Throws std::invalid_argument on a non-positive die
-/// count, negative density, or a material fraction outside [0, 1].
+/// count, negative density, or a material fraction outside [0, 1], and
+/// std::domain_error when the expected defects per die is non-finite or
+/// above 1e6 (a size tail near p = 1 widens the sampling margin without
+/// bound).
 [[nodiscard]] monte_carlo_result simulate_layout_yield(
     const wire_array_layout& layout, const defect_size_distribution& sizes,
     const monte_carlo_config& config);
 
 /// Draw from Poisson(mean) using the given generator.  Deterministic,
-/// exact (Knuth with recursive halving for large means).
+/// exact (Knuth with recursive halving for large means).  Throws
+/// std::invalid_argument on a negative or non-finite mean, and
+/// std::domain_error on a mean above about 2.8e20 (30 · 2^63), whose
+/// halves no longer fit a count.
 [[nodiscard]] std::size_t poisson_sample(double mean, splitmix64& rng);
 
 }  // namespace silicon::yield

@@ -231,6 +231,30 @@ TEST(Engine, ErrorsAreNeverCached) {
     EXPECT_EQ(engine.cache_stats().entries, 0u);
 }
 
+TEST(Engine, HeavyTailMonteCarloIsAnErrorReplyAndServingGoesOn) {
+    // A size tail near p = 1 makes the sampling margin infinite (1.01) or
+    // the defect count billions per die (1.5): the run must be refused
+    // up front, not crash or spin, and the next line must still be
+    // served.
+    for (const unsigned parallelism : {1u, 4u}) {
+        serve::engine engine{config_with(parallelism)};
+        for (const char* line :
+             {R"({"id":1,"op":"mc_yield","dies":1,"defect_p":1.01})",
+              R"({"id":2,"op":"mc_yield","dies":1,"defect_p":1.5})"}) {
+            const json::value reply = json::parse(engine.handle_line(line));
+            const json::object& o = reply.as_object();
+            EXPECT_FALSE(o.find("ok")->as_bool()) << line;
+            EXPECT_EQ(o.find("error")->as_object().find("code")->as_string(),
+                      "domain_error")
+                << line;
+        }
+        EXPECT_EQ(engine.cache_stats().entries, 0u);
+        const std::string next =
+            engine.handle_line(R"({"id":3,"op":"mc_yield","dies":50})");
+        EXPECT_NE(next.find(R"("ok":true)"), std::string::npos) << next;
+    }
+}
+
 TEST(Engine, MetricsCountRequestsAndErrors) {
     serve::engine engine{config_with(1)};
     (void)engine.handle_line(R"({"op":"scenario1"})");

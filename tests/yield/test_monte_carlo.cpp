@@ -2,10 +2,15 @@
 
 #include "yield/monte_carlo.hpp"
 
+#include "exec/thread_pool.hpp"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace silicon::yield {
 namespace {
@@ -59,6 +64,18 @@ TEST(PoissonSample, RejectsNegativeMean) {
     EXPECT_THROW((void)poisson_sample(-1.0, rng), std::invalid_argument);
 }
 
+TEST(PoissonSample, RejectsNonFiniteMean) {
+    splitmix64 rng{1};
+    EXPECT_THROW(
+        (void)poisson_sample(std::numeric_limits<double>::infinity(), rng),
+        std::invalid_argument);
+    EXPECT_THROW(
+        (void)poisson_sample(std::numeric_limits<double>::quiet_NaN(), rng),
+        std::invalid_argument);
+    // Finite, but more halves than a count can index.
+    EXPECT_THROW((void)poisson_sample(1e300, rng), std::domain_error);
+}
+
 TEST(PoissonSample, SampleMomentsMatchSmallMean) {
     splitmix64 rng{99};
     const double mu = 3.0;
@@ -109,6 +126,26 @@ TEST(Simulation, RejectsBadConfig) {
     config.extra_material_fraction = 1.5;
     EXPECT_THROW((void)simulate_layout_yield(layout, sizes, config),
                  std::invalid_argument);
+}
+
+TEST(Simulation, HeavyTailIsADomainErrorNotAnEndlessRun) {
+    // p near 1 pushes the 1 - 1e-6 sampling margin to infinity (p = 1.01)
+    // or to billions of defects per die (p = 1.5).
+    const wire_array_layout layout = small_layout();
+    monte_carlo_config config;
+    config.dies = 1;
+    config.defects_per_um2 = 1e-4;
+    for (const double p : {1.01, 1.5}) {
+        const defect_size_distribution sizes{0.6, p};
+        EXPECT_THROW((void)simulate_layout_yield(layout, sizes, config),
+                     std::domain_error)
+            << "p = " << p;
+    }
+    // Infinite margin at zero density: 0 * inf is not a count either.
+    config.defects_per_um2 = 0.0;
+    EXPECT_THROW((void)simulate_layout_yield(
+                     layout, defect_size_distribution{0.6, 1.01}, config),
+                 std::domain_error);
 }
 
 TEST(Simulation, ZeroDensityYieldsEverything) {
@@ -185,6 +222,319 @@ TEST(Simulation, AllShortsConfigurationProducesNoOpens) {
         simulate_layout_yield(layout, sizes, config);
     EXPECT_EQ(mc.opens, 0u);
     EXPECT_GT(mc.shorts, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Differential check against the scan-everything simulator: every defect
+// draws its size and is tested against every wire pair and every wire.
+// The library skips defects too narrow to fault and scans only the wires
+// a defect can reach; the counters must not change by one.
+// ---------------------------------------------------------------------------
+
+std::size_t reference_poisson(double mean, splitmix64& rng) {
+    if (mean > 30.0) {
+        const std::size_t left = reference_poisson(mean * 0.5, rng);
+        return left + reference_poisson(mean * 0.5, rng);
+    }
+    const double limit = std::exp(-mean);
+    std::size_t count = 0;
+    double product = rng.next_double();
+    while (product > limit) {
+        ++count;
+        product *= rng.next_double();
+    }
+    return count;
+}
+
+int reference_bridged(const wire_array_layout& layout, double y, double d) {
+    const double pitch = layout.pitch();
+    const double lo = y - 0.5 * d;
+    const double hi = y + 0.5 * d;
+    int events = 0;
+    for (int i = 0; i + 1 < layout.line_count; ++i) {
+        if (lo < static_cast<double>(i) * pitch + layout.line_width &&
+            hi > static_cast<double>(i + 1) * pitch) {
+            ++events;
+        }
+    }
+    return events;
+}
+
+int reference_severed(const wire_array_layout& layout, double y, double d) {
+    const double pitch = layout.pitch();
+    const double lo = y - 0.5 * d;
+    const double hi = y + 0.5 * d;
+    int events = 0;
+    for (int i = 0; i < layout.line_count; ++i) {
+        const double bottom = static_cast<double>(i) * pitch;
+        if (lo <= bottom && hi >= bottom + layout.line_width) {
+            ++events;
+        }
+    }
+    return events;
+}
+
+/// The simulator as specified: same shards, seeds and draw order as
+/// simulate_layout_yield, with none of its shortcuts.
+monte_carlo_result reference_simulate(const wire_array_layout& layout,
+                                      const defect_size_distribution& sizes,
+                                      const monte_carlo_config& config) {
+    const double height =
+        static_cast<double>(layout.line_count) * layout.line_width +
+        static_cast<double>(layout.line_count - 1) * layout.line_spacing;
+    const double margin = 0.5 * sizes.quantile(1.0 - 1e-6);
+    const double sample_height = height + 2.0 * margin;
+    const double mean =
+        config.defects_per_um2 * layout.line_length * sample_height;
+    monte_carlo_result r;
+    r.dies = config.dies;
+    const std::size_t shards = exec::shard_count_for(config.dies);
+    for (std::size_t s = 0; s < shards; ++s) {
+        const exec::shard_range shard = exec::shard_of(config.dies, shards, s);
+        splitmix64 rng{exec::shard_seed(config.seed, shard.index)};
+        for (std::size_t die = shard.begin; die < shard.end; ++die) {
+            const std::size_t n = reference_poisson(mean, rng);
+            r.defects_thrown += n;
+            bool good = true;
+            for (std::size_t k = 0; k < n; ++k) {
+                const double y = -margin + rng.next_double() * sample_height;
+                const double d = sizes.quantile(rng.next_double());
+                if (rng.next_double() < config.extra_material_fraction) {
+                    const int events = reference_bridged(layout, y, d);
+                    r.shorts += static_cast<std::size_t>(events);
+                    good = good && events == 0;
+                } else {
+                    const int events = reference_severed(layout, y, d);
+                    r.opens += static_cast<std::size_t>(events);
+                    good = good && events == 0;
+                }
+            }
+            r.good_dies += good ? 1 : 0;
+        }
+    }
+    return r;
+}
+
+/// Uniform in [lo, hi) and log-uniform in [lo, hi) draws for generators.
+double uniform(splitmix64& g, double lo, double hi) {
+    return lo + g.next_double() * (hi - lo);
+}
+double log_uniform(splitmix64& g, double lo, double hi) {
+    return lo * std::pow(hi / lo, g.next_double());
+}
+double nudge_ulps(double x, int ulps) {
+    for (; ulps > 0; --ulps) {
+        x = std::nextafter(x, std::numeric_limits<double>::infinity());
+    }
+    for (; ulps < 0; ++ulps) {
+        x = std::nextafter(x, 0.0);
+    }
+    return x;
+}
+
+struct mc_case {
+    wire_array_layout layout;
+    double r0 = 0.6;
+    double p = 4.07;
+    double q = 1.0;
+    monte_carlo_config config;
+};
+
+std::string describe(const mc_case& c) {
+    return "w=" + std::to_string(c.layout.line_width) +
+           " s=" + std::to_string(c.layout.line_spacing) +
+           " L=" + std::to_string(c.layout.line_length) +
+           " n=" + std::to_string(c.layout.line_count) +
+           " r0=" + std::to_string(c.r0) + " p=" + std::to_string(c.p) +
+           " q=" + std::to_string(c.q) +
+           " D=" + std::to_string(c.config.defects_per_um2) +
+           " dies=" + std::to_string(c.config.dies) +
+           " seed=" + std::to_string(c.config.seed);
+}
+
+void expect_matches_reference(const mc_case& c) {
+    const defect_size_distribution sizes{c.r0, c.p, c.q};
+    const monte_carlo_result want =
+        reference_simulate(c.layout, sizes, c.config);
+    for (const unsigned parallelism : {1u, 0u}) {
+        monte_carlo_config config = c.config;
+        config.parallelism = parallelism;
+        const monte_carlo_result got =
+            simulate_layout_yield(c.layout, sizes, config);
+        EXPECT_EQ(got.good_dies, want.good_dies) << describe(c);
+        EXPECT_EQ(got.defects_thrown, want.defects_thrown) << describe(c);
+        EXPECT_EQ(got.shorts, want.shorts) << describe(c);
+        EXPECT_EQ(got.opens, want.opens) << describe(c);
+    }
+}
+
+mc_case generated_case(splitmix64& g) {
+    mc_case c;
+    c.layout.line_width = log_uniform(g, 0.05, 5.0);
+    c.layout.line_spacing = log_uniform(g, 0.05, 5.0);
+    c.layout.line_length = log_uniform(g, 1.0, 500.0);
+    c.layout.line_count = 1 + static_cast<int>(g.next() % 40);
+    c.r0 = log_uniform(g, 0.05, 2.0);
+    c.p = uniform(g, 3.0, 8.0);
+    c.q = uniform(g, -0.999, 3.0);
+    c.config.dies = 1 + g.next() % 200;
+    c.config.extra_material_fraction =
+        g.next() % 8 == 0 ? static_cast<double>(g.next() % 2)
+                          : g.next_double();
+    c.config.seed = g.next();
+    // Expected defects per die spread over [0.01, 200): the top of the
+    // range halves the Poisson mean (above 30) up to three times.
+    const defect_size_distribution sizes{c.r0, c.p, c.q};
+    const double sample_height =
+        c.layout.area() / c.layout.line_length +
+        sizes.quantile(1.0 - 1e-6);
+    c.config.defects_per_um2 = log_uniform(g, 0.01, 200.0) /
+                               (c.layout.line_length * sample_height);
+    return c;
+}
+
+TEST(SimulationDifferential, GeneratedConfigurationsMatchFullScan) {
+    splitmix64 g{0xd1ffe7e57ULL};
+    for (int i = 0; i < 300; ++i) {
+        expect_matches_reference(generated_case(g));
+    }
+}
+
+TEST(SimulationDifferential, GapsAndWidthsWithinUlpsOfADiameter) {
+    // The skip thresholds sit at cdf(gap * (1 - 1e-6)); put the gap and
+    // the width a few ulps off a size the distribution produces.
+    splitmix64 g{0x5111c0};
+    for (int i = 0; i < 60; ++i) {
+        mc_case c = generated_case(g);
+        const defect_size_distribution sizes{c.r0, c.p, c.q};
+        const int ulps = static_cast<int>(g.next() % 9) - 4;
+        const double diameter = sizes.quantile(uniform(g, 0.05, 0.999));
+        if (i % 2 == 0) {
+            c.layout.line_spacing = nudge_ulps(diameter, ulps);
+        } else {
+            c.layout.line_width = nudge_ulps(diameter, ulps);
+        }
+        expect_matches_reference(c);
+    }
+}
+
+TEST(SimulationDifferential, EdgeLayouts) {
+    mc_case c;
+    c.config.dies = 300;
+    c.config.defects_per_um2 = 2e-3;
+    c.config.seed = 41;
+    // One wire: nothing to bridge, only opens.
+    c.layout.line_count = 1;
+    expect_matches_reference(c);
+    // Mean well above 30, so the Poisson draw splits into halves.
+    c.layout.line_count = 15;
+    c.layout.line_length = 2000.0;
+    c.config.defects_per_um2 = 5e-3;
+    expect_matches_reference(c);
+    // Defects far wider than the pitch: each one bridges and severs many
+    // wires, so the reach window spans most of the array.
+    c = mc_case{};
+    c.layout.line_width = 0.01;
+    c.layout.line_spacing = 0.02;
+    c.layout.line_count = 400;
+    c.p = 3.0;
+    c.config.dies = 100;
+    c.config.defects_per_um2 = 1e-2;
+    expect_matches_reference(c);
+    // A layout about 2e9 gaps tall: the rounding bound forbids skipping
+    // shorts, so every extra-material defect is classified.
+    c = mc_case{};
+    c.layout.line_width = 1e6;
+    c.layout.line_spacing = 1e-3;
+    c.layout.line_count = 2;
+    c.config.dies = 200;
+    c.config.defects_per_um2 = 1e-7;
+    expect_matches_reference(c);
+}
+
+TEST(SimulationDifferential, SkippedSizesCannotFaultAtTheWorstPosition) {
+    // The largest size the skip drops, centered on a gap (or a wire) at
+    // the top of a million-wire stack, faults nothing; a size just above
+    // the gap does.  The skip applies only where that largest size is
+    // within half the 1e-6 slack of the gap: far in the tail, 1 - u
+    // keeps few bits and quantile(cdf(x)) can land well above x, and
+    // then the run classifies every defect instead.
+    splitmix64 g{77};
+    int skipping = 0;
+    for (int i = 0; i < 200; ++i) {
+        wire_array_layout layout;
+        layout.line_width = log_uniform(g, 0.05, 5.0);
+        layout.line_spacing = log_uniform(g, 0.05, 5.0);
+        layout.line_count = 1'000'000;
+        const defect_size_distribution sizes{log_uniform(g, 0.05, 2.0),
+                                             uniform(g, 3.0, 8.0),
+                                             uniform(g, -0.999, 3.0)};
+        const double pitch = layout.pitch();
+        const double top = static_cast<double>(layout.line_count - 2);
+        for (const bool is_short : {true, false}) {
+            const double gap =
+                is_short ? layout.line_spacing : layout.line_width;
+            const double u = sizes.cdf(gap * (1.0 - 1e-6));
+            const double below = std::nextafter(u, 0.0);
+            const double widest =
+                std::max(sizes.quantile(below),
+                         sizes.quantile(std::min(below, sizes.body_mass())));
+            const double center =
+                is_short ? top * pitch + layout.line_width + 0.5 * gap
+                         : top * pitch + 0.5 * gap;
+            const fault_kind kind = is_short ? fault_kind::short_circuit
+                                             : fault_kind::open_circuit;
+            if (widest <= gap * (1.0 - 0.5e-6)) {
+                ++skipping;
+                EXPECT_FALSE(defect_causes_fault(layout, kind, 1.0, center,
+                                                 widest))
+                    << "gap " << gap << " widest skipped " << widest;
+            }
+            EXPECT_TRUE(defect_causes_fault(layout, kind, 1.0, center,
+                                            gap * (1.0 + 1e-6)));
+        }
+    }
+    EXPECT_GT(skipping, 300);
+}
+
+TEST(DefectPredicate, ReachWindowMatchesFullScanAtEdges) {
+    // Discs whose edges land within ulps of a wire edge, anywhere in the
+    // stack and beyond it, agree with the scan over every wire.
+    splitmix64 g{2718};
+    for (int i = 0; i < 2000; ++i) {
+        wire_array_layout layout;
+        layout.line_width = log_uniform(g, 0.05, 5.0);
+        layout.line_spacing = log_uniform(g, 0.05, 5.0);
+        layout.line_count = 1 + static_cast<int>(g.next() % 60);
+        const double pitch = layout.pitch();
+        const int edge_wire =
+            static_cast<int>(g.next() % (layout.line_count + 4)) - 2;
+        const double edge =
+            static_cast<double>(edge_wire) * pitch +
+            (g.next() % 2 == 0 ? 0.0 : layout.line_width);
+        const double d = g.next() % 4 == 0
+                             ? log_uniform(g, 1e-3, 1e3)
+                             : nudge_ulps(g.next() % 2 == 0
+                                              ? layout.line_spacing
+                                              : layout.line_width,
+                                          static_cast<int>(g.next() % 9) - 4);
+        const double lo = nudge_ulps(edge, static_cast<int>(g.next() % 9) - 4);
+        const double y = g.next() % 2 == 0 ? lo + 0.5 * d : lo - 0.5 * d;
+        EXPECT_EQ(defect_causes_fault(layout, fault_kind::short_circuit, 1.0,
+                                      y, d),
+                  reference_bridged(layout, y, d) > 0);
+        EXPECT_EQ(defect_causes_fault(layout, fault_kind::open_circuit, 1.0,
+                                      y, d),
+                  reference_severed(layout, y, d) > 0);
+    }
+    // Non-finite sizes: an infinite disc covers every wire, a NaN one none.
+    const wire_array_layout layout = small_layout();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_TRUE(defect_causes_fault(layout, fault_kind::short_circuit, 1.0,
+                                    3.0, inf));
+    EXPECT_FALSE(defect_causes_fault(
+        layout, fault_kind::open_circuit, 1.0, 3.0,
+        std::numeric_limits<double>::quiet_NaN()));
 }
 
 }  // namespace
