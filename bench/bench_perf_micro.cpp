@@ -12,11 +12,14 @@
 #include "yield/wafer_sim.hpp"
 #include "opt/partition.hpp"
 #include "opt/minimize.hpp"
+#include "serve/engine.hpp"
+#include "serve/json.hpp"
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 namespace {
 
@@ -204,6 +207,53 @@ void bm_optimal_feature_size(benchmark::State& state) {
     }
 }
 BENCHMARK(bm_optimal_feature_size);
+
+// The cost a grid lane adds by feeding the point cache: a serial engine
+// with a full default-size cache (65536 entries) serves grids whose
+// every lane misses, so each lane is keyed, probed, evaluated, written
+// and stored, evicting another entry.  Arg 0 picks the grid (0 = a
+// 256-lane scenario2 sweep, 1 = a 4x64 partition_explore), arg 1 the
+// cache (1 = on, 0 = off: the same grid without the feed).  Reported as
+// seconds per lane.
+void bm_lane_cache_feed(benchmark::State& state) {
+    const bool explore = state.range(0) == 1;
+    serve::engine_config config;
+    config.parallelism = 1;
+    config.cache_capacity = state.range(1) == 1 ? 65536 : 0;
+    serve::engine engine{config};
+    // Fill the cache: 17 sweeps of 4096 distinct scenario1 lanes.
+    for (int i = 0; i < 17 && config.cache_capacity != 0; ++i) {
+        (void)engine.handle_line(
+            R"({"op":"sweep","param":"lambda_um","from":)" +
+            std::to_string(i + 1) + R"(.3,"to":)" + std::to_string(i + 1) +
+            R"(.9,"count":4096,"target":{"op":"scenario1"}})");
+    }
+    const std::int64_t lanes = 256;
+    std::uint64_t n = 0;
+    for (auto _ : state) {
+        // A fresh grid every iteration, so no lane is ever a hit.
+        const double shift = 1.0 + 1e-9 * static_cast<double>(++n);
+        const auto num = [](double x) { return serve::json::format_number(x); };
+        const std::string line =
+            explore ? R"({"op":"partition_explore","splits":"1,2,4,8",)"
+                      R"("area_from_mm2":)" + num(100.0 * shift) +
+                          R"(,"area_to_mm2":)" + num(900.0 * shift) +
+                          R"(,"count":64})"
+                    : R"({"op":"sweep","param":"lambda_um","from":)" +
+                          num(0.4 * shift) + R"(,"to":)" + num(1.4 * shift) +
+                          R"(,"count":256,"target":{"op":"scenario2"}})";
+        benchmark::DoNotOptimize(engine.handle_line(line));
+    }
+    state.counters["s_per_lane"] = benchmark::Counter(
+        static_cast<double>(lanes),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(bm_lane_cache_feed)
+    ->Args({0, 1})
+    ->Args({0, 0})
+    ->Args({1, 1})
+    ->Args({1, 0});
 
 }  // namespace
 

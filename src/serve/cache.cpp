@@ -1,31 +1,117 @@
 #include "serve/cache.hpp"
 
-#include <functional>
+#include <bit>
 #include <list>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 
 namespace silicon::serve {
 
 struct memo_cache::shard {
-    using entry = std::pair<std::string, std::shared_ptr<const std::string>>;
+    struct entry {
+        std::string key;
+        std::size_t hash;
+        std::shared_ptr<const std::string> value;
+    };
+    using node = std::list<entry>::iterator;
+
+    /// One index slot: an entry's hash and its LRU node (`lru.end()` =
+    /// empty).  A probe reads slots and compares key bytes only when the
+    /// hashes match, so a miss usually touches no entry at all.
+    struct slot {
+        std::size_t hash = 0;
+        node it;
+    };
 
     mutable std::mutex mutex;
     std::list<entry> lru;  ///< front = most recently used
-    std::unordered_map<std::string_view, std::list<entry>::iterator> index;
+    /// Open addressing with linear probing: a power-of-two slot count
+    /// (0 before the first insert) kept at least twice the entries.
+    std::vector<slot> index;
+    int shift = 0;  ///< 64 - log2(index.size()), once index is non-empty
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
+
+    /// First slot to probe for `hash`.  The shard was picked by
+    /// hash % shard_count, so the low bits are alike within a shard;
+    /// multiplying mixes every bit into the top ones used here.
+    [[nodiscard]] std::size_t home(std::size_t hash) const noexcept {
+        return static_cast<std::size_t>(
+            (static_cast<std::uint64_t>(hash) * 0x9E3779B97F4A7C15ull) >>
+            shift);
+    }
+
+    [[nodiscard]] std::size_t next(std::size_t i) const noexcept {
+        return (i + 1) & (index.size() - 1);
+    }
+
+    /// The slot holding `key`, or nullptr.
+    [[nodiscard]] const slot* find(hashed_key key) const {
+        if (index.empty()) {
+            return nullptr;
+        }
+        for (std::size_t i = home(key.hash);; i = next(i)) {
+            const slot& at = index[i];
+            if (at.it == lru.end()) {
+                return nullptr;
+            }
+            if (at.hash == key.hash && at.it->key == key.text) {
+                return &at;
+            }
+        }
+    }
+
+    /// Indexes `n`, whose key is absent, growing the table first when
+    /// it would be more than half full.
+    void insert(node n) {
+        if ((lru.size() + 1) * 2 > index.size()) {
+            std::vector<slot> old(index.empty() ? 8 : index.size() * 2,
+                                  slot{0, lru.end()});
+            old.swap(index);
+            shift = 64 - std::countr_zero(index.size());
+            for (const slot& at : old) {
+                if (at.it != lru.end()) {
+                    place(at);
+                }
+            }
+        }
+        place(slot{n->hash, n});
+    }
+
+    void place(const slot& s) {
+        std::size_t i = home(s.hash);
+        while (index[i].it != lru.end()) {
+            i = next(i);
+        }
+        index[i] = s;
+    }
+
+    /// Unindexes `n` by backward-shift deletion: the rest of its probe
+    /// run moves up, so lookups need no tombstones.
+    void erase(node n) {
+        std::size_t i = home(n->hash);
+        while (index[i].it != n) {
+            i = next(i);
+        }
+        const std::size_t mask = index.size() - 1;
+        for (std::size_t j = next(i); index[j].it != lru.end(); j = next(j)) {
+            // Slot j moves up to i unless its home lies after i.
+            if (((j - home(index[j].hash)) & mask) >= ((j - i) & mask)) {
+                index[i] = index[j];
+                i = j;
+            }
+        }
+        index[i].it = lru.end();
+    }
+
+    void drop_all() {
+        lru.clear();
+        for (slot& at : index) {
+            at.it = lru.end();
+        }
+    }
 };
-
-namespace {
-
-std::size_t shard_for(std::string_view key, std::size_t shard_count) {
-    return std::hash<std::string_view>{}(key) % shard_count;
-}
-
-}  // namespace
 
 memo_cache::memo_cache(std::size_t capacity, std::size_t shards)
     : capacity_{capacity} {
@@ -42,69 +128,67 @@ memo_cache::memo_cache(std::size_t capacity, std::size_t shards)
 
 memo_cache::~memo_cache() { delete[] shards_; }
 
-std::shared_ptr<const std::string> memo_cache::get(std::string_view key) {
+std::shared_ptr<const std::string> memo_cache::get(hashed_key key) {
     if (shards_ == nullptr) {
         disabled_misses_.fetch_add(1, std::memory_order_relaxed);
         return nullptr;
     }
-    shard& s = shards_[shard_for(key, shard_count_)];
+    shard& s = shards_[key.hash % shard_count_];
     const std::lock_guard<std::mutex> lock(s.mutex);
-    const auto it = s.index.find(key);
-    if (it == s.index.end()) {
+    const shard::slot* at = s.find(key);
+    if (at == nullptr) {
         ++s.misses;
         return nullptr;
     }
     ++s.hits;
-    s.lru.splice(s.lru.begin(), s.lru, it->second);
-    return it->second->second;
+    s.lru.splice(s.lru.begin(), s.lru, at->it);
+    return at->it->value;
 }
 
 std::shared_ptr<const std::string> memo_cache::get_if_present(
-    std::string_view key) {
+    hashed_key key) {
     if (shards_ == nullptr) {
         return nullptr;
     }
-    shard& s = shards_[shard_for(key, shard_count_)];
+    shard& s = shards_[key.hash % shard_count_];
     const std::lock_guard<std::mutex> lock(s.mutex);
-    const auto it = s.index.find(key);
-    if (it == s.index.end()) {
+    const shard::slot* at = s.find(key);
+    if (at == nullptr) {
         return nullptr;
     }
     ++s.hits;
-    s.lru.splice(s.lru.begin(), s.lru, it->second);
-    return it->second->second;
+    s.lru.splice(s.lru.begin(), s.lru, at->it);
+    return at->it->value;
 }
 
-bool memo_cache::contains(std::string_view key) const {
+bool memo_cache::contains(hashed_key key) const {
     if (shards_ == nullptr) {
         return false;
     }
-    shard& s = shards_[shard_for(key, shard_count_)];
+    const shard& s = shards_[key.hash % shard_count_];
     const std::lock_guard<std::mutex> lock(s.mutex);
-    return s.index.find(key) != s.index.end();
+    return s.find(key) != nullptr;
 }
 
-void memo_cache::put(std::string_view key, std::string value) {
+void memo_cache::put(hashed_key key, std::string value) {
     if (shards_ == nullptr) {
         return;
     }
-    shard& s = shards_[shard_for(key, shard_count_)];
+    shard& s = shards_[key.hash % shard_count_];
     auto stored = std::make_shared<const std::string>(std::move(value));
     const std::lock_guard<std::mutex> lock(s.mutex);
-    if (const auto it = s.index.find(key); it != s.index.end()) {
-        it->second->second = std::move(stored);
-        s.lru.splice(s.lru.begin(), s.lru, it->second);
+    if (const shard::slot* at = s.find(key); at != nullptr) {
+        at->it->value = std::move(stored);
+        s.lru.splice(s.lru.begin(), s.lru, at->it);
         return;
     }
     if (s.lru.size() >= per_shard_capacity_) {
-        // The index keys view into the list node's string, so erase the
-        // index entry before destroying the node.
-        s.index.erase(s.lru.back().first);
+        s.erase(std::prev(s.lru.end()));
         s.lru.pop_back();
         ++s.evictions;
     }
-    s.lru.emplace_front(std::string{key}, std::move(stored));
-    s.index.emplace(s.lru.front().first, s.lru.begin());
+    s.lru.push_front({std::string{key.text}, key.hash, std::move(stored)});
+    s.insert(s.lru.begin());
 }
 
 std::size_t memo_cache::shed_shards(std::size_t count) {
@@ -120,8 +204,7 @@ std::size_t memo_cache::shed_shards(std::size_t count) {
         const std::lock_guard<std::mutex> lock(s.mutex);
         dropped += s.lru.size();
         s.evictions += s.lru.size();
-        s.index.clear();
-        s.lru.clear();
+        s.drop_all();
     }
     return dropped;
 }
@@ -130,8 +213,7 @@ void memo_cache::clear() {
     for (std::size_t i = 0; i < shard_count_; ++i) {
         shard& s = shards_[i];
         const std::lock_guard<std::mutex> lock(s.mutex);
-        s.index.clear();
-        s.lru.clear();
+        s.drop_all();
     }
 }
 
@@ -146,7 +228,7 @@ memo_cache::shard_snapshot(std::size_t index) const {
     const std::lock_guard<std::mutex> lock(s.mutex);
     out.reserve(s.lru.size());
     for (auto it = s.lru.rbegin(); it != s.lru.rend(); ++it) {
-        out.emplace_back(it->first, it->second);
+        out.emplace_back(it->key, it->value);
     }
     return out;
 }

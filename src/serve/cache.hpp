@@ -11,7 +11,11 @@
 //
 // Concurrency: the key space is split across `shards` independent
 // LRU structures (shard = hash(key) % shards), each behind its own
-// mutex, so parallel batch workers rarely contend.  Values are
+// mutex, so parallel batch workers rarely contend.  hash(key) is
+// std::hash<std::string_view>; a caller that already holds it passes a
+// `hashed_key`, and each entry stores it, so a key is hashed once per
+// operation — not again for the shard choice, the index probe, the
+// insert or the eviction of another entry.  Values are
 // returned as shared_ptr<const string> — a hit stays valid even if the
 // entry is evicted a microsecond later by another thread.
 //
@@ -25,6 +29,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -36,6 +41,17 @@ namespace silicon::serve {
 /// Sharded least-recently-used string -> string cache.
 class memo_cache {
 public:
+    /// A key together with its std::hash<std::string_view>.  `text` is
+    /// a view: it must stay alive for the call it is passed to.
+    struct hashed_key {
+        std::string_view text;
+        std::size_t hash = 0;
+
+        [[nodiscard]] static hashed_key of(std::string_view text) noexcept {
+            return {text, std::hash<std::string_view>{}(text)};
+        }
+    };
+
     /// Aggregate statistics across all shards (counters are cumulative
     /// since construction, never reset by eviction).
     struct stats {
@@ -60,21 +76,34 @@ public:
 
     /// The cached value for `key`, or nullptr on a miss.  A hit moves
     /// the entry to most-recently-used position.
+    [[nodiscard]] std::shared_ptr<const std::string> get(hashed_key key);
     [[nodiscard]] std::shared_ptr<const std::string> get(
-        std::string_view key);
+        std::string_view key) {
+        return get(hashed_key::of(key));
+    }
 
     /// Probe used by the engine's lane planner: behaves like `get` on a
     /// hit (counts it, promotes to MRU) but does NOT count a miss.
     [[nodiscard]] std::shared_ptr<const std::string> get_if_present(
-        std::string_view key);
+        hashed_key key);
+    [[nodiscard]] std::shared_ptr<const std::string> get_if_present(
+        std::string_view key) {
+        return get_if_present(hashed_key::of(key));
+    }
 
     /// True when `key` is resident.  Counts nothing and leaves the LRU
     /// order alone: a cost estimate, not a lookup.
-    [[nodiscard]] bool contains(std::string_view key) const;
+    [[nodiscard]] bool contains(hashed_key key) const;
+    [[nodiscard]] bool contains(std::string_view key) const {
+        return contains(hashed_key::of(key));
+    }
 
     /// Insert or refresh `key`; evicts the least-recently-used entry of
     /// the key's shard when that shard is full.
-    void put(std::string_view key, std::string value);
+    void put(hashed_key key, std::string value);
+    void put(std::string_view key, std::string value) {
+        put(hashed_key::of(key), std::move(value));
+    }
 
     /// Drop every entry (counters are preserved).
     void clear();

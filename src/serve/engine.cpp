@@ -372,6 +372,87 @@ json::value eval_chiplet(const chiplet_request& q) {
                                q.substrate);
 }
 
+// ---------------------------------------------------------------------------
+// Direct result writers: each appends one point op's result object to
+// `out`, byte-identical to json::dump of the eval_* object above (same
+// member order, same format_number_into / write_string_into bytes)
+// without building it.  cold_result_into and the kernel lane sinks share
+// them, so a cached lane and a cold point miss write the same bytes.
+// ---------------------------------------------------------------------------
+
+/// Appends `prefix` (the member's separator, quoted name and colon,
+/// e.g. `,"yield":`) and then `v`.
+void number_member(std::string_view prefix, double v, std::string& out) {
+    out += prefix;
+    json::format_number_into(v, out);
+}
+
+void write_scenario1_result(double ctr, std::string& out) {
+    number_member("{\"cost_per_transistor_usd\":", ctr, out);
+    number_member(",\"cost_per_transistor_micro_usd\":", ctr * 1e6, out);
+    out += '}';
+}
+
+void write_scenario2_result(double ctr, double die_area_cm2,
+                            double transistors, std::string& out) {
+    number_member("{\"cost_per_transistor_usd\":", ctr, out);
+    number_member(",\"cost_per_transistor_micro_usd\":", ctr * 1e6, out);
+    number_member(",\"die_area_cm2\":", die_area_cm2, out);
+    number_member(",\"transistors\":", transistors, out);
+    out += '}';
+}
+
+/// The scaled_poisson and reference yield results: the yield, then the
+/// model's defect density under `density_name`.
+void write_density_yield_result(std::string_view model, double y,
+                                std::string_view density_name,
+                                double density, std::string& out) {
+    out += "{\"model\":";
+    json::write_string_into(out, model);
+    number_member(",\"yield\":", y, out);
+    out += ",\"";
+    out += density_name;
+    out += "\":";
+    json::format_number_into(density, out);
+    out += '}';
+}
+
+/// The fault-count yield models' result.
+void write_fault_yield_result(std::string_view model, double faults,
+                              double y, std::string& out) {
+    out += "{\"model\":";
+    json::write_string_into(out, model);
+    number_member(",\"expected_faults\":", faults, out);
+    number_member(",\"yield\":", y, out);
+    out += '}';
+}
+
+void write_chiplet_result(const chiplet::chiplet_breakdown& b,
+                          std::string_view substrate, std::string& out) {
+    number_member("{\"chiplets\":", static_cast<double>(b.chiplets), out);
+    number_member(",\"total_area_mm2\":", b.total_area_mm2, out);
+    number_member(",\"chiplet_area_mm2\":", b.chiplet_area_mm2, out);
+    number_member(",\"die_yield\":", b.die_yield, out);
+    number_member(",\"gross_dies_per_wafer\":", b.gross_dies_per_wafer, out);
+    number_member(",\"wafer_cost_usd\":", b.wafer_cost_usd, out);
+    number_member(",\"die_cost_usd\":", b.die_cost_usd, out);
+    number_member(",\"test_cost_per_die_usd\":", b.test_cost_per_die_usd,
+                  out);
+    number_member(",\"defect_level\":", b.defect_level, out);
+    out += ",\"substrate\":";
+    json::write_string_into(out, substrate);
+    number_member(",\"package_area_cm2\":", b.package_area_cm2, out);
+    number_member(",\"substrate_cost_usd\":", b.substrate_cost_usd, out);
+    number_member(",\"substrate_yield\":", b.substrate_yield, out);
+    number_member(",\"assembly_yield\":", b.assembly_yield, out);
+    number_member(",\"module_yield\":", b.module_yield, out);
+    number_member(",\"bonding_cost_usd\":", b.bonding_cost_usd, out);
+    number_member(",\"cost_per_system_usd\":", b.cost_per_system_usd, out);
+    number_member(",\"cost_per_good_system_usd\":",
+                  b.cost_per_good_system_usd, out);
+    out += '}';
+}
+
 /// The split counts of a validated partition_explore `splits` list
 /// ("1,2,4" -> {1, 2, 4}).  Parse already enforced the grammar, so
 /// this cannot fail.
@@ -605,12 +686,8 @@ bool cold_result_into(const request& req, std::string& out) {
             s.wafer_cost = cost::wafer_cost_model{dollars{q.c0_usd}, q.x};
             s.wafer = geometry::wafer{centimeters{q.wafer_radius_cm}};
             s.design_density = q.design_density;
-            const dollars ctr = s.cost_per_transistor(microns{q.lambda_um});
-            out += "{\"cost_per_transistor_usd\":";
-            json::format_number_into(ctr.value(), out);
-            out += ",\"cost_per_transistor_micro_usd\":";
-            json::format_number_into(ctr.value() * 1e6, out);
-            out += '}';
+            write_scenario1_result(
+                s.cost_per_transistor(microns{q.lambda_um}).value(), out);
             return true;
         }
         case op_code::scenario2: {
@@ -621,48 +698,34 @@ bool cold_result_into(const request& req, std::string& out) {
             s.design_density = q.design_density;
             s.yield = yield::reference_die_yield{probability{q.y0}};
             const microns lambda{q.lambda_um};
-            const dollars ctr = s.cost_per_transistor(lambda);
-            out += "{\"cost_per_transistor_usd\":";
-            json::format_number_into(ctr.value(), out);
-            out += ",\"cost_per_transistor_micro_usd\":";
-            json::format_number_into(ctr.value() * 1e6, out);
-            out += ",\"die_area_cm2\":";
-            json::format_number_into(s.die_area(lambda).value(), out);
-            out += ",\"transistors\":";
-            json::format_number_into(s.transistors(lambda), out);
-            out += '}';
+            const double ctr = s.cost_per_transistor(lambda).value();
+            const double area = s.die_area(lambda).value();
+            write_scenario2_result(ctr, area, s.transistors(lambda), out);
             return true;
         }
         case op_code::yield: {
             const auto& q = std::get<yield_request>(req.payload);
-            out += "{\"model\":";
-            json::write_string_into(out, q.model);
             if (q.model == "scaled_poisson") {
                 const yield::scaled_poisson_model model{q.d, q.p};
-                out += ",\"yield\":";
-                json::format_number_into(
-                    model.yield(square_centimeters{q.die_area_cm2},
-                                microns{q.lambda_um})
-                        .value(),
-                    out);
-                out += ",\"effective_defects_per_cm2\":";
-                json::format_number_into(
+                const double y = model
+                                     .yield(square_centimeters{q.die_area_cm2},
+                                            microns{q.lambda_um})
+                                     .value();
+                write_density_yield_result(
+                    q.model, y, "effective_defects_per_cm2",
                     model.effective_defect_density(microns{q.lambda_um}),
                     out);
-                out += '}';
                 return true;
             }
             if (q.model == "reference") {
                 const yield::reference_die_yield model{
                     probability{q.y0}, square_centimeters{q.a0_cm2}};
-                out += ",\"yield\":";
-                json::format_number_into(
-                    model.yield(square_centimeters{q.die_area_cm2}).value(),
-                    out);
-                out += ",\"equivalent_defects_per_cm2\":";
-                json::format_number_into(model.equivalent_defect_density(),
-                                         out);
-                out += '}';
+                const double y =
+                    model.yield(square_centimeters{q.die_area_cm2}).value();
+                write_density_yield_result(q.model, y,
+                                           "equivalent_defects_per_cm2",
+                                           model.equivalent_defect_density(),
+                                           out);
                 return true;
             }
             const double faults = q.expected_faults >= 0.0
@@ -686,11 +749,7 @@ bool cold_result_into(const request& req, std::string& out) {
             } else {
                 return false;  // unknown model: eval_yield owns the error
             }
-            out += ",\"expected_faults\":";
-            json::format_number_into(faults, out);
-            out += ",\"yield\":";
-            json::format_number_into(y.value(), out);
-            out += '}';
+            write_fault_yield_result(q.model, faults, y.value(), out);
             return true;
         }
         case op_code::gross_die: {
@@ -714,6 +773,12 @@ bool cold_result_into(const request& req, std::string& out) {
             out += ",\"wafer_area_cm2\":";
             json::format_number_into(w.area().value(), out);
             out += '}';
+            return true;
+        }
+        case op_code::chiplet: {
+            const auto& q = std::get<chiplet_request>(req.payload);
+            write_chiplet_result(chiplet::evaluate_chiplet(spec_from(q)),
+                                 q.substrate, out);
             return true;
         }
         default:
@@ -827,20 +892,26 @@ double cached_metric(const std::string& bytes, const char* metric) {
 }
 
 /// Receives lane j's point result bytes for the point cache.
-using lane_sink = std::function<void(std::size_t j, std::string bytes)>;
+using lane_sink = std::function<void(std::size_t j, std::string_view bytes)>;
 
-/// Hands every finite kernel lane in `out` to `keep` (when set) as
-/// lane_result(j) serialized; NaN lanes, and lanes whose side values
-/// throw, are never cached.
-template <typename LaneResult>
+/// Hands every finite kernel lane in `out` to `keep` (when set): lane j's
+/// result is written by write_lane(j, bytes) into one reused buffer.  NaN
+/// lanes, and lanes whose side values throw, are never cached.
+template <typename WriteLane>
 void keep_lanes(const std::vector<double>& out, const lane_sink* keep,
-                LaneResult&& lane_result) {
-    for (std::size_t j = 0; keep != nullptr && j < out.size(); ++j) {
+                WriteLane&& write_lane) {
+    if (keep == nullptr) {
+        return;
+    }
+    std::string bytes;
+    for (std::size_t j = 0; j < out.size(); ++j) {
         if (std::isnan(out[j])) {
             continue;
         }
+        bytes.clear();
         try {
-            (*keep)(j, json::dump(lane_result(j)));
+            write_lane(j, bytes);
+            (*keep)(j, bytes);
         } catch (const std::exception&) {
             // Side values threw where the metric did not: uncached.
         }
@@ -906,11 +977,8 @@ void sweep_kernel(const request& tgt, std::string_view param,
                     : cost::batch::scenario1_cost_per_transistor)(
                     cols, out.data() + b, len);
             });
-            keep_lanes(out, keep, [&](std::size_t i) {
-                json::object o;
-                o.set("cost_per_transistor_usd", out[i]);
-                o.set("cost_per_transistor_micro_usd", out[i] * 1e6);
-                return json::value{std::move(o)};
+            keep_lanes(out, keep, [&](std::size_t i, std::string& bytes) {
+                write_scenario1_result(out[i], bytes);
             });
             return;
         }
@@ -931,7 +999,7 @@ void sweep_kernel(const request& tgt, std::string_view param,
                     : cost::batch::scenario2_cost_per_transistor)(
                     cols, out.data() + b, len);
             });
-            keep_lanes(out, keep, [&](std::size_t i) {
+            keep_lanes(out, keep, [&](std::size_t i, std::string& bytes) {
                 core::scenario2 s;
                 s.wafer_cost =
                     cost::wafer_cost_model{dollars{c0[i]}, x[i]};
@@ -939,12 +1007,8 @@ void sweep_kernel(const request& tgt, std::string_view param,
                 s.design_density = dd[i];
                 s.yield = yield::reference_die_yield{probability{y0[i]}};
                 const microns l{lambda[i]};
-                json::object o;
-                o.set("cost_per_transistor_usd", out[i]);
-                o.set("cost_per_transistor_micro_usd", out[i] * 1e6);
-                o.set("die_area_cm2", s.die_area(l).value());
-                o.set("transistors", s.transistors(l));
-                return json::value{std::move(o)};
+                const double area = s.die_area(l).value();
+                write_scenario2_result(out[i], area, s.transistors(l), bytes);
             });
             return;
         }
@@ -960,15 +1024,12 @@ void sweep_kernel(const request& tgt, std::string_view param,
                         area.data() + b, lambda.data() + b, d.data() + b,
                         p.data() + b, out.data() + b, len);
                 });
-                keep_lanes(out, keep, [&](std::size_t i) {
+                keep_lanes(out, keep, [&](std::size_t i, std::string& bytes) {
                     const yield::scaled_poisson_model model{d[i], p[i]};
-                    json::object o;
-                    o.set("model", t.model);
-                    o.set("yield", out[i]);
-                    o.set("effective_defects_per_cm2",
-                          model.effective_defect_density(
-                              microns{lambda[i]}));
-                    return json::value{std::move(o)};
+                    write_density_yield_result(
+                        t.model, out[i], "effective_defects_per_cm2",
+                        model.effective_defect_density(microns{lambda[i]}),
+                        bytes);
                 });
                 return;
             }
@@ -981,15 +1042,12 @@ void sweep_kernel(const request& tgt, std::string_view param,
                         area.data() + b, y0.data() + b, a0.data() + b,
                         out.data() + b, len);
                 });
-                keep_lanes(out, keep, [&](std::size_t i) {
+                keep_lanes(out, keep, [&](std::size_t i, std::string& bytes) {
                     const yield::reference_die_yield model{
                         probability{y0[i]}, square_centimeters{a0[i]}};
-                    json::object o;
-                    o.set("model", t.model);
-                    o.set("yield", out[i]);
-                    o.set("equivalent_defects_per_cm2",
-                          model.equivalent_defect_density());
-                    return json::value{std::move(o)};
+                    write_density_yield_result(
+                        t.model, out[i], "equivalent_defects_per_cm2",
+                        model.equivalent_defect_density(), bytes);
                 });
                 return;
             }
@@ -1036,13 +1094,9 @@ void sweep_kernel(const request& tgt, std::string_view param,
                         len);
                 }
             });
-            keep_lanes(out, keep, [&](std::size_t i) {
+            keep_lanes(out, keep, [&](std::size_t i, std::string& bytes) {
                 const double f = ef[i] >= 0.0 ? ef[i] : area[i] * dpc[i];
-                json::object o;
-                o.set("model", t.model);
-                o.set("expected_faults", f);
-                o.set("yield", out[i]);
-                return json::value{std::move(o)};
+                write_fault_yield_result(t.model, f, out[i], bytes);
             });
             return;
         }
@@ -1083,10 +1137,11 @@ std::vector<double> engine::eval_lanes(const std::vector<double>& xs,
         config_.cache_capacity != 0 && !(grid.kernel && config_.fast_math);
     std::vector<double> ys(n, null_lane);
 
-    // 1-2. Key every lane and probe the cache.  get_if_present counts a
-    // hit but not a miss.  A lane rejected as a point request stays
-    // null and is never probed.
+    // 1-2. Key and hash every lane, then probe the cache.
+    // get_if_present counts a hit but not a miss.  A lane rejected as a
+    // point request stays null and is never probed.
     std::vector<std::string> keys(use_cache ? n : 0);
+    std::vector<memo_cache::hashed_key> hashed(use_cache ? n : 0);
     std::vector<std::shared_ptr<const std::string>> hits(use_cache ? n : 0);
     std::vector<std::size_t> missing;
     missing.reserve(n);
@@ -1095,13 +1150,17 @@ std::vector<double> engine::eval_lanes(const std::vector<double>& xs,
             n, config_.parallelism,
             [&](const exec::shard_range& r) {
                 request lane = grid.base;
+                std::string key;  // grown once, then one exact copy a lane
                 for (std::size_t i = r.begin; i < r.end; ++i) {
                     try {
                         grid.bind(xs[i], lane);
                     } catch (const request_error&) {
                         continue;
                     }
-                    canonical_key_into(lane, keys[i]);
+                    key.clear();
+                    canonical_key_into(lane, key);
+                    keys[i] = key;
+                    hashed[i] = memo_cache::hashed_key::of(keys[i]);
                 }
             },
             cancel, key_lane_ns);
@@ -1110,7 +1169,7 @@ std::vector<double> engine::eval_lanes(const std::vector<double>& xs,
         if (!use_cache) {
             missing.push_back(i);
         } else if (!keys[i].empty()) {
-            hits[i] = cache_.get_if_present(keys[i]);
+            hits[i] = cache_.get_if_present(hashed[i]);
             if (hits[i] == nullptr) {
                 missing.push_back(i);
             }
@@ -1120,8 +1179,8 @@ std::vector<double> engine::eval_lanes(const std::vector<double>& xs,
     // 3-4. Evaluate the missing lanes only, and cache each successful
     // one as it completes (errors never are).
     const std::size_t m = missing.size();
-    const lane_sink put = [&](std::size_t j, std::string bytes) {
-        cache_.put(keys[missing[j]], std::move(bytes));
+    const lane_sink put = [&](std::size_t j, std::string_view bytes) {
+        cache_.put(hashed[missing[j]], std::string{bytes});
     };
     const lane_sink* keep = use_cache ? &put : nullptr;
     if (grid.kernel) {
@@ -1255,8 +1314,8 @@ json::value engine::eval_partition_explore(
                     }
                 },
                 cancel, cell_lane_ns);
-            keep_lanes(out, keep, [&](std::size_t j) {
-                return chiplet_result_json(breakdowns[j], q.base.substrate);
+            keep_lanes(out, keep, [&](std::size_t j, std::string& bytes) {
+                write_chiplet_result(breakdowns[j], q.base.substrate, bytes);
             });
         };
         cost.push_back(eval_lanes(xs, grid, cancel));
@@ -1828,6 +1887,7 @@ void engine::on_overload() {
 }
 
 void engine::evaluate_miss(const fast_parse_state& parsed,
+                           memo_cache::hashed_key key,
                            const exec::cancel_token* cancel,
                            std::string& out) {
     const request& req = parsed.req;
@@ -1859,7 +1919,7 @@ void engine::evaluate_miss(const fast_parse_state& parsed,
     // cached; a result that *did* complete is bit-identical to an
     // uncancelled run (shard-boundary cancellation) and safe to keep.
     if (config_.cache_capacity != 0) {
-        cache_.put(req.canonical_key, out);
+        cache_.put(key, out);
     }
 }
 
@@ -2000,9 +2060,15 @@ void engine::serve_line(
             // Stats are a live snapshot: never cached, never golden.
             st.cold = json::dump(stats_json());
         } else {
+            // One hash of the key serves the probe and the miss's put; a
+            // batch line brings the one phase A computed.
+            const memo_cache::hashed_key key =
+                pre != nullptr
+                    ? memo_cache::hashed_key{req.canonical_key, pre->key_hash}
+                    : memo_cache::hashed_key::of(req.canonical_key);
             {
                 const obs::trace_span span{"serve.cache", "serve"};
-                hit = cache_.get(req.canonical_key);
+                hit = cache_.get(key);
             }
             probed = true;
             cache_hit = hit != nullptr;
@@ -2010,7 +2076,7 @@ void engine::serve_line(
             t_evaluated = t_probed;
             if (hit == nullptr) {
                 evaluated = true;
-                evaluate_miss(*p, cancel, st.cold);
+                evaluate_miss(*p, key, cancel, st.cold);
                 t_evaluated = std::chrono::steady_clock::now();
             }
         }
@@ -2156,9 +2222,10 @@ void parse_shard(std::span<const std::string> lines,
         }
         bl.parse_ns = ns_between(t0, std::chrono::steady_clock::now());
         if (bl.ok) {
-            const std::string& key = bl.parsed.req.canonical_key;
+            const auto key =
+                memo_cache::hashed_key::of(bl.parsed.req.canonical_key);
             bl.arena_bytes = arena.bytes_allocated() - before;
-            bl.key_hash = std::hash<std::string_view>{}(key);
+            bl.key_hash = key.hash;
             bl.cost_ns = line_cost_ns(bl.parsed);
             if (bl.cost_ns > point_line_ns && cache.contains(key)) {
                 bl.cost_ns = point_line_ns;  // a heavy op, but cached

@@ -253,9 +253,11 @@ private:
                     const batch_line* pre = nullptr);
 
     /// A cache miss of a parsed non-stats request: evaluate it, write
-    /// the result body into `out` and cache it.  Throws on failure
-    /// (nothing is cached then).
+    /// the result body into `out` and cache it under `key` (its
+    /// canonical key, hashed).  Throws on failure (nothing is cached
+    /// then).
     void evaluate_miss(const fast_parse_state& parsed,
+                       memo_cache::hashed_key key,
                        const exec::cancel_token* cancel, std::string& out);
 
     /// Shed cache shards if configured (called on overloaded rejects).

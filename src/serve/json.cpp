@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 
 namespace silicon::serve::json {
 
@@ -457,15 +458,60 @@ std::string format_number(double d) {
     return out;
 }
 
+namespace {
+
+/// One slot of the number-text memo: a double's bits and its
+/// std::to_chars text (len 0 = empty; texts longer than `text` are not
+/// memoized).
+struct number_slot {
+    std::uint64_t bits;
+    char text[23];
+    unsigned char len;
+};
+
+constexpr int number_memo_bits = 10;
+
+/// Per thread, so it needs no lock; zero-initialized, so every slot
+/// starts empty.  32 KiB: a grid's keys repeat the same few dozen
+/// parameter values lane after lane.
+thread_local number_slot number_memo[std::size_t{1} << number_memo_bits];
+
+std::uint64_t bits_of(double d) noexcept {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    return bits;
+}
+
+}  // namespace
+
+std::size_t number_memo_slot(double d) noexcept {
+    return static_cast<std::size_t>((bits_of(d) * 0x9E3779B97F4A7C15ull) >>
+                                    (64 - number_memo_bits));
+}
+
 void format_number_into(double d, std::string& out) {
     if (!std::isfinite(d)) {
         out += "null";
         return;
     }
+    // The memo maps a double's exact bits to the text to_chars wrote for
+    // them, so a hit appends the same bytes without formatting again.
+    const std::uint64_t bits = bits_of(d);
+    number_slot& slot = number_memo[number_memo_slot(d)];
+    if (slot.len != 0 && slot.bits == bits) {
+        out.append(slot.text, slot.len);
+        return;
+    }
     char buffer[32];
     const auto [ptr, ec] = std::to_chars(buffer, buffer + sizeof buffer, d);
     (void)ec;  // 32 bytes always suffice for shortest round-trip doubles
-    out.append(buffer, static_cast<std::size_t>(ptr - buffer));
+    const auto len = static_cast<std::size_t>(ptr - buffer);
+    if (len <= sizeof slot.text) {
+        slot.bits = bits;
+        std::memcpy(slot.text, buffer, len);
+        slot.len = static_cast<unsigned char>(len);
+    }
+    out.append(buffer, len);
 }
 
 void write_string_into(std::string& out, std::string_view s) {
@@ -501,7 +547,7 @@ void write_value(std::string& out, const value& v, bool sort_keys) {
     } else if (v.is_bool()) {
         out += v.as_bool() ? "true" : "false";
     } else if (v.is_number()) {
-        out += format_number(v.as_number());
+        format_number_into(v.as_number(), out);
     } else if (v.is_string()) {
         write_string_into(out, v.as_string());
     } else if (v.is_array()) {

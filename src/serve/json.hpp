@@ -148,8 +148,15 @@ void canonical_into(const value& v, std::string& out);
 
 /// Append-style variants used by the allocation-free hot path: same bytes
 /// as `format_number` / the writers' string escaping, appended to `out`
-/// (which only allocates if it must grow).
+/// (which only allocates if it must grow).  `format_number_into` keeps a
+/// small per-thread, direct-mapped memo from a double's bits to its text,
+/// so a value formatted again (a grid's constant parameters, lane after
+/// lane) is a copy, not another to_chars.
 void format_number_into(double d, std::string& out);
 void write_string_into(std::string& out, std::string_view s);
+
+/// The memo slot `d` maps to; two values with the same slot evict each
+/// other.  Exposed so tests can pick such values.
+[[nodiscard]] std::size_t number_memo_slot(double d) noexcept;
 
 }  // namespace silicon::serve::json

@@ -2,12 +2,34 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <functional>
+#include <list>
 #include <memory>
+#include <random>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace {
 
 using silicon::serve::memo_cache;
+using hashed_key = silicon::serve::memo_cache::hashed_key;
+
+/// A fixed key sequence: some short keys, some as long as a chiplet
+/// point key, all distinct.
+std::vector<std::string> fixed_keys(std::size_t count) {
+    std::vector<std::string> keys;
+    for (std::size_t i = 0; i < count; ++i) {
+        std::string key = "{\"op\":\"lane\",\"x\":" + std::to_string(i);
+        if (i % 3 == 0) {
+            key.append(600, 'p');
+        }
+        keys.push_back(key + "}");
+    }
+    return keys;
+}
 
 TEST(MemoCache, MissThenHit) {
     memo_cache cache{8, 1};
@@ -120,6 +142,125 @@ TEST(MemoCache, ManyInsertsRespectBudget) {
     // Per-shard rounding may allow up to shards-1 extra entries.
     EXPECT_LE(s.entries, capacity + s.shards - 1);
     EXPECT_GE(s.evictions, 1000u - (capacity + s.shards - 1));
+}
+
+TEST(MemoCacheHashedKey, CarriesStdHashOfTheText) {
+    for (const std::string& key : fixed_keys(20)) {
+        EXPECT_EQ(hashed_key::of(key).hash,
+                  std::hash<std::string_view>{}(key));
+        EXPECT_EQ(hashed_key::of(key).text, key);
+    }
+}
+
+TEST(MemoCacheHashedKey, ShardPlacementIsStdHashModShards) {
+    constexpr std::size_t shards = 7;
+    const std::vector<std::string> keys = fixed_keys(300);
+    memo_cache cache{keys.size() * shards, shards};
+    std::vector<std::size_t> expected(shards, 0);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        // Alternate the two overloads: placement must not depend on it.
+        if (i % 2 == 0) {
+            cache.put(keys[i], "v");
+        } else {
+            cache.put(hashed_key::of(keys[i]), "v");
+        }
+        ++expected[std::hash<std::string_view>{}(keys[i]) % shards];
+    }
+    EXPECT_EQ(cache.snapshot().shard_entries, expected);
+    for (std::size_t s = 0; s < shards; ++s) {
+        for (const auto& [key, value] : cache.shard_snapshot(s)) {
+            EXPECT_EQ(std::hash<std::string_view>{}(key) % shards, s) << key;
+        }
+    }
+}
+
+TEST(MemoCacheHashedKey, LruEvictionOrderMatchesAModel) {
+    // A per-shard LRU list kept beside the cache: after every operation
+    // of a seeded mix of puts and gets, each shard's snapshot (LRU to
+    // MRU) must equal the model's list.
+    constexpr std::size_t shards = 3;
+    constexpr std::size_t per_shard = 5;
+    const std::vector<std::string> keys = fixed_keys(40);
+    memo_cache cache{shards * per_shard, shards};
+    std::vector<std::list<std::string>> model(shards);  // front = MRU
+    std::mt19937 rng{7};
+    for (int op = 0; op < 2000; ++op) {
+        const std::string& key = keys[rng() % keys.size()];
+        std::list<std::string>& lru =
+            model[std::hash<std::string_view>{}(key) % shards];
+        const auto it = std::find(lru.begin(), lru.end(), key);
+        if (rng() % 2 == 0) {
+            cache.put(hashed_key::of(key), "v");
+            if (it != lru.end()) {
+                lru.erase(it);
+            } else if (lru.size() == per_shard) {
+                lru.pop_back();
+            }
+            lru.push_front(key);
+        } else {
+            const bool hit = cache.get(hashed_key::of(key)) != nullptr;
+            ASSERT_EQ(hit, it != lru.end()) << "op " << op;
+            if (hit) {
+                lru.splice(lru.begin(), lru, it);
+            }
+        }
+        for (std::size_t s = 0; s < shards; ++s) {
+            std::vector<std::string> got;
+            for (const auto& entry : cache.shard_snapshot(s)) {
+                got.push_back(entry.first);
+            }
+            const std::vector<std::string> want(model[s].rbegin(),
+                                                model[s].rend());
+            ASSERT_EQ(got, want) << "op " << op << " shard " << s;
+        }
+    }
+}
+
+TEST(MemoCacheHashedKey, OverloadsAgreeOnHitsAndMisses) {
+    // Two caches fed the same operations, one through the plain-key
+    // overloads and one through the hashed-key ones, answer alike and
+    // count alike.
+    const std::vector<std::string> keys = fixed_keys(64);
+    memo_cache plain{24, 4};
+    memo_cache hashed{24, 4};
+    std::mt19937 rng{11};
+    for (int op = 0; op < 3000; ++op) {
+        const std::string& key = keys[rng() % keys.size()];
+        const hashed_key hk = hashed_key::of(key);
+        switch (rng() % 4) {
+            case 0:
+                plain.put(key, key + "=v");
+                hashed.put(hk, key + "=v");
+                break;
+            case 1: {
+                const auto a = plain.get(key);
+                const auto b = hashed.get(hk);
+                ASSERT_EQ(a == nullptr, b == nullptr) << op;
+                if (a != nullptr) {
+                    EXPECT_EQ(*a, *b);
+                }
+                break;
+            }
+            case 2: {
+                const auto a = plain.get_if_present(key);
+                const auto b = hashed.get_if_present(hk);
+                ASSERT_EQ(a == nullptr, b == nullptr) << op;
+                break;
+            }
+            default:
+                ASSERT_EQ(plain.contains(key), hashed.contains(hk)) << op;
+                break;
+        }
+    }
+    const memo_cache::stats a = plain.snapshot();
+    const memo_cache::stats b = hashed.snapshot();
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.evictions, b.evictions);
+    EXPECT_EQ(a.shard_entries, b.shard_entries);
+    EXPECT_GT(a.hits, 0u);
+    EXPECT_GT(a.misses, 0u);
+    EXPECT_GT(a.evictions, 0u);
 }
 
 }  // namespace

@@ -8,8 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <map>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -389,6 +395,144 @@ TEST(Engine, SweepSharesCacheWithPointQueries) {
     }
 }
 
+/// Every entry of the engine's point cache, key -> result bytes, read
+/// back through a snapshot of it.
+std::map<std::string, std::string> cached_entries(serve::engine& engine) {
+    const std::string path = testing::TempDir() + "lane_cache_" +
+                             std::to_string(::getpid()) + ".bin";
+    EXPECT_TRUE(engine.snapshot_write(path).ok);
+    serve::memo_cache copy{std::size_t{1} << 20, 1};
+    const serve::snapshot::restore_result r = serve::snapshot::restore_file(
+        copy, serve::snapshot::config_fingerprint(false), path);
+    std::remove(path.c_str());
+    EXPECT_EQ(r.outcome, serve::snapshot::restore_outcome::restored)
+        << r.reason;
+    std::map<std::string, std::string> out;
+    for (const auto& [key, value] : copy.shard_snapshot(0)) {
+        out.emplace(key, *value);
+    }
+    return out;
+}
+
+/// Checks the point cache an engine holds after serving only
+/// `grid_line` (answered `reply`) against the lanes' point requests:
+/// each lane a parallelism-1, cache-off engine answers ok must be cached
+/// under its canonical key with exactly that reply's result bytes (which
+/// also equal the DOM evaluation's), and nothing else may be cached.  A
+/// lane whose point request errors — rejected, NaN on the kernel, or a
+/// side value that throws — thus has no entry.  Returns the error lanes.
+std::size_t expect_lane_entries(serve::engine& engine,
+                                serve::engine& reference,
+                                const std::string& grid_line,
+                                const std::vector<json::value>& points) {
+    static const std::string ok_prefix = R"({"ok":true,"result":)";
+    std::map<std::string, std::string> expected;
+    std::size_t error_lanes = 0;
+    for (const json::value& point : points) {
+        serve::request req;
+        try {
+            req = serve::parse_request(point);
+        } catch (const serve::request_error&) {
+            ++error_lanes;
+            continue;
+        }
+        const std::string ref = reference.handle_line(json::dump(point));
+        if (ref.rfind(ok_prefix, 0) != 0) {
+            ++error_lanes;
+            continue;
+        }
+        const std::string body =
+            ref.substr(ok_prefix.size(), ref.size() - ok_prefix.size() - 1);
+        EXPECT_EQ(json::dump(reference.evaluate(req)), body);
+        expected[req.canonical_key] = body;
+    }
+    std::map<std::string, std::string> cached = cached_entries(engine);
+    // The grid's own reply is cached under the grid's key.
+    cached.erase(serve::parse_request(json::parse(grid_line)).canonical_key);
+    EXPECT_EQ(cached.size(), expected.size()) << grid_line;
+    for (const auto& [key, bytes] : cached) {
+        const auto it = expected.find(key);
+        if (it == expected.end()) {
+            ADD_FAILURE() << "a lane that errors as a point was cached: "
+                          << key << "\n  in " << grid_line;
+            continue;
+        }
+        EXPECT_EQ(bytes, it->second) << key << "\n  in " << grid_line;
+    }
+    return error_lanes;
+}
+
+/// Sweeps over every numeric parameter of scenario1, scenario2 and the
+/// seven yield models.  Each grid spans the parameter's default scaled
+/// by factors in [-0.5, 2.5], so many grids cross zero into lanes the
+/// library rejects, and integer parameters get non-integral lanes.
+std::vector<std::string> generated_sweeps(std::uint64_t seed) {
+    const std::vector<std::string> targets = {
+        R"({"op":"scenario1"})",
+        R"({"op":"scenario2"})",
+        R"({"op":"scenario2","y0":0.6})",
+        R"({"op":"yield","model":"poisson"})",
+        R"({"op":"yield","model":"murphy"})",
+        R"({"op":"yield","model":"seeds","expected_faults":0.7})",
+        R"({"op":"yield","model":"bose_einstein"})",
+        R"({"op":"yield","model":"neg_binomial","alpha":0.8})",
+        R"({"op":"yield","model":"scaled_poisson"})",
+        R"({"op":"yield","model":"reference"})",
+    };
+    std::mt19937_64 rng{seed};
+    std::uniform_real_distribution<double> factor{-0.5, 2.5};
+    std::vector<std::string> sweeps;
+    for (const std::string& target : targets) {
+        const json::value key = json::parse(
+            serve::parse_request(json::parse(target)).canonical_key);
+        for (const json::object::member& m : key.as_object().members()) {
+            if (!m.second.is_number()) {
+                continue;
+            }
+            const double v = m.second.as_number();
+            const double base = v != 0.0 ? std::abs(v) : 1.0;
+            const int count = 2 + static_cast<int>(rng() % 31);
+            sweeps.push_back(R"({"op":"sweep","param":")" + m.first +
+                             R"(","from":)" +
+                             json::format_number(base * factor(rng)) +
+                             R"(,"to":)" +
+                             json::format_number(base * factor(rng)) +
+                             R"(,"count":)" + std::to_string(count) +
+                             R"(,"target":)" + target + "}");
+        }
+    }
+    return sweeps;
+}
+
+/// partition_explore grids over splits drawn from {1, 2, 4, 8}, with
+/// total areas up to 80,000 mm^2 (past a 30 cm wafer, so cells turn
+/// infeasible) and a varied base.
+std::vector<std::string> generated_explores(std::uint64_t seed) {
+    const std::vector<std::string> splits = {"1", "1,2", "1,4,8",
+                                             "1,2,4,8"};
+    const std::vector<std::string> substrates = {"organic", "rdl",
+                                                 "interposer"};
+    std::mt19937_64 rng{seed};
+    std::uniform_real_distribution<double> unit{0.0, 1.0};
+    std::vector<std::string> explores;
+    for (int g = 0; g < 12; ++g) {
+        const double from = 20.0 + 3000.0 * unit(rng);
+        const double to = from * (1.0 + 30.0 * unit(rng));
+        explores.push_back(
+            R"({"op":"partition_explore","splits":")" +
+            splits[g % splits.size()] + R"(","area_from_mm2":)" +
+            json::format_number(from) + R"(,"area_to_mm2":)" +
+            json::format_number(to) + R"(,"count":)" +
+            std::to_string(2 + rng() % 23) + R"(,"scale":")" +
+            (g % 3 == 0 ? "log" : "linear") + R"(","defects_per_cm2":)" +
+            json::format_number(0.05 + 2.0 * unit(rng)) +
+            R"(,"d2d_area_mm2":)" + json::format_number(20.0 * unit(rng)) +
+            R"(,"substrate":")" + substrates[rng() % substrates.size()] +
+            "\"}");
+    }
+    return explores;
+}
+
 TEST(Engine, SweepKernelLanesPopulateThePointCache) {
     // PR 4 follow-up: kernel-evaluated grid points land in the
     // memoization cache under their point-request canonical keys, with
@@ -428,6 +572,28 @@ TEST(Engine, SweepKernelLanesPopulateThePointCache) {
         // The cached bytes equal a fresh evaluation's.
         serve::engine cold{config_with(1)};
         EXPECT_EQ(warm, cold.handle_line(point)) << point;
+    }
+
+    // Generated grids: every entry a sweep leaves equals the point
+    // reply, and no lane that errors as a point leaves one.
+    serve::engine reference{config_with(1, /*cache_capacity=*/0)};
+    for (const unsigned parallelism : {1u, 4u}) {
+        std::size_t lanes = 0;
+        std::size_t error_lanes = 0;
+        for (const std::string& sweep : generated_sweeps(0x5eed)) {
+            serve::engine engine{config_with(parallelism)};
+            const std::string reply = engine.handle_line(sweep);
+            ASSERT_EQ(reply.rfind(R"({"ok":true,)", 0), 0u) << reply;
+            const std::vector<json::value> points =
+                grid_reference::sweep_points(sweep, reply);
+            lanes += points.size();
+            error_lanes +=
+                expect_lane_entries(engine, reference, sweep, points);
+        }
+        // The grids cover both kinds of lane.
+        EXPECT_GT(error_lanes, lanes / 10) << "parallelism=" << parallelism;
+        EXPECT_LT(error_lanes, lanes / 2 + lanes / 4)
+            << "parallelism=" << parallelism;
     }
 }
 
@@ -505,6 +671,28 @@ TEST(Engine, ExploreLanesPopulateTheChipletPointCache) {
     const auto after = engine.cache_stats();
     EXPECT_EQ(after.hits, before.hits + points.size());
     EXPECT_EQ(after.misses, before.misses);
+
+    // Generated grids: every entry an explore leaves equals the chiplet
+    // point reply, and no infeasible cell leaves one.
+    serve::engine reference{config_with(1, /*cache_capacity=*/0)};
+    for (const unsigned parallelism : {1u, 4u}) {
+        std::size_t cells = 0;
+        std::size_t infeasible = 0;
+        for (const std::string& explore : generated_explores(0xce11)) {
+            serve::engine grid{config_with(parallelism)};
+            const std::string reply = grid.handle_line(explore);
+            ASSERT_EQ(reply.rfind(R"({"ok":true,)", 0), 0u) << reply;
+            std::vector<json::value> all;
+            for (std::vector<json::value>& row :
+                 grid_reference::explore_points(explore, reply)) {
+                all.insert(all.end(), row.begin(), row.end());
+            }
+            cells += all.size();
+            infeasible += expect_lane_entries(grid, reference, explore, all);
+        }
+        EXPECT_GT(infeasible, cells / 20) << "parallelism=" << parallelism;
+        EXPECT_LT(infeasible, cells / 2) << "parallelism=" << parallelism;
+    }
 }
 
 TEST(Engine, OverlappingExploreSplicesCachedCellsByteIdentical) {

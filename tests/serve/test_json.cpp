@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <random>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 namespace json = silicon::serve::json;
 
@@ -222,6 +226,154 @@ TEST(JsonFormatNumber, SignedZeroAndExtremesRoundTrip) {
     // -0.0 keeps its sign on the wire.
     EXPECT_EQ(json::format_number(-0.0), "-0");
     EXPECT_TRUE(std::signbit(json::parse("-0").as_number()));
+}
+
+/// std::to_chars' shortest round-trip text: the bytes the number memo
+/// must reproduce, hit or miss.
+std::string to_chars_text(double x) {
+    char buffer[32];
+    const auto [end, ec] = std::to_chars(buffer, buffer + sizeof buffer, x);
+    return std::string(buffer, end);
+}
+
+double from_bits(std::uint64_t bits) {
+    double x = 0.0;
+    std::memcpy(&x, &bits, sizeof x);
+    return x;
+}
+
+/// Formats `x` twice (the first may miss the memo, the second hits it
+/// unless the text is too long to keep) and checks both against
+/// to_chars.  Returns the number of mismatches.
+int memo_mismatches(double x) {
+    if (!std::isfinite(x)) {
+        return 0;
+    }
+    const std::string expected = to_chars_text(x);
+    int bad = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+        std::string out = "prefix";
+        json::format_number_into(x, out);
+        bad += out == "prefix" + expected ? 0 : 1;
+    }
+    return bad;
+}
+
+TEST(JsonNumberMemo, MatchesToCharsOnEdgeValues) {
+    using lim = std::numeric_limits<double>;
+    std::vector<double> values = {
+        0.0,
+        -0.0,
+        lim::denorm_min(),
+        -lim::denorm_min(),
+        lim::min() - lim::denorm_min(),  // largest subnormal
+        lim::min(),
+        -lim::min(),  // "-2.2250738585072014e-308": 24 bytes, not kept
+        lim::max(),
+        -lim::max(),
+        lim::epsilon(),
+    };
+    // Integers up to 2^53, where every integer is exact, and past it.
+    for (int i = -1000; i <= 1000; ++i) {
+        values.push_back(i);
+    }
+    for (int e = 0; e <= 64; ++e) {
+        const double p = std::ldexp(1.0, e);
+        values.insert(values.end(), {p - 1, p, p + 1, -p});
+    }
+    values.push_back(9007199254740991.0);  // 2^53 - 1
+    values.push_back(9007199254740993.0);  // rounds to 2^53
+    // Around every power of ten, where shortest output switches between
+    // fixed and scientific notation, with the neighbouring doubles.
+    for (int e = -30; e <= 30; ++e) {
+        for (const char* mantissa :
+             {"1", "1.5", "9.999999999999999", "1.2345678901234567"}) {
+            const double x = json::parse(std::string{mantissa} + "e" +
+                                         std::to_string(e))
+                                 .as_number();
+            values.insert(values.end(),
+                          {x, -x, std::nextafter(x, 0.0),
+                           std::nextafter(x, lim::infinity())});
+        }
+    }
+    for (const double x : values) {
+        EXPECT_EQ(memo_mismatches(x), 0) << to_chars_text(x);
+    }
+    EXPECT_EQ(json::format_number(-0.0), "-0");
+    EXPECT_EQ(json::format_number(0.0), "0");
+}
+
+TEST(JsonNumberMemo, MatchesToCharsOnRandomBitPatterns) {
+    std::mt19937_64 rng{0x6d656d6fu};
+    int bad = 0;
+    for (int i = 0; i < 100000; ++i) {
+        bad += memo_mismatches(from_bits(rng()));
+    }
+    EXPECT_EQ(bad, 0);
+}
+
+TEST(JsonNumberMemo, ValuesSharingASlotInterleaved) {
+    const double a = 0.1;
+    double b = 0.0;
+    for (int i = 1; b == 0.0; ++i) {
+        if (json::number_memo_slot(i * 0.5) == json::number_memo_slot(a)) {
+            b = i * 0.5;
+        }
+    }
+    ASSERT_EQ(json::number_memo_slot(a), json::number_memo_slot(b));
+    std::vector<std::pair<double, double>> pairs = {{a, b}};
+    // Pairs that differ only in their low 20 mantissa bits, so a memo
+    // that compared fewer than all 64 bits would answer one with the
+    // other's text.
+    std::mt19937_64 rng{0x510u};
+    while (pairs.size() < 9) {
+        const std::uint64_t bits = rng();
+        const double x = from_bits(bits);
+        const double y = from_bits(bits ^ (1 + rng() % 0xfffff));
+        if (std::isfinite(x) && std::isfinite(y) &&
+            json::number_memo_slot(x) == json::number_memo_slot(y)) {
+            pairs.emplace_back(x, y);
+        }
+    }
+    // Each format evicts the other's text from the shared slot.
+    for (const auto& [x, y] : pairs) {
+        for (int round = 0; round < 4; ++round) {
+            EXPECT_EQ(json::format_number(x), to_chars_text(x));
+            EXPECT_EQ(json::format_number(y), to_chars_text(y));
+            EXPECT_EQ(json::format_number(y), to_chars_text(y));
+            EXPECT_EQ(json::format_number(x), to_chars_text(x));
+        }
+    }
+}
+
+TEST(JsonNumberMemo, FourThreadsFormatConcurrently) {
+    // Each thread has its own memo; the same values formatted in a
+    // different order on every thread must give the same bytes.
+    std::vector<double> shared;
+    std::mt19937_64 rng{42};
+    for (int i = 0; i < 4096; ++i) {
+        shared.push_back(i % 2 == 0 ? from_bits(rng())
+                                    : static_cast<double>(rng() % 1000) / 8);
+    }
+    std::vector<int> bad(4, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([t, &shared, &bad] {
+            for (int pass = 0; pass < 4; ++pass) {
+                for (std::size_t i = 0; i < shared.size(); ++i) {
+                    const double x =
+                        shared[(i * (2 * t + 1) + pass) % shared.size()];
+                    bad[t] += memo_mismatches(x);
+                }
+            }
+        });
+    }
+    for (std::thread& th : threads) {
+        th.join();
+    }
+    for (int t = 0; t < 4; ++t) {
+        EXPECT_EQ(bad[t], 0) << "thread " << t;
+    }
 }
 
 TEST(JsonValue, TypeErrorsOnMismatch) {
