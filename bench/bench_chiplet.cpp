@@ -9,9 +9,9 @@
 //                       endpoint, kept only here as the baseline: per
 //                       grid point, clone the target JSON doc, poke the
 //                       area, re-canonicalize through parse_request,
-//                       evaluate, dump, and re-parse to extract
-//                       cost_per_good_system_usd.  This is the gated
-//                       comparison (>= 4x).
+//                       evaluate_into the result bytes, and re-parse
+//                       them to extract cost_per_good_system_usd.
+//                       This is the gated comparison (>= 4x).
 //   library scalar    - scaled_to_total + evaluate_chiplet per lane.
 //                       Not gated; it is the bit-exactness reference
 //                       (the kernel calls the same scalar core, so any
@@ -135,8 +135,8 @@ int main(int argc, char** argv) {
 
     // The per-point path a naive explore would take: the generic sweep
     // shape over the `chiplet` endpoint, step for step (JSON clone ->
-    // member poke -> parse_request -> evaluate -> dump -> re-parse ->
-    // metric extraction).
+    // member poke -> parse_request -> evaluate_into (the result bytes)
+    // -> re-parse -> metric extraction).
     serve::engine_config config;
     config.parallelism = 1;
     config.cache_capacity = 0;  // honest cold per-point evaluation
@@ -150,7 +150,8 @@ int main(int argc, char** argv) {
             json::value doc = target_doc;
             doc.as_object().set("logic_area_mm2", json::value{exs[i]});
             const serve::request point = serve::parse_request(doc);
-            const std::string result = json::dump(engine.evaluate(point));
+            std::string result;
+            (void)engine.evaluate_into(point, result);
             const json::value parsed = json::parse(result);
             eout[i] = parsed.as_object()
                           .find(serve::primary_metric(point.op))

@@ -30,18 +30,25 @@ namespace {
 
 }  // namespace
 
+transport_counters& transport_counters::instance() {
+    static transport_counters counters{
+        obs::metrics_registry::global().get_counter(
+            "silicond_flushes_total",
+            "Gathered response flushes written to the transport"),
+        obs::metrics_registry::global().get_counter(
+            "silicond_flushed_bytes_total",
+            "Response bytes written through gathered flushes"),
+        obs::metrics_registry::global().get_counter(
+            "silicond_oversized_lines_total",
+            "Transport lines rejected by the max-line-bytes bound"),
+    };
+    return counters;
+}
+
 conn_shared::conn_shared(engine& engine_ref, conn_config cfg)
     : eng{engine_ref},
       config{cfg},
-      flushes{obs::metrics_registry::global().get_counter(
-          "silicond_flushes_total",
-          "Gathered response flushes written to the transport")},
-      flushed_bytes{obs::metrics_registry::global().get_counter(
-          "silicond_flushed_bytes_total",
-          "Response bytes written through gathered flushes")},
-      oversized_lines{obs::metrics_registry::global().get_counter(
-          "silicond_oversized_lines_total",
-          "Transport lines rejected by the max-line-bytes bound")},
+      transport{transport_counters::instance()},
       http_requests{obs::metrics_registry::global().get_counter(
           "silicond_http_requests_total",
           "HTTP/1.x requests parsed on the multiplexed port")},
@@ -180,7 +187,7 @@ bool conn::on_jsonl_line(std::string_view line, bool oversized) {
         if (dead_) {
             return false;
         }
-        shared_.oversized_lines.add(1);
+        shared_.transport.oversized_lines.add(1);
         reject_.clear();
         append_line_too_large(shared_.config.max_line_bytes, reject_);
         reject_ += '\n';
@@ -239,8 +246,8 @@ void conn::flush_pending_batch() {
     gather_.clear();
     shared_.eng.handle_batch_into({lines_.data(), pending_}, gather_);
     pending_ = 0;
-    shared_.flushes.add(1);
-    shared_.flushed_bytes.add(gather_.size());
+    shared_.transport.flushes.add(1);
+    shared_.transport.flushed_bytes.add(gather_.size());
     enqueue(gather_);
 }
 

@@ -69,10 +69,20 @@ struct conn_config {
     http::parser::config http;
 };
 
+/// The counters both silicond transports (the event loop's conns and
+/// the stdio/blocking line loop in tools/silicond.cpp) add to,
+/// registered once in the process-global obs registry.
+struct transport_counters {
+    obs::counter& flushes;
+    obs::counter& flushed_bytes;
+    obs::counter& oversized_lines;
+
+    [[nodiscard]] static transport_counters& instance();
+};
+
 /// State shared by every conn of one event loop: the engine, the
 /// response-queue ledger, and the metric handles (registered once in
-/// the process-global obs registry; same names as the PR 5 transport
-/// where the meaning carried over).
+/// the process-global obs registry).
 struct conn_shared {
     conn_shared(engine& eng, conn_config cfg);
 
@@ -86,9 +96,7 @@ struct conn_shared {
         std::chrono::steady_clock::now();
     std::atomic<std::size_t> open_conns{0};
 
-    obs::counter& flushes;
-    obs::counter& flushed_bytes;
-    obs::counter& oversized_lines;
+    transport_counters& transport;
     obs::counter& http_requests;
     obs::counter& queue_overflow_drops;
     obs::gauge& queue_bytes_gauge;

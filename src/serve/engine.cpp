@@ -50,32 +50,140 @@ constexpr double lane_ns = 500;           ///< a whole grid lane, for a line est
 constexpr double key_lane_ns = 250;       ///< bind + canonical key of one lane
 constexpr double kernel_lane_ns = 65;     ///< one SoA sweep-kernel lane
 constexpr double cell_lane_ns = 500;      ///< one chiplet-kernel cell
-constexpr double scalar_lane_ns = 3'000;  ///< evaluate + dump one scalar lane
+constexpr double scalar_lane_ns = 3'000;  ///< evaluate + write one scalar lane
 constexpr double mc_die_ns = 45;          ///< one Monte-Carlo die
 
 double mc_dies_ns(const request& r) {
     return std::get<mc_yield_request>(r.payload).dies * mc_die_ns;
 }
 
+/// A null lane, or a result with no primary metric (printed as null).
+constexpr double null_lane = std::numeric_limits<double>::quiet_NaN();
+
 // ---------------------------------------------------------------------------
-// Endpoint evaluators: typed request -> result JSON.  Each routes into
-// the library exactly as a direct caller would; invalid/infeasible
-// inputs surface as the library's own exceptions and become error
-// responses upstream.
+// Result writers: each appends one result object (or array) to `out` in
+// the json::dump format — compact, members in a fixed order, numbers via
+// format_number_into (non-finite prints null), strings via
+// write_string_into — without building a json::value.  The endpoint
+// evaluators below and the kernel lane sinks share the point writers, so
+// a cached lane and a point miss write the same bytes.
 // ---------------------------------------------------------------------------
 
-geometry::gross_die_method method_from_string(const std::string& name) {
+/// Appends `prefix` (the member's separator, quoted name and colon,
+/// e.g. `,"yield":`) and then `v`.
+void number_member(std::string_view prefix, double v, std::string& out) {
+    out += prefix;
+    json::format_number_into(v, out);
+}
+
+/// Appends `prefix` and then `s` as a JSON string.
+void string_member(std::string_view prefix, std::string_view s,
+                   std::string& out) {
+    out += prefix;
+    json::write_string_into(out, s);
+}
+
+/// Grid values or lane metrics as a JSON array; a NaN (null) lane
+/// prints as null.
+void write_lanes(const std::vector<double>& v, std::string& out) {
+    out += '[';
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        if (i != 0) {
+            out += ',';
+        }
+        json::format_number_into(v[i], out);
+    }
+    out += ']';
+}
+
+void write_scenario1_result(double ctr, std::string& out) {
+    number_member("{\"cost_per_transistor_usd\":", ctr, out);
+    number_member(",\"cost_per_transistor_micro_usd\":", ctr * 1e6, out);
+    out += '}';
+}
+
+void write_scenario2_result(double ctr, double die_area_cm2,
+                            double transistors, std::string& out) {
+    number_member("{\"cost_per_transistor_usd\":", ctr, out);
+    number_member(",\"cost_per_transistor_micro_usd\":", ctr * 1e6, out);
+    number_member(",\"die_area_cm2\":", die_area_cm2, out);
+    number_member(",\"transistors\":", transistors, out);
+    out += '}';
+}
+
+/// The scaled_poisson and reference yield results: the yield, then the
+/// model's defect density under `density_name`.
+void write_density_yield_result(std::string_view model, double y,
+                                std::string_view density_name,
+                                double density, std::string& out) {
+    string_member("{\"model\":", model, out);
+    number_member(",\"yield\":", y, out);
+    out += ",\"";
+    out += density_name;
+    out += "\":";
+    json::format_number_into(density, out);
+    out += '}';
+}
+
+/// The fault-count yield models' result.
+void write_fault_yield_result(std::string_view model, double faults,
+                              double y, std::string& out) {
+    string_member("{\"model\":", model, out);
+    number_member(",\"expected_faults\":", faults, out);
+    number_member(",\"yield\":", y, out);
+    out += '}';
+}
+
+void write_chiplet_result(const chiplet::chiplet_breakdown& b,
+                          std::string_view substrate, std::string& out) {
+    number_member("{\"chiplets\":", static_cast<double>(b.chiplets), out);
+    number_member(",\"total_area_mm2\":", b.total_area_mm2, out);
+    number_member(",\"chiplet_area_mm2\":", b.chiplet_area_mm2, out);
+    number_member(",\"die_yield\":", b.die_yield, out);
+    number_member(",\"gross_dies_per_wafer\":", b.gross_dies_per_wafer, out);
+    number_member(",\"wafer_cost_usd\":", b.wafer_cost_usd, out);
+    number_member(",\"die_cost_usd\":", b.die_cost_usd, out);
+    number_member(",\"test_cost_per_die_usd\":", b.test_cost_per_die_usd,
+                  out);
+    number_member(",\"defect_level\":", b.defect_level, out);
+    string_member(",\"substrate\":", substrate, out);
+    number_member(",\"package_area_cm2\":", b.package_area_cm2, out);
+    number_member(",\"substrate_cost_usd\":", b.substrate_cost_usd, out);
+    number_member(",\"substrate_yield\":", b.substrate_yield, out);
+    number_member(",\"assembly_yield\":", b.assembly_yield, out);
+    number_member(",\"module_yield\":", b.module_yield, out);
+    number_member(",\"bonding_cost_usd\":", b.bonding_cost_usd, out);
+    number_member(",\"cost_per_system_usd\":", b.cost_per_system_usd, out);
+    number_member(",\"cost_per_good_system_usd\":",
+                  b.cost_per_good_system_usd, out);
+    out += '}';
+}
+
+// ---------------------------------------------------------------------------
+// Endpoint evaluators: typed request -> result bytes.  Each routes into
+// the library exactly as a direct caller would, appends the result
+// object to `out` and returns the endpoint's primary metric.  Invalid or
+// infeasible inputs surface as the library's own exceptions (thrown
+// before a byte is written) and become error responses upstream.
+// ---------------------------------------------------------------------------
+
+geometry::gross_die_method method_from_name(std::string_view name) {
     using geometry::gross_die_method;
-    for (const gross_die_method m :
-         {gross_die_method::maly_rows, gross_die_method::maly_rows_best_orient,
-          gross_die_method::area_ratio, gross_die_method::circumference,
-          gross_die_method::ferris_prabhu, gross_die_method::exact}) {
-        if (geometry::to_string(m) == name) {
-            return m;
+    constexpr std::pair<std::string_view, gross_die_method> methods[] = {
+        {"maly_rows", gross_die_method::maly_rows},
+        {"maly_rows_best_orient", gross_die_method::maly_rows_best_orient},
+        {"area_ratio", gross_die_method::area_ratio},
+        {"circumference", gross_die_method::circumference},
+        {"ferris_prabhu", gross_die_method::ferris_prabhu},
+        {"exact", gross_die_method::exact},
+    };
+    for (const auto& [method_name, method] : methods) {
+        if (method_name == name) {
+            return method;
         }
     }
-    throw request_error("bad_param",
-                        "unknown gross-die method '" + name + "'");
+    throw request_error("bad_param", "unknown gross-die method '" +
+                                         std::string{name} + "'");
 }
 
 core::process_spec build_process(const process_params& p) {
@@ -99,11 +207,11 @@ core::process_spec build_process(const process_params& p) {
         geometry::wafer{centimeters{p.wafer_radius_cm},
                         centimeters{p.edge_exclusion_cm}},
         std::move(yield),
-        method_from_string(p.gross_die_method),
+        method_from_name(p.gross_die_method),
     };
 }
 
-json::value eval_cost_tr(const cost_tr_request& q) {
+double cost_tr_into(const cost_tr_request& q, std::string& out) {
     const core::cost_model model{build_process(q.process)};
 
     core::product_spec product;
@@ -118,58 +226,59 @@ json::value eval_cost_tr(const cost_tr_request& q) {
     economics.volume_wafers = q.economics.volume_wafers;
 
     const core::cost_breakdown b = model.evaluate(product, economics);
-
-    json::object o;
-    o.set("product", b.product_name);
-    o.set("feature_size_um", b.feature_size.value());
-    o.set("die_area_mm2", b.die_area.value());
-    o.set("gross_dies_per_wafer", static_cast<double>(b.gross_dies_per_wafer));
-    o.set("yield", b.yield.value());
-    o.set("good_dies_per_wafer", b.good_dies_per_wafer);
-    o.set("wafer_cost_usd", b.wafer_cost.value());
-    o.set("cost_per_good_die_usd", b.cost_per_good_die.value());
-    o.set("cost_per_transistor_usd", b.cost_per_transistor.value());
-    o.set("cost_per_transistor_micro_usd",
-          b.cost_per_transistor_micro_dollars());
-    return json::value{std::move(o)};
+    string_member("{\"product\":", b.product_name, out);
+    number_member(",\"feature_size_um\":", b.feature_size.value(), out);
+    number_member(",\"die_area_mm2\":", b.die_area.value(), out);
+    number_member(",\"gross_dies_per_wafer\":",
+                  static_cast<double>(b.gross_dies_per_wafer), out);
+    number_member(",\"yield\":", b.yield.value(), out);
+    number_member(",\"good_dies_per_wafer\":", b.good_dies_per_wafer, out);
+    number_member(",\"wafer_cost_usd\":", b.wafer_cost.value(), out);
+    number_member(",\"cost_per_good_die_usd\":", b.cost_per_good_die.value(),
+                  out);
+    number_member(",\"cost_per_transistor_usd\":",
+                  b.cost_per_transistor.value(), out);
+    number_member(",\"cost_per_transistor_micro_usd\":",
+                  b.cost_per_transistor_micro_dollars(), out);
+    out += '}';
+    return b.cost_per_transistor.value();
 }
 
-json::value eval_gross_die(const gross_die_request& q) {
+double gross_die_into(const gross_die_request& q, std::string& out) {
     const geometry::wafer w{centimeters{q.wafer_radius_cm},
                             centimeters{q.edge_exclusion_cm}};
     const geometry::die d{millimeters{q.die_width_mm},
                           millimeters{q.die_height_mm}};
-    const long count = geometry::gross_dies(w, d, method_from_string(q.method),
-                                            millimeters{q.scribe_mm});
-    json::object o;
-    o.set("count", static_cast<double>(count));
-    o.set("method", q.method);
-    o.set("die_area_mm2", d.area().value());
-    o.set("wafer_area_cm2", w.area().value());
-    return json::value{std::move(o)};
+    const auto count = static_cast<double>(geometry::gross_dies(
+        w, d, method_from_name(q.method), millimeters{q.scribe_mm}));
+    number_member("{\"count\":", count, out);
+    string_member(",\"method\":", q.method, out);
+    number_member(",\"die_area_mm2\":", d.area().value(), out);
+    number_member(",\"wafer_area_cm2\":", w.area().value(), out);
+    out += '}';
+    return count;
 }
 
-json::value eval_yield(const yield_request& q) {
-    json::object o;
-    o.set("model", q.model);
-
+double yield_into(const yield_request& q, std::string& out) {
     if (q.model == "scaled_poisson") {
         const yield::scaled_poisson_model model{q.d, q.p};
-        o.set("yield", model.yield(square_centimeters{q.die_area_cm2},
-                                   microns{q.lambda_um})
-                           .value());
-        o.set("effective_defects_per_cm2",
-              model.effective_defect_density(microns{q.lambda_um}));
-        return json::value{std::move(o)};
+        const double y = model
+                             .yield(square_centimeters{q.die_area_cm2},
+                                    microns{q.lambda_um})
+                             .value();
+        write_density_yield_result(
+            q.model, y, "effective_defects_per_cm2",
+            model.effective_defect_density(microns{q.lambda_um}), out);
+        return y;
     }
     if (q.model == "reference") {
         const yield::reference_die_yield model{probability{q.y0},
                                                square_centimeters{q.a0_cm2}};
-        o.set("yield",
-              model.yield(square_centimeters{q.die_area_cm2}).value());
-        o.set("equivalent_defects_per_cm2",
-              model.equivalent_defect_density());
-        return json::value{std::move(o)};
+        const double y =
+            model.yield(square_centimeters{q.die_area_cm2}).value();
+        write_density_yield_result(q.model, y, "equivalent_defects_per_cm2",
+                                   model.equivalent_defect_density(), out);
+        return y;
     }
 
     const double faults = q.expected_faults >= 0.0
@@ -195,76 +304,70 @@ json::value eval_yield(const yield_request& q) {
         throw request_error("bad_param",
                             "yield: unknown model '" + q.model + "'");
     }
-    o.set("expected_faults", faults);
-    o.set("yield", y.value());
-    return json::value{std::move(o)};
+    write_fault_yield_result(q.model, faults, y.value(), out);
+    return y.value();
 }
 
-json::value eval_scenario1(const scenario1_request& q) {
+double scenario1_into(const scenario1_request& q, std::string& out) {
     core::scenario1 s;
     s.wafer_cost = cost::wafer_cost_model{dollars{q.c0_usd}, q.x};
     s.wafer = geometry::wafer{centimeters{q.wafer_radius_cm}};
     s.design_density = q.design_density;
-    const dollars ctr = s.cost_per_transistor(microns{q.lambda_um});
-
-    json::object o;
-    o.set("cost_per_transistor_usd", ctr.value());
-    o.set("cost_per_transistor_micro_usd", ctr.value() * 1e6);
-    return json::value{std::move(o)};
+    const double ctr = s.cost_per_transistor(microns{q.lambda_um}).value();
+    write_scenario1_result(ctr, out);
+    return ctr;
 }
 
-json::value eval_scenario2(const scenario2_request& q) {
+double scenario2_into(const scenario2_request& q, std::string& out) {
     core::scenario2 s;
     s.wafer_cost = cost::wafer_cost_model{dollars{q.c0_usd}, q.x};
     s.wafer = geometry::wafer{centimeters{q.wafer_radius_cm}};
     s.design_density = q.design_density;
     s.yield = yield::reference_die_yield{probability{q.y0}};
     const microns lambda{q.lambda_um};
-    const dollars ctr = s.cost_per_transistor(lambda);
-
-    json::object o;
-    o.set("cost_per_transistor_usd", ctr.value());
-    o.set("cost_per_transistor_micro_usd", ctr.value() * 1e6);
-    o.set("die_area_cm2", s.die_area(lambda).value());
-    o.set("transistors", s.transistors(lambda));
-    return json::value{std::move(o)};
+    const double ctr = s.cost_per_transistor(lambda).value();
+    write_scenario2_result(ctr, s.die_area(lambda).value(),
+                           s.transistors(lambda), out);
+    return ctr;
 }
 
-json::value comparison_to_json(const core::table3_comparison& c) {
-    json::object o;
-    o.set("row", c.row.index);
-    o.set("ic_type", c.row.ic_type);
-    o.set("printed_ctr_micro", c.row.printed_ctr_micro);
-    o.set("computed_ctr_micro", c.computed_ctr_micro);
-    o.set("ratio", c.ratio);
-    o.set("reconstructed", c.row.reconstructed);
-    return json::value{std::move(o)};
+void write_comparison(const core::table3_comparison& c, std::string& out) {
+    number_member("{\"row\":", c.row.index, out);
+    string_member(",\"ic_type\":", c.row.ic_type, out);
+    number_member(",\"printed_ctr_micro\":", c.row.printed_ctr_micro, out);
+    number_member(",\"computed_ctr_micro\":", c.computed_ctr_micro, out);
+    number_member(",\"ratio\":", c.ratio, out);
+    out += ",\"reconstructed\":";
+    out += c.row.reconstructed ? "true" : "false";
+    out += '}';
 }
 
-json::value eval_table3(const table3_request& q) {
+void table3_into(const table3_request& q, std::string& out) {
     const std::vector<core::table3_comparison> all = core::reproduce_table3();
     if (q.row != 0) {
         for (const core::table3_comparison& c : all) {
             if (c.row.index == q.row) {
-                return comparison_to_json(c);
+                write_comparison(c, out);
+                return;
             }
         }
         throw request_error("bad_param", "table3: no row " +
                                              std::to_string(q.row));
     }
-    json::array rows;
-    rows.reserve(all.size());
-    for (const core::table3_comparison& c : all) {
-        rows.push_back(comparison_to_json(c));
+    const double separation = core::memory_logic_separation();
+    out += "{\"rows\":[";
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        if (i != 0) {
+            out += ',';
+        }
+        write_comparison(all[i], out);
     }
-    json::object o;
-    o.set("rows", std::move(rows));
-    o.set("memory_logic_separation", core::memory_logic_separation());
-    return json::value{std::move(o)};
+    number_member("],\"memory_logic_separation\":", separation, out);
+    out += '}';
 }
 
-json::value eval_mc_yield(const mc_yield_request& q, unsigned parallelism,
-                          const exec::cancel_token* cancel) {
+double mc_yield_into(const mc_yield_request& q, unsigned parallelism,
+                     const exec::cancel_token* cancel, std::string& out) {
     yield::wire_array_layout layout;
     layout.line_width = q.line_width_um;
     layout.line_spacing = q.line_spacing_um;
@@ -284,17 +387,18 @@ json::value eval_mc_yield(const mc_yield_request& q, unsigned parallelism,
 
     const yield::monte_carlo_result r =
         yield::simulate_layout_yield(layout, sizes, config);
-
-    json::object o;
-    o.set("dies", static_cast<double>(r.dies));
-    o.set("good_dies", static_cast<double>(r.good_dies));
-    o.set("defects_thrown", static_cast<double>(r.defects_thrown));
-    o.set("shorts", static_cast<double>(r.shorts));
-    o.set("opens", static_cast<double>(r.opens));
-    o.set("yield", r.yield);
-    o.set("std_error", r.std_error);
-    o.set("observed_faults_per_die", r.observed_faults_per_die());
-    return json::value{std::move(o)};
+    number_member("{\"dies\":", static_cast<double>(r.dies), out);
+    number_member(",\"good_dies\":", static_cast<double>(r.good_dies), out);
+    number_member(",\"defects_thrown\":",
+                  static_cast<double>(r.defects_thrown), out);
+    number_member(",\"shorts\":", static_cast<double>(r.shorts), out);
+    number_member(",\"opens\":", static_cast<double>(r.opens), out);
+    number_member(",\"yield\":", r.yield, out);
+    number_member(",\"std_error\":", r.std_error, out);
+    number_member(",\"observed_faults_per_die\":",
+                  r.observed_faults_per_die(), out);
+    out += '}';
+    return r.yield;
 }
 
 chiplet::substrate_kind substrate_from_string(const std::string& name) {
@@ -340,117 +444,11 @@ chiplet::chiplet_spec spec_from(const chiplet_request& q) {
     return s;
 }
 
-/// The chiplet endpoint's result object from a computed breakdown.
-/// Shared by eval_chiplet and the explore-lane cache population, so a
-/// cached explore cell is byte-identical to a fresh point evaluation.
-json::value chiplet_result_json(const chiplet::chiplet_breakdown& b,
-                                const std::string& substrate) {
-    json::object o;
-    o.set("chiplets", static_cast<double>(b.chiplets));
-    o.set("total_area_mm2", b.total_area_mm2);
-    o.set("chiplet_area_mm2", b.chiplet_area_mm2);
-    o.set("die_yield", b.die_yield);
-    o.set("gross_dies_per_wafer", b.gross_dies_per_wafer);
-    o.set("wafer_cost_usd", b.wafer_cost_usd);
-    o.set("die_cost_usd", b.die_cost_usd);
-    o.set("test_cost_per_die_usd", b.test_cost_per_die_usd);
-    o.set("defect_level", b.defect_level);
-    o.set("substrate", substrate);
-    o.set("package_area_cm2", b.package_area_cm2);
-    o.set("substrate_cost_usd", b.substrate_cost_usd);
-    o.set("substrate_yield", b.substrate_yield);
-    o.set("assembly_yield", b.assembly_yield);
-    o.set("module_yield", b.module_yield);
-    o.set("bonding_cost_usd", b.bonding_cost_usd);
-    o.set("cost_per_system_usd", b.cost_per_system_usd);
-    o.set("cost_per_good_system_usd", b.cost_per_good_system_usd);
-    return json::value{std::move(o)};
-}
-
-json::value eval_chiplet(const chiplet_request& q) {
-    return chiplet_result_json(chiplet::evaluate_chiplet(spec_from(q)),
-                               q.substrate);
-}
-
-// ---------------------------------------------------------------------------
-// Direct result writers: each appends one point op's result object to
-// `out`, byte-identical to json::dump of the eval_* object above (same
-// member order, same format_number_into / write_string_into bytes)
-// without building it.  cold_result_into and the kernel lane sinks share
-// them, so a cached lane and a cold point miss write the same bytes.
-// ---------------------------------------------------------------------------
-
-/// Appends `prefix` (the member's separator, quoted name and colon,
-/// e.g. `,"yield":`) and then `v`.
-void number_member(std::string_view prefix, double v, std::string& out) {
-    out += prefix;
-    json::format_number_into(v, out);
-}
-
-void write_scenario1_result(double ctr, std::string& out) {
-    number_member("{\"cost_per_transistor_usd\":", ctr, out);
-    number_member(",\"cost_per_transistor_micro_usd\":", ctr * 1e6, out);
-    out += '}';
-}
-
-void write_scenario2_result(double ctr, double die_area_cm2,
-                            double transistors, std::string& out) {
-    number_member("{\"cost_per_transistor_usd\":", ctr, out);
-    number_member(",\"cost_per_transistor_micro_usd\":", ctr * 1e6, out);
-    number_member(",\"die_area_cm2\":", die_area_cm2, out);
-    number_member(",\"transistors\":", transistors, out);
-    out += '}';
-}
-
-/// The scaled_poisson and reference yield results: the yield, then the
-/// model's defect density under `density_name`.
-void write_density_yield_result(std::string_view model, double y,
-                                std::string_view density_name,
-                                double density, std::string& out) {
-    out += "{\"model\":";
-    json::write_string_into(out, model);
-    number_member(",\"yield\":", y, out);
-    out += ",\"";
-    out += density_name;
-    out += "\":";
-    json::format_number_into(density, out);
-    out += '}';
-}
-
-/// The fault-count yield models' result.
-void write_fault_yield_result(std::string_view model, double faults,
-                              double y, std::string& out) {
-    out += "{\"model\":";
-    json::write_string_into(out, model);
-    number_member(",\"expected_faults\":", faults, out);
-    number_member(",\"yield\":", y, out);
-    out += '}';
-}
-
-void write_chiplet_result(const chiplet::chiplet_breakdown& b,
-                          std::string_view substrate, std::string& out) {
-    number_member("{\"chiplets\":", static_cast<double>(b.chiplets), out);
-    number_member(",\"total_area_mm2\":", b.total_area_mm2, out);
-    number_member(",\"chiplet_area_mm2\":", b.chiplet_area_mm2, out);
-    number_member(",\"die_yield\":", b.die_yield, out);
-    number_member(",\"gross_dies_per_wafer\":", b.gross_dies_per_wafer, out);
-    number_member(",\"wafer_cost_usd\":", b.wafer_cost_usd, out);
-    number_member(",\"die_cost_usd\":", b.die_cost_usd, out);
-    number_member(",\"test_cost_per_die_usd\":", b.test_cost_per_die_usd,
-                  out);
-    number_member(",\"defect_level\":", b.defect_level, out);
-    out += ",\"substrate\":";
-    json::write_string_into(out, substrate);
-    number_member(",\"package_area_cm2\":", b.package_area_cm2, out);
-    number_member(",\"substrate_cost_usd\":", b.substrate_cost_usd, out);
-    number_member(",\"substrate_yield\":", b.substrate_yield, out);
-    number_member(",\"assembly_yield\":", b.assembly_yield, out);
-    number_member(",\"module_yield\":", b.module_yield, out);
-    number_member(",\"bonding_cost_usd\":", b.bonding_cost_usd, out);
-    number_member(",\"cost_per_system_usd\":", b.cost_per_system_usd, out);
-    number_member(",\"cost_per_good_system_usd\":",
-                  b.cost_per_good_system_usd, out);
-    out += '}';
+double chiplet_into(const chiplet_request& q, std::string& out) {
+    const chiplet::chiplet_breakdown b =
+        chiplet::evaluate_chiplet(spec_from(q));
+    write_chiplet_result(b, q.substrate, out);
+    return b.cost_per_good_system_usd;
 }
 
 /// The split counts of a validated partition_explore `splits` list
@@ -500,21 +498,6 @@ std::vector<double> grid_points(double from, double to, int count,
     return xs;
 }
 
-/// Grid values or lane metrics as a JSON array; NaN (a null lane)
-/// prints as null.
-json::value lanes_json(const std::vector<double>& v) {
-    json::array a;
-    a.reserve(v.size());
-    for (const double x : v) {
-        if (std::isnan(x)) {
-            a.emplace_back(nullptr);
-        } else {
-            a.emplace_back(x);
-        }
-    }
-    return json::value{std::move(a)};
-}
-
 std::string error_code_for(const std::exception& e) {
     if (const auto* schema = dynamic_cast<const request_error*>(&e)) {
         return schema->code();
@@ -535,10 +518,11 @@ std::string error_code_for(const std::exception& e) {
 }
 
 std::string error_body(std::string_view code, std::string_view message) {
-    json::object e;
-    e.set("code", std::string{code});
-    e.set("message", std::string{message});
-    return json::dump(json::value{std::move(e)});
+    std::string body;
+    string_member("{\"code\":", code, body);
+    string_member(",\"message\":", message, body);
+    body += '}';
+    return body;
 }
 
 /// Assemble a response line into a reused buffer.  The envelope is built
@@ -646,146 +630,6 @@ line_state& tls_line_state() {
     return state;
 }
 
-/// Allocation-free twin of method_from_string for cold_result_into (the
-/// generic helper builds std::strings while matching).
-bool method_from_view(std::string_view name, geometry::gross_die_method& m) {
-    using geometry::gross_die_method;
-    if (name == "maly_rows") {
-        m = gross_die_method::maly_rows;
-    } else if (name == "maly_rows_best_orient") {
-        m = gross_die_method::maly_rows_best_orient;
-    } else if (name == "area_ratio") {
-        m = gross_die_method::area_ratio;
-    } else if (name == "circumference") {
-        m = gross_die_method::circumference;
-    } else if (name == "ferris_prabhu") {
-        m = gross_die_method::ferris_prabhu;
-    } else if (name == "exact") {
-        m = gross_die_method::exact;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-/// Cold-miss fast path: evaluate a closed-form point op straight from
-/// the typed payload and serialize the result body into `out` —
-/// byte-identical to json::dump(eval_*(q)) (same field order, same
-/// format_number_into/write_string_into bytes) without building a
-/// json::value tree, so a warm-capacity serve performs zero heap
-/// allocations end to end.  Returns false (leaving `out` unspecified)
-/// for ops whose evaluation allocates or needs the engine, and for
-/// inputs whose error eval_* owns; the caller evaluates those through
-/// evaluate_impl.  Other inputs the scalar library rejects throw out of
-/// here exactly like eval_*.
-bool cold_result_into(const request& req, std::string& out) {
-    switch (req.op) {
-        case op_code::scenario1: {
-            const auto& q = std::get<scenario1_request>(req.payload);
-            core::scenario1 s;
-            s.wafer_cost = cost::wafer_cost_model{dollars{q.c0_usd}, q.x};
-            s.wafer = geometry::wafer{centimeters{q.wafer_radius_cm}};
-            s.design_density = q.design_density;
-            write_scenario1_result(
-                s.cost_per_transistor(microns{q.lambda_um}).value(), out);
-            return true;
-        }
-        case op_code::scenario2: {
-            const auto& q = std::get<scenario2_request>(req.payload);
-            core::scenario2 s;
-            s.wafer_cost = cost::wafer_cost_model{dollars{q.c0_usd}, q.x};
-            s.wafer = geometry::wafer{centimeters{q.wafer_radius_cm}};
-            s.design_density = q.design_density;
-            s.yield = yield::reference_die_yield{probability{q.y0}};
-            const microns lambda{q.lambda_um};
-            const double ctr = s.cost_per_transistor(lambda).value();
-            const double area = s.die_area(lambda).value();
-            write_scenario2_result(ctr, area, s.transistors(lambda), out);
-            return true;
-        }
-        case op_code::yield: {
-            const auto& q = std::get<yield_request>(req.payload);
-            if (q.model == "scaled_poisson") {
-                const yield::scaled_poisson_model model{q.d, q.p};
-                const double y = model
-                                     .yield(square_centimeters{q.die_area_cm2},
-                                            microns{q.lambda_um})
-                                     .value();
-                write_density_yield_result(
-                    q.model, y, "effective_defects_per_cm2",
-                    model.effective_defect_density(microns{q.lambda_um}),
-                    out);
-                return true;
-            }
-            if (q.model == "reference") {
-                const yield::reference_die_yield model{
-                    probability{q.y0}, square_centimeters{q.a0_cm2}};
-                const double y =
-                    model.yield(square_centimeters{q.die_area_cm2}).value();
-                write_density_yield_result(q.model, y,
-                                           "equivalent_defects_per_cm2",
-                                           model.equivalent_defect_density(),
-                                           out);
-                return true;
-            }
-            const double faults = q.expected_faults >= 0.0
-                                      ? q.expected_faults
-                                      : q.die_area_cm2 * q.defects_per_cm2;
-            if (!(faults >= 0.0) || !std::isfinite(faults)) {
-                return false;  // eval_yield owns the bad_param error
-            }
-            probability y{0.0};
-            if (q.model == "poisson") {
-                y = yield::poisson_model{}.yield(faults);
-            } else if (q.model == "murphy") {
-                y = yield::murphy_model{}.yield(faults);
-            } else if (q.model == "seeds") {
-                y = yield::seeds_model{}.yield(faults);
-            } else if (q.model == "bose_einstein") {
-                y = yield::bose_einstein_model{q.critical_steps}.yield(
-                    faults);
-            } else if (q.model == "neg_binomial") {
-                y = yield::negative_binomial_model{q.alpha}.yield(faults);
-            } else {
-                return false;  // unknown model: eval_yield owns the error
-            }
-            write_fault_yield_result(q.model, faults, y.value(), out);
-            return true;
-        }
-        case op_code::gross_die: {
-            const auto& q = std::get<gross_die_request>(req.payload);
-            geometry::gross_die_method m{};
-            if (!method_from_view(q.method, m)) {
-                return false;  // eval_gross_die owns the bad_param error
-            }
-            const geometry::wafer w{centimeters{q.wafer_radius_cm},
-                                    centimeters{q.edge_exclusion_cm}};
-            const geometry::die d{millimeters{q.die_width_mm},
-                                  millimeters{q.die_height_mm}};
-            const long count =
-                geometry::gross_dies(w, d, m, millimeters{q.scribe_mm});
-            out += "{\"count\":";
-            json::format_number_into(static_cast<double>(count), out);
-            out += ",\"method\":";
-            json::write_string_into(out, q.method);
-            out += ",\"die_area_mm2\":";
-            json::format_number_into(d.area().value(), out);
-            out += ",\"wafer_area_cm2\":";
-            json::format_number_into(w.area().value(), out);
-            out += '}';
-            return true;
-        }
-        case op_code::chiplet: {
-            const auto& q = std::get<chiplet_request>(req.payload);
-            write_chiplet_result(chiplet::evaluate_chiplet(spec_from(q)),
-                                 q.substrate, out);
-            return true;
-        }
-        default:
-            return false;
-    }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -797,95 +641,98 @@ engine::engine(engine_config config)
       cache_{config.cache_capacity, config.cache_shards} {}
 
 json::value engine::evaluate(const request& req) {
-    return evaluate_impl(req, nullptr);
+    std::string out;
+    (void)evaluate_into(req, out);
+    return json::parse(out);
 }
 
-json::value engine::evaluate_impl(const request& req,
-                                  const exec::cancel_token* cancel) {
+double engine::evaluate_into(const request& req, std::string& out,
+                             const exec::cancel_token* cancel) {
     // Structural budget checks (too_large): properties of the request
     // alone, so the same request is rejected identically every time —
     // the deterministic half of the rejection taxonomy.
-    if (req.op == op_code::sweep && config_.limits.max_sweep_points != 0) {
-        const auto& q = std::get<sweep_request>(req.payload);
-        if (static_cast<std::size_t>(q.count) >
-            config_.limits.max_sweep_points) {
-            admission_.note_rejection(reject_reason::sweep_too_large);
-            throw request_error(
-                "too_large",
-                "sweep: count exceeds max_sweep_points " +
-                    std::to_string(config_.limits.max_sweep_points));
-        }
+    const auto too_large = [this](reject_reason reason, const char* what,
+                                  std::size_t limit) {
+        admission_.note_rejection(reason);
+        throw request_error("too_large", what + std::to_string(limit));
+    };
+    const std::size_t max_points = config_.limits.max_sweep_points;
+    const std::size_t max_dies = config_.limits.max_mc_dies;
+    if (req.op == op_code::sweep && max_points != 0 &&
+        static_cast<std::size_t>(std::get<sweep_request>(req.payload).count) >
+            max_points) {
+        too_large(reject_reason::sweep_too_large,
+                  "sweep: count exceeds max_sweep_points ", max_points);
     }
-    if (req.op == op_code::mc_yield && config_.limits.max_mc_dies != 0) {
-        const auto& q = std::get<mc_yield_request>(req.payload);
-        if (static_cast<std::size_t>(q.dies) > config_.limits.max_mc_dies) {
-            admission_.note_rejection(reject_reason::mc_too_large);
-            throw request_error(
-                "too_large",
-                "mc_yield: dies exceeds max_mc_dies " +
-                    std::to_string(config_.limits.max_mc_dies));
-        }
+    if (req.op == op_code::mc_yield && max_dies != 0 &&
+        static_cast<std::size_t>(std::get<mc_yield_request>(req.payload).dies) >
+            max_dies) {
+        too_large(reject_reason::mc_too_large,
+                  "mc_yield: dies exceeds max_mc_dies ", max_dies);
     }
-    if (req.op == op_code::partition_explore &&
-        config_.limits.max_sweep_points != 0) {
-        const auto& q = std::get<partition_explore_request>(req.payload);
-        if (explore_cells(q) > config_.limits.max_sweep_points) {
-            admission_.note_rejection(reject_reason::explore_too_large);
-            throw request_error(
-                "too_large",
-                "partition_explore: grid cells exceed max_sweep_points " +
-                    std::to_string(config_.limits.max_sweep_points));
-        }
+    if (req.op == op_code::partition_explore && max_points != 0 &&
+        explore_cells(std::get<partition_explore_request>(req.payload)) >
+            max_points) {
+        too_large(reject_reason::explore_too_large,
+                  "partition_explore: grid cells exceed max_sweep_points ",
+                  max_points);
     }
 
+    // The metric as the bytes carry it: a non-finite value prints null.
+    const auto metric = [](double m) {
+        return std::isfinite(m) ? m : null_lane;
+    };
     switch (req.op) {
         case op_code::cost_tr:
-            return eval_cost_tr(std::get<cost_tr_request>(req.payload));
+            return metric(
+                cost_tr_into(std::get<cost_tr_request>(req.payload), out));
         case op_code::gross_die:
-            return eval_gross_die(std::get<gross_die_request>(req.payload));
+            return metric(
+                gross_die_into(std::get<gross_die_request>(req.payload), out));
         case op_code::yield:
-            return eval_yield(std::get<yield_request>(req.payload));
+            return metric(
+                yield_into(std::get<yield_request>(req.payload), out));
         case op_code::scenario1:
-            return eval_scenario1(std::get<scenario1_request>(req.payload));
+            return metric(
+                scenario1_into(std::get<scenario1_request>(req.payload), out));
         case op_code::scenario2:
-            return eval_scenario2(std::get<scenario2_request>(req.payload));
+            return metric(
+                scenario2_into(std::get<scenario2_request>(req.payload), out));
         case op_code::table3:
-            return eval_table3(std::get<table3_request>(req.payload));
+            table3_into(std::get<table3_request>(req.payload), out);
+            break;
         case op_code::mc_yield:
-            return eval_mc_yield(std::get<mc_yield_request>(req.payload),
-                                 config_.parallelism, cancel);
+            return metric(mc_yield_into(std::get<mc_yield_request>(req.payload),
+                                        config_.parallelism, cancel, out));
         case op_code::sweep:
-            return eval_sweep(std::get<sweep_request>(req.payload), cancel);
+            sweep_into(std::get<sweep_request>(req.payload), cancel, out);
+            break;
         case op_code::stats:
-            return stats_json();
+            out += json::dump(stats_json());
+            break;
         case op_code::chiplet:
-            return eval_chiplet(std::get<chiplet_request>(req.payload));
+            return metric(
+                chiplet_into(std::get<chiplet_request>(req.payload), out));
         case op_code::partition_explore:
-            return eval_partition_explore(
-                std::get<partition_explore_request>(req.payload), cancel);
+            partition_explore_into(
+                std::get<partition_explore_request>(req.payload), cancel,
+                out);
+            break;
     }
-    throw std::logic_error("engine: unhandled op");
+    return null_lane;
 }
 
 namespace {
 
-/// A null lane (printed as JSON null).
-constexpr double null_lane = std::numeric_limits<double>::quiet_NaN();
-
-/// A result object's primary metric as a lane value; null when the
-/// member is absent or not a number.
-double metric_of(const json::value& result, const char* metric) {
-    const json::value* m = result.as_object().find(metric);
-    return m != nullptr && m->is_number() ? m->as_number() : null_lane;
-}
-
-/// The one splice of a cached lane: json::parse -> primary metric.
-/// Cached bytes are a fresh scalar evaluation's result object and
-/// doubles print shortest-round-trip, so this reproduces the lane value
-/// bit for bit.
+/// The one splice of a cached lane: json::parse -> primary metric, null
+/// when the member is absent or not a number.  Cached bytes are a fresh
+/// scalar evaluation's result object and doubles print
+/// shortest-round-trip, so this reproduces the lane value bit for bit.
 double cached_metric(const std::string& bytes, const char* metric) {
     try {
-        return metric_of(json::parse(bytes), metric);
+        const json::value result = json::parse(bytes);
+        const json::value* m = result.as_object().find(metric);
+        return m != nullptr && m->is_number() ? m->as_number() : null_lane;
     } catch (const std::exception&) {
         return null_lane;  // defensive: cached JSON always parses
     }
@@ -1059,7 +906,7 @@ void sweep_kernel(const request& tgt, std::string_view param,
                 t.model == "neg_binomial" ? col(t.alpha)
                                           : std::vector<double>{};
             shard([&](std::size_t b, std::size_t len) {
-                // Serve-level fault derivation (eval_yield): the
+                // Serve-level fault derivation (yield_into): the
                 // explicit count wins, else area * density, both
                 // gated by the finite/non-negative request check.
                 std::vector<double> faults(len);
@@ -1108,14 +955,12 @@ void sweep_kernel(const request& tgt, std::string_view param,
 }  // namespace
 
 /// A grid of point requests ("lanes") for the lane planner: lane i is
-/// `base` bound to the grid value xs[i].
+/// `base` bound to the grid value xs[i], valued by primary_metric.
 struct engine::lane_grid {
     request base;
     /// Makes `lane` (a copy of `base`) the point request at grid value
     /// `x`; throws request_error when parse_request would reject it.
     std::function<void(double x, request& lane)> bind;
-    /// The lanes' primary metric.
-    const char* metric = nullptr;
     /// Batch kernel over the grid values `xs` of the lanes to evaluate:
     /// out[j] is lane j's metric (NaN = infeasible), and `keep` (when
     /// set) receives each cacheable lane's point result bytes.  Empty
@@ -1198,13 +1043,14 @@ std::vector<double> engine::eval_lanes(const std::vector<double>& xs,
             m, config_.parallelism,
             [&](const exec::shard_range& r) {
                 request lane = grid.base;
+                std::string bytes;
                 for (std::size_t j = r.begin; j < r.end; ++j) {
                     try {
                         grid.bind(xs[missing[j]], lane);
-                        const json::value res = evaluate_impl(lane, cancel);
-                        ys[missing[j]] = metric_of(res, grid.metric);
+                        bytes.clear();
+                        ys[missing[j]] = evaluate_into(lane, bytes, cancel);
                         if (keep != nullptr) {
-                            (*keep)(j, json::dump(res));
+                            (*keep)(j, bytes);
                         }
                     } catch (const std::exception&) {
                         // Infeasible or rejected point: null lane.  A
@@ -1226,14 +1072,14 @@ std::vector<double> engine::eval_lanes(const std::vector<double>& xs,
     // 5. Splice the cached lanes back in lane order.
     for (std::size_t i = 0; i < n; ++i) {
         if (hits[i] != nullptr) {
-            ys[i] = cached_metric(*hits[i], grid.metric);
+            ys[i] = cached_metric(*hits[i], primary_metric(grid.base.op));
         }
     }
     return ys;
 }
 
-json::value engine::eval_sweep(const sweep_request& q,
-                               const exec::cancel_token* cancel) {
+void engine::sweep_into(const sweep_request& q,
+                        const exec::cancel_token* cancel, std::string& out) {
     const std::vector<double> xs =
         grid_points(q.from, q.to, q.count, q.scale == "log");
     lane_grid grid;
@@ -1241,28 +1087,30 @@ json::value engine::eval_sweep(const sweep_request& q,
     grid.bind = [&q](double x, request& lane) {
         set_numeric_param(lane, q.param, x);
     };
-    grid.metric = primary_metric(q.target->op);
     if (has_sweep_kernel(q)) {
         grid.kernel = [&](const std::vector<double>& kxs,
-                          std::vector<double>& out,
+                          std::vector<double>& kys,
                           const lane_sink* keep) {
-            sweep_kernel(*q.target, q.param, kxs, out, keep,
+            sweep_kernel(*q.target, q.param, kxs, kys, keep,
                          config_.parallelism, config_.fast_math, cancel);
         };
     }
 
-    json::object o;
-    o.set("target_op", std::string{to_string(q.target->op)});
-    o.set("param", q.param);
-    o.set("metric", primary_metric(q.target->op));
-    o.set("scale", q.scale);
-    o.set("xs", lanes_json(xs));
-    o.set("ys", lanes_json(eval_lanes(xs, grid, cancel)));
-    return json::value{std::move(o)};
+    const std::vector<double> ys = eval_lanes(xs, grid, cancel);
+    string_member("{\"target_op\":", to_string(q.target->op), out);
+    string_member(",\"param\":", q.param, out);
+    string_member(",\"metric\":", primary_metric(q.target->op), out);
+    string_member(",\"scale\":", q.scale, out);
+    out += ",\"xs\":";
+    write_lanes(xs, out);
+    out += ",\"ys\":";
+    write_lanes(ys, out);
+    out += '}';
 }
 
-json::value engine::eval_partition_explore(
-    const partition_explore_request& q, const exec::cancel_token* cancel) {
+void engine::partition_explore_into(const partition_explore_request& q,
+                                    const exec::cancel_token* cancel,
+                                    std::string& out) {
     const std::vector<double> xs = grid_points(
         q.area_from_mm2, q.area_to_mm2, q.count, q.scale == "log");
     const std::vector<int> splits = parse_splits(q.splits);
@@ -1290,12 +1138,11 @@ json::value engine::eval_partition_explore(
             cell.memory_area_mm2 = spec.memory_area_mm2;
             cell.io_area_mm2 = spec.io_area_mm2;
         };
-        grid.metric = "cost_per_good_system_usd";
         grid.kernel = [&, split](const std::vector<double>& kxs,
-                                 std::vector<double>& out,
+                                 std::vector<double>& kys,
                                  const lane_sink* keep) {
             const std::size_t m = kxs.size();
-            out.resize(m);
+            kys.resize(m);
             std::vector<chiplet::chiplet_breakdown> breakdowns(
                 config_.fast_math ? 0 : m);
             exec::parallel_for(
@@ -1305,16 +1152,16 @@ json::value engine::eval_partition_explore(
                     const std::size_t len = r.end - r.begin;
                     if (config_.fast_math) {
                         chiplet::batch::cost_per_good_system_fast(
-                            base, split, kxs.data() + b, out.data() + b,
+                            base, split, kxs.data() + b, kys.data() + b,
                             len);
                     } else {
                         chiplet::batch::cost_per_good_system(
-                            base, split, kxs.data() + b, out.data() + b,
+                            base, split, kxs.data() + b, kys.data() + b,
                             breakdowns.data() + b, len);
                     }
                 },
                 cancel, cell_lane_ns);
-            keep_lanes(out, keep, [&](std::size_t j, std::string& bytes) {
+            keep_lanes(kys, keep, [&](std::size_t j, std::string& bytes) {
                 write_chiplet_result(breakdowns[j], q.base.substrate, bytes);
             });
         };
@@ -1323,11 +1170,11 @@ json::value engine::eval_partition_explore(
 
     // Post-processing: per grid point, the cheapest feasible
     // split (ties break to the coarser split, so the monolithic
-    // baseline wins exact draws), and the first area where a real
-    // multi-die split beats it — the published crossover.
-    json::array best_split;
-    best_split.reserve(n);
-    json::value crossover{nullptr};
+    // baseline wins exact draws; null where no split is feasible), and
+    // the first area where a real multi-die split beats it — the
+    // published crossover.
+    std::vector<double> best_split(n, null_lane);
+    std::size_t crossover = n;  // n = none (null)
     for (std::size_t i = 0; i < n; ++i) {
         int best = 0;
         double best_cost = 0.0;
@@ -1341,34 +1188,32 @@ json::value engine::eval_partition_explore(
                 best_cost = c;
             }
         }
-        best_split.push_back(best == 0
-                                 ? json::value{nullptr}
-                                 : json::value{static_cast<double>(best)});
-        if (crossover.is_null() && best > 1) {
-            crossover = json::value{xs[i]};
+        if (best != 0) {
+            best_split[i] = best;
+        }
+        if (crossover == n && best > 1) {
+            crossover = i;
         }
     }
 
-    json::array splits_json;
-    splits_json.reserve(splits.size());
-    for (const int split : splits) {
-        splits_json.emplace_back(static_cast<double>(split));
+    out += "{\"metric\":\"cost_per_good_system_usd\"";
+    string_member(",\"scale\":", q.scale, out);
+    out += ",\"splits\":";
+    write_lanes(std::vector<double>(splits.begin(), splits.end()), out);
+    out += ",\"xs\":";
+    write_lanes(xs, out);
+    out += ",\"ys\":[";
+    for (std::size_t s = 0; s < cost.size(); ++s) {
+        if (s != 0) {
+            out += ',';
+        }
+        write_lanes(cost[s], out);
     }
-    json::array ys;
-    ys.reserve(splits.size());
-    for (const std::vector<double>& row : cost) {
-        ys.push_back(lanes_json(row));
-    }
-
-    json::object o;
-    o.set("metric", "cost_per_good_system_usd");
-    o.set("scale", q.scale);
-    o.set("splits", std::move(splits_json));
-    o.set("xs", lanes_json(xs));
-    o.set("ys", std::move(ys));
-    o.set("best_split", std::move(best_split));
-    o.set("crossover_area_mm2", std::move(crossover));
-    return json::value{std::move(o)};
+    out += "],\"best_split\":";
+    write_lanes(best_split, out);
+    out += ",\"crossover_area_mm2\":";
+    json::format_number_into(crossover == n ? null_lane : xs[crossover], out);
+    out += '}';
 }
 
 namespace {
@@ -1898,22 +1743,19 @@ void engine::evaluate_miss(const fast_parse_state& parsed,
         }
     }
     const obs::trace_span span{"serve.exec", "serve"};
-    // Closed-form point ops serialize straight from the typed payload
-    // into the reused buffer, so a cold serve allocates only for the
-    // cache insert (and not even that with caching off — the zero-alloc
-    // gate in tests/serve/test_hotpath.cpp); every other op evaluates
-    // through the library.
+    // Every op writes its result straight into the reused buffer, so a
+    // closed-form point miss allocates only for the cache insert (and
+    // not even that with caching off — the zero-alloc gate in
+    // tests/serve/test_hotpath.cpp).
     out.clear();
-    if (!cold_result_into(req, out)) {
-        if (req.op == op_code::sweep) {
-            // A parsed sweep keeps its target in the parse state.
-            request sweep = req;
-            std::get<sweep_request>(sweep.payload).target =
-                std::make_shared<const request>(parsed.target_req);
-            out = json::dump(evaluate_impl(sweep, cancel));
-        } else {
-            out = json::dump(evaluate_impl(req, cancel));
-        }
+    if (req.op == op_code::sweep) {
+        // A parsed sweep keeps its target in the parse state.
+        request sweep = req;
+        std::get<sweep_request>(sweep.payload).target =
+            std::make_shared<const request>(parsed.target_req);
+        (void)evaluate_into(sweep, out, cancel);
+    } else {
+        (void)evaluate_into(req, out, cancel);
     }
     // A cancelled evaluation threw above, so deadline errors are never
     // cached; a result that *did* complete is bit-identical to an

@@ -33,8 +33,9 @@
 //     A warm cache hit is answered without a single heap allocation:
 //     the cached bytes are spliced into the response envelope in a
 //     reused buffer.  So is a miss of a closed-form point op with
-//     caching off: it serializes straight from the typed request
-//     (DESIGN.md §10).
+//     caching off: every op has one result path, `evaluate_into`,
+//     which runs the model once and writes the result bytes straight
+//     into a reused buffer (DESIGN.md §10).
 //   * Intra-batch dedup (on whenever the cache is): identical
 //     canonical keys within one `handle_batch` call evaluate once —
 //     the first occurrence is the representative, and its twins answer
@@ -47,7 +48,9 @@
 //     as lanes, one point request each, keyed and probed in the cache.
 //     Only missing lanes are evaluated — on the SoA batch kernels where
 //     the op has one (cost/, yield/ and chiplet/batch.hpp, bit-identical
-//     to the scalar library), else lane by lane — and cached lanes
+//     to the scalar library, whose lanes the point writers serialize),
+//     else lane by lane through `evaluate_into`, which returns the
+//     lane's metric beside the bytes it caches — and cached lanes
 //     splice back in order.  A lane uses the cache exactly when scalar
 //     code evaluates it (DESIGN.md §10).
 //   * Parallel kernels: endpoints that are themselves parallel
@@ -140,10 +143,20 @@ public:
     void handle_batch_into(std::span<const std::string> lines,
                            std::string& gather);
 
-    /// Evaluate a parsed request directly, bypassing cache, metrics
-    /// and the response envelope — the reference path golden tests
-    /// compare cached/batched responses against.  Throws on
-    /// infeasible inputs exactly like the underlying library.
+    /// The one result path of every op: run the model once and append
+    /// the result object to `out`, bypassing the request's cache entry,
+    /// metrics and the response envelope (a grid's lanes still use the
+    /// point cache, when there is one).  Returns the primary metric
+    /// (`primary_metric`) as the bytes carry it: NaN when the op has
+    /// none or it prints null.  The structural too_large budgets apply;
+    /// `cancel` reaches the cancellable endpoints.  Throws on
+    /// infeasible inputs exactly like the underlying library (`out` is
+    /// then unspecified).
+    double evaluate_into(const request& req, std::string& out,
+                         const exec::cancel_token* cancel = nullptr);
+
+    /// `evaluate_into`'s bytes, parsed: the reference that bypasses
+    /// cache, batching and dedup.
     [[nodiscard]] json::value evaluate(const request& req);
 
     /// Prometheus text exposition of everything observable about this
@@ -231,12 +244,6 @@ public:
     [[nodiscard]] snapshot_stats snapshot_info() const;
 
 private:
-    /// `evaluate` with an optional cooperative deadline token threaded
-    /// into the cancellable endpoints (sweep, mc_yield) plus the
-    /// structural too_large budget checks.
-    [[nodiscard]] json::value evaluate_impl(const request& req,
-                                            const exec::cancel_token* cancel);
-
     /// Size-checked line dispatch shared by the single-line and batch
     /// entry points (admission against the in-flight byte budget is the
     /// caller's job — once per public entry, never per batch line).
@@ -270,13 +277,13 @@ private:
     [[nodiscard]] std::vector<double> eval_lanes(
         const std::vector<double>& xs, const lane_grid& grid,
         const exec::cancel_token* cancel);
-    [[nodiscard]] json::value eval_sweep(const sweep_request& q,
-                                         const exec::cancel_token* cancel);
+    void sweep_into(const sweep_request& q, const exec::cancel_token* cancel,
+                    std::string& out);
     /// Monolithic-vs-N-way split exploration over a total-area grid:
     /// one lane grid per split, evaluated on the SoA chiplet kernel.
-    [[nodiscard]] json::value eval_partition_explore(
-        const partition_explore_request& q,
-        const exec::cancel_token* cancel);
+    void partition_explore_into(const partition_explore_request& q,
+                                const exec::cancel_token* cancel,
+                                std::string& out);
     [[nodiscard]] json::value stats_json();
 
     engine_config config_;

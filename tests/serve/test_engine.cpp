@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -692,6 +693,98 @@ TEST(Engine, ExploreLanesPopulateTheChipletPointCache) {
         }
         EXPECT_GT(infeasible, cells / 20) << "parallelism=" << parallelism;
         EXPECT_LT(infeasible, cells / 2) << "parallelism=" << parallelism;
+    }
+}
+
+TEST(Engine, EvaluateIntoWritesDumpBytesAndReturnsTheMetric) {
+    // The one result path of every op: the bytes evaluate_into appends
+    // are exactly json::dump of their own parse (member order, number
+    // and string formatting), and the metric it returns is the parsed
+    // primary-metric member bit for bit — NaN exactly when that member
+    // is absent or null.  Inputs: every endpoint line, the generated
+    // sweep and explore grids, and each grid's lanes as point requests.
+    std::vector<std::string> lines = endpoint_lines();
+    lines.insert(
+        lines.end(),
+        {
+            R"({"op":"cost_tr","product":{"name":"Q\"x\\y\n\t\u0001é"}})",
+            R"({"op":"gross_die","method":"circumference","scribe_mm":0.1})",
+            R"({"op":"gross_die","method":"exact","die_width_mm":14})",
+            R"({"op":"gross_die","die_width_mm":400,"die_height_mm":400})",
+            R"({"op":"chiplet","chiplets":3,"substrate":"rdl"})",
+            R"({"op":"chiplet","chiplets":16,"logic_area_mm2":2000})",
+            R"({"op":"partition_explore","splits":"1,2","area_from_mm2":20,
+                "area_to_mm2":60,"count":3})",
+            R"({"op":"sweep","param":"dies","from":0,"to":200,"count":3,
+                "target":{"op":"mc_yield","seed":5}})",
+            R"({"op":"sweep","param":"chiplets","from":1,"to":17,"count":5,
+                "target":{"op":"chiplet","substrate":"interposer"}})",
+            R"({"op":"stats"})",
+        });
+    const std::vector<std::string> sweeps = generated_sweeps(0x5eed);
+    const std::vector<std::string> explores = generated_explores(0xce11);
+
+    for (const unsigned parallelism : {1u, 4u}) {
+        serve::engine engine{config_with(parallelism)};
+        std::size_t checked = 0;
+        std::size_t metrics = 0;
+        std::size_t errors = 0;
+        // Checks one request line; false when it is rejected.
+        const auto check = [&](const std::string& line) {
+            SCOPED_TRACE(line);
+            serve::request req;
+            std::string bytes = "kept|";
+            double metric = 0.0;
+            try {
+                req = serve::parse_request(json::parse(line));
+                metric = engine.evaluate_into(req, bytes);
+            } catch (const std::exception&) {
+                ++errors;
+                return false;
+            }
+            EXPECT_EQ(bytes.rfind("kept|", 0), 0u);
+            const std::string body = bytes.substr(5);
+            const json::value parsed = json::parse(body);
+            EXPECT_EQ(json::dump(parsed), body);
+            const char* name = serve::primary_metric(req.op);
+            const json::value* member =
+                name != nullptr ? parsed.as_object().find(name) : nullptr;
+            EXPECT_EQ(std::isnan(metric),
+                      member == nullptr || member->is_null());
+            if (member != nullptr && member->is_number()) {
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(metric),
+                          std::bit_cast<std::uint64_t>(member->as_number()));
+                ++metrics;
+            }
+            ++checked;
+            return true;
+        };
+        for (const std::string& line : lines) {
+            EXPECT_TRUE(check(line)) << line;
+        }
+        for (const std::string& sweep : sweeps) {
+            check(sweep);
+            for (const json::value& point : grid_reference::sweep_points(
+                     sweep, engine.handle_line(sweep))) {
+                check(json::dump(point));
+            }
+        }
+        for (const std::string& explore : explores) {
+            check(explore);
+            for (const std::vector<json::value>& row :
+                 grid_reference::explore_points(
+                     explore, engine.handle_line(explore))) {
+                for (const json::value& point : row) {
+                    check(json::dump(point));
+                }
+            }
+        }
+        // Every kind of outcome is covered: ok results with and without
+        // a metric, and inputs the library rejects.
+        EXPECT_GT(metrics, 1000u) << "parallelism=" << parallelism;
+        EXPECT_GT(checked, metrics + sweeps.size() + explores.size())
+            << "parallelism=" << parallelism;
+        EXPECT_GT(errors, 100u) << "parallelism=" << parallelism;
     }
 }
 

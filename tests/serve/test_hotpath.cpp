@@ -506,12 +506,13 @@ TEST_F(HotPathAllocations, WarmHitsAcrossEndpointsAllocateNothing) {
 
 TEST_F(HotPathAllocations, ColdMissWithCacheDisabledAllocatesNothing) {
     // The cold-path arena gate: with the memoization cache disabled,
-    // *every* request is a cold miss, and for the closed-form point
-    // endpoints the hot path evaluates the library directly and
-    // serializes into a reused per-thread buffer — zero allocations
-    // once buffers have grown (warm-up is inside
-    // warm_hit_allocations).  The cache put is skipped entirely at
-    // capacity 0, so no copy of the response is taken either.
+    // *every* request is a cold miss, and every op's one result path
+    // evaluates the library and writes into a reused per-thread buffer.
+    // For the closed-form point endpoints below (chiplet and cost_tr
+    // included) that is zero allocations once buffers have grown
+    // (warm-up is inside warm_hit_allocations).  The cache put is
+    // skipped entirely at capacity 0, so no copy of the response is
+    // taken either.
     serve::engine_config config = fast_config();
     config.cache_capacity = 0;
     serve::engine engine{config};
@@ -531,6 +532,13 @@ TEST_F(HotPathAllocations, ColdMissWithCacheDisabledAllocatesNothing) {
         R"({"op":"gross_die","die_width_mm":7,"die_height_mm":7,)"
         R"("method":"ferris_prabhu","scribe_mm":0.1})",
         R"({"id":"t","op":"scenario1","trace_id":"req-cold-1"})",
+        R"({"op":"chiplet","chiplets":4,"substrate":"rdl"})",
+        R"({"op":"chiplet","substrate":"interposer","d2d_area_mm2":8})",
+        R"({"op":"cost_tr","product":{"transistors":1e6}})",
+        R"({"op":"cost_tr","process":{"yield":{"model":"scaled"}}})",
+        R"({"op":"cost_tr","process":{"gross_die_method":"ferris_prabhu",)"
+        R"("yield":{"model":"fixed","fixed":0.9}},)"
+        R"("economics":{"overhead_usd":2e6,"volume_wafers":500}})",
     };
     std::string out;
     for (const std::string& line : lines) {
@@ -552,10 +560,11 @@ TEST_F(HotPathAllocations, ColdMissWithCacheDisabledAllocatesNothing) {
 }
 
 TEST_F(HotPathAllocations, ColdMissIneligibleOpsStillAnswerCorrectly) {
-    // Ops outside the closed-form cold set (table3, chiplet, cost_tr,
-    // mc_yield, sweeps) and inputs whose error the library owns evaluate
-    // through engine::evaluate's path at cache capacity 0 — allocations
-    // are allowed, bytes must match the legacy pipeline's.
+    // Ops that allocate while they evaluate (table3, mc_yield, sweeps;
+    // the zero-allocation set above covers chiplet and cost_tr, checked
+    // here too) and inputs the library rejects answer through the same
+    // result path at cache capacity 0 — allocations are allowed, bytes
+    // must match the reference pipeline's.
     serve::engine_config config = fast_config();
     config.cache_capacity = 0;
     serve::engine engine{config};

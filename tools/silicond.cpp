@@ -102,6 +102,7 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "serve/conn.hpp"
 #include "serve/engine.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/faults.hpp"
@@ -517,30 +518,6 @@ bool parse_options(int argc, char** argv, options& opt) {
     return line.rfind("GET /metrics", 0) == 0;
 }
 
-silicon::obs::counter& flushes_counter() {
-    static silicon::obs::counter& c =
-        silicon::obs::metrics_registry::global().get_counter(
-            "silicond_flushes_total",
-            "Gathered response flushes written to the transport");
-    return c;
-}
-
-silicon::obs::counter& flushed_bytes_counter() {
-    static silicon::obs::counter& c =
-        silicon::obs::metrics_registry::global().get_counter(
-            "silicond_flushed_bytes_total",
-            "Response bytes written through gathered flushes");
-    return c;
-}
-
-silicon::obs::counter& oversized_lines_counter() {
-    static silicon::obs::counter& c =
-        silicon::obs::metrics_registry::global().get_counter(
-            "silicond_oversized_lines_total",
-            "Transport lines rejected by the max-line-bytes bound");
-    return c;
-}
-
 namespace io = silicon::serve::io;
 namespace faults = silicon::serve::faults;
 
@@ -582,8 +559,10 @@ bool flush_batch(silicon::serve::engine& engine,
     if (!io::write_all_fd(fd, gather, is_socket)) {
         return false;
     }
-    flushes_counter().add(1);
-    flushed_bytes_counter().add(gather.size());
+    silicon::serve::transport_counters& counters =
+        silicon::serve::transport_counters::instance();
+    counters.flushes.add(1);
+    counters.flushed_bytes.add(gather.size());
     return true;
 }
 
@@ -649,7 +628,8 @@ private:
                 dead = true;
                 return;
             }
-            oversized_lines_counter().add(1);
+            silicon::serve::transport_counters::instance()
+                .oversized_lines.add(1);
             reject.clear();
             silicon::serve::append_line_too_large(max_line_bytes, reject);
             reject += '\n';
