@@ -20,6 +20,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -208,17 +209,21 @@ void bm_optimal_feature_size(benchmark::State& state) {
 }
 BENCHMARK(bm_optimal_feature_size);
 
-// The cost a grid lane adds by feeding the point cache: a serial engine
+// The cost a grid lane adds by feeding the point cache: an engine
 // with a full default-size cache (65536 entries) serves grids whose
 // every lane misses, so each lane is keyed, probed, evaluated, written
 // and stored, evicting another entry.  Arg 0 picks the grid (0 = a
 // 256-lane scenario2 sweep, 1 = a 4x64 partition_explore), arg 1 the
-// cache (1 = on, 0 = off: the same grid without the feed).  Reported as
-// seconds per lane.
+// cache (1 = on, 0 = off: the same grid without the feed), arg 2 the
+// serving (0 = one line at a time on a serial engine; 1 = four fresh
+// lines per handle_batch at parallelism 0, so pool workers feed the
+// cache at once — timed in wall-clock time).  Reported as seconds per
+// lane.
 void bm_lane_cache_feed(benchmark::State& state) {
     const bool explore = state.range(0) == 1;
+    const bool concurrent = state.range(2) == 1;
     serve::engine_config config;
-    config.parallelism = 1;
+    config.parallelism = concurrent ? 0 : 1;
     config.cache_capacity = state.range(1) == 1 ? 65536 : 0;
     serve::engine engine{config};
     // Fill the cache: 17 sweeps of 4096 distinct scenario1 lanes.
@@ -228,21 +233,31 @@ void bm_lane_cache_feed(benchmark::State& state) {
             std::to_string(i + 1) + R"(.3,"to":)" + std::to_string(i + 1) +
             R"(.9,"count":4096,"target":{"op":"scenario1"}})");
     }
-    const std::int64_t lanes = 256;
+    const std::int64_t lines = concurrent ? 4 : 1;
+    const std::int64_t lanes = 256 * lines;
     std::uint64_t n = 0;
-    for (auto _ : state) {
-        // A fresh grid every iteration, so no lane is ever a hit.
+    // A fresh grid every time, so no lane is ever a hit.
+    const auto fresh_line = [&] {
         const double shift = 1.0 + 1e-9 * static_cast<double>(++n);
         const auto num = [](double x) { return serve::json::format_number(x); };
-        const std::string line =
-            explore ? R"({"op":"partition_explore","splits":"1,2,4,8",)"
-                      R"("area_from_mm2":)" + num(100.0 * shift) +
-                          R"(,"area_to_mm2":)" + num(900.0 * shift) +
-                          R"(,"count":64})"
-                    : R"({"op":"sweep","param":"lambda_um","from":)" +
-                          num(0.4 * shift) + R"(,"to":)" + num(1.4 * shift) +
-                          R"(,"count":256,"target":{"op":"scenario2"}})";
-        benchmark::DoNotOptimize(engine.handle_line(line));
+        return explore ? R"({"op":"partition_explore","splits":"1,2,4,8",)"
+                         R"("area_from_mm2":)" + num(100.0 * shift) +
+                             R"(,"area_to_mm2":)" + num(900.0 * shift) +
+                             R"(,"count":64})"
+                       : R"({"op":"sweep","param":"lambda_um","from":)" +
+                             num(0.4 * shift) + R"(,"to":)" + num(1.4 * shift) +
+                             R"(,"count":256,"target":{"op":"scenario2"}})";
+    };
+    std::vector<std::string> batch(static_cast<std::size_t>(lines));
+    for (auto _ : state) {
+        if (concurrent) {
+            for (std::string& line : batch) {
+                line = fresh_line();
+            }
+            benchmark::DoNotOptimize(engine.handle_batch(batch));
+        } else {
+            benchmark::DoNotOptimize(engine.handle_line(fresh_line()));
+        }
     }
     state.counters["s_per_lane"] = benchmark::Counter(
         static_cast<double>(lanes),
@@ -250,10 +265,11 @@ void bm_lane_cache_feed(benchmark::State& state) {
             benchmark::Counter::kInvert);
 }
 BENCHMARK(bm_lane_cache_feed)
-    ->Args({0, 1})
-    ->Args({0, 0})
-    ->Args({1, 1})
-    ->Args({1, 0});
+    ->Args({0, 1, 0})
+    ->Args({0, 0, 0})
+    ->Args({1, 1, 0})
+    ->Args({1, 0, 0});
+BENCHMARK(bm_lane_cache_feed)->Args({0, 1, 1})->Args({0, 0, 1})->UseRealTime();
 
 }  // namespace
 

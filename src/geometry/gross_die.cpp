@@ -66,8 +66,16 @@ long ferris_prabhu(const wafer& w, const die& d) {
     return static_cast<long>(std::floor(pi * r_eff * r_eff / area));
 }
 
-placement_result exact_count(const wafer& w, const die& d, millimeters scribe,
-                             int offsets_per_axis) {
+namespace {
+
+/// The exact placement search behind exact_count.  With `with_rows`
+/// the winning offset's per-row counts are kept; the rows of each
+/// searched offset go into one reused vector, swapped with the best's
+/// on a win, so the search allocates only while those two grow.
+/// Without, it counts only and allocates nothing.
+placement_result exact_search(const wafer& w, const die& d,
+                              millimeters scribe, int offsets_per_axis,
+                              bool with_rows) {
     if (offsets_per_axis < 1) {
         throw std::invalid_argument(
             "exact_count: offsets_per_axis must be >= 1");
@@ -79,6 +87,7 @@ placement_result exact_count(const wafer& w, const die& d, millimeters scribe,
     const double b = d.height().value();
 
     placement_result best;
+    std::vector<long> row_counts;  // the current offset's rows
     const double r2 = r * r;
 
     // A die placed with lower-left corner (x, y) fits iff all four corners
@@ -102,7 +111,7 @@ placement_result exact_count(const wafer& w, const die& d, millimeters scribe,
                 static_cast<double>(offsets_per_axis);
 
             long count = 0;
-            std::vector<long> row_counts;
+            row_counts.clear();
             // Enumerate grid cells overlapping the disc bounding box.
             const long j_lo = static_cast<long>(
                 std::floor((-r - off_y) / pitch_y) - 1);
@@ -122,7 +131,9 @@ placement_result exact_count(const wafer& w, const die& d, millimeters scribe,
                     }
                 }
                 if (in_row > 0) {
-                    row_counts.push_back(in_row);
+                    if (with_rows) {
+                        row_counts.push_back(in_row);
+                    }
                     count += in_row;
                 }
             }
@@ -130,11 +141,18 @@ placement_result exact_count(const wafer& w, const die& d, millimeters scribe,
                 best.count = count;
                 best.offset_x = off_x;
                 best.offset_y = off_y;
-                best.row_counts = std::move(row_counts);
+                best.row_counts.swap(row_counts);
             }
         }
     }
     return best;
+}
+
+}  // namespace
+
+placement_result exact_count(const wafer& w, const die& d, millimeters scribe,
+                             int offsets_per_axis) {
+    return exact_search(w, d, scribe, offsets_per_axis, true);
 }
 
 long gross_dies(const wafer& w, const die& d, gross_die_method method,
@@ -151,7 +169,8 @@ long gross_dies(const wafer& w, const die& d, gross_die_method method,
         case gross_die_method::ferris_prabhu:
             return ferris_prabhu(w, d);
         case gross_die_method::exact:
-            return exact_count(w, d, scribe).count;
+            return exact_search(w, d, scribe, exact_offsets_per_axis, false)
+                .count;
     }
     throw std::invalid_argument("gross_dies: unknown method");
 }

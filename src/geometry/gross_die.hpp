@@ -73,6 +73,10 @@ struct placement_result {
     std::vector<long> row_counts;
 };
 
+/// Offsets per axis of the exact search unless told otherwise; the
+/// `exact` gross_dies method uses it too.
+inline constexpr int exact_offsets_per_axis = 8;
+
 /// Exhaustive grid-offset search: places a rectangular grid of dies (with
 /// optional scribe/kerf spacing) at `offsets_per_axis`^2 sub-die-pitch
 /// offsets and keeps the placement maximizing whole dies inside the usable
@@ -80,7 +84,7 @@ struct placement_result {
 [[nodiscard]] placement_result exact_count(
     const wafer& w, const die& d,
     millimeters scribe = millimeters{0.0},
-    int offsets_per_axis = 8);
+    int offsets_per_axis = exact_offsets_per_axis);
 
 /// Names for reporting which estimator produced a figure.
 enum class gross_die_method {

@@ -15,9 +15,18 @@
 // std::hash<std::string_view>; a caller that already holds it passes a
 // `hashed_key`, and each entry stores it, so a key is hashed once per
 // operation — not again for the shard choice, the index probe, the
-// insert or the eviction of another entry.  Values are
-// returned as shared_ptr<const string> — a hit stays valid even if the
-// entry is evicted a microsecond later by another thread.
+// insert or the eviction of another entry.
+//
+// Storage: a shard is a slab.  Each entry is one fixed record (hash,
+// primary metric, key/value lengths, 32-bit LRU links) in a record
+// array that grows up to the per-shard capacity, plus one block holding
+// its key and value bytes, taken from the shard's size-class free
+// lists.  An eviction hands its block back to the shard and the next
+// put reuses it, so once a shard is full and its spare blocks cover the
+// sizes it stores, get, put and eviction allocate and free nothing.
+// Reads copy out under the shard lock: get copies the value into the
+// caller's buffer, get_metric returns the stored double, and nothing
+// the cache hands out refers to its memory.
 //
 // Capacity is interpreted as a total entry budget distributed evenly
 // across shards (per-shard ceil(capacity/shards), so the effective
@@ -30,7 +39,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -51,6 +61,11 @@ public:
             return {text, std::hash<std::string_view>{}(text)};
         }
     };
+
+    /// The metric of an entry that carries none (an op without a
+    /// primary metric, or one whose bytes print it as null).
+    static constexpr double no_metric =
+        std::numeric_limits<double>::quiet_NaN();
 
     /// Aggregate statistics across all shards (counters are cumulative
     /// since construction, never reset by eviction).
@@ -74,21 +89,29 @@ public:
     memo_cache(const memo_cache&) = delete;
     memo_cache& operator=(const memo_cache&) = delete;
 
-    /// The cached value for `key`, or nullptr on a miss.  A hit moves
-    /// the entry to most-recently-used position.
-    [[nodiscard]] std::shared_ptr<const std::string> get(hashed_key key);
-    [[nodiscard]] std::shared_ptr<const std::string> get(
-        std::string_view key) {
-        return get(hashed_key::of(key));
+    /// True on a hit, which moves the entry to most-recently-used
+    /// position and, when `out` is set, replaces `*out` with the value.
+    /// The copy is made under the shard lock into `out`'s existing
+    /// capacity; a buffer too small is grown outside the lock first.
+    [[nodiscard]] bool get(hashed_key key, std::string* out = nullptr);
+    [[nodiscard]] bool get(std::string_view key, std::string* out = nullptr) {
+        return get(hashed_key::of(key), out);
     }
 
     /// Probe used by the engine's lane planner: behaves like `get` on a
     /// hit (counts it, promotes to MRU) but does NOT count a miss.
-    [[nodiscard]] std::shared_ptr<const std::string> get_if_present(
-        hashed_key key);
-    [[nodiscard]] std::shared_ptr<const std::string> get_if_present(
-        std::string_view key) {
-        return get_if_present(hashed_key::of(key));
+    [[nodiscard]] bool get_if_present(hashed_key key,
+                                      std::string* out = nullptr);
+    [[nodiscard]] bool get_if_present(std::string_view key,
+                                      std::string* out = nullptr) {
+        return get_if_present(hashed_key::of(key), out);
+    }
+
+    /// `get_if_present` for a lane splice: the entry's stored metric
+    /// (no_metric when it carries none), or nullopt when `key` is absent.
+    [[nodiscard]] std::optional<double> get_metric(hashed_key key);
+    [[nodiscard]] std::optional<double> get_metric(std::string_view key) {
+        return get_metric(hashed_key::of(key));
     }
 
     /// True when `key` is resident.  Counts nothing and leaves the LRU
@@ -98,21 +121,32 @@ public:
         return contains(hashed_key::of(key));
     }
 
-    /// Insert or refresh `key`; evicts the least-recently-used entry of
-    /// the key's shard when that shard is full.
-    void put(hashed_key key, std::string value);
-    void put(std::string_view key, std::string value) {
-        put(hashed_key::of(key), std::move(value));
+    /// Insert or refresh `key` with `value` and its primary `metric` (the
+    /// number the value carries under `primary_metric`, no_metric when it
+    /// prints null or the op has none); evicts the least-recently-used
+    /// entry of the key's shard when that shard is full.  A put
+    /// allocates while its shard fills (record array, index, blocks) and,
+    /// once full, only when neither a spare block nor the one its
+    /// eviction frees is large enough.  It allocates before changing the
+    /// shard, so a failed allocation leaves the cache as it was.  A key
+    /// or value over 4 GiB is not cached.
+    void put(hashed_key key, std::string_view value,
+             double metric = no_metric);
+    void put(std::string_view key, std::string_view value,
+             double metric = no_metric) {
+        put(hashed_key::of(key), value, metric);
     }
 
-    /// Drop every entry (counters are preserved).
+    /// Drop every entry and give the shards' memory back (counters are
+    /// preserved).
     void clear();
 
     /// Memory-pressure shedding: drop every resident entry of the first
-    /// `count` shards (clamped to the shard count) and return how many
-    /// entries were released.  Shed entries count as evictions; shards
-    /// stay usable, so this trades hit rate for immediate memory, not
-    /// capacity.  Safe under concurrent get/put.
+    /// `count` shards (clamped to the shard count), give their memory
+    /// back and return how many entries were released.  Shed entries
+    /// count as evictions; shards stay usable, so this trades hit rate
+    /// for immediate memory, not capacity.  Safe under concurrent
+    /// get/put.
     std::size_t shed_shards(std::size_t count);
 
     [[nodiscard]] stats snapshot() const;
@@ -122,18 +156,19 @@ public:
         return shard_count_;
     }
 
-    /// Copy of shard `index`'s resident entries in least- to
-    /// most-recently-used order, so replaying them through put()
-    /// reproduces the recency order.  Values are shared, not copied.
-    /// The shard lock is held only for the duration of the copy — the
-    /// snapshot writer walks shards one at a time, staying out of the
-    /// way of concurrent get/put/shed.
-    [[nodiscard]] std::vector<
-        std::pair<std::string, std::shared_ptr<const std::string>>>
+    /// Copy of shard `index`'s resident (key, value) entries in least-
+    /// to most-recently-used order, so replaying them through put()
+    /// reproduces the recency order.  The shard lock is held only for
+    /// the duration of the copy — the snapshot writer walks shards one
+    /// at a time, staying out of the way of concurrent get/put/shed.
+    [[nodiscard]] std::vector<std::pair<std::string, std::string>>
     shard_snapshot(std::size_t index) const;
 
 private:
     struct shard;
+    /// `get` and `get_if_present`: a miss is counted when `count_miss`.
+    bool lookup(hashed_key key, std::string* out, bool count_miss);
+
     shard* shards_ = nullptr;
     std::size_t shard_count_ = 0;
     std::size_t capacity_ = 0;

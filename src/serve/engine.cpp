@@ -621,7 +621,8 @@ struct line_state {
     exec::arena arena;
     json::arena_parser parser;
     fast_parse_state parsed;
-    /// Miss result body, serialized in place (capacity reused).
+    /// The result body: a hit's bytes copied out of the cache, or a
+    /// miss's serialized in place (capacity reused either way).
     std::string cold;
 };
 
@@ -724,22 +725,9 @@ double engine::evaluate_into(const request& req, std::string& out,
 
 namespace {
 
-/// The one splice of a cached lane: json::parse -> primary metric, null
-/// when the member is absent or not a number.  Cached bytes are a fresh
-/// scalar evaluation's result object and doubles print
-/// shortest-round-trip, so this reproduces the lane value bit for bit.
-double cached_metric(const std::string& bytes, const char* metric) {
-    try {
-        const json::value result = json::parse(bytes);
-        const json::value* m = result.as_object().find(metric);
-        return m != nullptr && m->is_number() ? m->as_number() : null_lane;
-    } catch (const std::exception&) {
-        return null_lane;  // defensive: cached JSON always parses
-    }
-}
-
-/// Receives lane j's point result bytes for the point cache.
-using lane_sink = std::function<void(std::size_t j, std::string_view bytes)>;
+/// Receives lane j's point result bytes and metric for the point cache.
+using lane_sink =
+    std::function<void(std::size_t j, std::string_view bytes, double metric)>;
 
 /// Hands every finite kernel lane in `out` to `keep` (when set): lane j's
 /// result is written by write_lane(j, bytes) into one reused buffer.  NaN
@@ -758,7 +746,7 @@ void keep_lanes(const std::vector<double>& out, const lane_sink* keep,
         bytes.clear();
         try {
             write_lane(j, bytes);
-            (*keep)(j, bytes);
+            (*keep)(j, bytes, out[j]);
         } catch (const std::exception&) {
             // Side values threw where the metric did not: uncached.
         }
@@ -952,6 +940,20 @@ void sweep_kernel(const request& tgt, std::string_view param,
     }
 }
 
+/// One thread's lane keys for eval_lanes: key buffers that keep their
+/// capacity from grid to grid, so keying a lane allocates nothing once
+/// they have grown.  One set per thread suffices because eval_lanes
+/// never runs inside itself: every lane is a point request (an op with
+/// a primary metric), never a grid.
+struct lane_keys {
+    /// Grids up to this many lanes reuse the thread's set; a larger one
+    /// keys into a local set, so no thread holds on to an outsized one.
+    static constexpr std::size_t retained_lanes = 1024;
+
+    std::vector<std::string> text;
+    std::vector<memo_cache::hashed_key> hashed;  ///< empty text = rejected
+};
+
 }  // namespace
 
 /// A grid of point requests ("lanes") for the lane planner: lane i is
@@ -982,30 +984,37 @@ std::vector<double> engine::eval_lanes(const std::vector<double>& xs,
         config_.cache_capacity != 0 && !(grid.kernel && config_.fast_math);
     std::vector<double> ys(n, null_lane);
 
-    // 1-2. Key and hash every lane, then probe the cache.
-    // get_if_present counts a hit but not a miss.  A lane rejected as a
-    // point request stays null and is never probed.
-    std::vector<std::string> keys(use_cache ? n : 0);
-    std::vector<memo_cache::hashed_key> hashed(use_cache ? n : 0);
-    std::vector<std::shared_ptr<const std::string>> hits(use_cache ? n : 0);
+    // 1-2. Key and hash every lane, then probe the cache; a hit's
+    // stored metric is its lane value.  get_metric counts a hit but not
+    // a miss.  A lane rejected as a point request stays null and is
+    // never probed.  The keys go into this thread's scratch, bound here:
+    // the pool tasks below write into it, and a thread_local named
+    // inside a task would be the worker's own.
+    thread_local lane_keys t_keys;
+    lane_keys local_keys;
+    lane_keys& keys = n > lane_keys::retained_lanes ? local_keys : t_keys;
     std::vector<std::size_t> missing;
     missing.reserve(n);
     if (use_cache) {
+        if (keys.text.size() < n) {
+            keys.text.resize(n);
+            keys.hashed.resize(n);
+        }
         exec::parallel_for(
             n, config_.parallelism,
             [&](const exec::shard_range& r) {
                 request lane = grid.base;
-                std::string key;  // grown once, then one exact copy a lane
                 for (std::size_t i = r.begin; i < r.end; ++i) {
+                    keys.hashed[i] = {};
                     try {
                         grid.bind(xs[i], lane);
                     } catch (const request_error&) {
                         continue;
                     }
+                    std::string& key = keys.text[i];
                     key.clear();
                     canonical_key_into(lane, key);
-                    keys[i] = key;
-                    hashed[i] = memo_cache::hashed_key::of(keys[i]);
+                    keys.hashed[i] = memo_cache::hashed_key::of(key);
                 }
             },
             cancel, key_lane_ns);
@@ -1013,19 +1022,23 @@ std::vector<double> engine::eval_lanes(const std::vector<double>& xs,
     for (std::size_t i = 0; i < n; ++i) {
         if (!use_cache) {
             missing.push_back(i);
-        } else if (!keys[i].empty()) {
-            hits[i] = cache_.get_if_present(hashed[i]);
-            if (hits[i] == nullptr) {
+        } else if (!keys.hashed[i].text.empty()) {
+            if (const std::optional<double> hit =
+                    cache_.get_metric(keys.hashed[i])) {
+                ys[i] = *hit;
+            } else {
                 missing.push_back(i);
             }
         }
     }
 
     // 3-4. Evaluate the missing lanes only, and cache each successful
-    // one as it completes (errors never are).
+    // one, with its metric, as it completes (errors never are).
     const std::size_t m = missing.size();
-    const lane_sink put = [&](std::size_t j, std::string_view bytes) {
-        cache_.put(hashed[missing[j]], std::string{bytes});
+    const lane_sink put = [&](std::size_t j, std::string_view bytes,
+                              double metric) {
+        cache_.put(keys.hashed[missing[j]], bytes,
+                   std::isfinite(metric) ? metric : null_lane);
     };
     const lane_sink* keep = use_cache ? &put : nullptr;
     if (grid.kernel) {
@@ -1050,7 +1063,7 @@ std::vector<double> engine::eval_lanes(const std::vector<double>& xs,
                         bytes.clear();
                         ys[missing[j]] = evaluate_into(lane, bytes, cancel);
                         if (keep != nullptr) {
-                            (*keep)(j, bytes);
+                            (*keep)(j, bytes, ys[missing[j]]);
                         }
                     } catch (const std::exception&) {
                         // Infeasible or rejected point: null lane.  A
@@ -1064,16 +1077,6 @@ std::vector<double> engine::eval_lanes(const std::vector<double>& xs,
             cancel,
             grid.base.op == op_code::mc_yield ? mc_dies_ns(grid.base)
                                               : scalar_lane_ns);
-    }
-
-    if (!use_cache) {
-        return ys;
-    }
-    // 5. Splice the cached lanes back in lane order.
-    for (std::size_t i = 0; i < n; ++i) {
-        if (hits[i] != nullptr) {
-            ys[i] = cached_metric(*hits[i], primary_metric(grid.base.op));
-        }
     }
     return ys;
 }
@@ -1748,20 +1751,21 @@ void engine::evaluate_miss(const fast_parse_state& parsed,
     // not even that with caching off — the zero-alloc gate in
     // tests/serve/test_hotpath.cpp).
     out.clear();
+    double metric = null_lane;
     if (req.op == op_code::sweep) {
         // A parsed sweep keeps its target in the parse state.
         request sweep = req;
         std::get<sweep_request>(sweep.payload).target =
             std::make_shared<const request>(parsed.target_req);
-        (void)evaluate_into(sweep, out, cancel);
+        metric = evaluate_into(sweep, out, cancel);
     } else {
-        (void)evaluate_into(req, out, cancel);
+        metric = evaluate_into(req, out, cancel);
     }
     // A cancelled evaluation threw above, so deadline errors are never
     // cached; a result that *did* complete is bit-identical to an
     // uncancelled run (shard-boundary cancellation) and safe to keep.
     if (config_.cache_capacity != 0) {
-        cache_.put(key, out);
+        cache_.put(key, out, metric);
     }
 }
 
@@ -1897,7 +1901,6 @@ void engine::serve_line(
             }
         }
 
-        std::shared_ptr<const std::string> hit;
         if (req.op == op_code::stats) {
             // Stats are a live snapshot: never cached, never golden.
             st.cold = json::dump(stats_json());
@@ -1910,13 +1913,12 @@ void engine::serve_line(
                     : memo_cache::hashed_key::of(req.canonical_key);
             {
                 const obs::trace_span span{"serve.cache", "serve"};
-                hit = cache_.get(key);
+                cache_hit = cache_.get(key, &st.cold);
             }
             probed = true;
-            cache_hit = hit != nullptr;
             t_probed = std::chrono::steady_clock::now();
             t_evaluated = t_probed;
-            if (hit == nullptr) {
+            if (!cache_hit) {
                 evaluated = true;
                 evaluate_miss(*p, key, cancel, st.cold);
                 t_evaluated = std::chrono::steady_clock::now();
@@ -1924,8 +1926,7 @@ void engine::serve_line(
         }
         arena_bytes_.fetch_add(arena_bytes, std::memory_order_relaxed);
         const obs::trace_span span{"serve.serialize", "serve"};
-        envelope_into(id, trace, true, "result",
-                      hit != nullptr ? *hit : st.cold, out);
+        envelope_into(id, trace, true, "result", st.cold, out);
     } catch (const json::parse_error& e) {
         parse_errors_.fetch_add(1, std::memory_order_relaxed);
         err_code = "parse_error";

@@ -174,6 +174,9 @@ public:
     [[nodiscard]] memo_cache::stats cache_stats() const {
         return cache_.snapshot();
     }
+    /// The point cache itself, for tests and tools that read its
+    /// entries (a probe through it counts like any other).
+    [[nodiscard]] memo_cache& cache() noexcept { return cache_; }
     [[nodiscard]] const metrics_registry& metrics() const noexcept {
         return metrics_;
     }

@@ -1,12 +1,16 @@
 #include "serve/snapshot.hpp"
 
+#include "exec/arena.hpp"
 #include "serve/faults.hpp"
+#include "serve/json_arena.hpp"
+#include "serve/request.hpp"
 
 #include <array>
 #include <cerrno>
 #include <cstring>
 #include <memory>
 #include <new>
+#include <optional>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -51,6 +55,32 @@ std::uint64_t get_u64(const char* p) {
         v = (v << 8) | static_cast<unsigned char>(p[i]);
     }
     return v;
+}
+
+/// The primary metric (`primary_metric` of the key's op) that `value`
+/// carries, as the engine stores it beside an entry it evaluates: the
+/// member's number, or no_metric when the op has none, the member is
+/// absent or null, or either document does not parse.
+double stored_metric(std::string_view key, std::string_view value,
+                     json::arena_parser& parser, exec::arena& scratch) {
+    try {
+        scratch.reset();
+        const json::aview* op = parser.parse(key, scratch).find("op");
+        if (op == nullptr || !op->is_string()) {
+            return memo_cache::no_metric;
+        }
+        const std::optional<op_code> code = op_from_string(op->string);
+        const char* name =
+            code.has_value() ? primary_metric(*code) : nullptr;
+        if (name == nullptr) {
+            return memo_cache::no_metric;
+        }
+        const json::aview* m = parser.parse(value, scratch).find(name);
+        return m != nullptr && m->is_number() ? m->number
+                                              : memo_cache::no_metric;
+    } catch (const std::exception&) {
+        return memo_cache::no_metric;
+    }
 }
 
 constexpr std::size_t kFileHeaderBytes = 48;
@@ -161,12 +191,9 @@ std::string serialize(const memo_cache& cache, std::uint64_t fingerprint,
         records.clear();
         for (const auto& [key, value] : entries) {
             put_u32(records, static_cast<std::uint32_t>(key.size()));
-            put_u32(records,
-                    static_cast<std::uint32_t>(value ? value->size() : 0));
+            put_u32(records, static_cast<std::uint32_t>(value.size()));
             records.append(key);
-            if (value) {
-                records.append(*value);
-            }
+            records.append(value);
         }
         put_u64(payload, entries.size());
         put_u64(payload, records.size());
@@ -332,8 +359,12 @@ restore_result deserialize_into(memo_cache& cache, std::uint64_t fingerprint,
 
     // Everything validated: replay in file order (LRU -> MRU per shard)
     // so put() reproduces the recency order of the snapshotted cache.
+    // The file carries no metrics; each entry's is read from its bytes
+    // here, once.
+    json::arena_parser parser;
+    exec::arena scratch;
     for (const auto& [key, value] : staged) {
-        cache.put(key, std::string{value});
+        cache.put(key, value, stored_metric(key, value, parser, scratch));
     }
     restore_result r;
     r.outcome = restore_outcome::restored;

@@ -3,13 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <list>
-#include <memory>
+#include <map>
+#include <optional>
 #include <random>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -33,11 +39,11 @@ std::vector<std::string> fixed_keys(std::size_t count) {
 
 TEST(MemoCache, MissThenHit) {
     memo_cache cache{8, 1};
-    EXPECT_EQ(cache.get("k"), nullptr);
+    EXPECT_FALSE(cache.get("k"));
     cache.put("k", "v");
-    const auto hit = cache.get("k");
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(*hit, "v");
+    std::string hit;
+    ASSERT_TRUE(cache.get("k", &hit));
+    EXPECT_EQ(hit, "v");
 
     const memo_cache::stats s = cache.snapshot();
     EXPECT_EQ(s.hits, 1u);
@@ -50,12 +56,12 @@ TEST(MemoCache, EvictsLeastRecentlyUsed) {
     memo_cache cache{2, 1};
     cache.put("a", "1");
     cache.put("b", "2");
-    ASSERT_NE(cache.get("a"), nullptr);  // "a" is now most recent
-    cache.put("c", "3");                 // evicts "b"
+    ASSERT_TRUE(cache.get("a"));  // "a" is now most recent
+    cache.put("c", "3");          // evicts "b"
 
-    EXPECT_EQ(cache.get("b"), nullptr);
-    EXPECT_NE(cache.get("a"), nullptr);
-    EXPECT_NE(cache.get("c"), nullptr);
+    EXPECT_FALSE(cache.get("b"));
+    EXPECT_TRUE(cache.get("a"));
+    EXPECT_TRUE(cache.get("c"));
 
     const memo_cache::stats s = cache.snapshot();
     EXPECT_EQ(s.evictions, 1u);
@@ -85,26 +91,40 @@ TEST(MemoCache, PutRefreshesExistingKey) {
     cache.put("a", "updated");  // refresh, not insert: no eviction
     cache.put("c", "3");        // evicts "b" (LRU after the refresh)
 
-    EXPECT_EQ(cache.get("b"), nullptr);
-    const auto a = cache.get("a");
-    ASSERT_NE(a, nullptr);
-    EXPECT_EQ(*a, "updated");
+    EXPECT_FALSE(cache.get("b"));
+    std::string a;
+    ASSERT_TRUE(cache.get("a", &a));
+    EXPECT_EQ(a, "updated");
     EXPECT_EQ(cache.snapshot().evictions, 1u);
 }
 
 TEST(MemoCache, HitSurvivesEviction) {
-    memo_cache cache{1, 1};
-    cache.put("a", "payload");
-    const std::shared_ptr<const std::string> held = cache.get("a");
-    cache.put("b", "evicts a");
-    EXPECT_EQ(cache.get("a"), nullptr);
-    EXPECT_EQ(*held, "payload");  // shared_ptr keeps the value alive
+    // A hit is a copy: the bytes are the caller's, so a later eviction —
+    // which hands the entry's block to the put that caused it — cannot
+    // change them.  The held buffer starts too small for the value, so
+    // the copy also takes the grow-outside-the-lock path.
+    memo_cache cache{2, 1};
+    const std::string payload(100, 'p');
+    cache.put("a", payload);
+    cache.put("x", std::string(100, 'x'));
+    std::string held;
+    ASSERT_TRUE(cache.get("a", &held));  // "a" is now most recent
+    cache.put("b", std::string(100, 'b'));  // evicts "x"
+    cache.put("c", std::string(100, 'c'));  // evicts "a", reusing its block
+    EXPECT_FALSE(cache.get("a"));
+    EXPECT_EQ(held, payload);
+    std::string c;
+    ASSERT_TRUE(cache.get("c", &c));
+    EXPECT_EQ(c, std::string(100, 'c'));
+    EXPECT_EQ(cache.snapshot().evictions, 2u);
 }
 
 TEST(MemoCache, ZeroCapacityDisables) {
     memo_cache cache{0};
     cache.put("k", "v");
-    EXPECT_EQ(cache.get("k"), nullptr);
+    EXPECT_FALSE(cache.get("k"));
+    EXPECT_FALSE(cache.get_if_present("k"));
+    EXPECT_FALSE(cache.get_metric("k").has_value());
     const memo_cache::stats s = cache.snapshot();
     EXPECT_EQ(s.entries, 0u);
     EXPECT_EQ(s.capacity, 0u);
@@ -116,7 +136,7 @@ TEST(MemoCache, ClearDropsEntriesKeepsCounters) {
     cache.put("b", "2");
     (void)cache.get("a");
     cache.clear();
-    EXPECT_EQ(cache.get("a"), nullptr);
+    EXPECT_FALSE(cache.get("a"));
     const memo_cache::stats s = cache.snapshot();
     EXPECT_EQ(s.entries, 0u);
     EXPECT_EQ(s.hits, 1u);
@@ -174,46 +194,261 @@ TEST(MemoCacheHashedKey, ShardPlacementIsStdHashModShards) {
     }
 }
 
+/// Value sizes spanning every block size class from 0 bytes to past
+/// 64 KiB: each class boundary of the 16-byte steps and of the four
+/// steps per doubling, on both sides.
+std::vector<std::size_t> class_spanning_sizes() {
+    std::vector<std::size_t> sizes = {0, 1, 15, 16, 17, 32, 33, 48, 49, 64};
+    for (std::size_t k = 6; k <= 16; ++k) {
+        const std::size_t base = std::size_t{1} << k;
+        for (std::size_t j = 1; j <= 4; ++j) {
+            const std::size_t edge = base + j * (base >> 2);
+            sizes.push_back(edge);
+            sizes.push_back(edge + 1);
+        }
+    }
+    return sizes;  // up to 2^17 + 1 bytes
+}
+
+/// Equal as stored metrics: the same bits, or both NaN.
+bool same_metric(double a, double b) {
+    return std::isnan(a) ? std::isnan(b) : a == b;
+}
+
 TEST(MemoCacheHashedKey, LruEvictionOrderMatchesAModel) {
-    // A per-shard LRU list kept beside the cache: after every operation
-    // of a seeded mix of puts and gets, each shard's snapshot (LRU to
-    // MRU) must equal the model's list.
+    // A per-shard LRU list, a value/metric map and the counters kept
+    // beside the cache.  A seeded mix of puts (values of every size
+    // class, refreshes to a different size), gets, get_if_present,
+    // get_metric, contains, shed_shards and clear (each followed by a
+    // refill) must agree with the model after every operation: each
+    // shard's snapshot (LRU to MRU) equals the model's list, every hit
+    // returns the model's bytes and metric, and hits, misses,
+    // evictions and per-shard sizes match.
     constexpr std::size_t shards = 3;
     constexpr std::size_t per_shard = 5;
     const std::vector<std::string> keys = fixed_keys(40);
+    const std::vector<std::size_t> sizes = class_spanning_sizes();
     memo_cache cache{shards * per_shard, shards};
     std::vector<std::list<std::string>> model(shards);  // front = MRU
+    std::map<std::string, std::pair<std::string, double>> stored;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
     std::mt19937 rng{7};
-    for (int op = 0; op < 2000; ++op) {
+    const auto shard_of = [&](const std::string& key) {
+        return std::hash<std::string_view>{}(key) % shards;
+    };
+    const auto drop_shard = [&](std::size_t s) {
+        for (const std::string& key : model[s]) {
+            stored.erase(key);
+        }
+        model[s].clear();
+    };
+    std::string got;
+    for (int op = 0; op < 4000; ++op) {
         const std::string& key = keys[rng() % keys.size()];
-        std::list<std::string>& lru =
-            model[std::hash<std::string_view>{}(key) % shards];
+        std::list<std::string>& lru = model[shard_of(key)];
         const auto it = std::find(lru.begin(), lru.end(), key);
-        if (rng() % 2 == 0) {
-            cache.put(hashed_key::of(key), "v");
-            if (it != lru.end()) {
+        const bool present = it != lru.end();
+        const unsigned roll = rng() % 100;
+        if (roll < 45) {
+            // Mostly small values, a quarter from the whole class span.
+            const std::size_t size = rng() % 4 == 0
+                                         ? sizes[rng() % sizes.size()]
+                                         : sizes[rng() % 24];
+            std::string value(size, static_cast<char>('a' + op % 26));
+            const std::string tag = std::to_string(op);
+            std::copy_n(tag.begin(), std::min(size, tag.size()),
+                        value.begin());
+            const double metric =
+                rng() % 3 == 0 ? memo_cache::no_metric : op * 0.25 - 7.0;
+            if (rng() % 2 == 0) {
+                cache.put(hashed_key::of(key), value, metric);
+            } else {
+                cache.put(key, value, metric);
+            }
+            if (present) {
                 lru.erase(it);
             } else if (lru.size() == per_shard) {
+                stored.erase(lru.back());
                 lru.pop_back();
+                ++evictions;
             }
             lru.push_front(key);
-        } else {
-            const bool hit = cache.get(hashed_key::of(key)) != nullptr;
-            ASSERT_EQ(hit, it != lru.end()) << "op " << op;
+            stored[key] = {value, metric};
+        } else if (roll < 65) {
+            const bool hit = cache.get(hashed_key::of(key), &got);
+            ASSERT_EQ(hit, present) << "op " << op;
             if (hit) {
+                ++hits;
+                EXPECT_EQ(got, stored[key].first) << "op " << op;
+                lru.splice(lru.begin(), lru, it);
+            } else {
+                ++misses;
+            }
+        } else if (roll < 75) {
+            const bool hit = cache.get_if_present(key);
+            ASSERT_EQ(hit, present) << "op " << op;
+            if (hit) {
+                ++hits;
                 lru.splice(lru.begin(), lru, it);
             }
+        } else if (roll < 90) {
+            const std::optional<double> metric = cache.get_metric(key);
+            ASSERT_EQ(metric.has_value(), present) << "op " << op;
+            if (present) {
+                ++hits;
+                EXPECT_TRUE(same_metric(*metric, stored[key].second))
+                    << "op " << op;
+                lru.splice(lru.begin(), lru, it);
+            }
+        } else if (roll < 97) {
+            ASSERT_EQ(cache.contains(key), present) << "op " << op;
+        } else if (roll < 99) {
+            const std::size_t count = rng() % (shards + 2);
+            std::size_t dropped = 0;
+            for (std::size_t s = 0; s < std::min(count, shards); ++s) {
+                dropped += model[s].size();
+                drop_shard(s);
+            }
+            evictions += dropped;
+            ASSERT_EQ(cache.shed_shards(count), dropped) << "op " << op;
+        } else {
+            cache.clear();
+            for (std::size_t s = 0; s < shards; ++s) {
+                drop_shard(s);
+            }
         }
+
+        const memo_cache::stats st = cache.snapshot();
+        ASSERT_EQ(st.hits, hits) << "op " << op;
+        ASSERT_EQ(st.misses, misses) << "op " << op;
+        ASSERT_EQ(st.evictions, evictions) << "op " << op;
         for (std::size_t s = 0; s < shards; ++s) {
-            std::vector<std::string> got;
-            for (const auto& entry : cache.shard_snapshot(s)) {
-                got.push_back(entry.first);
+            ASSERT_EQ(st.shard_entries[s], model[s].size()) << "op " << op;
+            std::vector<std::string> order;
+            for (const auto& [k, v] : cache.shard_snapshot(s)) {
+                order.push_back(k);
+                ASSERT_EQ(v, stored[k].first) << "op " << op << " " << k;
             }
             const std::vector<std::string> want(model[s].rbegin(),
                                                 model[s].rend());
-            ASSERT_EQ(got, want) << "op " << op << " shard " << s;
+            ASSERT_EQ(order, want) << "op " << op << " shard " << s;
         }
     }
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(misses, 0u);
+    EXPECT_GT(evictions, 0u);
+}
+
+TEST(MemoCacheHashedKey, RefreshToEverySizeKeepsBytesAndMetric) {
+    // One key refreshed through every size class and back down: each
+    // value and metric reads back exactly, and the refresh never counts
+    // an eviction or adds an entry.
+    memo_cache cache{4, 1};
+    cache.put("neighbour", "n", 1.0);
+    const std::vector<std::size_t> sizes = class_spanning_sizes();
+    std::vector<std::size_t> order = sizes;
+    order.insert(order.end(), sizes.rbegin(), sizes.rend());
+    std::string got;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        const std::string value(order[i], static_cast<char>('a' + i % 26));
+        cache.put("k", value, static_cast<double>(i));
+        ASSERT_TRUE(cache.get("k", &got)) << order[i];
+        ASSERT_EQ(got, value) << order[i];
+        ASSERT_EQ(cache.get_metric("k"), static_cast<double>(i));
+    }
+    ASSERT_TRUE(cache.get("neighbour", &got));
+    EXPECT_EQ(got, "n");
+    EXPECT_EQ(cache.snapshot().entries, 2u);
+    EXPECT_EQ(cache.snapshot().evictions, 0u);
+}
+
+TEST(MemoCacheConcurrency, FourThreadsGetPutMetricShedSnapshot) {
+    // Four threads share one small cache: puts (two versions of each
+    // key's value, of different sizes, so refreshes move blocks),
+    // copy-out gets, lane probes, metric reads, whole-shard sheds and
+    // snapshots.  Every byte read must be one of the key's two versions
+    // in full, every metric one of its two metrics, and the counters
+    // must add up.  Run under TSan (the CI tsan leg repeats it).
+    constexpr int threads = 4;
+    constexpr int ops = 6000;
+    const std::vector<std::string> keys = fixed_keys(96);
+    const auto version = [&](std::size_t k, int v) {
+        const std::size_t size =
+            (k * 37 + static_cast<std::size_t>(v) * 900) % 2500;
+        std::string value(size, static_cast<char>('a' + (k + v) % 26));
+        return keys[k] + "#" + std::to_string(v) + value;
+    };
+    const auto metric_of = [](std::size_t k, int v) {
+        return v == 0 ? memo_cache::no_metric
+                      : static_cast<double>(k) + 0.5;
+    };
+    memo_cache cache{40, 4};
+    std::atomic<std::uint64_t> gets{0};
+    std::atomic<std::uint64_t> get_hits{0};
+    std::atomic<std::uint64_t> bad{0};
+    std::vector<std::thread> pool;
+    for (int t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+            std::mt19937 rng{static_cast<unsigned>(100 + t)};
+            std::string got;
+            for (int op = 0; op < ops; ++op) {
+                const std::size_t k = rng() % keys.size();
+                const hashed_key key = hashed_key::of(keys[k]);
+                const unsigned roll = rng() % 100;
+                if (roll < 40) {
+                    const int v = static_cast<int>(rng() % 2);
+                    cache.put(key, version(k, v), metric_of(k, v));
+                } else if (roll < 65) {
+                    gets.fetch_add(1, std::memory_order_relaxed);
+                    if (cache.get(key, &got)) {
+                        get_hits.fetch_add(1, std::memory_order_relaxed);
+                        if (got != version(k, 0) && got != version(k, 1)) {
+                            bad.fetch_add(1, std::memory_order_relaxed);
+                        }
+                    }
+                } else if (roll < 75) {
+                    (void)cache.get_if_present(key);
+                } else if (roll < 93) {
+                    if (const auto m = cache.get_metric(key)) {
+                        if (!same_metric(*m, metric_of(k, 0)) &&
+                            !same_metric(*m, metric_of(k, 1))) {
+                            bad.fetch_add(1, std::memory_order_relaxed);
+                        }
+                    }
+                } else if (roll < 95) {
+                    (void)cache.shed_shards(1 + rng() % 2);
+                } else if (roll < 98) {
+                    const memo_cache::stats s = cache.snapshot();
+                    if (s.entries > 40) {
+                        bad.fetch_add(1, std::memory_order_relaxed);
+                    }
+                } else {
+                    for (const auto& [k2, v2] :
+                         cache.shard_snapshot(rng() % 4)) {
+                        const std::size_t id = static_cast<std::size_t>(
+                            std::find(keys.begin(), keys.end(), k2) -
+                            keys.begin());
+                        if (id == keys.size() ||
+                            (v2 != version(id, 0) && v2 != version(id, 1))) {
+                            bad.fetch_add(1, std::memory_order_relaxed);
+                        }
+                    }
+                }
+            }
+        });
+    }
+    for (std::thread& th : pool) {
+        th.join();
+    }
+    EXPECT_EQ(bad.load(), 0u);
+    const memo_cache::stats s = cache.snapshot();
+    EXPECT_LE(s.entries, 40u);
+    EXPECT_GE(s.hits, get_hits.load());
+    EXPECT_EQ(s.misses, gets.load() - get_hits.load());
+    EXPECT_GT(s.evictions, 0u);
+    EXPECT_GT(get_hits.load(), 0u);
 }
 
 TEST(MemoCacheHashedKey, OverloadsAgreeOnHitsAndMisses) {
@@ -233,20 +468,20 @@ TEST(MemoCacheHashedKey, OverloadsAgreeOnHitsAndMisses) {
                 hashed.put(hk, key + "=v");
                 break;
             case 1: {
-                const auto a = plain.get(key);
-                const auto b = hashed.get(hk);
-                ASSERT_EQ(a == nullptr, b == nullptr) << op;
-                if (a != nullptr) {
-                    EXPECT_EQ(*a, *b);
+                std::string a;
+                std::string b;
+                const bool hit = plain.get(key, &a);
+                ASSERT_EQ(hit, hashed.get(hk, &b)) << op;
+                if (hit) {
+                    EXPECT_EQ(a, b);
                 }
                 break;
             }
-            case 2: {
-                const auto a = plain.get_if_present(key);
-                const auto b = hashed.get_if_present(hk);
-                ASSERT_EQ(a == nullptr, b == nullptr) << op;
+            case 2:
+                ASSERT_EQ(plain.get_if_present(key),
+                          hashed.get_if_present(hk))
+                    << op;
                 break;
-            }
             default:
                 ASSERT_EQ(plain.contains(key), hashed.contains(hk)) << op;
                 break;

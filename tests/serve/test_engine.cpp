@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <random>
 #include <string>
 #include <utility>
@@ -410,9 +411,36 @@ std::map<std::string, std::string> cached_entries(serve::engine& engine) {
         << r.reason;
     std::map<std::string, std::string> out;
     for (const auto& [key, value] : copy.shard_snapshot(0)) {
-        out.emplace(key, *value);
+        out.emplace(key, value);
     }
     return out;
+}
+
+/// Checks the metric the engine's cache stores beside each of `cached`
+/// (key -> bytes, all of its entries): bit for bit the number its bytes
+/// carry under the key's primary metric, or NaN when that member is
+/// null or absent or the op has none — what a lane splice reads back.
+void expect_stored_metrics(serve::engine& engine,
+                           const std::map<std::string, std::string>& cached,
+                           const std::string& grid_line) {
+    for (const auto& [key, bytes] : cached) {
+        const serve::request req = serve::parse_request(json::parse(key));
+        const char* name = serve::primary_metric(req.op);
+        const json::value result = json::parse(bytes);
+        const json::value* member =
+            name != nullptr ? result.as_object().find(name) : nullptr;
+        const std::optional<double> stored =
+            engine.cache().get_metric(key);
+        ASSERT_TRUE(stored.has_value()) << key;
+        if (member != nullptr && member->is_number()) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(*stored),
+                      std::bit_cast<std::uint64_t>(member->as_number()))
+                << key << "\n  in " << grid_line;
+        } else {
+            EXPECT_TRUE(std::isnan(*stored))
+                << key << "\n  in " << grid_line;
+        }
+    }
 }
 
 /// Checks the point cache an engine holds after serving only
@@ -448,6 +476,7 @@ std::size_t expect_lane_entries(serve::engine& engine,
         expected[req.canonical_key] = body;
     }
     std::map<std::string, std::string> cached = cached_entries(engine);
+    expect_stored_metrics(engine, cached, grid_line);
     // The grid's own reply is cached under the grid's key.
     cached.erase(serve::parse_request(json::parse(grid_line)).canonical_key);
     EXPECT_EQ(cached.size(), expected.size()) << grid_line;

@@ -508,11 +508,11 @@ TEST_F(HotPathAllocations, ColdMissWithCacheDisabledAllocatesNothing) {
     // The cold-path arena gate: with the memoization cache disabled,
     // *every* request is a cold miss, and every op's one result path
     // evaluates the library and writes into a reused per-thread buffer.
-    // For the closed-form point endpoints below (chiplet and cost_tr
-    // included) that is zero allocations once buffers have grown
-    // (warm-up is inside warm_hit_allocations).  The cache put is
-    // skipped entirely at capacity 0, so no copy of the response is
-    // taken either.
+    // For the closed-form point endpoints below (chiplet, cost_tr and
+    // the exact gross-die search included) that is zero allocations
+    // once buffers have grown (warm-up is inside warm_hit_allocations).
+    // The cache put is skipped entirely at capacity 0, so no copy of the
+    // response is taken either.
     serve::engine_config config = fast_config();
     config.cache_capacity = 0;
     serve::engine engine{config};
@@ -531,6 +531,8 @@ TEST_F(HotPathAllocations, ColdMissWithCacheDisabledAllocatesNothing) {
         R"({"op":"gross_die","die_width_mm":12,"die_height_mm":9})",
         R"({"op":"gross_die","die_width_mm":7,"die_height_mm":7,)"
         R"("method":"ferris_prabhu","scribe_mm":0.1})",
+        R"({"op":"gross_die","die_width_mm":12,"die_height_mm":12,)"
+        R"("method":"exact","scribe_mm":0.1})",
         R"({"id":"t","op":"scenario1","trace_id":"req-cold-1"})",
         R"({"op":"chiplet","chiplets":4,"substrate":"rdl"})",
         R"({"op":"chiplet","substrate":"interposer","d2d_area_mm2":8})",
@@ -539,6 +541,8 @@ TEST_F(HotPathAllocations, ColdMissWithCacheDisabledAllocatesNothing) {
         R"({"op":"cost_tr","process":{"gross_die_method":"ferris_prabhu",)"
         R"("yield":{"model":"fixed","fixed":0.9}},)"
         R"("economics":{"overhead_usd":2e6,"volume_wafers":500}})",
+        R"({"op":"cost_tr","process":{"gross_die_method":"exact",)"
+        R"("yield":{"model":"fixed","fixed":0.9}}})",
     };
     std::string out;
     for (const std::string& line : lines) {
@@ -557,6 +561,160 @@ TEST_F(HotPathAllocations, ColdMissWithCacheDisabledAllocatesNothing) {
         engine.handle_line_into(line, out);
         EXPECT_EQ(out, reference_reply(reference, line));
     }
+}
+
+/// Point requests of every op in the zero-allocation miss set, with `@`
+/// standing for a number: each distinct number is a distinct canonical
+/// key, so every line built from a template is a cold miss.
+struct point_template {
+    const char* text;
+    double base;
+};
+
+const std::vector<point_template>& cold_point_templates() {
+    static const std::vector<point_template> templates = {
+        {R"({"id":7,"op":"scenario1","lambda_um":@})", 0.5},
+        {R"({"op":"scenario2","y0":0.9,"lambda_um":@})", 0.8},
+        {R"({"op":"yield","model":"poisson","expected_faults":@})", 0.5},
+        {R"({"op":"yield","model":"murphy","die_area_cm2":@,)"
+         R"("defects_per_cm2":0.4})",
+         2.5},
+        {R"({"op":"yield","model":"seeds","die_area_cm2":@})", 1.2},
+        {R"({"op":"yield","model":"bose_einstein","critical_steps":12,)"
+         R"("die_area_cm2":@})",
+         1.0},
+        {R"({"op":"yield","model":"neg_binomial","alpha":2.5,)"
+         R"("expected_faults":@})",
+         3.0},
+        {R"({"op":"yield","model":"scaled_poisson","lambda_um":@})", 0.8},
+        {R"({"op":"yield","model":"reference","y0":0.7,"die_area_cm2":@})",
+         2.0},
+        {R"({"op":"gross_die","die_width_mm":@,"die_height_mm":9})", 12.0},
+        {R"({"op":"gross_die","die_width_mm":@,"die_height_mm":7,)"
+         R"("method":"ferris_prabhu","scribe_mm":0.1})",
+         7.0},
+        {R"({"op":"gross_die","die_width_mm":@,"die_height_mm":12,)"
+         R"("method":"exact","scribe_mm":0.1})",
+         12.0},
+        {R"({"id":"t","op":"scenario1","trace_id":"req-cold-1",)"
+         R"("lambda_um":@})",
+         0.6},
+        {R"({"op":"chiplet","chiplets":4,"substrate":"rdl",)"
+         R"("d2d_area_mm2":@})",
+         8.0},
+        {R"({"op":"chiplet","substrate":"interposer","d2d_area_mm2":@})",
+         8.0},
+        {R"({"op":"cost_tr","product":{"transistors":@}})", 1e6},
+        {R"({"op":"cost_tr","process":{"yield":{"model":"scaled"}},)"
+         R"("product":{"transistors":@}})",
+         1e6},
+        {R"({"op":"cost_tr","process":{"gross_die_method":"ferris_prabhu",)"
+         R"("yield":{"model":"fixed","fixed":0.9}},)"
+         R"("economics":{"overhead_usd":2e6,"volume_wafers":@}})",
+         500.0},
+        {R"({"op":"cost_tr","process":{"gross_die_method":"exact",)"
+         R"("yield":{"model":"fixed","fixed":0.9}},)"
+         R"("product":{"transistors":@}})",
+         1e6},
+    };
+    return templates;
+}
+
+/// Template `t` with its number moved by step `k`.
+std::string cold_point_line(const point_template& t, std::size_t k) {
+    std::string line = t.text;
+    line.replace(line.find('@'), 1,
+                 serve::json::format_number(
+                     t.base * (1.0 + 1e-4 * static_cast<double>(k))));
+    return line;
+}
+
+TEST_F(HotPathAllocations, ColdMissIntoFullCacheAllocatesNothing) {
+    // The slab cache's gate: once the cache is full, a cold miss of any
+    // op in the zero-allocation set allocates nothing at all — the
+    // evaluation writes into reused buffers, and the put evicts the
+    // shard's LRU entry and stores into the block that eviction freed
+    // (or a spare of the shard's free lists).
+    serve::engine_config config = fast_config();
+    config.cache_capacity = 256;
+    config.cache_shards = 4;
+    serve::engine engine{config};
+    const std::vector<point_template>& templates = cold_point_templates();
+    std::string out;
+    std::size_t step = 0;
+    // Fill four times past capacity with every template in turn.
+    for (std::size_t i = 0; i < 4 * config.cache_capacity; ++i) {
+        engine.handle_line_into(
+            cold_point_line(templates[i % templates.size()], ++step), out);
+    }
+    ASSERT_EQ(engine.cache_stats().entries, config.cache_capacity);
+    for (const point_template& t : templates) {
+        SCOPED_TRACE(t.text);
+        for (int i = 0; i < 3; ++i) {  // grow this op's buffers
+            engine.handle_line_into(cold_point_line(t, ++step), out);
+        }
+        std::vector<std::string> lines;
+        for (int i = 0; i < 5; ++i) {
+            lines.push_back(cold_point_line(t, ++step));
+        }
+        const serve::memo_cache::stats before = engine.cache_stats();
+        const std::uint64_t allocations = t_allocations;
+        for (const std::string& line : lines) {
+            engine.handle_line_into(line, out);
+        }
+        EXPECT_EQ(t_allocations - allocations, 0u);
+        EXPECT_NE(out.find(R"("ok":true)"), std::string::npos) << out;
+        const serve::memo_cache::stats after = engine.cache_stats();
+        EXPECT_EQ(after.misses, before.misses + lines.size());
+        EXPECT_EQ(after.evictions, before.evictions + lines.size());
+        EXPECT_EQ(after.entries, config.cache_capacity);
+    }
+}
+
+TEST_F(HotPathAllocations, FreshSweepIntoFullCacheAllocatesPerGridNotPerLane) {
+    // The lane feed allocates nothing per lane: keys go into the
+    // thread's reused lane scratch, each put into a full cache reuses
+    // the block its eviction freed.  So, once buffers have grown, a
+    // fresh 256-lane sweep (256 keyed, probed, evaluated and cached
+    // lanes, 256 evictions) allocates exactly as much as a fresh
+    // 16-lane one: only per-grid storage.
+    serve::engine_config config = fast_config();
+    config.cache_capacity = 2048;
+    serve::engine engine{config};
+    std::string out;
+    std::size_t step = 0;
+    const auto sweep = [&](int count) {
+        const double shift = 1.0 + 1e-6 * static_cast<double>(++step);
+        return R"({"op":"sweep","param":"lambda_um","from":)" +
+               serve::json::format_number(0.4 * shift) + R"(,"to":)" +
+               serve::json::format_number(1.4 * shift) + R"(,"count":)" +
+               std::to_string(count) +
+               R"(,"target":{"op":"scenario2","y0":0.8}})";
+    };
+    for (int i = 0; i < 24; ++i) {  // fill three times past capacity
+        engine.handle_line_into(sweep(256), out);
+    }
+    ASSERT_EQ(engine.cache_stats().entries, config.cache_capacity);
+    for (int i = 0; i < 3; ++i) {  // grow every buffer for both sizes
+        engine.handle_line_into(sweep(256), out);
+        engine.handle_line_into(sweep(16), out);
+    }
+    const auto allocations_of = [&](int count) {
+        const std::string line = sweep(count);
+        const serve::memo_cache::stats before = engine.cache_stats();
+        const std::uint64_t start = t_allocations;
+        engine.handle_line_into(line, out);
+        const std::uint64_t taken = t_allocations - start;
+        const serve::memo_cache::stats after = engine.cache_stats();
+        // Every lane and the sweep itself were cached, each evicting.
+        EXPECT_EQ(after.evictions, before.evictions + count + 1);
+        EXPECT_EQ(after.hits, before.hits);
+        return taken;
+    };
+    const std::uint64_t small = allocations_of(16);
+    const std::uint64_t large = allocations_of(256);
+    EXPECT_EQ(large, small);
+    EXPECT_EQ(allocations_of(256), allocations_of(16));
 }
 
 TEST_F(HotPathAllocations, ColdMissIneligibleOpsStillAnswerCorrectly) {

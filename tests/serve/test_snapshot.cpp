@@ -7,6 +7,8 @@
 
 #include "serve/cache.hpp"
 #include "serve/engine.hpp"
+#include "serve/json.hpp"
+#include "serve/request.hpp"
 
 #include <gtest/gtest.h>
 
@@ -154,10 +156,10 @@ TEST(Snapshot, RoundTripPreservesEveryEntry) {
         snap::deserialize_into(restored, kFp, image);
     ASSERT_EQ(r.outcome, snap::restore_outcome::restored);
     EXPECT_EQ(r.entries, 20u);
+    std::string hit;
     for (const auto& [key, value] : entries) {
-        const auto hit = restored.get_if_present(key);
-        ASSERT_NE(hit, nullptr) << key;
-        EXPECT_EQ(*hit, value) << key;
+        ASSERT_TRUE(restored.get_if_present(key, &hit)) << key;
+        EXPECT_EQ(hit, value) << key;
     }
 }
 
@@ -168,7 +170,7 @@ TEST(Snapshot, RoundTripPreservesRecencyOrder) {
     memo_cache cache{2, 1};
     cache.put("older", "1");
     cache.put("newer", "2");
-    ASSERT_NE(cache.get("older"), nullptr);  // "older" is now MRU
+    ASSERT_TRUE(cache.get("older"));  // "older" is now MRU
 
     memo_cache restored{2, 1};
     ASSERT_EQ(snap::deserialize_into(restored, kFp,
@@ -176,9 +178,9 @@ TEST(Snapshot, RoundTripPreservesRecencyOrder) {
                   .outcome,
               snap::restore_outcome::restored);
     restored.put("evictor", "3");  // must evict "newer", the LRU
-    EXPECT_EQ(restored.get_if_present("newer"), nullptr);
-    EXPECT_NE(restored.get_if_present("older"), nullptr);
-    EXPECT_NE(restored.get_if_present("evictor"), nullptr);
+    EXPECT_FALSE(restored.get_if_present("newer"));
+    EXPECT_TRUE(restored.get_if_present("older"));
+    EXPECT_TRUE(restored.get_if_present("evictor"));
 }
 
 TEST(Snapshot, RestoresAcrossDifferentShardCounts) {
@@ -190,7 +192,7 @@ TEST(Snapshot, RestoresAcrossDifferentShardCounts) {
         snap::deserialize_into(restored, kFp, image);
     ASSERT_EQ(r.outcome, snap::restore_outcome::restored);
     EXPECT_EQ(restored.snapshot().entries, 3u);
-    EXPECT_NE(restored.get_if_present("charlie"), nullptr);
+    EXPECT_TRUE(restored.get_if_present("charlie"));
 }
 
 TEST(Snapshot, FileRoundTripIsAtomic) {
@@ -286,10 +288,12 @@ TEST(Snapshot, EveryBitFlipIsContained) {
                 EXPECT_EQ(restored.snapshot().entries, 3u)
                     << "byte " << i << " mask " << unsigned{mask};
                 for (const char* key : {"alpha", "bravo", "charlie"}) {
-                    const auto hit = restored.get_if_present(key);
-                    ASSERT_NE(hit, nullptr) << "byte " << i;
-                    EXPECT_EQ(*hit, *cache.get_if_present(key))
+                    std::string hit;
+                    std::string want;
+                    ASSERT_TRUE(restored.get_if_present(key, &hit))
                         << "byte " << i;
+                    ASSERT_TRUE(cache.get_if_present(key, &want));
+                    EXPECT_EQ(hit, want) << "byte " << i;
                 }
             } else {
                 EXPECT_EQ(r.outcome,
@@ -447,6 +451,54 @@ TEST(EngineSnapshot, RestoredEngineServesIdenticalBytesWarm) {
     EXPECT_EQ(after.misses, before.misses)
         << "a restored engine must answer the writer's corpus warm";
     EXPECT_EQ(after.hits, before.hits + lines.size());
+}
+
+TEST(EngineSnapshot, RestoredGridSplicesEveryLaneFromTheCache) {
+    // A snapshot carries no metrics: restore reads each entry's from its
+    // bytes.  Replaying a grid on the restored engine through
+    // evaluate_into (which bypasses the grid's own entry) must splice
+    // every lane from the cache — no miss, no new entry — and give the
+    // writer's bytes, so each restored metric is the one the writer
+    // stored.  Kernel sweeps, scalar lanes with an integer metric, a
+    // sweep with rejected lanes and an explore with infeasible cells.
+    const std::vector<std::string> grids = {
+        R"({"op":"sweep","param":"lambda_um","from":0.4,"to":1.6,
+            "count":40,"target":{"op":"scenario2","y0":0.7}})",
+        R"({"op":"sweep","param":"die_width_mm","from":3,"to":30,
+            "count":12,"target":{"op":"gross_die"}})",
+        R"({"op":"sweep","param":"expected_faults","from":-1,"to":3,
+            "count":9,"target":{"op":"yield","model":"murphy"}})",
+        R"({"op":"partition_explore","splits":"1,2,4","area_from_mm2":200,
+            "area_to_mm2":60000,"count":9,"scale":"log"})",
+    };
+    const std::string ok_prefix = R"({"ok":true,"result":)";
+    for (const std::string& grid : grids) {
+        SCOPED_TRACE(grid);
+        const file_guard guard{temp_path("grid")};
+        serve::engine writer{engine_config_with(1)};
+        const std::string reply = writer.handle_line(grid);
+        ASSERT_EQ(reply.rfind(ok_prefix, 0), 0u) << reply;
+        const std::string body = reply.substr(
+            ok_prefix.size(), reply.size() - ok_prefix.size() - 1);
+        ASSERT_TRUE(writer.snapshot_write(guard.path).ok);
+
+        serve::engine reader{engine_config_with(1)};
+        ASSERT_EQ(reader.snapshot_restore(guard.path).outcome,
+                  snap::restore_outcome::restored);
+        const auto before = reader.cache_stats();
+        ASSERT_GT(before.entries, 1u);
+        std::string out;
+        (void)reader.evaluate_into(
+            serve::parse_request(serve::json::parse(grid)), out);
+        EXPECT_EQ(out, body);
+        const auto after = reader.cache_stats();
+        // Every entry but the grid's own is a lane, and each one hit.
+        EXPECT_EQ(after.hits, before.hits + before.entries - 1);
+        EXPECT_EQ(after.misses, before.misses);
+        EXPECT_EQ(after.entries, before.entries);
+        // And the grid line itself is a whole-reply hit.
+        EXPECT_EQ(reader.handle_line(grid), reply);
+    }
 }
 
 TEST(EngineSnapshot, InfoCountersTrackWritesAndRestores) {
