@@ -2,6 +2,8 @@
 // model evaluation throughput matters because the optimizers and contour
 // grids call them tens of thousands of times.
 
+#include "grid_batch.hpp"
+
 #include "analysis/contour.hpp"
 #include "analysis/sweep.hpp"
 #include "core/cost_model.hpp"
@@ -270,6 +272,24 @@ BENCHMARK(bm_lane_cache_feed)
     ->Args({1, 1, 0})
     ->Args({1, 0, 0});
 BENCHMARK(bm_lane_cache_feed)->Args({0, 1, 1})->Args({0, 0, 1})->UseRealTime();
+
+// A closed-loop grid_explore client's batch, served in process: four
+// fresh grid lines (grid_batch.hpp) per handle_batch at parallelism 0.
+// Every line is a pool task, and each fans its lanes, cells or
+// Monte-Carlo shards out again from inside it.  Timed in wall-clock
+// time, reported as lines/s.
+void bm_grid_batch(benchmark::State& state) {
+    serve::engine_config config;
+    config.parallelism = 0;
+    serve::engine engine{config};
+    std::uint64_t n = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(engine.handle_batch(bench::grid_batch(++n)));
+    }
+    state.counters["lines_per_s"] = benchmark::Counter(
+        4.0, benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(bm_grid_batch)->UseRealTime();
 
 }  // namespace
 

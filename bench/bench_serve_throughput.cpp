@@ -17,9 +17,17 @@
 //    per-point speedup is gated by bench_batch_kernels and
 //    bench_chiplet.
 //
+// 3. The grid batch (grid_batch.hpp): four fresh grid lines per
+//    handle_batch at the default width, as a closed-loop grid_explore
+//    client sends them, so every line is a pool task that fans out
+//    again from inside.  Lines/s is recorded, never gated; the replies
+//    must be byte-identical to a parallelism-1, cache-off engine's.
+//
 // Results land in BENCH_serve.json (machine readable, git-tracked).
 // SILICON_BENCH_TINY=1 shrinks the workload and skips the memoization
 // speedup gate so CI runs stay cheap and unflaky.
+
+#include "grid_batch.hpp"
 
 #include "serve/engine.hpp"
 #include "serve/request.hpp"
@@ -220,6 +228,36 @@ int main() {
                 static_cast<std::size_t>(batch_engine.arena_bytes()),
                 identical ? "byte-identical" : "DIFFER");
 
+    // --- Pass set 3: the grid batch -------------------------------------
+    const std::size_t kGridBatches = tiny ? 4 : 400;
+    std::vector<std::vector<std::string>> grid_batches;
+    for (std::size_t b = 0; b < kGridBatches; ++b) {
+        grid_batches.push_back(silicon::bench::grid_batch(b + 1));
+    }
+    serve::engine grid_engine{batch_config};
+    std::vector<std::vector<std::string>> grid_responses;
+    const auto grid_start = std::chrono::steady_clock::now();
+    for (const std::vector<std::string>& b : grid_batches) {
+        grid_responses.push_back(grid_engine.handle_batch(b));
+    }
+    const double grid_seconds = std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() -
+                                    grid_start)
+                                    .count();
+    const double grid_rate =
+        static_cast<double>(4 * kGridBatches) / grid_seconds;
+    serve::engine grid_reference{reference_config};
+    bool grid_identical = true;
+    for (std::size_t b = 0; b < kGridBatches; ++b) {
+        grid_identical = grid_identical &&
+                         grid_reference.handle_batch(grid_batches[b]) ==
+                             grid_responses[b];
+    }
+    std::printf("grid batch (%zu batches of 4 fresh grid lines)\n",
+                kGridBatches);
+    std::printf("  %-22s %12.0f lines/s, responses %s\n", "default width",
+                grid_rate, grid_identical ? "byte-identical" : "DIFFER");
+
     // --- Machine-readable results --------------------------------------
     json::object doc;
     doc.set("bench", json::value{std::string{"bench_serve_throughput"}});
@@ -247,8 +285,15 @@ int main() {
     cold.set("arena_bytes",
              json::value{static_cast<double>(batch_engine.arena_bytes())});
     doc.set("cold_batch_ablation", json::value{std::move(cold)});
+    json::object grid;
+    grid.set("batches", json::value{static_cast<double>(kGridBatches)});
+    grid.set("lines_per_batch", json::value{4.0});
+    grid.set("lines_per_s", json::value{grid_rate});
+    grid.set("responses_identical", json::value{grid_identical});
+    doc.set("grid_batch", json::value{std::move(grid)});
 
-    bool gate_pass = identical && dedup_exact && cache.hits >= kRequests;
+    bool gate_pass =
+        identical && grid_identical && dedup_exact && cache.hits >= kRequests;
     if (!tiny) {
         gate_pass = gate_pass && cache_warm >= 5.0 * serial_cold;
     }
@@ -266,6 +311,10 @@ int main() {
     // --- Gates ----------------------------------------------------------
     if (!identical) {
         std::printf("FAIL: cold batch replies differ from the reference\n");
+        return 1;
+    }
+    if (!grid_identical) {
+        std::printf("FAIL: grid batch replies differ from the reference\n");
         return 1;
     }
     if (!dedup_exact) {

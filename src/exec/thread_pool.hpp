@@ -31,12 +31,14 @@
 
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <limits>
 #include <utility>
-#include <vector>
 
 namespace silicon::exec {
 
@@ -64,6 +66,9 @@ struct shard_range {
 
     [[nodiscard]] std::size_t size() const noexcept { return end - begin; }
 };
+
+/// The shard budget: no decomposition has more shards than this.
+inline constexpr std::size_t max_shards = 64;
 
 /// Number of shards used for `items` work items: min(items, 64).  A
 /// fixed budget (not a function of the thread count) is what makes the
@@ -104,30 +109,30 @@ inline constexpr double unknown_item_cost =
 ///
 /// `run(tasks, fn, width)` calls fn(0) … fn(tasks-1) exactly once each
 /// across at most `width` threads (the calling thread plus up to
-/// width-1 workers), blocks until all complete, and rethrows the first
+/// width-1 others), blocks until all complete, and rethrows the first
 /// exception thrown by any task (remaining tasks still run).  Tasks are
 /// claimed from a shared atomic counter; callers needing determinism
 /// must make each task independent of execution order — the sharding
 /// helpers above exist for exactly that.
 ///
-/// Wake protocol: the pool owns one job slot, rewritten by each run()
-/// under the pool mutex together with a new generation number.  run()
-/// opens min(tasks, width) - 1 seats and wakes that many workers
-/// (notify_one each; one notify_all when every worker is wanted); a
-/// worker takes a seat and a copy of the slot under the mutex, then
-/// claims tasks until the counter runs out.  The claim counter carries
-/// the generation, so a claim made with an older copy fails: a worker
-/// descheduled past the end of its run can never touch a later one.
-/// run() therefore waits only for the tasks still running (it spins
-/// briefly before sleeping on that), never for a worker that took a
-/// seat but claimed nothing.  Completion is counted with one atomic per
-/// task, not a lock per task.
-///
-/// Nested use is rejected: calling run() from inside any pool task
-/// throws std::logic_error (the higher-level parallel_for degrades to
-/// serial instead, see below).
+/// Several runs may be in flight at once, from other threads or from
+/// inside a task (nested fan-out).  Each takes one of `job_slots`
+/// pool-owned slots: a generation-tagged claim word, a completion count
+/// and the number of open *seats* (min(tasks, width) - 1).  A job's
+/// *depth* is the number of pool tasks on its submitter's stack plus
+/// one.  Idle workers take a seat in the deepest job with unclaimed
+/// tasks.  A submitter that has claimed all of its own tasks waits only
+/// for those still running; meanwhile it may take a seat in a job of
+/// the same top-level run that is deeper than the task it is inside —
+/// never a sibling's or an ancestor's task, which could re-enter code
+/// whose thread_local state this thread's own stack is still using.
+/// When every slot is busy a run executes its tasks serially on the
+/// caller, in index order.  DESIGN.md §7 gives the whole protocol.
 class thread_pool {
 public:
+    /// Jobs that can be in flight at once, nested ones included.
+    static constexpr unsigned job_slots = 64;
+
     /// Spawns threads-1 workers (the caller participates in run()).
     /// threads == 0 means hardware concurrency.
     explicit thread_pool(unsigned threads = 0);
@@ -140,16 +145,13 @@ public:
     [[nodiscard]] unsigned thread_count() const noexcept;
 
     /// Execute fn(i) for i in [0, tasks) on at most `width` threads
-    /// (0 = the whole pool); blocks until done.
+    /// (0 = the whole pool); blocks until done.  May be called from
+    /// inside a task of this pool.
     void run(std::size_t tasks, const std::function<void(std::size_t)>& fn,
              unsigned width = 0);
 
     /// std::thread::hardware_concurrency(), never less than 1.
     [[nodiscard]] static unsigned hardware_threads() noexcept;
-
-    /// True while the current thread is executing a pool task (of any
-    /// pool) — used for nested-use detection.
-    [[nodiscard]] static bool on_worker_thread() noexcept;
 
     /// Lazily constructed process-wide pool sized to the hardware; every
     /// parallel_for runs on it, whatever its parallelism.
@@ -157,12 +159,21 @@ public:
 
 private:
     struct job;
+    struct slot;
     struct impl;
     void worker_loop();
-    /// Claim and run tasks of `j` until none is left or a later run has
-    /// replaced it; a worker (`wake_caller`) that finishes the run's
-    /// last task wakes the caller.
-    void execute(const job& j, bool wake_caller);
+    /// Claim and run tasks of `j` until none is left, a later run has
+    /// reused its slot, or (`until`, when set) that count reaches
+    /// `until_total`.  A participant other than the submitter
+    /// (`wake_caller`) that finishes the run's last task wakes the
+    /// submitter.  Returns the number of tasks run.
+    std::size_t execute(const job& j, bool wake_caller,
+                        const std::atomic<std::size_t>* until = nullptr,
+                        std::size_t until_total = 0);
+    /// Wait for the tasks of `own` (slot `index`) still running, helping
+    /// deeper jobs of the same top-level run meanwhile; then close and
+    /// free the slot and return the run's first exception, if any.
+    std::exception_ptr join(const job& own, unsigned index);
 
     impl* impl_;
 };
@@ -175,10 +186,11 @@ class cancel_token;
 /// stream seeded via shard_seed — is identical for every parallelism
 /// value and every cost estimate; only the wall-clock changes.  The
 /// same shards run serially, in index order, on the calling thread when
-/// parallelism <= 1, when there is one shard, when called from inside a
-/// pool task (nested-use safety), or when items × item_cost_ns is below
-/// fanout_threshold_ns (the grain).  Exceptions from `body` propagate
-/// to the caller.
+/// parallelism <= 1, when there is one shard, or when items ×
+/// item_cost_ns is below fanout_threshold_ns (the grain).  Called from
+/// inside a pool task it fans out too, onto threads that are idle or
+/// waiting (see thread_pool).  Exceptions from `body` propagate to the
+/// caller.
 ///
 /// With a non-null `cancel` there is a cooperative cancellation point
 /// before each shard.  A shard that has started always completes (so
@@ -197,19 +209,21 @@ void parallel_for(std::size_t items, unsigned parallelism,
 /// starting from `init`.  The fold order is fixed, so
 /// non-associative-in-floating-point merges still give bit-identical
 /// results at every parallelism level and on both sides of the grain.
+/// The partials live in a fixed array on the caller's stack, so the
+/// reduce allocates nothing of its own.
 template <typename T, typename Map, typename Combine>
 [[nodiscard]] T parallel_reduce(std::size_t items, unsigned parallelism,
                                 T init, Map&& map, Combine&& combine,
                                 double item_cost_ns = unknown_item_cost) {
     const std::size_t shards = shard_count_for(items);
-    std::vector<T> partial(shards);
+    std::array<T, max_shards> partial{};
     parallel_for(
         items, parallelism,
         [&](const shard_range& r) { partial[r.index] = map(r); }, nullptr,
         item_cost_ns);
     T acc = std::move(init);
-    for (T& p : partial) {
-        acc = combine(std::move(acc), std::move(p));
+    for (std::size_t s = 0; s < shards; ++s) {
+        acc = combine(std::move(acc), std::move(partial[s]));
     }
     return acc;
 }

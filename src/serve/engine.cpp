@@ -943,8 +943,12 @@ void sweep_kernel(const request& tgt, std::string_view param,
 /// One thread's lane keys for eval_lanes: key buffers that keep their
 /// capacity from grid to grid, so keying a lane allocates nothing once
 /// they have grown.  One set per thread suffices because eval_lanes
-/// never runs inside itself: every lane is a point request (an op with
-/// a primary metric), never a grid.
+/// never runs inside itself on one thread: every lane is a point
+/// request (an op with a primary metric), never a grid, and while this
+/// thread waits for its grid's shards the pool's depth rule lets it run
+/// only tasks of jobs deeper than the one it is inside (lane and
+/// Monte-Carlo shards), never a sibling line that could key a grid of
+/// its own into this set (exec/thread_pool.hpp, DESIGN.md §7).
 struct lane_keys {
     /// Grids up to this many lanes reuse the thread's set; a larger one
     /// keys into a local set, so no thread holds on to an outsized one.

@@ -54,9 +54,9 @@
 //     splice back in order.  A lane uses the cache exactly when scalar
 //     code evaluates it (DESIGN.md §10).
 //   * Parallel kernels: endpoints that are themselves parallel
-//     (mc_yield) inherit the engine parallelism; nested use inside a
-//     batch degrades to serial per the exec engine rules, with
-//     identical results either way.
+//     (mc_yield) inherit the engine parallelism; inside a batch they
+//     fan out again from the line's pool task (exec's nested fan-out),
+//     with identical results either way.
 //
 // Error handling: every failure — malformed JSON, schema violations,
 // infeasible model inputs (die does not fit, yield underflow) — maps

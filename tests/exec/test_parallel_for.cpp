@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -145,19 +147,62 @@ TEST(ParallelFor, ExceptionPropagatesFromSerialAndParallelPaths) {
     }
 }
 
-TEST(ParallelFor, NestedUseDegradesToSerialSafely) {
-    std::atomic<std::size_t> inner_total{0};
+TEST(ParallelFor, NestedCallsFanOutAndVisitEveryItemOnce) {
+    // A parallel_for inside a pool task fans out on the shared pool (no
+    // serial fallback any more): every inner item is still visited
+    // exactly once per outer item.
+    std::vector<std::atomic<int>> hits(8 * 1000);
     parallel_for(8, 4, [&](const shard_range& outer) {
-        // A nested parallel_for must not deadlock or throw; it runs the
-        // same decomposition serially on this thread.
-        std::size_t local = 0;
-        parallel_for(10, 4, [&](const shard_range& inner) {
-            local += inner.size();
-        });
-        EXPECT_EQ(local, 10u);
-        inner_total += local * outer.size();
+        for (std::size_t o = outer.begin; o < outer.end; ++o) {
+            parallel_for(1000, 4, [&](const shard_range& inner) {
+                for (std::size_t i = inner.begin; i < inner.end; ++i) {
+                    hits[o * 1000 + i].fetch_add(1,
+                                                 std::memory_order_relaxed);
+                }
+            });
+        }
     });
-    EXPECT_EQ(inner_total.load(), 80u);
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+        ASSERT_EQ(hits[i].load(), 1) << "item " << i;
+    }
+}
+
+TEST(ParallelReduce, NestedInsidePoolTasksMatchesSerialFold) {
+    // Floating-point sums are not associative, so only the fixed shard
+    // decomposition and index-order fold make a reduce that runs inside
+    // pool tasks (and fans out from there) bit-identical to a serial one.
+    const auto reduce = [](std::size_t n, unsigned parallelism,
+                           double scale) {
+        return parallel_reduce(
+            n, parallelism, 0.0,
+            [scale](const shard_range& r) {
+                double s = 0.0;
+                for (std::size_t i = r.begin; i < r.end; ++i) {
+                    s += scale / (1.0 + static_cast<double>(i) * 0.37);
+                }
+                return s;
+            },
+            [](double a, double b) { return a + b; });
+    };
+    constexpr std::size_t outer = 12;
+    std::vector<double> serial(outer);
+    for (std::size_t o = 0; o < outer; ++o) {
+        serial[o] = reduce(5000 + 97 * o, 1, 1.0 + static_cast<double>(o));
+    }
+    for (const unsigned parallelism : {2u, 4u, 0u}) {
+        std::vector<double> nested(outer);
+        parallel_for(outer, parallelism, [&](const shard_range& r) {
+            for (std::size_t o = r.begin; o < r.end; ++o) {
+                nested[o] = reduce(5000 + 97 * o, parallelism,
+                                   1.0 + static_cast<double>(o));
+            }
+        });
+        for (std::size_t o = 0; o < outer; ++o) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(nested[o]),
+                      std::bit_cast<std::uint64_t>(serial[o]))
+                << "parallelism " << parallelism << " outer " << o;
+        }
+    }
 }
 
 TEST(ParallelReduce, SumsMatchSerialFoldAtEveryParallelism) {

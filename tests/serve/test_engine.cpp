@@ -1024,6 +1024,164 @@ TEST(EngineFanOut, HandleBatchIntoGathersTheBatchRepliesInOrder) {
     EXPECT_EQ(gather, "kept|" + expected);
 }
 
+std::uint64_t exec_counter(const char* name) {
+    return obs::metrics_registry::global().get_counter(name).value();
+}
+
+/// Batch `rep` of the nested fan-out gate: fresh grid lines of every
+/// kind that evaluates lanes in pool tasks — kernel sweeps, a yield
+/// kernel sweep, a scalar-target (cost_tr) sweep, an mc_yield-target
+/// sweep whose lanes fan out again, a sweep together with its
+/// refinement (the two share every lane, in the same batch), the
+/// refinement of the previous batch's sweep, partition_explore grids
+/// and mc_yield runs.  Each number moves with `rep`, so every line and
+/// nearly every lane is a cache miss.
+std::vector<std::string> nested_gate_batch(int rep) {
+    const auto num = [](double v) { return json::format_number(v); };
+    const double k = 1.0 + 1e-6 * rep;
+    const auto refine_of = [&](int r, int count) {
+        const double kr = 1.0 + 1e-6 * r;
+        return R"({"op":"sweep","param":"lambda_um","from":)" +
+               num(0.35 * kr) + R"(,"to":)" + num(1.3 * kr) +
+               R"(,"count":)" + std::to_string(count) +
+               R"(,"target":{"op":"scenario2","y0":0.8}})";
+    };
+    std::vector<std::string> lines = {
+        R"({"op":"sweep","param":"lambda_um","from":)" + num(0.3 * k) +
+            R"(,"to":)" + num(1.4 * k) +
+            R"(,"count":180,"target":{"op":"scenario1"}})",
+        refine_of(rep, 170),
+        refine_of(rep, 339),
+        R"({"op":"sweep","param":"die_area_cm2","from":)" + num(0.1 * k) +
+            R"(,"to":)" + num(3.5 * k) +
+            R"(,"count":180,"target":{"op":"yield","model":"murphy"}})",
+        R"({"op":"sweep","param":"product.transistors","from":)" +
+            num(1e6 * k) + R"(,"to":)" + num(1e8 * k) +
+            R"(,"count":24,"scale":"log","target":{"op":"cost_tr"}})",
+        R"({"op":"sweep","param":"defects_per_um2","from":)" +
+            num(5e-5 * k) + R"(,"to":)" + num(2e-4 * k) +
+            R"(,"count":3,"target":{"op":"mc_yield","dies":1500,"seed":)" +
+            std::to_string(rep) + "}}",
+        R"({"op":"partition_explore","splits":"1,2,4,8","area_from_mm2":)" +
+            num(100.0 * k) + R"(,"area_to_mm2":)" + num(900.0 * k) +
+            R"(,"count":40})",
+        R"({"op":"partition_explore","splits":"1,3,6","substrate":"rdl",)"
+        R"("area_from_mm2":)" +
+            num(60.0 * k) + R"(,"area_to_mm2":)" + num(700.0 * k) +
+            R"(,"count":32})",
+        R"({"op":"mc_yield","dies":3000,"seed":)" + std::to_string(rep) +
+            "}",
+        R"({"op":"mc_yield","dies":1500,"line_spacing_um":1.2,"seed":)" +
+            std::to_string(1000 + rep) + "}",
+    };
+    if (rep > 0) {
+        lines.push_back(refine_of(rep - 1, 3 * 169 + 1));
+    }
+    return lines;
+}
+
+/// Every entry of an engine's point cache: key -> (bytes, the bits of
+/// the metric stored beside them).
+std::map<std::string, std::pair<std::string, std::uint64_t>> cache_contents(
+    serve::engine& engine) {
+    std::map<std::string, std::pair<std::string, std::uint64_t>> out;
+    serve::memo_cache& cache = engine.cache();
+    for (std::size_t i = 0; i < cache.shard_count(); ++i) {
+        for (auto& [key, value] : cache.shard_snapshot(i)) {
+            const std::optional<double> metric = cache.get_metric(key);
+            EXPECT_TRUE(metric.has_value()) << key;
+            out.emplace(std::move(key),
+                        std::pair{std::move(value),
+                                  std::bit_cast<std::uint64_t>(
+                                      metric.value_or(0.0))});
+        }
+    }
+    return out;
+}
+
+TEST(EngineNestedFanOut, MixedGridBatchesMatchSerialEngines) {
+    // The gate for nested fan-out: grid lines served as pool tasks fan
+    // their lanes out again, onto idle workers and onto threads waiting
+    // in a shallower join.  A waiting thread that ran a sibling line
+    // would re-enter eval_lanes and overwrite its own thread's lane keys
+    // while its grid's key shards still write into them (wrong bytes or
+    // a cache entry under the wrong key).  Every batch's replies must
+    // equal a serial cache-off engine's, and the cache must end up
+    // holding exactly the entries, bytes and stored metrics of a serial
+    // engine that served the same batches.
+    constexpr std::size_t capacity = std::size_t{1} << 18;
+    serve::engine engine{config_with(4, capacity)};
+    serve::engine serial{config_with(1, capacity)};
+    serve::engine reference{config_with(1, 0)};
+    for (int rep = 0; rep < 50; ++rep) {
+        const std::vector<std::string> lines = nested_gate_batch(rep);
+        const std::vector<std::string> expected =
+            reference.handle_batch(lines);
+        for (const std::string& reply : expected) {
+            ASSERT_NE(reply.find(R"("ok":true)"), std::string::npos)
+                << reply;
+        }
+        ASSERT_EQ(engine.handle_batch(lines), expected) << "batch " << rep;
+        ASSERT_EQ(serial.handle_batch(lines), expected) << "batch " << rep;
+    }
+    EXPECT_EQ(engine.cache_stats().evictions, 0u);
+    EXPECT_EQ(serial.cache_stats().evictions, 0u);
+    EXPECT_TRUE(cache_contents(engine) == cache_contents(serial));
+}
+
+TEST(EngineFanOut, NestedRunsAndHelpedTasksMoveOnGridBatchesOnly) {
+    // silicon_exec_nested_runs_total counts runs submitted from inside a
+    // pool task that woke a worker, silicon_exec_helped_tasks_total the
+    // tasks a waiting submitter ran for a deeper job.  A batch of cached
+    // point lines fans out (parse, serve) but never nests; a batch of
+    // grid lines nests in every line, and the thread that submitted the
+    // batch helps the lines' Monte-Carlo shards while it waits.
+    if (exec::thread_pool::hardware_threads() < 2) {
+        GTEST_SKIP() << "a one-thread pool never fans out";
+    }
+    serve::engine engine{config_with(0)};
+    std::vector<std::string> points;
+    for (int i = 0; i < 64; ++i) {
+        points.push_back(R"({"op":"scenario1","lambda_um":)" +
+                         json::format_number(0.3 + 0.01 * i) + "}");
+    }
+    (void)engine.handle_batch(points);
+    const std::uint64_t nested_before =
+        exec_counter("silicon_exec_nested_runs_total");
+    const std::uint64_t helped_before =
+        exec_counter("silicon_exec_helped_tasks_total");
+    const std::uint64_t runs_before = pool_runs();
+    (void)engine.handle_batch(points);
+    EXPECT_GT(pool_runs(), runs_before);
+    EXPECT_EQ(exec_counter("silicon_exec_nested_runs_total"), nested_before);
+    EXPECT_EQ(exec_counter("silicon_exec_helped_tasks_total"),
+              helped_before);
+
+    // Whether a waiting thread finds a shard left to help depends on
+    // timing, so grid batches repeat (fresh each time) until one did.
+    bool helped = false;
+    for (int rep = 0; rep < 200 && !helped; ++rep) {
+        const std::string seed = std::to_string(rep);
+        (void)engine.handle_batch(
+            {R"({"op":"mc_yield","dies":40000,"seed":)" + seed + "}",
+             R"({"op":"sweep","param":"lambda_um","from":0.3,"to":1.2,)"
+             R"("count":256,"target":{"op":"scenario2","x":)" +
+                 json::format_number(1.5 + 1e-3 * rep) + "}}",
+             R"({"op":"mc_yield","dies":30000,"seed":)" + seed + "7}",
+             R"({"op":"partition_explore","splits":"1,2,4,8","count":64,)"
+             R"("area_from_mm2":)" +
+                 json::format_number(100.0 + rep) + "}"});
+        helped = exec_counter("silicon_exec_helped_tasks_total") >
+                 helped_before;
+    }
+    EXPECT_GT(exec_counter("silicon_exec_nested_runs_total"), nested_before);
+    EXPECT_TRUE(helped);
+    const std::string text = engine.prometheus_text();
+    EXPECT_NE(text.find("silicon_exec_nested_runs_total"), std::string::npos);
+    EXPECT_NE(text.find("silicon_exec_helped_tasks_total"),
+              std::string::npos);
+}
+
 /// Serves every sweep at --threads 1/4/0 three ways — on a cold
 /// engine, with caching off, and after each lane's point request was
 /// answered on its own (so every lane splices from the cache) — and

@@ -16,6 +16,7 @@
 // canonical keys, error codes/messages and response lines.
 
 #include "exec/arena.hpp"
+#include "exec/thread_pool.hpp"
 #include "grid_reference.hpp"
 #include "obs/metrics.hpp"
 #include "serve/conn.hpp"
@@ -27,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -42,16 +44,19 @@
 
 // ---------------------------------------------------------------------------
 // Counting allocator: every global allocation bumps a thread-local
-// counter.  Deallocation is deliberately not counted (returning memory
-// is allowed on the hot path; taking it is not).
+// counter, and a process-wide one for work that spans pool threads.
+// Deallocation is deliberately not counted (returning memory is allowed
+// on the hot path; taking it is not).
 // ---------------------------------------------------------------------------
 
 namespace {
 
 thread_local std::uint64_t t_allocations = 0;
+std::atomic<std::uint64_t> g_allocations{0};
 
 void* counted_alloc(std::size_t n) {
     ++t_allocations;
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
     if (void* p = std::malloc(n == 0 ? 1 : n)) {
         return p;
     }
@@ -60,6 +65,7 @@ void* counted_alloc(std::size_t n) {
 
 void* counted_aligned_alloc(std::size_t n, std::size_t alignment) {
     ++t_allocations;
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
     void* p = nullptr;
     if (posix_memalign(&p, alignment < sizeof(void*) ? sizeof(void*)
                                                      : alignment,
@@ -75,10 +81,12 @@ void* operator new(std::size_t n) { return counted_alloc(n); }
 void* operator new[](std::size_t n) { return counted_alloc(n); }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
     ++t_allocations;
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
     return std::malloc(n == 0 ? 1 : n);
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
     ++t_allocations;
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
     return std::malloc(n == 0 ? 1 : n);
 }
 void* operator new(std::size_t n, std::align_val_t al) {
@@ -509,7 +517,8 @@ TEST_F(HotPathAllocations, ColdMissWithCacheDisabledAllocatesNothing) {
     // *every* request is a cold miss, and every op's one result path
     // evaluates the library and writes into a reused per-thread buffer.
     // For the closed-form point endpoints below (chiplet, cost_tr and
-    // the exact gross-die search included) that is zero allocations
+    // the exact gross-die search included) and for mc_yield (its
+    // shard partials sit in a fixed array) that is zero allocations
     // once buffers have grown (warm-up is inside warm_hit_allocations).
     // The cache put is skipped entirely at capacity 0, so no copy of the
     // response is taken either.
@@ -543,6 +552,7 @@ TEST_F(HotPathAllocations, ColdMissWithCacheDisabledAllocatesNothing) {
         R"("economics":{"overhead_usd":2e6,"volume_wafers":500}})",
         R"({"op":"cost_tr","process":{"gross_die_method":"exact",)"
         R"("yield":{"model":"fixed","fixed":0.9}}})",
+        R"({"op":"mc_yield","dies":64,"seed":7})",
     };
     std::string out;
     for (const std::string& line : lines) {
@@ -717,10 +727,50 @@ TEST_F(HotPathAllocations, FreshSweepIntoFullCacheAllocatesPerGridNotPerLane) {
     EXPECT_EQ(allocations_of(256), allocations_of(16));
 }
 
+TEST_F(HotPathAllocations, FannedOutParallelForAllocatesNothing) {
+    // Pool-owned job slots and a one-reference shard closure (so the
+    // pool task's std::function stays in its small buffer): a
+    // parallel_for that fans out at parallelism 4, top-level or nested
+    // inside a pool task, and a parallel_reduce, whose partials sit in
+    // a fixed array, allocate nothing on any thread once warm.
+    struct state {
+        std::vector<std::uint64_t> visits = std::vector<std::uint64_t>(
+            exec::max_shards * exec::max_shards);
+        double reduced = 0.0;
+    } st;
+    const auto fan_out = [&st] {
+        exec::parallel_for(64, 4, [&st](const exec::shard_range& outer) {
+            exec::parallel_for(
+                640, 4, [&st, &outer](const exec::shard_range& r) {
+                    st.visits[outer.index * exec::max_shards + r.index] +=
+                        r.size();
+                });
+        });
+        st.reduced += exec::parallel_reduce(
+            10000, 4, 0.0,
+            [](const exec::shard_range& r) {
+                return static_cast<double>(r.size());
+            },
+            [](double a, double b) { return a + b; });
+    };
+    for (int i = 0; i < 3; ++i) {
+        fan_out();
+    }
+    const std::uint64_t before = g_allocations.load();
+    for (int i = 0; i < 20; ++i) {
+        fan_out();
+    }
+    EXPECT_EQ(g_allocations.load() - before, 0u);
+    for (const std::uint64_t v : st.visits) {
+        EXPECT_EQ(v, 23u * 10u);
+    }
+    EXPECT_EQ(st.reduced, 23.0 * 10000.0);
+}
+
 TEST_F(HotPathAllocations, ColdMissIneligibleOpsStillAnswerCorrectly) {
-    // Ops that allocate while they evaluate (table3, mc_yield, sweeps;
-    // the zero-allocation set above covers chiplet and cost_tr, checked
-    // here too) and inputs the library rejects answer through the same
+    // Ops that allocate while they evaluate (table3, sweeps; the
+    // zero-allocation set above covers chiplet, cost_tr and mc_yield,
+    // checked here too) and inputs the library rejects answer through the same
     // result path at cache capacity 0 — allocations are allowed, bytes
     // must match the reference pipeline's.
     serve::engine_config config = fast_config();

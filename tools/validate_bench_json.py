@@ -67,6 +67,17 @@ def check_serve(doc, path):
     if cold["dedup_hits"] != cold["expected_dedup_hits"]:
         errors += fail(path, f"dedup_hits {cold['dedup_hits']}, want "
                              f"{cold['expected_dedup_hits']}")
+    # The grid batch: lines/s recorded, replies byte-identical to a
+    # serial cache-off engine's.
+    errors += require(doc, path, "grid_batch", dict)
+    if errors:
+        return errors
+    grid = doc["grid_batch"]
+    for key in ("batches", "lines_per_batch", "lines_per_s"):
+        errors += require(grid, path, key, (int, float))
+    errors += require(grid, path, "responses_identical", bool)
+    if not errors and grid["responses_identical"] is False:
+        errors += fail(path, "grid batch replies differ from the reference")
     return errors
 
 
