@@ -6,6 +6,7 @@
 
 #include "analysis/contour.hpp"
 #include "analysis/sweep.hpp"
+#include "chiplet/model.hpp"
 #include "core/cost_model.hpp"
 #include "core/table3.hpp"
 #include "geometry/gross_die.hpp"
@@ -19,6 +20,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -211,6 +213,60 @@ void bm_optimal_feature_size(benchmark::State& state) {
 }
 BENCHMARK(bm_optimal_feature_size);
 
+/// The 17 numbers each cell of a 4x64 partition_explore writes into its
+/// chiplet result (splits 1, 2, 4, 8 over 100-900 mm^2): the values the
+/// lane feed formats most.
+std::vector<double> explore_cell_values() {
+    std::vector<double> values;
+    const chiplet::chiplet_spec base;
+    for (const int split : {1, 2, 4, 8}) {
+        for (int i = 0; i < 64; ++i) {
+            chiplet::chiplet_spec spec =
+                chiplet::scaled_to_total(base, 100.0 + 800.0 * i / 63.0);
+            spec.chiplets = split;
+            try {
+                const chiplet::chiplet_breakdown b =
+                    chiplet::evaluate_chiplet(spec);
+                values.insert(
+                    values.end(),
+                    {static_cast<double>(b.chiplets), b.total_area_mm2,
+                     b.chiplet_area_mm2, b.die_yield, b.gross_dies_per_wafer,
+                     b.wafer_cost_usd, b.die_cost_usd, b.test_cost_per_die_usd,
+                     b.defect_level, b.package_area_cm2, b.substrate_cost_usd,
+                     b.substrate_yield, b.assembly_yield, b.module_yield,
+                     b.bonding_cost_usd, b.cost_per_system_usd,
+                     b.cost_per_good_system_usd});
+            } catch (const std::exception&) {
+                // An infeasible cell writes no result.
+            }
+        }
+    }
+    return values;
+}
+
+// Shortest round-trip number text over explore-cell results: arg 0 = 0
+// for std::to_chars, 1 for the JSON writer (json::format_number_to),
+// which must produce the same bytes.  Reported as seconds per number.
+void bm_format_number(benchmark::State& state) {
+    const std::vector<double> values = explore_cell_values();
+    const bool writer = state.range(0) == 1;
+    char buffer[serve::json::number_buffer_chars];
+    for (auto _ : state) {
+        for (const double v : values) {
+            const char* end =
+                writer ? serve::json::format_number_to(buffer, v)
+                       : std::to_chars(buffer, buffer + sizeof buffer, v).ptr;
+            benchmark::DoNotOptimize(end);
+            benchmark::ClobberMemory();
+        }
+    }
+    state.counters["s_per_number"] = benchmark::Counter(
+        static_cast<double>(values.size()),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(bm_format_number)->Arg(0)->Arg(1);
+
 // The cost a grid lane adds by feeding the point cache: an engine
 // with a full default-size cache (65536 entries) serves grids whose
 // every lane misses, so each lane is keyed, probed, evaluated, written
@@ -219,46 +275,33 @@ BENCHMARK(bm_optimal_feature_size);
 // cache (1 = on, 0 = off: the same grid without the feed), arg 2 the
 // serving (0 = one line at a time on a serial engine; 1 = four fresh
 // lines per handle_batch at parallelism 0, so pool workers feed the
-// cache at once — timed in wall-clock time).  Reported as seconds per
-// lane.
+// cache at once; 2 = one line at a time at parallelism 0, as an
+// open-loop client's line arrives alone — both timed in wall-clock
+// time).  Reported as seconds per lane.
 void bm_lane_cache_feed(benchmark::State& state) {
     const bool explore = state.range(0) == 1;
-    const bool concurrent = state.range(2) == 1;
+    const std::int64_t serving = state.range(2);
     serve::engine_config config;
-    config.parallelism = concurrent ? 0 : 1;
+    config.parallelism = serving == 0 ? 1 : 0;
     config.cache_capacity = state.range(1) == 1 ? 65536 : 0;
     serve::engine engine{config};
-    // Fill the cache: 17 sweeps of 4096 distinct scenario1 lanes.
-    for (int i = 0; i < 17 && config.cache_capacity != 0; ++i) {
-        (void)engine.handle_line(
-            R"({"op":"sweep","param":"lambda_um","from":)" +
-            std::to_string(i + 1) + R"(.3,"to":)" + std::to_string(i + 1) +
-            R"(.9,"count":4096,"target":{"op":"scenario1"}})");
+    if (config.cache_capacity != 0) {
+        bench::fill_point_cache(engine);
     }
-    const std::int64_t lines = concurrent ? 4 : 1;
+    const std::int64_t lines = serving == 1 ? 4 : 1;
     const std::int64_t lanes = 256 * lines;
     std::uint64_t n = 0;
-    // A fresh grid every time, so no lane is ever a hit.
-    const auto fresh_line = [&] {
-        const double shift = 1.0 + 1e-9 * static_cast<double>(++n);
-        const auto num = [](double x) { return serve::json::format_number(x); };
-        return explore ? R"({"op":"partition_explore","splits":"1,2,4,8",)"
-                         R"("area_from_mm2":)" + num(100.0 * shift) +
-                             R"(,"area_to_mm2":)" + num(900.0 * shift) +
-                             R"(,"count":64})"
-                       : R"({"op":"sweep","param":"lambda_um","from":)" +
-                             num(0.4 * shift) + R"(,"to":)" + num(1.4 * shift) +
-                             R"(,"count":256,"target":{"op":"scenario2"}})";
-    };
     std::vector<std::string> batch(static_cast<std::size_t>(lines));
     for (auto _ : state) {
-        if (concurrent) {
+        // A fresh grid every time, so no lane is ever a hit.
+        if (serving == 1) {
             for (std::string& line : batch) {
-                line = fresh_line();
+                line = bench::lane_feed_line(explore, ++n);
             }
             benchmark::DoNotOptimize(engine.handle_batch(batch));
         } else {
-            benchmark::DoNotOptimize(engine.handle_line(fresh_line()));
+            benchmark::DoNotOptimize(
+                engine.handle_line(bench::lane_feed_line(explore, ++n)));
         }
     }
     state.counters["s_per_lane"] = benchmark::Counter(
@@ -271,7 +314,11 @@ BENCHMARK(bm_lane_cache_feed)
     ->Args({0, 0, 0})
     ->Args({1, 1, 0})
     ->Args({1, 0, 0});
-BENCHMARK(bm_lane_cache_feed)->Args({0, 1, 1})->Args({0, 0, 1})->UseRealTime();
+BENCHMARK(bm_lane_cache_feed)
+    ->Args({0, 1, 1})
+    ->Args({0, 0, 1})
+    ->Args({0, 1, 2})
+    ->UseRealTime();
 
 // A closed-loop grid_explore client's batch, served in process: four
 // fresh grid lines (grid_batch.hpp) per handle_batch at parallelism 0.

@@ -23,6 +23,11 @@
 //    again from inside.  Lines/s is recorded, never gated; the replies
 //    must be byte-identical to a parallelism-1, cache-off engine's.
 //
+// 4. The lane feed (grid_batch.hpp): fresh 256-lane scenario2 sweeps and
+//    4x64 explores served one line at a time by a serial engine, with a
+//    full default-size point cache and with the cache off.  Recorded
+//    as ns per lane, with a host fingerprint, never gated.
+//
 // Results land in BENCH_serve.json (machine readable, git-tracked).
 // SILICON_BENCH_TINY=1 shrinks the workload and skips the memoization
 // speedup gate so CI runs stay cheap and unflaky.
@@ -31,6 +36,7 @@
 
 #include "serve/engine.hpp"
 #include "serve/request.hpp"
+#include "simd/dispatch.hpp"
 
 #include <chrono>
 #include <cstdio>
@@ -39,6 +45,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -153,6 +160,32 @@ double run_pass(serve::engine& engine, const std::vector<std::string>& lines,
     return rate;
 }
 
+/// ns per lane of `grids` fresh lane-feed grids (explores or scenario2
+/// sweeps) served one line at a time by a serial engine, its default-size
+/// point cache filled first (`cache`) or off.
+double lane_feed_ns(bool explore, bool cache, std::size_t grids) {
+    serve::engine_config config;
+    config.parallelism = 1;
+    config.cache_capacity = cache ? 65536 : 0;
+    serve::engine engine{config};
+    if (cache) {
+        silicon::bench::fill_point_cache(engine);
+    }
+    std::vector<std::string> lines;
+    for (std::size_t n = 1; n <= grids; ++n) {
+        lines.push_back(silicon::bench::lane_feed_line(explore, n));
+    }
+    std::string out;
+    const auto start = std::chrono::steady_clock::now();
+    for (const std::string& line : lines) {
+        engine.handle_line_into(line, out);
+    }
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    return seconds * 1e9 / static_cast<double>(256 * grids);
+}
+
 }  // namespace
 
 int main() {
@@ -258,6 +291,19 @@ int main() {
     std::printf("  %-22s %12.0f lines/s, responses %s\n", "default width",
                 grid_rate, grid_identical ? "byte-identical" : "DIFFER");
 
+    // --- Pass set 4: the lane feed ---------------------------------------
+    const std::size_t kFeedGrids = tiny ? 4 : 200;
+    const double sweep_on = lane_feed_ns(false, true, kFeedGrids);
+    const double sweep_off = lane_feed_ns(false, false, kFeedGrids);
+    const double explore_on = lane_feed_ns(true, true, kFeedGrids);
+    const double explore_off = lane_feed_ns(true, false, kFeedGrids);
+    std::printf("lane feed (%zu fresh grids of 256 lanes, serial)\n",
+                kFeedGrids);
+    std::printf("  %-22s %8.0f ns/lane cache on, %8.0f off\n",
+                "scenario2 sweep", sweep_on, sweep_off);
+    std::printf("  %-22s %8.0f ns/lane cache on, %8.0f off\n",
+                "4x64 explore", explore_on, explore_off);
+
     // --- Machine-readable results --------------------------------------
     json::object doc;
     doc.set("bench", json::value{std::string{"bench_serve_throughput"}});
@@ -291,6 +337,23 @@ int main() {
     grid.set("lines_per_s", json::value{grid_rate});
     grid.set("responses_identical", json::value{grid_identical});
     doc.set("grid_batch", json::value{std::move(grid)});
+    json::object host;
+    host.set("nproc",
+             json::value{static_cast<double>(std::thread::hardware_concurrency())});
+    host.set("simd_target",
+             json::value{std::string{silicon::simd::to_string(
+                 silicon::simd::active_target())}});
+    host.set("compiler", json::value{std::string{__VERSION__}});
+    host.set("build_type", json::value{std::string{SILICON_BUILD_TYPE}});
+    json::object feed;
+    feed.set("host", json::value{std::move(host)});
+    feed.set("grids", json::value{static_cast<double>(kFeedGrids)});
+    feed.set("lanes_per_grid", json::value{256.0});
+    feed.set("sweep_cache_on_ns_per_lane", json::value{sweep_on});
+    feed.set("sweep_cache_off_ns_per_lane", json::value{sweep_off});
+    feed.set("explore_cache_on_ns_per_lane", json::value{explore_on});
+    feed.set("explore_cache_off_ns_per_lane", json::value{explore_off});
+    doc.set("lane_feed", json::value{std::move(feed)});
 
     bool gate_pass =
         identical && grid_identical && dedup_exact && cache.hits >= kRequests;

@@ -1,10 +1,12 @@
 // grid_batch.hpp — the grid batch both serving benches time: the four
 // kinds of line silibench's grid_explore generator sends, in its order
 // (sweep, sweep, partition_explore, mc_yield), served together in one
-// handle_batch as a closed-loop client with a window of four does.
+// handle_batch as a closed-loop client with a window of four does.  Also
+// the lane feed both benches time: fresh grids into a full point cache.
 
 #pragma once
 
+#include "serve/engine.hpp"
 #include "serve/json.hpp"
 
 #include <cstdint>
@@ -13,25 +15,62 @@
 
 namespace silicon::bench {
 
+/// Batch `n`'s numbers move by this factor, so each batch is fresh.
+inline double grid_shift(std::uint64_t n) {
+    return 1.0 + 1e-9 * static_cast<double>(n);
+}
+
+inline std::string grid_number(double x) {
+    return serve::json::format_number(x);
+}
+
+/// Batch `n`'s 256-lane scenario2 kernel sweep.
+inline std::string scenario2_sweep_line(std::uint64_t n) {
+    const double shift = grid_shift(n);
+    return R"({"op":"sweep","param":"lambda_um","from":)" +
+           grid_number(0.4 * shift) + R"(,"to":)" + grid_number(1.4 * shift) +
+           R"(,"count":256,"target":{"op":"scenario2"}})";
+}
+
+/// Batch `n`'s 4x64 partition_explore (256 chiplet cells).
+inline std::string explore_line(std::uint64_t n) {
+    const double shift = grid_shift(n);
+    return R"({"op":"partition_explore","splits":"1,2,4,8","area_from_mm2":)" +
+           grid_number(100.0 * shift) + R"(,"area_to_mm2":)" +
+           grid_number(900.0 * shift) + R"(,"count":64})";
+}
+
 /// Batch `n` of the grid workload: a 256-lane scenario2 kernel sweep, a
 /// 256-lane murphy yield kernel sweep, a 4x64 partition_explore and a
 /// 20,000-die mc_yield.  Every number moves with `n`, so each batch is
 /// fresh: no line and no lane is a cache hit.
 inline std::vector<std::string> grid_batch(std::uint64_t n) {
-    const double shift = 1.0 + 1e-9 * static_cast<double>(n);
-    const auto num = [](double x) { return serve::json::format_number(x); };
+    const double shift = grid_shift(n);
     return {
-        R"({"op":"sweep","param":"lambda_um","from":)" + num(0.4 * shift) +
-            R"(,"to":)" + num(1.4 * shift) +
-            R"(,"count":256,"target":{"op":"scenario2"}})",
+        scenario2_sweep_line(n),
         R"({"op":"sweep","param":"die_area_cm2","from":)" +
-            num(0.05 * shift) + R"(,"to":)" + num(4.0 * shift) +
+            grid_number(0.05 * shift) + R"(,"to":)" +
+            grid_number(4.0 * shift) +
             R"(,"count":256,"target":{"op":"yield","model":"murphy"}})",
-        R"({"op":"partition_explore","splits":"1,2,4,8","area_from_mm2":)" +
-            num(100.0 * shift) + R"(,"area_to_mm2":)" + num(900.0 * shift) +
-            R"(,"count":64})",
+        explore_line(n),
         R"({"op":"mc_yield","dies":20000,"seed":)" + std::to_string(n) + "}",
     };
+}
+
+/// Fills `engine`'s default-size (65,536-entry) point cache: 17 sweeps
+/// of 4,096 distinct scenario1 lanes, so every later lane put evicts.
+inline void fill_point_cache(serve::engine& engine) {
+    for (int i = 0; i < 17; ++i) {
+        (void)engine.handle_line(
+            R"({"op":"sweep","param":"lambda_um","from":)" +
+            std::to_string(i + 1) + R"(.3,"to":)" + std::to_string(i + 1) +
+            R"(.9,"count":4096,"target":{"op":"scenario1"}})");
+    }
+}
+
+/// Lane-feed grid `n`: batch n's scenario2 sweep or its explore.
+inline std::string lane_feed_line(bool explore, std::uint64_t n) {
+    return explore ? explore_line(n) : scenario2_sweep_line(n);
 }
 
 }  // namespace silicon::bench

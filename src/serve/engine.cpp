@@ -21,7 +21,6 @@
 #include "yield/scaled.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -47,7 +46,7 @@ namespace {
 constexpr double parse_line_ns = 1'500;   ///< fast parse + canonical key
 constexpr double point_line_ns = 2'000;   ///< probe + splice, or a closed-form miss
 constexpr double lane_ns = 500;           ///< a whole grid lane, for a line estimate
-constexpr double key_lane_ns = 250;       ///< bind + canonical key of one lane
+constexpr double key_lane_ns = 120;       ///< bind + templated key + hash of one lane
 constexpr double kernel_lane_ns = 65;     ///< one SoA sweep-kernel lane
 constexpr double cell_lane_ns = 500;      ///< one chiplet-kernel cell
 constexpr double scalar_lane_ns = 3'000;  ///< evaluate + write one scalar lane
@@ -555,16 +554,19 @@ void envelope_into(const json::aview* id, const json::aview* trace, bool ok,
 }
 
 /// Best-effort `id` rendering for a flight record: strings verbatim,
-/// numbers via shortest-round-trip to_chars (no allocation — the hot
-/// path fills records too), everything else elided (records are
-/// fixed-size; a composite id would truncate arbitrarily).
+/// numbers via the JSON number writer (no allocation — the hot path
+/// fills records too), everything else elided (records are fixed-size;
+/// a composite id would truncate arbitrarily).  An id past DBL_MAX
+/// parses as an infinity, written "inf" or "-inf" as std::to_chars does.
 void flight_number_field(char (&dst)[32], double v) noexcept {
-    char buf[40];
-    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
-    if (ec == std::errc{}) {
-        obs::assign_field(
-            dst, std::string_view{buf, static_cast<std::size_t>(end - buf)});
+    if (!std::isfinite(v)) {
+        obs::assign_field(dst, std::isnan(v) ? "nan" : v > 0 ? "inf" : "-inf");
+        return;
     }
+    char buf[json::number_buffer_chars];
+    const char* const end = json::format_number_to(buf, v);
+    obs::assign_field(
+        dst, std::string_view{buf, static_cast<std::size_t>(end - buf)});
 }
 
 void flight_id_field(char (&dst)[32], const json::aview* id) {
@@ -893,40 +895,34 @@ void sweep_kernel(const request& tgt, std::string_view param,
             const std::vector<double> alpha =
                 t.model == "neg_binomial" ? col(t.alpha)
                                           : std::vector<double>{};
+            // Serve-level fault derivation (yield_into): the explicit
+            // count wins, else area * density, both gated by the
+            // finite/non-negative request check.
+            std::vector<double> faults(m);
+            for (std::size_t i = 0; i < m; ++i) {
+                const double f = ef[i] >= 0.0 ? ef[i] : area[i] * dpc[i];
+                faults[i] = (!(f >= 0.0) || !std::isfinite(f)) ? null_lane : f;
+            }
             shard([&](std::size_t b, std::size_t len) {
-                // Serve-level fault derivation (yield_into): the
-                // explicit count wins, else area * density, both
-                // gated by the finite/non-negative request check.
-                std::vector<double> faults(len);
-                for (std::size_t i = 0; i < len; ++i) {
-                    const double f = ef[b + i] >= 0.0
-                                         ? ef[b + i]
-                                         : area[b + i] * dpc[b + i];
-                    faults[i] = (!(f >= 0.0) || !std::isfinite(f))
-                                    ? null_lane
-                                    : f;
-                }
+                const double* const fb = faults.data() + b;
                 if (t.model == "poisson") {
                     (fm ? yield::batch::poisson_yield_fast
-                        : yield::batch::poisson_yield)(
-                        faults.data(), out.data() + b, len);
+                        : yield::batch::poisson_yield)(fb, out.data() + b,
+                                                       len);
                 } else if (t.model == "murphy") {
                     (fm ? yield::batch::murphy_yield_fast
-                        : yield::batch::murphy_yield)(
-                        faults.data(), out.data() + b, len);
+                        : yield::batch::murphy_yield)(fb, out.data() + b,
+                                                      len);
                 } else if (t.model == "seeds") {
-                    yield::batch::seeds_yield(faults.data(),
-                                              out.data() + b, len);
+                    yield::batch::seeds_yield(fb, out.data() + b, len);
                 } else if (t.model == "bose_einstein") {
                     (fm ? yield::batch::bose_einstein_yield_fast
                         : yield::batch::bose_einstein_yield)(
-                        faults.data(), t.critical_steps, out.data() + b,
-                        len);
+                        fb, t.critical_steps, out.data() + b, len);
                 } else {
                     (fm ? yield::batch::negative_binomial_yield_fast
                         : yield::batch::negative_binomial_yield)(
-                        faults.data(), alpha.data() + b, out.data() + b,
-                        len);
+                        fb, alpha.data() + b, out.data() + b, len);
                 }
             });
             keep_lanes(out, keep, [&](std::size_t i, std::string& bytes) {
@@ -964,6 +960,9 @@ struct lane_keys {
 /// `base` bound to the grid value xs[i], valued by primary_metric.
 struct engine::lane_grid {
     request base;
+    /// The numeric parameters `bind` sets: the only numbers in which a
+    /// lane's canonical key differs from the base's.
+    std::vector<std::string_view> params;
     /// Makes `lane` (a copy of `base`) the point request at grid value
     /// `x`; throws request_error when parse_request would reject it.
     std::function<void(double x, request& lane)> bind;
@@ -991,9 +990,11 @@ std::vector<double> engine::eval_lanes(const std::vector<double>& xs,
     // 1-2. Key and hash every lane, then probe the cache; a hit's
     // stored metric is its lane value.  get_metric counts a hit but not
     // a miss.  A lane rejected as a point request stays null and is
-    // never probed.  The keys go into this thread's scratch, bound here:
-    // the pool tasks below write into it, and a thread_local named
-    // inside a task would be the worker's own.
+    // never probed.  Keys come from the grid's key template: the
+    // constant text with the lane's bound numbers spliced in.  They go
+    // into this thread's scratch, bound here: the pool tasks below
+    // write into it, and a thread_local named inside a task would be
+    // the worker's own.
     thread_local lane_keys t_keys;
     lane_keys local_keys;
     lane_keys& keys = n > lane_keys::retained_lanes ? local_keys : t_keys;
@@ -1004,6 +1005,7 @@ std::vector<double> engine::eval_lanes(const std::vector<double>& xs,
             keys.text.resize(n);
             keys.hashed.resize(n);
         }
+        const lane_key_template key_template{grid.base, grid.params};
         exec::parallel_for(
             n, config_.parallelism,
             [&](const exec::shard_range& r) {
@@ -1017,7 +1019,7 @@ std::vector<double> engine::eval_lanes(const std::vector<double>& xs,
                     }
                     std::string& key = keys.text[i];
                     key.clear();
-                    canonical_key_into(lane, key);
+                    key_template.key_into(lane, key);
                     keys.hashed[i] = memo_cache::hashed_key::of(key);
                 }
             },
@@ -1091,6 +1093,7 @@ void engine::sweep_into(const sweep_request& q,
         grid_points(q.from, q.to, q.count, q.scale == "log");
     lane_grid grid;
     grid.base = *q.target;
+    grid.params = {q.param};
     grid.bind = [&q](double x, request& lane) {
         set_numeric_param(lane, q.param, x);
     };
@@ -1137,6 +1140,7 @@ void engine::partition_explore_into(const partition_explore_request& q,
         point.chiplets = split;
         grid.base.op = op_code::chiplet;
         grid.base.payload = std::move(point);
+        grid.params = {"logic_area_mm2", "memory_area_mm2", "io_area_mm2"};
         grid.bind = [&base](double x, request& lane) {
             const chiplet::chiplet_spec spec =
                 chiplet::scaled_to_total(base, x);

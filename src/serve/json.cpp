@@ -1,6 +1,9 @@
 #include "serve/json.hpp"
 
+#include "serve/json_pow10.hpp"
+
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -460,33 +463,229 @@ std::string format_number(double d) {
 
 namespace {
 
-/// One slot of the number-text memo: a double's bits and its
-/// std::to_chars text (len 0 = empty; texts longer than `text` are not
-/// memoized).
-struct number_slot {
-    std::uint64_t bits;
-    char text[23];
-    unsigned char len;
+// The shortest-double writer: Schubfach (R. Giulietti, "The Schubfach
+// way to render doubles") for the digits, std::to_chars' plain-format
+// layout for the text.  json_pow10.hpp holds the 126-bit multipliers
+// g(e) ~ 10^e * 2^(125 - floor(log2 10^e)), generated by
+// tools/gen_pow10_table.py.
+
+__extension__ typedef unsigned __int128 uint128;
+
+constexpr std::uint64_t mantissa_mask = (std::uint64_t{1} << 52) - 1;
+
+int floor_log10_pow2(int q) noexcept {
+    return static_cast<int>((q * std::int64_t{661971961083}) >> 41);
+}
+
+int floor_log10_three_quarters_pow2(int q) noexcept {
+    return static_cast<int>(
+        (q * std::int64_t{661971961083} - std::int64_t{274743187321}) >> 41);
+}
+
+int floor_log2_pow10(int e) noexcept {
+    return static_cast<int>((e * std::int64_t{913124641741}) >> 38);
+}
+
+/// rop(g * cp / 2^127): the integer part, its lowest bit set when the
+/// bits from 2^-1 down to 2^-63 are not all zero (round to odd; the
+/// bits below are g's rounding and never decide it).
+inline std::uint64_t round_to_odd(const std::uint64_t (&g)[2],
+                                  std::uint64_t cp) noexcept {
+    const uint128 low = static_cast<uint128>(g[1]) * cp;
+    const uint128 mid = static_cast<uint128>(g[0]) * cp + (low >> 64);
+    const auto fraction = static_cast<std::uint64_t>(mid) &
+                          ((std::uint64_t{1} << 63) - 1);
+    return static_cast<std::uint64_t>(mid >> 63) | (fraction != 0 ? 1 : 0);
+}
+
+/// A positive double as digits * 10^exponent (digits may end in zeros).
+struct decimal {
+    std::uint64_t digits;
+    int exponent;
 };
 
-constexpr int number_memo_bits = 10;
+/// The shortest decimal that reads back as the positive finite double
+/// with these bits; among equally short ones the closest, ties to an
+/// even last digit.
+inline decimal shortest_decimal(std::uint64_t bits) noexcept {
+    const std::uint64_t t = bits & mantissa_mask;
+    const int biased = static_cast<int>(bits >> 52);
+    std::uint64_t c = t;
+    int q = -1074;
+    if (biased != 0) {
+        c |= std::uint64_t{1} << 52;
+        q = biased - 1075;
+        if (q <= 0 && q > -53 && (c >> -q) << -q == c) {
+            return {c >> -q, 0};  // an integer below 2^53
+        }
+    }
+    // The doubles that read back as this one are [vl, vr] (open when c
+    // is odd); in quarters of 2^q: cbl, cb and cbr.  At the bottom of
+    // a binade the lower neighbour is half as far.
+    const std::uint64_t open = c & 1;
+    const std::uint64_t cb = c << 2;
+    const std::uint64_t cbr = cb + 2;
+    std::uint64_t cbl = cb - 2;
+    int k = floor_log10_pow2(q);
+    if (t == 0 && biased > 1) {
+        cbl = cb - 1;
+        k = floor_log10_three_quarters_pow2(q);
+    }
+    // Scaled by 10^-k, so 10^k <= vr - vl < 10^(k+1).
+    const int h = q + floor_log2_pow10(-k) + 2;
+    const std::uint64_t(&g)[2] = detail::pow10_table[-k - detail::pow10_min];
+    const std::uint64_t vb = round_to_odd(g, cb << h);
+    const std::uint64_t vbl = round_to_odd(g, cbl << h);
+    const std::uint64_t vbr = round_to_odd(g, cbr << h);
+    const std::uint64_t s = vb >> 2;
 
-/// Per thread, so it needs no lock; zero-initialized, so every slot
-/// starts empty.  32 KiB: a grid's keys repeat the same few dozen
-/// parameter values lane after lane.
-thread_local number_slot number_memo[std::size_t{1} << number_memo_bits];
+    // At most one multiple of 10^(k+1) lies in the interval: when one
+    // does, it is the shortest.  Otherwise s or s + 1 (times 10^k),
+    // whichever lies in it, or the closer of the two.  Selected without
+    // branches: which case applies is a coin toss from value to value.
+    const std::uint64_t s10 = s / 10;
+    const bool upin = vbl + open <= s10 * 40;
+    const bool wpin = (s10 + 1) * 40 + open <= vbr;
+    const bool uin = vbl + open <= s << 2;
+    const bool win = ((s + 1) << 2) + open <= vbr;
+    const std::uint64_t mid = (2 * s + 1) << 1;
+    const bool pick_s = uin != win ? uin
+                                   : vb < mid || (vb == mid && (s & 1) == 0);
+    const bool coarse = upin != wpin;
+    return {coarse ? s10 + (upin ? 0 : 1) : s + (pick_s ? 0 : 1),
+            k + (coarse ? 1 : 0)};
+}
 
-std::uint64_t bits_of(double d) noexcept {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &d, sizeof bits);
-    return bits;
+constexpr char digit_pairs[] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/// Writes the 8 digits of v < 10^8, zero-padded, at p.
+inline void write_8_digits(char* p, std::uint32_t v) noexcept {
+    const std::uint32_t high = v / 10000;
+    const std::uint32_t low = v % 10000;
+    std::memcpy(p, digit_pairs + high / 100 * 2, 2);
+    std::memcpy(p + 2, digit_pairs + high % 100 * 2, 2);
+    std::memcpy(p + 4, digit_pairs + low / 100 * 2, 2);
+    std::memcpy(p + 6, digit_pairs + low % 100 * 2, 2);
+}
+
+/// The number of decimal digits of v > 0.
+inline int decimal_length(std::uint64_t v) noexcept {
+    static constexpr std::uint64_t powers[] = {
+        1u, 10u, 100u, 1000u, 10000u, 100000u, 1000000u, 10000000u,
+        100000000u, 1000000000u, 10000000000u, 100000000000u,
+        1000000000000u, 10000000000000u, 100000000000000u,
+        1000000000000000u, 10000000000000000u, 100000000000000000u,
+        1000000000000000000u, 10000000000000000000u};
+    const int t = (static_cast<int>(std::bit_width(v)) * 1233) >> 12;
+    return t + (v >= powers[t] ? 1 : 0);
+}
+
+/// The digits of `v` (at most 24), ending at `end` whole 8-digit blocks
+/// at a time; returns where they start.
+inline char* write_digits_before(char* end, std::uint64_t v) noexcept {
+    const int n = decimal_length(v);
+    write_8_digits(end - 8, static_cast<std::uint32_t>(v % 100000000));
+    if (n > 8) {
+        v /= 100000000;
+        write_8_digits(end - 16, static_cast<std::uint32_t>(v % 100000000));
+        if (n > 16) {
+            write_8_digits(end - 24, static_cast<std::uint32_t>(v / 100000000));
+        }
+    }
+    return end - n;
+}
+
+/// The exact integer value of a double of at least 2^53 that fixed
+/// notation prints (below 10^22, so it fits 128 bits).
+char* write_exact_integer(char* p, std::uint64_t bits) noexcept {
+    const int shift = static_cast<int>(bits >> 52) - 1075;
+    const uint128 value =
+        static_cast<uint128>((bits & mantissa_mask) | (std::uint64_t{1} << 52))
+        << shift;
+    constexpr std::uint64_t e16 = 10'000'000'000'000'000u;
+    const auto high = static_cast<std::uint64_t>(value / e16);
+    const auto low = static_cast<std::uint64_t>(value % e16);
+    char buffer[40];
+    char* const end = buffer + sizeof buffer;
+    write_8_digits(end - 8, static_cast<std::uint32_t>(low % 100000000));
+    write_8_digits(end - 16, static_cast<std::uint32_t>(low / 100000000));
+    char* const first = write_digits_before(end - 16, high);
+    const auto len = static_cast<std::size_t>(end - first);
+    std::memcpy(p, first, len);
+    return p + len;
 }
 
 }  // namespace
 
-std::size_t number_memo_slot(double d) noexcept {
-    return static_cast<std::size_t>((bits_of(d) * 0x9E3779B97F4A7C15ull) >>
-                                    (64 - number_memo_bits));
+char* format_number_to(char* p, double d) noexcept {
+    std::uint64_t bits = std::bit_cast<std::uint64_t>(d);
+    if (bits >> 63 != 0) {
+        *p++ = '-';
+        bits &= ~(std::uint64_t{1} << 63);
+    }
+    if (bits == 0) {
+        *p++ = '0';
+        return p;
+    }
+    const decimal dec = shortest_decimal(bits);
+    // The digits end at buffer + 24; the bytes after them let the
+    // copies below move whole 16- and 24-byte runs.
+    char buffer[48];
+    char* end = buffer + 24;
+    const char* const digits = write_digits_before(end, dec.digits);
+    int exponent = dec.exponent;
+    while (end[-1] == '0') {
+        --end;
+        ++exponent;
+    }
+    const int n = static_cast<int>(end - digits);
+    const int x = exponent + n - 1;  // the scientific exponent
+
+    // std::to_chars' plain format: fixed or scientific, whichever is
+    // shorter, ties to fixed.  A value >= 1 with a fraction is always
+    // fixed; a smaller one ("0.000ddd") or an integer ("ddd000") only
+    // while that is no longer.
+    const int scientific_len =
+        n + (n > 1 ? 1 : 0) + (x >= 100 || x <= -100 ? 5 : 4);
+    if (exponent < 0 && x >= 0) {
+        const auto whole = static_cast<std::size_t>(x + 1);  // <= 16
+        std::memcpy(p, digits, 16);
+        p[whole] = '.';
+        std::memcpy(p + whole + 1, digits + whole, 16);
+        return p + n + 1;
+    }
+    if (x < 0 && n + 1 - x <= scientific_len) {
+        std::memcpy(p, "0.000000", 8);
+        std::memcpy(p + 1 - x, digits, 24);
+        return p + n + 1 - x;
+    }
+    if (exponent >= 0 && n + exponent <= scientific_len) {
+        if (bits >= std::bit_cast<std::uint64_t>(9007199254740992.0)) {
+            return write_exact_integer(p, bits);  // 2^53 and up
+        }
+        std::memcpy(p, digits, 16);  // below 2^53: at most 16 digits
+        std::memcpy(p + n, "00000000", 8);
+        return p + n + exponent;
+    }
+    p[0] = digits[0];
+    p[1] = '.';
+    std::memcpy(p + 2, digits + 1, 16);
+    p += n > 1 ? n + 1 : 1;
+    p[0] = 'e';
+    p[1] = x < 0 ? '-' : '+';
+    const int ax = x < 0 ? -x : x;
+    if (ax >= 100) {
+        p[2] = static_cast<char>('0' + ax / 100);
+        std::memcpy(p + 3, digit_pairs + ax % 100 * 2, 2);
+        return p + 5;
+    }
+    std::memcpy(p + 2, digit_pairs + ax * 2, 2);
+    return p + 4;
 }
 
 void format_number_into(double d, std::string& out) {
@@ -494,24 +693,9 @@ void format_number_into(double d, std::string& out) {
         out += "null";
         return;
     }
-    // The memo maps a double's exact bits to the text to_chars wrote for
-    // them, so a hit appends the same bytes without formatting again.
-    const std::uint64_t bits = bits_of(d);
-    number_slot& slot = number_memo[number_memo_slot(d)];
-    if (slot.len != 0 && slot.bits == bits) {
-        out.append(slot.text, slot.len);
-        return;
-    }
-    char buffer[32];
-    const auto [ptr, ec] = std::to_chars(buffer, buffer + sizeof buffer, d);
-    (void)ec;  // 32 bytes always suffice for shortest round-trip doubles
-    const auto len = static_cast<std::size_t>(ptr - buffer);
-    if (len <= sizeof slot.text) {
-        slot.bits = bits;
-        std::memcpy(slot.text, buffer, len);
-        slot.len = static_cast<unsigned char>(len);
-    }
-    out.append(buffer, len);
+    char buffer[number_buffer_chars];
+    const char* const end = format_number_to(buffer, d);
+    out.append(buffer, static_cast<std::size_t>(end - buffer));
 }
 
 void write_string_into(std::string& out, std::string_view s) {

@@ -15,11 +15,15 @@
 //      latter is what cache keys are built from, so two requests that
 //      differ only in member order hash identically.
 //
-// Numbers are IEEE doubles formatted with std::to_chars shortest
-// round-trip form, so serialization is bit-deterministic across runs
-// and thread counts (a core requirement of the serve determinism
-// contract).  Non-finite doubles have no JSON representation and
-// serialize as null.
+// Numbers are IEEE doubles written as the shortest text that reads back
+// as the same double, in std::to_chars' plain format (fixed or
+// scientific, whichever is shorter, ties to fixed).  The writer is
+// in-tree (Schubfach digits over a generated table of powers of ten,
+// json_pow10.hpp); byte identity with std::to_chars is its contract,
+// pinned by differential tests.  So serialization is bit-deterministic
+// across runs and thread counts (a core requirement of the serve
+// determinism contract).  Non-finite doubles have no JSON
+// representation and serialize as null.
 
 #pragma once
 
@@ -141,22 +145,25 @@ private:
 /// Append-style `canonical` (same bytes, appended to `out`).
 void canonical_into(const value& v, std::string& out);
 
-/// Shortest round-trip formatting of a double (std::to_chars); the
-/// single number formatter used by both writers.  Non-finite values
+/// Shortest round-trip formatting of a double (std::to_chars' bytes);
+/// the single number formatter used by every writer.  Non-finite values
 /// return "null".
 [[nodiscard]] std::string format_number(double d);
 
+/// Room `format_number_to` needs.  The longest text,
+/// "-1.2345678901234567e-308", is 24 bytes; the writer stores whole
+/// 8- to 24-byte runs, so it may write past the text's end.
+inline constexpr std::size_t number_buffer_chars = 48;
+
+/// Writes finite `d` as `format_number` would at `first`, which has room
+/// for number_buffer_chars; returns the end of the text.  Allocates
+/// nothing.
+char* format_number_to(char* first, double d) noexcept;
+
 /// Append-style variants used by the allocation-free hot path: same bytes
 /// as `format_number` / the writers' string escaping, appended to `out`
-/// (which only allocates if it must grow).  `format_number_into` keeps a
-/// small per-thread, direct-mapped memo from a double's bits to its text,
-/// so a value formatted again (a grid's constant parameters, lane after
-/// lane) is a copy, not another to_chars.
+/// (which only allocates if it must grow).
 void format_number_into(double d, std::string& out);
 void write_string_into(std::string& out, std::string_view s);
-
-/// The memo slot `d` maps to; two values with the same slot evict each
-/// other.  Exposed so tests can pick such values.
-[[nodiscard]] std::size_t number_memo_slot(double d) noexcept;
 
 }  // namespace silicon::serve::json

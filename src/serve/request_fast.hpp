@@ -19,18 +19,23 @@
 // is parsed here.  `parse_request` stays as the reference the tests and
 // benchmarks compare against.
 //
-// `numeric_param_exists` / `numeric_param_ptr` / `set_numeric_param` are
-// member tables over a request's numeric parameters: the `param` values a
-// sweep accepts, and what each sweep lane writes instead of cloning and
-// re-parsing a JSON document.
+// `numeric_param_exists` / `numeric_param_ptr` / `set_numeric_param` /
+// `numeric_param_value` are member tables over a request's numeric
+// parameters: the `param` values a sweep accepts, and what each sweep
+// lane writes instead of cloning and re-parsing a JSON document.
+// `lane_key_template` keys a grid's lanes from them: the base request's
+// canonical key, cut once per grid at the parameters its lanes bind.
 
 #pragma once
 
 #include "serve/json_arena.hpp"
 #include "serve/request.hpp"
 
+#include <cstddef>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace silicon::serve {
 
@@ -81,5 +86,40 @@ void canonical_key_into(const request& r, std::string& out);
 /// there (an integer out of range or not integral, dies outside
 /// [1, 1e8], chiplets outside [1, 16]).
 void set_numeric_param(request& r, std::string_view path, double v);
+
+/// The number `r`'s canonical key prints for the numeric parameter
+/// `path` (one numeric_param_exists accepts): the double member, or the
+/// integer one converted to double.
+[[nodiscard]] double numeric_param_value(const request& r,
+                                         std::string_view path);
+
+/// The canonical keys of a grid's lanes, which differ from the base
+/// request only in the numeric parameters the lanes bind: the base's key
+/// cut at those parameters' numbers, built once per grid from
+/// canonical_key_into.  A lane's key is then the constant text with its
+/// own values spliced in, byte-identical to canonical_key_into(lane).
+class lane_key_template {
+public:
+    /// Cuts `base`'s key at `params` (at most three paths that
+    /// numeric_param_exists accepts, distinct).  The views must outlive
+    /// the template.
+    lane_key_template(const request& base,
+                      std::span<const std::string_view> params);
+
+    /// Appends the canonical key of `lane`: `base` with only the
+    /// template's parameters changed (set_numeric_param or direct).
+    void key_into(const request& lane, std::string& out) const;
+
+private:
+    /// Constant text [previous hole's end, end) of text_, then the
+    /// number of params_[param].
+    struct hole {
+        std::size_t end;
+        std::size_t param;
+    };
+    std::string text_;
+    std::vector<hole> holes_;
+    std::vector<std::string_view> params_;
+};
 
 }  // namespace silicon::serve

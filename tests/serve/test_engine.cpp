@@ -3,8 +3,10 @@
 #include "exec/thread_pool.hpp"
 #include "grid_reference.hpp"
 #include "obs/flight.hpp"
+#include "chiplet/model.hpp"
 #include "obs/metrics.hpp"
 #include "opt/partition.hpp"
+#include "serve/request_fast.hpp"
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -27,6 +30,7 @@ namespace json = silicon::serve::json;
 namespace grid_reference = silicon::serve::grid_reference;
 namespace exec = silicon::exec;
 namespace obs = silicon::obs;
+namespace chiplet = silicon::chiplet;
 
 namespace {
 
@@ -561,6 +565,147 @@ std::vector<std::string> generated_explores(std::uint64_t seed) {
             "\"}");
     }
     return explores;
+}
+
+/// The dotted paths of every number in a canonical key (nested
+/// objects included), e.g. "process.yield.y0".
+void number_paths(const json::value& v, const std::string& prefix,
+                  std::vector<std::string>& out) {
+    for (const json::object::member& m : v.as_object().members()) {
+        const std::string path =
+            prefix.empty() ? m.first : prefix + "." + m.first;
+        if (m.second.is_number()) {
+            out.push_back(path);
+        } else if (m.second.is_object()) {
+            number_paths(m.second, path, out);
+        }
+    }
+}
+
+/// Lane values around `base`: signed zeros, integers (in and out of
+/// every integer parameter's range), fractions, and a random grid.
+std::vector<double> lane_values(double base, std::mt19937_64& rng) {
+    std::vector<double> xs = {0.0,  -0.0, 1.0,  2.0,        7.0,   16.0,
+                              17.0, -1.0, 0.5,  1e8,        1e8 + 1,
+                              2147483648.0, 9007199254740993.0, 1e300,
+                              base, -base,  base * 1e-7};
+    std::uniform_real_distribution<double> factor{-0.5, 2.5};
+    const double scale = base != 0.0 ? std::abs(base) : 1.0;
+    for (int i = 0; i < 24; ++i) {
+        xs.push_back(scale * factor(rng));
+    }
+    return xs;
+}
+
+TEST(EngineLaneKeys, TemplateKeysMatchCanonicalKeys) {
+    // Every lane of generated grids over every sweepable (op, param) —
+    // double, integer and nested process.* parameters, mc_yield's seed
+    // and dies — and explore cells over all three substrates and splits
+    // 1-8: the template's key equals canonical_key_into of the bound
+    // lane, byte for byte.  A rejected lane is never keyed.
+    const std::vector<std::string> targets = {
+        R"({"op":"cost_tr"})",
+        R"({"op":"cost_tr","process":{"yield":{"model":"scaled"},
+            "gross_die_method":"exact"},"product":{"name":"a \"b\""}})",
+        R"({"op":"cost_tr","process":{"yield":{"model":"fixed","fixed":0.7}}})",
+        R"({"op":"gross_die","method":"area_ratio"})",
+        R"({"op":"yield","model":"poisson"})",
+        R"({"op":"yield","model":"murphy"})",
+        R"({"op":"yield","model":"seeds"})",
+        R"({"op":"yield","model":"bose_einstein"})",
+        R"({"op":"yield","model":"neg_binomial"})",
+        R"({"op":"yield","model":"scaled_poisson"})",
+        R"({"op":"yield","model":"reference"})",
+        R"({"op":"scenario1"})",
+        R"({"op":"scenario2","y0":0.6})",
+        R"({"op":"mc_yield","dies":64})",
+        R"({"op":"chiplet","chiplets":4,"substrate":"interposer"})",
+    };
+    std::mt19937_64 rng{0x6b657973u};
+    std::size_t lanes = 0;
+    std::size_t rejected = 0;
+    std::size_t grids = 0;
+    std::string got;
+    std::string want;
+    for (const std::string& target : targets) {
+        const serve::request base =
+            serve::parse_request(json::parse(target));
+        std::vector<std::string> paths;
+        number_paths(json::parse(base.canonical_key), "", paths);
+        for (const std::string& path : paths) {
+            if (!serve::numeric_param_exists(base, path)) {
+                continue;
+            }
+            const std::string_view param = path;
+            const serve::lane_key_template keys{base, {&param, 1}};
+            ++grids;
+            serve::request lane = base;
+            const double v = serve::numeric_param_value(base, path);
+            for (const double x : lane_values(v, rng)) {
+                try {
+                    serve::set_numeric_param(lane, path, x);
+                } catch (const serve::request_error&) {
+                    ++rejected;
+                    continue;
+                }
+                got.clear();
+                want.clear();
+                keys.key_into(lane, got);
+                serve::canonical_key_into(lane, want);
+                ASSERT_EQ(got, want) << path << " = " << x;
+                ++lanes;
+            }
+        }
+    }
+    // Explore cells: the chiplet point request at each split, its three
+    // areas rescaled to each grid total as partition_explore binds them.
+    const std::vector<std::string_view> areas = {
+        "logic_area_mm2", "memory_area_mm2", "io_area_mm2"};
+    for (const char* substrate : {"organic", "rdl", "interposer"}) {
+        for (int split = 1; split <= 8; ++split) {
+            serve::request base = serve::parse_request(json::parse(
+                std::string{R"({"op":"chiplet","substrate":")"} + substrate +
+                R"(","memory_area_mm2":)" +
+                json::format_number(400.0 * std::uniform_real_distribution<double>{0, 1}(rng)) +
+                "}"));
+            auto& cell = std::get<serve::chiplet_request>(base.payload);
+            cell.chiplets = split;
+            const serve::lane_key_template keys{base, areas};
+            ++grids;
+            chiplet::chiplet_spec spec;
+            spec.logic_area_mm2 = cell.logic_area_mm2;
+            spec.memory_area_mm2 = cell.memory_area_mm2;
+            spec.io_area_mm2 = cell.io_area_mm2;
+            serve::request lane = base;
+            for (const double x : lane_values(900.0, rng)) {
+                const chiplet::chiplet_spec scaled =
+                    chiplet::scaled_to_total(spec, x);
+                auto& c = std::get<serve::chiplet_request>(lane.payload);
+                c.logic_area_mm2 = scaled.logic_area_mm2;
+                c.memory_area_mm2 = scaled.memory_area_mm2;
+                c.io_area_mm2 = scaled.io_area_mm2;
+                got.clear();
+                want.clear();
+                keys.key_into(lane, got);
+                serve::canonical_key_into(lane, want);
+                ASSERT_EQ(got, want) << substrate << " split " << split
+                                     << " total " << x;
+                ++lanes;
+            }
+        }
+    }
+    EXPECT_GT(grids, 150u);
+    EXPECT_GT(lanes, 6000u);
+    EXPECT_GT(rejected, 50u);  // integer lanes off the integers or range
+}
+
+TEST(EngineLaneKeys, ATemplateRejectsAParameterOutsideTheKey) {
+    const serve::request base =
+        serve::parse_request(json::parse(R"({"op":"scenario1"})"));
+    const std::string_view twice[] = {"x", "x"};
+    EXPECT_THROW((serve::lane_key_template{base, twice}), std::logic_error);
+    const std::string_view four[] = {"x", "c0_usd", "lambda_um", "design_density"};
+    EXPECT_THROW((serve::lane_key_template{base, four}), std::logic_error);
 }
 
 TEST(Engine, SweepKernelLanesPopulateThePointCache) {

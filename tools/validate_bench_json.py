@@ -78,6 +78,22 @@ def check_serve(doc, path):
     errors += require(grid, path, "responses_identical", bool)
     if not errors and grid["responses_identical"] is False:
         errors += fail(path, "grid batch replies differ from the reference")
+    # The lane feed: ns per lane with the cache on and off, recorded with
+    # the host they were measured on, never compared.
+    errors += require(doc, path, "lane_feed", dict)
+    if errors:
+        return errors
+    feed = doc["lane_feed"]
+    for key in ("grids", "lanes_per_grid", "sweep_cache_on_ns_per_lane",
+                "sweep_cache_off_ns_per_lane", "explore_cache_on_ns_per_lane",
+                "explore_cache_off_ns_per_lane"):
+        errors += require(feed, path, key, (int, float))
+    errors += require(feed, path, "host", dict)
+    if errors:
+        return errors
+    errors += require(feed["host"], path, "nproc", (int, float))
+    for key in ("simd_target", "compiler", "build_type"):
+        errors += require(feed["host"], path, key, str)
     return errors
 
 
