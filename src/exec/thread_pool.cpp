@@ -65,9 +65,10 @@ constexpr std::uint64_t bit(unsigned i) noexcept {
 // Pool metrics live in the global obs registry: tasks ever executed,
 // instantaneous queued-but-unclaimed tasks, the shared pool's width,
 // runs that woke a worker (and those of them submitted from inside a
-// task), and tasks a waiting submitter ran for another job.  All lazily
-// registered so a program that never runs parallel work never creates
-// them.
+// task), and tasks a waiting submitter ran for another job.  All
+// registered by the first pool's constructor, so a program that never
+// builds a pool never creates them, and no run registers one: a
+// registration allocates, and a warm run allocates nothing.
 obs::counter& tasks_total() {
     static obs::counter& c = obs::metrics_registry::global().get_counter(
         "silicon_exec_tasks_total",
@@ -289,6 +290,11 @@ struct thread_pool::impl {
 };
 
 thread_pool::thread_pool(unsigned threads) : impl_{new impl} {
+    (void)tasks_total();
+    (void)queue_depth();
+    (void)pool_runs_total();
+    (void)nested_runs_total();
+    (void)helped_tasks_total();
     const unsigned resolved = resolve_parallelism(threads);
     impl_->thread_count = resolved;
     impl_->workers.reserve(resolved - 1);
