@@ -28,6 +28,14 @@
 //    full default-size point cache and with the cache off.  Recorded
 //    as ns per lane, with a host fingerprint, never gated.
 //
+// 5. The TCP grid: grid batches through a real serve::event_loop on an
+//    ephemeral loopback port, from four connections that each keep one
+//    batch (a window of four lines) outstanding, as silibench's
+//    closed-loop grid_explore client does.  The loop serves every
+//    connection a wakeup finds ready as one engine batch.  Lines/s is
+//    recorded with the host fingerprint, never gated; the replies must
+//    be byte-identical to a parallelism-1, cache-off engine's.
+//
 // Results land in BENCH_serve.json (machine readable, git-tracked).
 // SILICON_BENCH_TINY=1 shrinks the workload and skips the memoization
 // speedup gate so CI runs stay cheap and unflaky.
@@ -35,9 +43,18 @@
 #include "grid_batch.hpp"
 
 #include "serve/engine.hpp"
+#include "serve/event_loop.hpp"
 #include "serve/request.hpp"
 #include "simd/dispatch.hpp"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -186,6 +203,164 @@ double lane_feed_ns(bool explore, bool cache, std::size_t grids) {
     return seconds * 1e9 / static_cast<double>(256 * grids);
 }
 
+/// A listening loopback socket on an ephemeral port.
+int loopback_listener(std::uint16_t& port) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof addr;
+    if (fd < 0 ||
+        ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
+        ::listen(fd, 64) != 0 ||
+        ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+        std::perror("tcp grid listener");
+        std::exit(1);
+    }
+    port = ntohs(addr.sin_port);
+    return fd;
+}
+
+int loopback_client(std::uint16_t port) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    if (fd < 0 ||
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+        std::perror("tcp grid client");
+        std::exit(1);
+    }
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    return fd;
+}
+
+void send_all(int fd, const std::string& bytes) {
+    for (std::size_t at = 0; at < bytes.size();) {
+        const ssize_t n = ::send(fd, bytes.data() + at, bytes.size() - at,
+                                 MSG_NOSIGNAL);
+        if (n <= 0) {
+            std::perror("tcp grid send");
+            std::exit(1);
+        }
+        at += static_cast<std::size_t>(n);
+    }
+}
+
+struct tcp_grid_result {
+    double lines_per_s = 0;
+    /// Connection segments per wakeup batch the loop served.
+    double segments_per_batch = 0;
+    bool identical = false;
+};
+
+/// `conns` connections to a real event loop (an engine at the default
+/// width) each send `windows` fresh grid batches, one outstanding at a
+/// time.  The replies are checked against `reference` afterwards.
+tcp_grid_result tcp_grid(std::size_t conns, std::size_t windows,
+                         serve::engine& reference) {
+    serve::engine engine{serve::engine_config{}};
+    std::uint16_t port = 0;
+    serve::event_loop loop{engine, loopback_listener(port),
+                           serve::event_loop_config{}};
+    const serve::transport_counters& counters =
+        serve::transport_counters::instance();
+    const std::uint64_t batches0 = counters.wakeup_batches.value();
+    const std::uint64_t segments0 = counters.wakeup_batch_segments.value();
+    std::thread runner{[&loop] { loop.run(); }};
+
+    const auto batch_of = [&](std::size_t c, std::size_t w) {
+        return silicon::bench::grid_batch(1 + c * windows + w);
+    };
+    const auto wire_of = [](const std::vector<std::string>& lines) {
+        std::string wire;
+        for (const std::string& line : lines) {
+            wire += line;
+            wire += '\n';
+        }
+        return wire;
+    };
+    std::vector<pollfd> fds(conns);
+    std::vector<std::size_t> sent(conns, 0);
+    std::vector<std::string> got(conns);
+    for (std::size_t c = 0; c < conns; ++c) {
+        fds[c] = pollfd{loopback_client(port), POLLIN, 0};
+    }
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t c = 0; c < conns; ++c) {
+        send_all(fds[c].fd, wire_of(batch_of(c, sent[c]++)));
+    }
+    std::size_t open = conns;
+    char chunk[65536];
+    while (open != 0) {
+        if (::poll(fds.data(), fds.size(), 30000) <= 0) {
+            std::printf("FAIL: tcp grid stalled\n");
+            std::exit(1);
+        }
+        for (std::size_t c = 0; c < conns; ++c) {
+            if ((fds[c].revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
+                continue;
+            }
+            const ssize_t n = ::recv(fds[c].fd, chunk, sizeof chunk, 0);
+            if (n <= 0) {
+                std::printf("FAIL: tcp grid connection ended\n");
+                std::exit(1);
+            }
+            got[c].append(chunk, static_cast<std::size_t>(n));
+            const auto replies = static_cast<std::size_t>(
+                std::count(got[c].begin(), got[c].end(), '\n'));
+            if (replies < 4 * sent[c]) {
+                continue;
+            }
+            if (sent[c] < windows) {
+                send_all(fds[c].fd, wire_of(batch_of(c, sent[c]++)));
+            } else {
+                fds[c].events = 0;  // done: its replies are all in
+                --open;
+            }
+        }
+    }
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    loop.stop();
+    runner.join();
+    tcp_grid_result result;
+    result.lines_per_s = static_cast<double>(4 * conns * windows) / seconds;
+    result.segments_per_batch =
+        static_cast<double>(counters.wakeup_batch_segments.value() -
+                            segments0) /
+        static_cast<double>(counters.wakeup_batches.value() - batches0);
+    result.identical = true;
+    for (std::size_t c = 0; c < conns; ++c) {
+        ::close(fds[c].fd);
+        std::string want;
+        for (std::size_t w = 0; w < windows; ++w) {
+            for (const std::string& r : reference.handle_batch(batch_of(c, w))) {
+                want += r;
+                want += '\n';
+            }
+        }
+        result.identical = result.identical && got[c] == want;
+    }
+    return result;
+}
+
+/// The host a measurement was taken on.
+json::object host_fingerprint() {
+    json::object host;
+    host.set("nproc",
+             json::value{static_cast<double>(std::thread::hardware_concurrency())});
+    host.set("simd_target",
+             json::value{std::string{silicon::simd::to_string(
+                 silicon::simd::active_target())}});
+    host.set("compiler", json::value{std::string{__VERSION__}});
+    host.set("build_type", json::value{std::string{SILICON_BUILD_TYPE}});
+    return host;
+}
+
 }  // namespace
 
 int main() {
@@ -304,6 +479,19 @@ int main() {
     std::printf("  %-22s %8.0f ns/lane cache on, %8.0f off\n",
                 "4x64 explore", explore_on, explore_off);
 
+    // --- Pass set 5: the TCP grid ----------------------------------------
+    const std::size_t kTcpConns = 4;
+    const std::size_t kTcpWindows = tiny ? 2 : 100;
+    const tcp_grid_result tcp =
+        tcp_grid(kTcpConns, kTcpWindows, grid_reference);
+    std::printf("tcp grid (%zu loopback connections x %zu windows of 4 "
+                "grid lines)\n",
+                kTcpConns, kTcpWindows);
+    std::printf("  %-22s %12.0f lines/s, %.2f connections per batch, "
+                "responses %s\n",
+                "event loop", tcp.lines_per_s, tcp.segments_per_batch,
+                tcp.identical ? "byte-identical" : "DIFFER");
+
     // --- Machine-readable results --------------------------------------
     json::object doc;
     doc.set("bench", json::value{std::string{"bench_serve_throughput"}});
@@ -337,16 +525,8 @@ int main() {
     grid.set("lines_per_s", json::value{grid_rate});
     grid.set("responses_identical", json::value{grid_identical});
     doc.set("grid_batch", json::value{std::move(grid)});
-    json::object host;
-    host.set("nproc",
-             json::value{static_cast<double>(std::thread::hardware_concurrency())});
-    host.set("simd_target",
-             json::value{std::string{silicon::simd::to_string(
-                 silicon::simd::active_target())}});
-    host.set("compiler", json::value{std::string{__VERSION__}});
-    host.set("build_type", json::value{std::string{SILICON_BUILD_TYPE}});
     json::object feed;
-    feed.set("host", json::value{std::move(host)});
+    feed.set("host", json::value{host_fingerprint()});
     feed.set("grids", json::value{static_cast<double>(kFeedGrids)});
     feed.set("lanes_per_grid", json::value{256.0});
     feed.set("sweep_cache_on_ns_per_lane", json::value{sweep_on});
@@ -354,9 +534,19 @@ int main() {
     feed.set("explore_cache_on_ns_per_lane", json::value{explore_on});
     feed.set("explore_cache_off_ns_per_lane", json::value{explore_off});
     doc.set("lane_feed", json::value{std::move(feed)});
+    json::object tcp_row;
+    tcp_row.set("host", json::value{host_fingerprint()});
+    tcp_row.set("conns", json::value{static_cast<double>(kTcpConns)});
+    tcp_row.set("windows_per_conn",
+                json::value{static_cast<double>(kTcpWindows)});
+    tcp_row.set("lines_per_window", json::value{4.0});
+    tcp_row.set("lines_per_s", json::value{tcp.lines_per_s});
+    tcp_row.set("segments_per_batch", json::value{tcp.segments_per_batch});
+    tcp_row.set("responses_identical", json::value{tcp.identical});
+    doc.set("tcp_grid", json::value{std::move(tcp_row)});
 
-    bool gate_pass =
-        identical && grid_identical && dedup_exact && cache.hits >= kRequests;
+    bool gate_pass = identical && grid_identical && tcp.identical &&
+                     dedup_exact && cache.hits >= kRequests;
     if (!tiny) {
         gate_pass = gate_pass && cache_warm >= 5.0 * serial_cold;
     }
@@ -378,6 +568,10 @@ int main() {
     }
     if (!grid_identical) {
         std::printf("FAIL: grid batch replies differ from the reference\n");
+        return 1;
+    }
+    if (!tcp.identical) {
+        std::printf("FAIL: tcp grid replies differ from the reference\n");
         return 1;
     }
     if (!dedup_exact) {

@@ -41,6 +41,13 @@ transport_counters& transport_counters::instance() {
         obs::metrics_registry::global().get_counter(
             "silicond_oversized_lines_total",
             "Transport lines rejected by the max-line-bytes bound"),
+        obs::metrics_registry::global().get_counter(
+            "silicond_wakeup_batches_total",
+            "Engine batches the event loop served after a wakeup"),
+        obs::metrics_registry::global().get_counter(
+            "silicond_wakeup_batch_segments_total",
+            "Connection segments served in the event loop's wakeup "
+            "batches"),
     };
     return counters;
 }
@@ -131,9 +138,6 @@ void conn::on_readable() {
         if (dead_) {
             return;
         }
-        // Answer everything complete in this chunk: a client that sends
-        // one request and waits must not stall behind the batch bound.
-        flush_pending_batch();
         if (static_cast<std::size_t>(got) < sizeof chunk) {
             break;  // socket drained (level-triggered re-arms otherwise)
         }
@@ -240,15 +244,19 @@ bool conn::on_jsonl_line(std::string_view line, bool oversized) {
 }
 
 void conn::flush_pending_batch() {
-    if (pending_ == 0 || dead_) {
+    if (pending_segment().empty()) {
         return;
     }
     gather_.clear();
-    shared_.eng.handle_batch_into({lines_.data(), pending_}, gather_);
+    shared_.eng.handle_batch_into(pending_segment(), gather_);
+    deliver(gather_);
+}
+
+void conn::deliver(std::string_view replies) {
     pending_ = 0;
     shared_.transport.flushes.add(1);
-    shared_.transport.flushed_bytes.add(gather_.size());
-    enqueue(gather_);
+    shared_.transport.flushed_bytes.add(replies.size());
+    enqueue(replies);
 }
 
 void conn::respond_http(const http::request& req) {

@@ -4,9 +4,12 @@
 // loop kept on its stack, restructured for a non-blocking fd driven by
 // epoll (serve/event_loop):
 //
-//   * a bounded `io::line_splitter` framing the JSONL stream (oversized
-//     lines are discarded as they arrive and answered `too_large`
-//     in-order, exactly like the blocking transport);
+//   * a bounded `io::line_splitter` framing the JSONL stream into the
+//     pending segment, which the event loop serves after the wakeup
+//     together with every other ready connection's (`pending_segment`,
+//     `deliver`); oversized lines are discarded as they arrive and
+//     answered `too_large` in-order, exactly like the blocking
+//     transport;
 //   * an `http::parser` the connection hands its stream to whenever a
 //     framed line turns out to be an HTTP/1.1 request line — after the
 //     response (keep-alive permitting) the stream drops back to JSONL,
@@ -25,7 +28,9 @@
 // Ordering invariant (inherited from DESIGN.md §11): every accepted
 // line gets exactly one reply, in request order; oversized rejections
 // and HTTP responses land at the stream position their bytes occupied,
-// behind any batch still pending.
+// behind any batch still pending, which is why those events (and EOF,
+// and a `--batch`-full segment) serve the pending segment at once,
+// alone, instead of leaving it to the wakeup batch.
 //
 // A conn is single-threaded — only the owning event loop touches it.
 // The shared state (`conn_shared`) is the loop-wide ledger + metrics,
@@ -44,6 +49,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -76,6 +82,11 @@ struct transport_counters {
     obs::counter& flushes;
     obs::counter& flushed_bytes;
     obs::counter& oversized_lines;
+    /// Batches the event loop served after a wakeup, and the connection
+    /// segments they carried: their ratio is how many connections
+    /// shared an engine batch.
+    obs::counter& wakeup_batches;
+    obs::counter& wakeup_batch_segments;
 
     [[nodiscard]] static transport_counters& instance();
 };
@@ -110,9 +121,26 @@ public:
     conn& operator=(const conn&) = delete;
 
     /// Drain the socket (until EAGAIN / short read / backpressure
-    /// pause), frame lines, answer complete batches.  EOF flushes the
-    /// final unterminated line and schedules flush-then-close.
+    /// pause) and frame lines into the pending segment, which the loop
+    /// serves after the wakeup (`pending_segment`, `deliver`).  A
+    /// `--batch`-full segment, EOF (which also frames the final
+    /// unterminated line and schedules flush-then-close), an oversized
+    /// line and an HTTP request line flush it at once, alone.
     void on_readable();
+
+    /// The lines framed since the last flush: this connection's segment
+    /// of the loop's next wakeup batch (empty once the peer is dead).
+    /// The loop may swap the strings out; `deliver` ends the segment.
+    [[nodiscard]] std::span<std::string> pending_segment() noexcept {
+        return {lines_.data(), dead_ ? 0 : pending_};
+    }
+
+    /// Queue the replies to the pending segment (one '\n'-terminated
+    /// line per pending line, in order) and start a new segment.
+    void deliver(std::string_view replies);
+
+    /// Serve the pending segment now, alone, and queue its replies.
+    void flush_pending_batch();
 
     /// Flush the write queue as far as the socket allows.
     void on_writable();
@@ -153,8 +181,6 @@ private:
     /// Splitter callback; returns false to stop framing (mode switch,
     /// close, or fatal enqueue failure).
     bool on_jsonl_line(std::string_view line, bool oversized);
-    /// Evaluate pending lines through the engine and enqueue replies.
-    void flush_pending_batch();
     void respond_http(const http::request& req);
     void respond_http_error();
     void enqueue(std::string_view bytes);

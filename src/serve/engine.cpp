@@ -341,8 +341,21 @@ void write_comparison(const core::table3_comparison& c, std::string& out) {
     out += '}';
 }
 
+/// Table 3 and its memory/logic separation read no request input:
+/// computed once per process, so a table3 miss allocates nothing.
+struct table3_results {
+    std::vector<core::table3_comparison> rows;
+    double separation = 0.0;
+};
+
+const table3_results& table3_once() {
+    static const table3_results results{core::reproduce_table3(),
+                                        core::memory_logic_separation()};
+    return results;
+}
+
 void table3_into(const table3_request& q, std::string& out) {
-    const std::vector<core::table3_comparison> all = core::reproduce_table3();
+    const std::vector<core::table3_comparison>& all = table3_once().rows;
     if (q.row != 0) {
         for (const core::table3_comparison& c : all) {
             if (c.row.index == q.row) {
@@ -353,7 +366,7 @@ void table3_into(const table3_request& q, std::string& out) {
         throw request_error("bad_param", "table3: no row " +
                                              std::to_string(q.row));
     }
-    const double separation = core::memory_logic_separation();
+    const double separation = table3_once().separation;
     out += "{\"rows\":[";
     for (std::size_t i = 0; i < all.size(); ++i) {
         if (i != 0) {
@@ -1683,6 +1696,7 @@ struct batch_line {
     double cost_ns = point_line_ns;
     std::size_t key_hash = 0;
     std::size_t rep = no_rep;  ///< representative line of a twin
+    bool skip = false;  ///< in a rejected segment: never parsed or served
 };
 
 std::string engine::handle_line(std::string_view line) {
@@ -2018,10 +2032,18 @@ void engine::serve_line(
 
 namespace {
 
+/// How one segment of a batch is answered: served, or rejected whole
+/// before a byte of it is parsed.
+enum class segment_fate : std::uint8_t { serve, too_large, overloaded };
+
 /// Per-thread batch scratch, reused by every batch the thread submits
 /// (phase A's pool workers write into the submitting thread's copy), so
 /// a warm batch allocates nothing.
 struct batch_scratch {
+    std::vector<segment_fate> fates;
+    /// The admitted segments' in-flight bytes, released when the batch
+    /// returns.
+    std::vector<admission_controller::ticket> tickets;
     std::vector<batch_line> lines;
     /// One arena per phase-A shard: parallel shards never share one.
     std::deque<exec::arena> arenas;
@@ -2052,6 +2074,10 @@ void parse_shard(std::span<const std::string> lines,
         batch_line& bl = scratch.lines[i];
         bl.ok = false;
         bl.rep = no_rep;
+        if (bl.skip) {
+            bl.cost_ns = 0.0;
+            continue;  // its segment is answered by a rejection
+        }
         bl.cost_ns = point_line_ns;
         if (limits.max_line_bytes != 0 &&
             lines[i].size() > limits.max_line_bytes) {
@@ -2147,6 +2173,15 @@ std::vector<std::string> engine::handle_batch(
 
 void engine::handle_batch_into(std::span<const std::string> lines,
                                std::string& gather) {
+    const std::size_t end = lines.size();
+    std::size_t reply_end = 0;
+    handle_batch_into(lines, {&end, 1}, gather, {&reply_end, 1});
+}
+
+void engine::handle_batch_into(std::span<const std::string> lines,
+                               std::span<const std::size_t> segment_ends,
+                               std::string& gather,
+                               std::span<std::size_t> reply_ends) {
     const obs::trace_span span{"serve.batch", "serve"};
     const std::size_t n = lines.size();
     const auto reply = [&gather](const std::string& r) {
@@ -2169,49 +2204,82 @@ void engine::handle_batch_into(std::span<const std::string> lines,
         anomalies += r.anomaly ? 1 : 0;
         flight.append(r);
     };
-    const auto note_anomalies = [&] {
+
+    // Segment rules: each segment is a batch of its own for the line
+    // bound and the in-flight byte budget, so one connection's oversized
+    // or over-budget batch is rejected whole while its neighbours are
+    // served.  A rejected segment's lines each get one well-formed
+    // reply, without parsing a byte of them.
+    batch_scratch& scratch = tls_batch_scratch();
+    struct release_tickets {
+        std::vector<admission_controller::ticket>& tickets;
+        ~release_tickets() { tickets.clear(); }
+    } const release{scratch.tickets};
+    scratch.fates.clear();
+    std::size_t accepted = 0;
+    for (std::size_t s = 0, begin = 0; s < segment_ends.size(); ++s) {
+        const std::size_t end = segment_ends[s];
+        const std::size_t count = end - begin;
+        segment_fate fate = segment_fate::serve;
+        if (config_.limits.max_batch_lines != 0 &&
+            count > config_.limits.max_batch_lines) {
+            admission_.note_rejection(reject_reason::batch_too_large, count);
+            fate = segment_fate::too_large;
+        } else if (count != 0) {
+            std::size_t segment_bytes = 0;
+            for (std::size_t i = begin; i < end; ++i) {
+                segment_bytes += lines[i].size();
+            }
+            admission_controller::ticket ticket = admission_.admit(
+                segment_bytes, config_.limits.max_inflight_bytes, count);
+            if (ticket) {
+                scratch.tickets.push_back(std::move(ticket));
+                accepted += count;
+            } else {
+                on_overload();
+                fate = segment_fate::overloaded;
+            }
+        }
+        scratch.fates.push_back(fate);
+        begin = end;
+    }
+    // Replies go out in line order, segment by segment: `serve_reply(i)`
+    // answers line i of a served segment, a rejected segment's lines get
+    // its rejection.
+    const auto emit = [&](const auto& serve_reply) {
+        for (std::size_t s = 0, i = 0; s < segment_ends.size(); ++s) {
+            const segment_fate fate = scratch.fates[s];
+            for (; i < segment_ends[s]; ++i) {
+                if (fate == segment_fate::serve) {
+                    serve_reply(i);
+                    continue;
+                }
+                const std::string_view trace_raw = scan_trace_id(lines[i]);
+                if (fate == segment_fate::too_large) {
+                    append_batch_too_large(config_.limits.max_batch_lines,
+                                           trace_raw, gather);
+                } else {
+                    append_overloaded(trace_raw, gather);
+                }
+                gather += '\n';
+                if (record_flight) {
+                    obs::flight_record r;
+                    obs::assign_field(r.trace, trace_raw);
+                    obs::assign_field(r.code, fate == segment_fate::too_large
+                                                  ? "too_large"
+                                                  : "overloaded");
+                    r.anomaly = fate == segment_fate::overloaded;
+                    append_record(r);
+                }
+            }
+            reply_ends[s] = gather.size();
+        }
         for (; anomalies != 0; --anomalies) {
             flight.note_anomaly();
         }
     };
-    // Batch-level rejections: every line still gets exactly one
-    // well-formed reply, without parsing a byte of it.
-    const auto reject_all = [&](const char* code, bool anomaly,
-                                const auto& append_reply) {
-        for (const std::string& line : lines) {
-            const std::string_view trace_raw = scan_trace_id(line);
-            append_reply(trace_raw, gather);
-            gather += '\n';
-            if (record_flight) {
-                obs::flight_record r;
-                obs::assign_field(r.trace, trace_raw);
-                obs::assign_field(r.code, code);
-                r.anomaly = anomaly;
-                append_record(r);
-            }
-        }
-        note_anomalies();
-    };
-
-    if (config_.limits.max_batch_lines != 0 &&
-        n > config_.limits.max_batch_lines) {
-        admission_.note_rejection(reject_reason::batch_too_large, n);
-        reject_all("too_large", false,
-                   [&](std::string_view trace_raw, std::string& out) {
-                       append_batch_too_large(
-                           config_.limits.max_batch_lines, trace_raw, out);
-                   });
-        return;
-    }
-    std::size_t batch_bytes = 0;
-    for (const std::string& l : lines) {
-        batch_bytes += l.size();
-    }
-    admission_controller::ticket ticket = admission_.admit(
-        batch_bytes, config_.limits.max_inflight_bytes, n);
-    if (!ticket) {
-        on_overload();
-        reject_all("overloaded", true, append_overloaded);
+    if (accepted == 0) {
+        emit([](std::size_t) {});
         return;
     }
 
@@ -2227,20 +2295,26 @@ void engine::handle_batch_into(std::span<const std::string> lines,
         batch_deadline = &batch_deadline_storage;
     }
 
-    // Phase A: parse every line once, into scratch that phase B serves
-    // from.  A line that fails here (malformed, a schema error, over the
-    // line or arena budget) is not dedupable; its serve parses its raw
-    // bytes again and answers the error.  A single line has
+    // Phase A: parse every served line once, into scratch that phase B
+    // serves from.  A line that fails here (malformed, a schema error,
+    // over the line or arena budget) is not dedupable; its serve parses
+    // its raw bytes again and answers the error.  A single line has
     // nothing to share or split: it skips phase A, its serve parses it
     // in the per-thread line state exactly as handle_line does, and any
-    // fan-out happens inside its evaluation.
-    batch_scratch& scratch = tls_batch_scratch();
+    // fan-out happens inside its evaluation.  Dedup spans segments: a
+    // twin's cached bytes are the bytes its own evaluation would write.
     const bool single = n == 1;
     std::uint64_t twins = 0;
     double work_ns = 0;
     if (!single) {
         if (scratch.lines.size() < n) {
             scratch.lines.resize(n);
+        }
+        for (std::size_t s = 0, i = 0; s < segment_ends.size(); ++s) {
+            for (; i < segment_ends[s]; ++i) {
+                scratch.lines[i].skip =
+                    scratch.fates[s] != segment_fate::serve;
+            }
         }
         const std::size_t shards = exec::shard_count_for(n);
         while (scratch.arenas.size() < shards) {
@@ -2280,7 +2354,7 @@ void engine::handle_batch_into(std::span<const std::string> lines,
         // from the cache — or, when the representative errored (errors
         // are never cached, never coalesced), re-evaluates on its own.
         obs::flight_record rec;
-        for (std::size_t i = 0; i < n; ++i) {
+        emit([&](std::size_t i) {
             if (record_flight) {
                 rec = obs::flight_record{};
             }
@@ -2289,8 +2363,7 @@ void engine::handle_batch_into(std::span<const std::string> lines,
             if (record_flight) {
                 append_record(rec);
             }
-        }
-        note_anomalies();
+        });
         return;
     }
 
@@ -2308,7 +2381,8 @@ void engine::handle_batch_into(std::span<const std::string> lines,
     const auto serve_where = [&](bool twin_pass) {
         return [&, twin_pass](const exec::shard_range& r) {
             for (std::size_t i = r.begin; i < r.end; ++i) {
-                if ((scratch.lines[i].rep != no_rep) == twin_pass) {
+                const batch_line& bl = scratch.lines[i];
+                if (!bl.skip && (bl.rep != no_rep) == twin_pass) {
                     serve_at(i, responses[i],
                              record_flight ? &recs[i] : nullptr);
                 }
@@ -2323,13 +2397,12 @@ void engine::handle_batch_into(std::span<const std::string> lines,
                            static_cast<double>(twins) * point_line_ns /
                                static_cast<double>(n));
     }
-    for (std::size_t i = 0; i < n; ++i) {
+    emit([&](std::size_t i) {
         reply(responses[i]);
         if (record_flight) {
             append_record(recs[i]);
         }
-    }
-    note_anomalies();
+    });
 }
 
 }  // namespace silicon::serve

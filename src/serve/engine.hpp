@@ -23,7 +23,10 @@
 //     order.  Every response depends only on its own request line,
 //     and responses land in line order, so the output is
 //     bit-identical at every thread count — the same determinism
-//     contract as the rest of the library (DESIGN.md §7/§8).
+//     contract as the rest of the library (DESIGN.md §7/§8).  The
+//     event loop hands over every ready connection's lines as one
+//     batch of segments, one per connection; the per-batch rules
+//     (line bound, admission) apply per segment.
 //   * Memoization: evaluated results are cached in a sharded LRU
 //     (cache.hpp) keyed by the request's canonical serialization;
 //     endpoints are pure functions of their canonical request, so a
@@ -142,6 +145,24 @@ public:
     /// fan-out grain performs zero heap allocations.
     void handle_batch_into(std::span<const std::string> lines,
                            std::string& gather);
+
+    /// Serve several independent batches (one per connection, say) as
+    /// one: segment s is lines [segment_ends[s-1], segment_ends[s])
+    /// (from 0 for s = 0; ascending, the last equal to lines.size()).
+    /// Every per-batch rule applies per segment — the `max_batch_lines`
+    /// bound, in-flight admission and their rejection envelopes — so a
+    /// segment's replies are the bytes a `handle_batch_into` call of its
+    /// own would append, except that admitted segments hold their bytes
+    /// together: a segment can be refused `overloaded` beside a
+    /// neighbour's bytes, as a batch arriving during another one is.
+    /// The segments' lines are parsed, deduplicated and fanned out
+    /// together.  Replies land in `gather` in line order,
+    /// and `reply_ends[s]` receives the gather offset one past segment
+    /// s's last reply (`reply_ends` has one slot per segment).
+    void handle_batch_into(std::span<const std::string> lines,
+                           std::span<const std::size_t> segment_ends,
+                           std::string& gather,
+                           std::span<std::size_t> reply_ends);
 
     /// The one result path of every op: run the model once and append
     /// the result object to `out`, bypassing the request's cache entry,

@@ -1,5 +1,7 @@
 #include "serve/event_loop.hpp"
 
+#include "exec/thread_pool.hpp"
+
 #include <cerrno>
 #include <cstring>
 #include <fcntl.h>
@@ -44,6 +46,7 @@ event_loop::event_loop(engine& eng, int listen_fd, event_loop_config config)
       timeouts_{obs::metrics_registry::global().get_counter(
           "silicond_conn_timeouts_total",
           "Connections closed by the idle or write-stall deadline")} {
+    batch_lines_.resize(exec::max_shards);
     if (config_.tick_ms == 0) {
         config_.tick_ms = 100;
     }
@@ -149,6 +152,7 @@ void event_loop::run(const std::function<bool()>& should_stop) {
                 handle_conn(fd, events[i].events);
             }
         }
+        serve_ready();
     }
 }
 
@@ -199,7 +203,68 @@ void event_loop::handle_conn(int fd, std::uint32_t events) {
         // mid-pending-write (the EPOLLHUP chaos scenario).
         c.on_readable();
     }
+    if (!c.pending_segment().empty()) {
+        ready_.push_back(fd);  // settled once its replies are queued
+        return;
+    }
     settle(c);
+}
+
+void event_loop::serve_ready() {
+    ready_conns_.clear();
+    for (const int fd : ready_) {
+        // Gone (a timer closed it), or the fd already belongs to a
+        // connection accepted later in this wakeup, which has no lines.
+        const auto it = conns_.find(fd);
+        if (it != conns_.end() && !it->second->pending_segment().empty()) {
+            ready_conns_.push_back(it->second.get());
+        }
+    }
+    ready_.clear();
+    // Whole segments, in event order, up to max_shards lines per batch;
+    // a segment longer than that is a batch of its own.
+    for (std::size_t at = 0; at < ready_conns_.size();) {
+        std::size_t lines = ready_conns_[at]->pending_segment().size();
+        std::size_t end = at + 1;
+        while (end < ready_conns_.size() &&
+               lines + ready_conns_[end]->pending_segment().size() <=
+                   exec::max_shards) {
+            lines += ready_conns_[end]->pending_segment().size();
+            ++end;
+        }
+        serve_group({ready_conns_.data() + at, end - at});
+        at = end;
+    }
+    for (conn* c : ready_conns_) {
+        settle(*c);
+    }
+}
+
+void event_loop::serve_group(std::span<conn* const> group) {
+    shared_.transport.wakeup_batches.add(1);
+    shared_.transport.wakeup_batch_segments.add(group.size());
+    if (group.size() == 1) {
+        group.front()->flush_pending_batch();
+        return;
+    }
+    segment_ends_.clear();
+    std::size_t count = 0;
+    for (conn* c : group) {
+        for (std::string& line : c->pending_segment()) {
+            batch_lines_[count++].swap(line);
+        }
+        segment_ends_.push_back(count);
+    }
+    reply_ends_.resize(group.size());
+    gather_.clear();
+    eng_.handle_batch_into({batch_lines_.data(), count}, segment_ends_,
+                           gather_, reply_ends_);
+    std::size_t begin = 0;
+    for (std::size_t s = 0; s < group.size(); ++s) {
+        group[s]->deliver(std::string_view{gather_}.substr(
+            begin, reply_ends_[s] - begin));
+        begin = reply_ends_[s];
+    }
 }
 
 void event_loop::settle(conn& c) {

@@ -5,20 +5,29 @@
 // This module replaces that transport with a single-threaded,
 // level-triggered epoll loop multiplexing every connection (the
 // acceptance floor is 1000 concurrent loopback clients) while keeping
-// the response bytes identical: each connection still batches its lines
-// through `engine::handle_batch`, which fans across the exec pool, so
-// parallelism lives in the engine and the loop only moves bytes.
+// the response bytes identical.  Parallelism lives in the engine: after
+// each epoll_wait pass the loop serves the pending lines of every
+// connection that became ready as one `engine::handle_batch_into` call
+// (one segment per connection, whole segments up to exec::max_shards
+// lines, the line strings swapped in rather than copied) and hands each
+// connection its own replies, in order.  The engine applies the
+// per-batch rules (line bound, admission) per segment, so each
+// connection's replies are the bytes a batch of its own would get
+// (admission counts the segments' bytes together), while the pool sees
+// every ready connection's work at once.
 //
 // Structure:
 //
 //   * listener fd (non-blocking, accept4 until EAGAIN; beyond
 //     `max_conns` the accept is closed immediately and counted);
 //   * one `serve::conn` per client (serve/conn.hpp) owning framing,
-//     HTTP mode switching, and the watermark write queue; the loop owns
-//     only the epoll interest mask, which it recomputes from
-//     `wants_read()`/`wants_write()` after every event — a paused
-//     (backpressured) connection simply drops EPOLLIN and the kernel's
-//     receive window pushes back on the client;
+//     HTTP mode switching, its pending segment and the watermark write
+//     queue; the loop owns the wakeup batch and the epoll interest
+//     mask, which it recomputes from `wants_read()`/`wants_write()`
+//     after every event (for a connection with pending lines, after its
+//     replies are queued) — a paused (backpressured) connection simply
+//     drops EPOLLIN and the kernel's receive window pushes back on the
+//     client;
 //   * an eventfd for cross-thread/async-signal `stop()` (write(2) is
 //     async-signal-safe, so the SIGTERM handler may call it directly);
 //   * a timerfd driving a 256-slot hashed timing wheel for idle and
@@ -49,6 +58,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -105,6 +116,12 @@ private:
 
     void handle_listener();
     void handle_conn(int fd, std::uint32_t events);
+    /// Serve the pending segments of every connection the wakeup left
+    /// with framed lines, then settle those connections.
+    void serve_ready();
+    /// One engine batch over `group`'s pending segments, in order; each
+    /// connection gets its own replies.
+    void serve_group(std::span<conn* const> group);
     /// Recompute the epoll interest mask and timer state after any
     /// event; destroys the connection when it is finished.
     void settle(conn& c);
@@ -130,6 +147,16 @@ private:
     std::unordered_map<int, std::unique_ptr<conn>> conns_;
     std::unordered_map<int, std::uint32_t> interest_;  ///< fd → epoll mask
     std::array<std::vector<int>, wheel_slots> wheel_;
+    /// Connections with framed lines this wakeup, in event order (fds:
+    /// a timer may close one before the batch is served).
+    std::vector<int> ready_;
+    std::vector<conn*> ready_conns_;
+    /// A combined batch's lines, swapped with its connections' segment
+    /// strings: no line byte is copied.
+    std::vector<std::string> batch_lines_;
+    std::vector<std::size_t> segment_ends_;
+    std::vector<std::size_t> reply_ends_;
+    std::string gather_;
 
     obs::gauge& open_conns_gauge_;
     obs::counter& accepts_;

@@ -20,6 +20,7 @@
 #include <map>
 #include <optional>
 #include <random>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -1272,6 +1273,233 @@ TEST(EngineNestedFanOut, MixedGridBatchesMatchSerialEngines) {
     EXPECT_EQ(engine.cache_stats().evictions, 0u);
     EXPECT_EQ(serial.cache_stats().evictions, 0u);
     EXPECT_TRUE(cache_contents(engine) == cache_contents(serial));
+}
+
+// ---------------------------------------------------------------------------
+// Segmented batches: the event loop serves every ready connection's
+// lines as one batch of segments, one per connection.  Each segment
+// must get exactly the bytes a batch of its own would.
+// ---------------------------------------------------------------------------
+
+/// `line` with `"id":i,"trace_id":"t<i>"` spliced in as its first
+/// members.
+std::string tagged(const std::string& line, std::size_t i) {
+    return R"({"id":)" + std::to_string(i) + R"(,"trace_id":"t)" +
+           std::to_string(i) + "\"," + line.substr(1);
+}
+
+/// Fresh grid lines of every kind (nested_gate_batch) with point lines,
+/// twins across segments and an error line between them.
+std::vector<std::string> segment_mix(int rep) {
+    std::vector<std::string> lines = nested_gate_batch(rep);
+    const std::vector<std::string>& points = endpoint_lines();
+    lines.insert(lines.begin() + 2, points[static_cast<std::size_t>(rep)]);
+    lines.insert(lines.begin() + 6, "not json");
+    lines.push_back(lines.front());  // a twin in another segment
+    lines.push_back(points[static_cast<std::size_t>(rep) + 1]);
+    lines.push_back(lines[2]);
+    return lines;
+}
+
+/// The segments served one after another, each as a batch of its own:
+/// what per-connection batches write.  `reply_ends` gets each
+/// segment's end offset.
+std::string serve_in_turn(serve::engine& engine,
+                          const std::vector<std::string>& lines,
+                          const std::vector<std::size_t>& ends,
+                          std::vector<std::size_t>& reply_ends) {
+    std::string gather;
+    reply_ends.clear();
+    std::size_t begin = 0;
+    for (const std::size_t end : ends) {
+        engine.handle_batch_into(
+            std::span<const std::string>{lines}.subspan(begin, end - begin),
+            gather);
+        reply_ends.push_back(gather.size());
+        begin = end;
+    }
+    return gather;
+}
+
+std::string serve_segmented(serve::engine& engine,
+                            const std::vector<std::string>& lines,
+                            const std::vector<std::size_t>& ends,
+                            std::vector<std::size_t>& reply_ends) {
+    std::string gather;
+    reply_ends.assign(ends.size(), 0);
+    engine.handle_batch_into(lines, ends, gather, reply_ends);
+    return gather;
+}
+
+TEST(EngineSegments, OverLongSegmentIsTooLargeWholeWhileNeighboursAreServed) {
+    serve::engine_config config = config_with(4);
+    config.limits.max_batch_lines = 3;
+    serve::engine engine{config};
+    serve::engine in_turn{config};
+    const std::vector<std::string>& points = endpoint_lines();
+    std::vector<std::string> lines;
+    for (std::size_t i = 0; i < 9; ++i) {
+        lines.push_back(tagged(points[i], i));
+    }
+    const std::vector<std::size_t> ends = {2, 6, 9};
+    std::vector<std::size_t> got_ends;
+    std::vector<std::size_t> want_ends;
+    const std::string got = serve_segmented(engine, lines, ends, got_ends);
+    EXPECT_EQ(got, serve_in_turn(in_turn, lines, ends, want_ends));
+    EXPECT_EQ(got_ends, want_ends);
+
+    std::vector<std::string> got_replies;
+    for (std::size_t at = 0, nl = got.find('\n'); nl != std::string::npos;
+         at = nl + 1, nl = got.find('\n', at)) {
+        got_replies.push_back(got.substr(at, nl - at));
+    }
+    ASSERT_EQ(got_replies.size(), lines.size());
+    serve::engine reference{config_with(1, 0)};
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        const bool rejected = i >= 2 && i < 6;
+        SCOPED_TRACE(got_replies[i]);
+        EXPECT_EQ(got_replies[i].find(R"("code":"too_large")") !=
+                      std::string::npos,
+                  rejected);
+        EXPECT_NE(got_replies[i].find("\"t" + std::to_string(i) + "\""),
+                  std::string::npos);
+        if (!rejected) {
+            EXPECT_EQ(got_replies[i], reference.handle_line(lines[i]));
+        }
+    }
+    EXPECT_EQ(engine.admission().rejected(
+                  serve::reject_reason::batch_too_large),
+              4u);
+}
+
+TEST(EngineSegments, OverBudgetSegmentIsOverloadedAndLeavesNoResidue) {
+    serve::engine_config config = config_with(4);
+    config.limits.max_inflight_bytes = 4096;
+    serve::engine engine{config};
+    serve::engine reference{config_with(1, 0)};
+    const std::vector<std::string>& points = endpoint_lines();
+    std::vector<std::string> lines;
+    for (std::size_t i = 0; i < 6; ++i) {
+        lines.push_back(tagged(points[i], i));
+    }
+    // The middle segment's first line alone is over the budget.  Its
+    // neighbours' bytes are in flight with it, so it is refused as a
+    // batch arriving while another one is served would be (a batch
+    // alone in flight is admitted at any size).
+    lines[2] = R"({"op":"table3","row":3,"id":")" + std::string(5000, 'x') +
+               R"(","trace_id":"t2"})";
+    const std::vector<std::size_t> ends = {2, 4, 6};
+    std::vector<std::size_t> got_ends;
+    const std::string got = serve_segmented(engine, lines, ends, got_ends);
+    EXPECT_EQ(engine.admission().inflight_bytes(), 0u);
+    EXPECT_EQ(engine.admission().rejected(serve::reject_reason::overloaded),
+              2u);
+
+    std::string want;
+    std::vector<std::size_t> want_ends;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        if (i == 2 || i == 3) {
+            serve::append_overloaded(serve::scan_trace_id(lines[i]), want);
+        } else {
+            want += reference.handle_line(lines[i]);
+        }
+        want += '\n';
+        if (i % 2 == 1) {
+            want_ends.push_back(want.size());
+        }
+    }
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(got_ends, want_ends);
+
+    // The refused segment left nothing behind: served again on its own,
+    // it is admitted.
+    std::string alone;
+    engine.handle_batch_into(std::span<const std::string>{lines}.subspan(2, 2),
+                             alone);
+    EXPECT_EQ(alone.find("overloaded"), std::string::npos) << alone;
+    EXPECT_EQ(engine.admission().inflight_bytes(), 0u);
+}
+
+TEST(EngineSegments, RepliesAndFlightRecordsStayInLineOrder) {
+    serve::engine_config config = config_with(4);
+    config.limits.max_batch_lines = 8;
+    obs::flight_recorder& flight = obs::flight_recorder::instance();
+    flight.clear();
+    flight.set_deterministic(true);
+    serve::engine engine{config};
+    std::vector<std::string> lines = nested_gate_batch(7);
+    const std::vector<std::string>& points = endpoint_lines();
+    lines.insert(lines.end(), points.begin(), points.begin() + 10);
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        lines[i] = tagged(lines[i], i);
+    }
+    // Segments of 5, 9 (over the bound) and the rest (at most 8).
+    const std::vector<std::size_t> ends = {5, 14, lines.size()};
+    ASSERT_LE(lines.size() - 14, 8u);
+    std::vector<std::size_t> reply_ends;
+    const std::string got = serve_segmented(engine, lines, ends, reply_ends);
+    std::string dump;
+    flight.export_jsonl(dump);
+    flight.set_deterministic(false);
+    flight.clear();
+
+    const auto split = [](const std::string& text) {
+        std::vector<json::value> out;
+        for (std::size_t at = 0, nl = text.find('\n');
+             nl != std::string::npos; at = nl + 1, nl = text.find('\n', at)) {
+            out.push_back(json::parse(text.substr(at, nl - at)));
+        }
+        return out;
+    };
+    const std::vector<json::value> replies = split(got);
+    const std::vector<json::value> records = split(dump);
+    ASSERT_EQ(replies.size(), lines.size());
+    ASSERT_EQ(records.size(), lines.size());
+    EXPECT_EQ(reply_ends.back(), got.size());
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        SCOPED_TRACE(lines[i]);
+        const std::string trace = "t" + std::to_string(i);
+        const bool rejected = i >= 5 && i < 14;
+        const json::object& reply = replies[i].as_object();
+        const json::object& record = records[i].as_object();
+        EXPECT_EQ(reply.find("trace_id")->as_string(), trace);
+        EXPECT_EQ(record.find("trace_id")->as_string(), trace);
+        EXPECT_EQ(record.find("code")->as_string(),
+                  rejected ? "too_large" : "ok");
+        if (!rejected) {
+            EXPECT_EQ(reply.find("id")->as_number(), static_cast<double>(i));
+            EXPECT_EQ(record.find("id")->as_string(), std::to_string(i));
+        }
+    }
+}
+
+TEST(EngineSegments, BytesEqualPerConnectionBatchesServedInTurn) {
+    serve::engine reference{config_with(1, 0)};
+    for (const unsigned parallelism : {1u, 4u, 0u}) {
+        SCOPED_TRACE(parallelism);
+        serve::engine combined{config_with(parallelism)};
+        serve::engine in_turn{config_with(parallelism)};
+        for (int rep = 0; rep < 3; ++rep) {
+            // Twice each: the second pass answers from the cache.
+            const std::vector<std::string> lines = segment_mix(rep);
+            const std::size_t n = lines.size();
+            std::string want;
+            for (const std::string& r : reference.handle_batch(lines)) {
+                want += r + "\n";
+            }
+            const std::vector<std::size_t> ends = {1, 5, 5, 9, n - 2, n};
+            for (int pass = 0; pass < 2; ++pass) {
+                std::vector<std::size_t> got_ends;
+                std::vector<std::size_t> want_ends;
+                const std::string got =
+                    serve_segmented(combined, lines, ends, got_ends);
+                EXPECT_EQ(got, serve_in_turn(in_turn, lines, ends, want_ends))
+                    << "rep " << rep << " pass " << pass;
+                EXPECT_EQ(got_ends, want_ends);
+                EXPECT_EQ(got, want) << "rep " << rep << " pass " << pass;
+            }
+        }
+    }
 }
 
 TEST(EngineFanOut, NestedRunsAndHelpedTasksMoveOnGridBatchesOnly) {

@@ -14,6 +14,7 @@
 #include "serve/engine.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/io.hpp"
+#include "serve/limits.hpp"
 
 #include <gtest/gtest.h>
 
@@ -62,19 +63,29 @@ int make_listener(std::uint16_t* port) {
 }
 
 /// Runs an event loop over a fresh engine on a background thread; the
-/// destructor stops the loop and joins.
+/// destructor stops the loop and joins.  With `run_now` false the loop
+/// runs only from `start()`: clients can connect and fill their sockets
+/// first, so the loop's first wakeup finds them all ready.
 struct loop_harness {
     explicit loop_harness(serve::engine_config engine_cfg = {},
-                          serve::event_loop_config loop_cfg = {})
+                          serve::event_loop_config loop_cfg = {},
+                          bool run_now = true)
         : eng{engine_cfg} {
         const int listener = make_listener(&port);
         loop = std::make_unique<serve::event_loop>(eng, listener,
                                                    std::move(loop_cfg));
-        runner = std::thread{[this] { loop->run(); }};
+        if (run_now) {
+            start();
+        }
     }
     ~loop_harness() {
         loop->stop();
-        runner.join();
+        if (runner.joinable()) {
+            runner.join();
+        }
+    }
+    void start() {
+        runner = std::thread{[this] { loop->run(); }};
     }
 
     serve::engine eng;
@@ -161,6 +172,57 @@ std::vector<std::string> load_corpus() {
     }
     EXPECT_FALSE(lines.empty());
     return lines;
+}
+
+/// A pipelining client's window: a kernel sweep, a partition_explore
+/// grid, an mc_yield run and point lines, distinct per client and
+/// round, plus a sweep every client sends (a twin across connections).
+std::vector<std::string> mixed_window(std::size_t client, int round) {
+    const std::size_t tag = client * 16 + static_cast<std::size_t>(round);
+    const std::string k = std::to_string(1.0 + 1e-4 * static_cast<double>(tag));
+    return {
+        R"({"id":"s)" + std::to_string(tag) +
+            R"(","op":"sweep","param":"lambda_um","from":0.35,"to":)" + k +
+            R"(,"count":48,"target":{"op":"scenario2","y0":0.8}})",
+        R"({"op":"partition_explore","splits":"1,2,4","area_from_mm2":100,)"
+        R"("area_to_mm2":)" +
+            std::to_string(800 + tag) + R"(,"count":16})",
+        R"({"op":"mc_yield","dies":1500,"seed":)" + std::to_string(tag) + "}",
+        R"({"op":"scenario1","lambda_um":)" + k + "}",
+        R"({"op":"yield","model":"murphy","defects_per_cm2":)" + k + "}",
+        R"({"op":"sweep","param":"die_area_cm2","from":0.1,"to":3,)"
+        R"("count":40,"target":{"op":"yield","model":"murphy"}})",
+    };
+}
+
+std::string wire_of(const std::vector<std::string>& lines) {
+    std::string wire;
+    for (const std::string& line : lines) {
+        wire += line;
+        wire += '\n';
+    }
+    return wire;
+}
+
+std::string replies_of(serve::engine& reference,
+                       const std::vector<std::string>& lines) {
+    std::string replies;
+    for (const std::string& line : lines) {
+        replies += reference.handle_line(line);
+        replies += '\n';
+    }
+    return replies;
+}
+
+std::uint64_t counter_value(const char* name) {
+    return obs::metrics_registry::global().get_counter(name).value();
+}
+
+/// Connection segments served beside another one in a wakeup batch
+/// since start: segments minus batches.
+std::uint64_t shared_segments() {
+    return counter_value("silicond_wakeup_batch_segments_total") -
+           counter_value("silicond_wakeup_batches_total");
 }
 
 obs::gauge& queue_gauge() {
@@ -741,6 +803,173 @@ TEST(EventLoop, StuckReaderKilledByWriteDeadline) {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
     ::close(fd);
+}
+
+// ---------------------------------------------------------------------------
+// Wakeup batches: the lines of every connection a wakeup finds ready are
+// served as one engine batch, and each connection gets its own replies,
+// in order, with the bytes a serial cache-off engine writes.
+// ---------------------------------------------------------------------------
+
+TEST(EventLoop, PipelinedClientsShareWakeupBatchesInOrder) {
+    serve::engine reference{
+        serve::engine_config{.parallelism = 1, .cache_capacity = 0}};
+    constexpr std::size_t kClients = 4;
+    constexpr int kRounds = 3;
+    for (const unsigned parallelism : {1u, 4u, 0u}) {
+        SCOPED_TRACE(parallelism);
+        loop_harness h{serve::engine_config{.parallelism = parallelism}, {},
+                       /*run_now=*/false};
+        std::vector<int> fds;
+        for (std::size_t c = 0; c < kClients; ++c) {
+            fds.push_back(connect_client(h.port));
+            send_all(fds[c], wire_of(mixed_window(c, 0)));
+        }
+        const std::uint64_t shared_before = shared_segments();
+        h.start();
+        for (int round = 0; round < kRounds; ++round) {
+            if (round > 0) {
+                for (std::size_t c = 0; c < kClients; ++c) {
+                    send_all(fds[c], wire_of(mixed_window(c, round)));
+                }
+            }
+            for (std::size_t c = 0; c < kClients; ++c) {
+                const std::vector<std::string> window =
+                    mixed_window(c, round);
+                std::string got;
+                for (const std::string& line :
+                     read_lines(fds[c], window.size())) {
+                    got += line + "\n";
+                }
+                EXPECT_EQ(got, replies_of(reference, window))
+                    << "client " << c << " round " << round;
+            }
+            if (round == 0) {
+                // Every first window was in its socket before the loop
+                // ran: one wakeup, one batch of all four segments.
+                EXPECT_GE(shared_segments() - shared_before, kClients - 1);
+            }
+        }
+        for (const int fd : fds) {
+            ::close(fd);
+        }
+    }
+}
+
+TEST(EventLoop, EofOversizeAndHttpInTheWakeupOfDeferredLines) {
+    // Four connections ready in one wakeup.  Three of them flush at
+    // once, alone: one reaches EOF, one sends an oversized line, one an
+    // HTTP request.  The lines the HTTP one frames after its response,
+    // and the fourth connection's lines, wait for the wakeup batch.
+    serve::event_loop_config cfg;
+    cfg.conn.max_line_bytes = 4096;
+    loop_harness h{serve::engine_config{.parallelism = 4}, cfg,
+                   /*run_now=*/false};
+    serve::engine reference{
+        serve::engine_config{.parallelism = 1, .cache_capacity = 0}};
+
+    // EOF: exactly one full read chunk (16 KiB; blank lines pad it), so
+    // the read that follows it in the same pass sees the EOF.
+    const std::vector<std::string> eof_lines = mixed_window(0, 0);
+    std::string eof_wire = wire_of(eof_lines);
+    ASSERT_LT(eof_wire.size(), 16384u);
+    eof_wire.append(16384 - eof_wire.size(), '\n');
+    const int eof_fd = connect_client(h.port);
+    send_all(eof_fd, eof_wire);
+    ASSERT_EQ(::shutdown(eof_fd, SHUT_WR), 0);
+
+    const std::vector<std::string> oversize_lines = mixed_window(1, 0);
+    const int oversize_fd = connect_client(h.port);
+    send_all(oversize_fd, wire_of(oversize_lines) + std::string(5000, 'x') +
+                              "\n" + wire_of(mixed_window(1, 1)));
+
+    const std::vector<std::string> http_before = mixed_window(2, 0);
+    const std::vector<std::string> http_after = mixed_window(2, 1);
+    const int http_fd = connect_client(h.port);
+    send_all(http_fd, wire_of(http_before) +
+                          "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n" +
+                          wire_of(http_after));
+    ASSERT_EQ(::shutdown(http_fd, SHUT_WR), 0);
+
+    const std::vector<std::string> plain_lines = mixed_window(3, 0);
+    const int plain_fd = connect_client(h.port);
+    send_all(plain_fd, wire_of(plain_lines));
+    ASSERT_EQ(::shutdown(plain_fd, SHUT_WR), 0);
+
+    const std::uint64_t shared_before = shared_segments();
+    h.start();
+
+    EXPECT_EQ(read_to_eof(eof_fd), replies_of(reference, eof_lines));
+
+    std::string too_large;
+    serve::append_line_too_large(cfg.conn.max_line_bytes, too_large);
+    EXPECT_EQ(read_to_eof(oversize_fd),
+              replies_of(reference, oversize_lines) + too_large + "\n");
+
+    const std::string http_body = read_to_eof(http_fd);
+    const std::string before = replies_of(reference, http_before);
+    const std::string after = replies_of(reference, http_after);
+    ASSERT_GT(http_body.size(), before.size() + after.size());
+    EXPECT_EQ(http_body.substr(0, before.size()), before);
+    EXPECT_EQ(http_body.substr(http_body.size() - after.size()), after);
+    const std::string response = http_body.substr(
+        before.size(), http_body.size() - before.size() - after.size());
+    EXPECT_EQ(response.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << response;
+    EXPECT_TRUE(response.ends_with("\r\n\r\nok\n")) << response;
+
+    EXPECT_EQ(read_to_eof(plain_fd), replies_of(reference, plain_lines));
+    // The HTTP connection's later lines and the plain connection's
+    // shared a batch.
+    EXPECT_GE(shared_segments() - shared_before, 1u);
+    for (const int fd : {eof_fd, oversize_fd, http_fd, plain_fd}) {
+        ::close(fd);
+    }
+}
+
+TEST(EventLoop, ConnectionResetWhileItsLinesArePending) {
+    // A client fills one read chunk with lines and resets the
+    // connection: the loop frames its lines, then the next read of the
+    // same pass fails.  Its segment is dropped with it; the other
+    // client's lines in that wakeup are served, and the loop goes on.
+    loop_harness h{serve::engine_config{.parallelism = 4}, {},
+                   /*run_now=*/false};
+    serve::engine reference{
+        serve::engine_config{.parallelism = 1, .cache_capacity = 0}};
+    std::string reset_wire = wire_of(mixed_window(0, 0));
+    reset_wire.append(16384 - reset_wire.size(), '\n');
+    const int reset_fd = connect_client(h.port);
+    send_all(reset_fd, reset_wire);
+    const linger hard{.l_onoff = 1, .l_linger = 0};
+    ASSERT_EQ(::setsockopt(reset_fd, SOL_SOCKET, SO_LINGER, &hard,
+                           sizeof hard),
+              0);
+    ::close(reset_fd);  // RST
+
+    const std::vector<std::string> lines = mixed_window(1, 0);
+    const int fd = connect_client(h.port);
+    send_all(fd, wire_of(lines));
+    h.start();
+    std::string got;
+    for (const std::string& line : read_lines(fd, lines.size())) {
+        got += line + "\n";
+    }
+    EXPECT_EQ(got, replies_of(reference, lines));
+
+    // Served again in a later wakeup, and a new client is served too.
+    const std::vector<std::string> more = mixed_window(1, 1);
+    send_all(fd, wire_of(more));
+    const int late_fd = connect_client(h.port);
+    send_all(late_fd, wire_of(mixed_window(2, 0)));
+    got.clear();
+    for (const std::string& line : read_lines(fd, more.size())) {
+        got += line + "\n";
+    }
+    EXPECT_EQ(got, replies_of(reference, more));
+    ASSERT_EQ(::shutdown(late_fd, SHUT_WR), 0);
+    EXPECT_EQ(read_to_eof(late_fd),
+              replies_of(reference, mixed_window(2, 0)));
+    ::close(fd);
+    ::close(late_fd);
 }
 
 // ---------------------------------------------------------------------------

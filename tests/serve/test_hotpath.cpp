@@ -519,9 +519,10 @@ TEST_F(HotPathAllocations, ColdMissWithCacheDisabledAllocatesNothing) {
     // *every* request is a cold miss, and every op's one result path
     // evaluates the library and writes into a reused per-thread buffer.
     // For the closed-form point endpoints below (chiplet, cost_tr and
-    // the exact gross-die search included) and for mc_yield (its
-    // shard partials sit in a fixed array) that is zero allocations
-    // once buffers have grown (warm-up is inside warm_hit_allocations).
+    // the exact gross-die search included), for table3 (the table is
+    // computed once per process) and for mc_yield (its shard partials
+    // sit in a fixed array) that is zero allocations once buffers have
+    // grown (warm-up is inside warm_hit_allocations).
     // The cache put is skipped entirely at capacity 0, so no copy of the
     // response is taken either.
     serve::engine_config config = fast_config();
@@ -555,6 +556,8 @@ TEST_F(HotPathAllocations, ColdMissWithCacheDisabledAllocatesNothing) {
         R"({"op":"cost_tr","process":{"gross_die_method":"exact",)"
         R"("yield":{"model":"fixed","fixed":0.9}}})",
         R"({"op":"mc_yield","dies":64,"seed":7})",
+        R"({"op":"table3","row":3})",
+        R"({"id":4,"op":"table3"})",
     };
     std::string out;
     for (const std::string& line : lines) {
@@ -811,17 +814,18 @@ TEST_F(HotPathAllocations, FannedOutParallelForAllocatesNothing) {
 }
 
 TEST_F(HotPathAllocations, ColdMissIneligibleOpsStillAnswerCorrectly) {
-    // Ops that allocate while they evaluate (table3, sweeps; the
-    // zero-allocation set above covers chiplet, cost_tr and mc_yield,
-    // checked here too) and inputs the library rejects answer through the same
-    // result path at cache capacity 0 — allocations are allowed, bytes
-    // must match the reference pipeline's.
+    // Ops that allocate while they evaluate (sweeps; the
+    // zero-allocation set above covers chiplet, cost_tr, table3 and
+    // mc_yield, checked here too) and inputs the library rejects answer
+    // through the same result path at cache capacity 0 — allocations
+    // are allowed, bytes must match the reference pipeline's.
     serve::engine_config config = fast_config();
     config.cache_capacity = 0;
     serve::engine engine{config};
     serve::engine reference{reference_config()};
     const std::vector<std::string> lines = {
         R"({"op":"table3","row":3})",
+        R"({"op":"table3","row":99})",
         R"({"op":"chiplet","chiplets":4,"substrate":"rdl"})",
         R"({"op":"cost_tr","product":{"transistors":1e6}})",
         R"({"op":"mc_yield","dies":32,"seed":3})",
@@ -864,10 +868,11 @@ TEST_F(HotPathAllocations, HotPathOffStillAnswersCorrectly) {
 
 TEST_F(HotPathAllocations, WarmConnOverSocketpairAllocatesNothing) {
     // The transport half of the gate: request bytes in through a
-    // socket, framed by the conn, served by handle_batch_into at the
-    // default width (a warm batch this small stays inline), and the
-    // gathered replies written back — zero allocations per warm line
-    // once the connection is warm.
+    // socket, framed by the conn, its pending segment served by
+    // handle_batch_into at the default width as the event loop serves a
+    // connection alone in its wakeup (a warm batch this small stays
+    // inline), and the gathered replies written back — zero allocations
+    // per warm line once the connection is warm.
     serve::engine_config config = fast_config();
     config.parallelism = 0;
     serve::engine engine{config};
@@ -900,6 +905,8 @@ TEST_F(HotPathAllocations, WarmConnOverSocketpairAllocatesNothing) {
         ASSERT_EQ(::write(fds[1], request.data(), request.size()),
                   static_cast<ssize_t>(request.size()));
         c.on_readable();
+        ASSERT_EQ(c.pending_segment().size(), lines.size());
+        c.flush_pending_batch();
         std::size_t got = 0;
         while (got < reply.size()) {
             const ssize_t n =

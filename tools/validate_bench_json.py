@@ -91,9 +91,31 @@ def check_serve(doc, path):
     errors += require(feed, path, "host", dict)
     if errors:
         return errors
-    errors += require(feed["host"], path, "nproc", (int, float))
+    errors += require_host(feed["host"], path)
+    # The TCP grid: four loopback connections through a real event loop,
+    # lines/s recorded with its host, never compared; the replies must
+    # match the reference.
+    errors += require(doc, path, "tcp_grid", dict)
+    if errors:
+        return errors
+    tcp = doc["tcp_grid"]
+    for key in ("conns", "windows_per_conn", "lines_per_window",
+                "lines_per_s", "segments_per_batch"):
+        errors += require(tcp, path, key, (int, float))
+    errors += require(tcp, path, "responses_identical", bool)
+    errors += require(tcp, path, "host", dict)
+    if errors:
+        return errors
+    if tcp["responses_identical"] is False:
+        errors += fail(path, "tcp grid replies differ from the reference")
+    errors += require_host(tcp["host"], path)
+    return errors
+
+
+def require_host(host, path):
+    errors = require(host, path, "nproc", (int, float))
     for key in ("simd_target", "compiler", "build_type"):
-        errors += require(feed["host"], path, key, str)
+        errors += require(host, path, key, str)
     return errors
 
 
