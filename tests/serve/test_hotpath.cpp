@@ -34,6 +34,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <new>
 #include <random>
 #include <stdexcept>
@@ -329,6 +330,495 @@ std::vector<std::string> fuzz_corpus(std::size_t count) {
     }
     return lines;
 }
+
+// ---------------------------------------------------------------------------
+// Generated schema corpus: the request schema written out once more, by
+// hand and independently of both parsers, and lines generated from it.
+// Every field of every op (nested blocks, sweep targets and the envelope
+// included) takes its turn as the line's fault site: omitted, valid, of
+// a wrong JSON type, non-integral where an integer is expected, out of
+// range, or next to an unknown sibling.  Then every pair of fields of an
+// op faults together, and about half the random lines after that carry
+// a second fault in another field or block, so a change in which error
+// wins shows up.  The other fields are randomly present with valid
+// values, in a shuffled member order.
+// ---------------------------------------------------------------------------
+
+/// splitmix64: a seeded stream, so each seed is a fresh reproducible
+/// corpus.
+struct splitmix64 {
+    std::uint64_t state;
+    std::uint64_t operator()() {
+        std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        return z ^ (z >> 31);
+    }
+    std::size_t below(std::size_t n) {
+        return static_cast<std::size_t>((*this)() % n);
+    }
+    template <class T>
+    const T& pick(const std::vector<T>& from) {
+        return from[below(from.size())];
+    }
+};
+
+enum class schema_type { number, integer, uint53, text, object, any };
+
+/// When a field that is not the line's fault site is present.
+enum class presence { random, always, if_faulted };
+
+struct schema_field {
+    std::string name;
+    schema_type type;
+    /// JSON literals the parsers accept; empty means random numbers.
+    std::vector<std::string> valid;
+    /// Literals of the right JSON type that a range or registry check
+    /// rejects.
+    std::vector<std::string> bad;
+    /// Members of an object field.
+    const std::vector<schema_field>* members = nullptr;
+    presence when = presence::random;
+};
+
+using schema_block = std::vector<schema_field>;
+
+enum class fault { omitted, valid, wrong_type, non_integral, out_of_range,
+                   unknown_sibling };
+
+struct schema_site {
+    std::string op;
+    std::string path;  ///< dotted field path; an object's for unknown_sibling
+    fault kind;
+};
+
+class schema_corpus_generator {
+public:
+    schema_corpus_generator() {
+        const auto num = [](const char* name) {
+            return schema_field{name, schema_type::number, {}, {}};
+        };
+        const auto text = [](const char* name, std::vector<std::string> ok,
+                             std::vector<std::string> bad) {
+            return schema_field{name, schema_type::text, std::move(ok),
+                                std::move(bad)};
+        };
+        const auto integer = [](const char* name, std::vector<std::string> ok,
+                                std::vector<std::string> bad) {
+            return schema_field{name, schema_type::integer, std::move(ok),
+                                std::move(bad)};
+        };
+        yield_spec_ = {text("model", {"\"reference\"", "\"scaled\"",
+                                      "\"fixed\""},
+                            {"\"voodoo\"", "\"Reference\"", "\"\""}),
+                       num("y0"), num("a0_cm2"), num("d"), num("p"),
+                       num("fixed")};
+        process_ = {num("c0_usd"), num("x"), num("generation_step_um"),
+                    num("wafer_radius_cm"), num("edge_exclusion_cm"),
+                    text("gross_die_method", methods(), {"\"voodoo\"", "\"\""}),
+                    {"yield", schema_type::object, {}, {}, &yield_spec_}};
+        product_ = {text("name", {"\"product\"", "\"dram\"", "\"a \\\"b\\\"\"",
+                                  "\"\"", "\"\\u00e9\\n\""},
+                         {}),
+                    num("transistors"), num("design_density"),
+                    num("feature_size_um"), num("die_aspect_ratio")};
+        economics_ = {num("overhead_usd"), num("volume_wafers")};
+        chiplet_base_ = {
+            num("logic_area_mm2"), num("memory_area_mm2"), num("io_area_mm2"),
+            num("d2d_area_mm2"), num("lambda_um"), num("c0_usd"), num("x"),
+            num("generation_step_um"), num("wafer_radius_cm"),
+            num("edge_exclusion_cm"), num("defects_per_cm2"),
+            num("memory_defect_factor"), num("io_defect_factor"),
+            num("clustering_alpha"), num("test_coverage"),
+            num("tester_rate_per_hour"), num("test_seconds_fixed"),
+            num("test_seconds_per_cm2"),
+            text("substrate", {"\"organic\"", "\"rdl\"", "\"interposer\""},
+                 {"\"glass\"", "\"\""}),
+            num("substrate_cost_per_cm2"), num("rdl_cost_per_cm2"),
+            num("rdl_defects_per_cm2"), num("interposer_cost_per_cm2"),
+            num("interposer_defects_per_cm2"), num("package_area_factor"),
+            num("bond_yield"), num("bonding_cost_per_chiplet")};
+
+        ops_["cost_tr"] = {{"process", schema_type::object, {}, {}, &process_},
+                           {"product", schema_type::object, {}, {}, &product_},
+                           {"economics", schema_type::object, {}, {},
+                            &economics_}};
+        ops_["gross_die"] = {num("wafer_radius_cm"), num("edge_exclusion_cm"),
+                             num("die_width_mm"), num("die_height_mm"),
+                             text("method", methods(), {"\"voodoo\""}),
+                             num("scribe_mm")};
+        ops_["yield"] = {
+            text("model", {"\"poisson\"", "\"murphy\"", "\"seeds\"",
+                           "\"bose_einstein\"", "\"neg_binomial\"",
+                           "\"scaled_poisson\"", "\"reference\""},
+                 {"\"voodoo\"", "\"fixed\""}),
+            num("expected_faults"), num("die_area_cm2"),
+            num("defects_per_cm2"),
+            integer("critical_steps", {"10", "0", "-3", "12"},
+                    {"2147483648", "-2147483649"}),
+            num("alpha"), num("d"), num("p"), num("lambda_um"), num("y0"),
+            num("a0_cm2")};
+        ops_["scenario1"] = {num("lambda_um"), num("c0_usd"), num("x"),
+                             num("wafer_radius_cm"), num("design_density")};
+        ops_["scenario2"] = ops_["scenario1"];
+        ops_["scenario2"].push_back(num("y0"));
+        ops_["table3"] = {integer("row", {"0", "1", "5", "17"},
+                                  {"18", "-1", "99"})};
+        ops_["mc_yield"] = {
+            num("line_width_um"), num("line_spacing_um"),
+            num("line_length_um"),
+            integer("line_count", {"15", "1", "-2", "40"}, {"2147483648"}),
+            num("defect_r0_um"), num("defect_p"), num("defect_q"),
+            integer("dies", {"1", "64", "100000000"},
+                    {"0", "-3", "100000001"}),
+            num("defects_per_um2"), num("extra_material_fraction"),
+            {"seed", schema_type::uint53,
+             {"0", "1", "24301", "9007199254740992"},
+             {"-1", "9007199254740994"}}};
+        ops_["stats"] = {};
+        ops_["chiplet"] = {integer("chiplets", {"1", "4", "16"},
+                                   {"0", "17", "-1"})};
+        ops_["chiplet"].insert(ops_["chiplet"].end(), chiplet_base_.begin(),
+                               chiplet_base_.end());
+        ops_["partition_explore"] = chiplet_base_;
+        for (schema_field f :
+             {text("splits", {"\"1\"", "\"1,2,4\"", "\"1,2,3,4,5,6,7,8\"",
+                              "\"1,16\"", "\"1,3\""},
+                   {"\"4,2,1\"", "\"2,4\"", "\"1,02\"", "\"1,17\"", "\"\"",
+                    "\"1,,2\"", "\"1,2,3,4,5,6,7,8,9\"", "\" 1\"", "\"1,\""}),
+              schema_field{"area_from_mm2", schema_type::number,
+                           {"40", "0.5", "1e6"}, {"0", "-5", "-0"}},
+              schema_field{"area_to_mm2", schema_type::number,
+                           {"1000", "30", "2.5e3"}, {"0", "-1e-300"}},
+              integer("count", {"1", "32", "65536"}, {"0", "65537", "-4"}),
+              text("scale", {"\"linear\"", "\"log\""}, {"\"cubic\"", "\"\""})}) {
+            ops_["partition_explore"].push_back(std::move(f));
+        }
+        // The sweep's target is generated separately; its own fields
+        // follow its bespoke parse.
+        ops_["sweep"] = {
+            {"target", schema_type::object, {}, {}, nullptr, presence::always},
+            text("param", {}, {"\"nope\"", "\"process\"", "\"\"",
+                               "\"process.yield.model\"", "\"model\""}),
+            num("from"), num("to"),
+            integer("count", {"1", "2", "7", "65536"}, {"0", "65537"}),
+            text("scale", {"\"linear\"", "\"log\""}, {"\"cubic\""})};
+        for (schema_field& f : ops_["sweep"]) {
+            if (f.name != "count" && f.name != "scale") {
+                f.when = presence::always;
+            }
+        }
+        envelope_ = {
+            {"id", schema_type::any,
+             {"1", "\"x\"", "null", "[1,\"two\"]", "{\"a\":1}", "-0.5"}, {}},
+            {"deadline_ms", schema_type::uint53, {"60000", "5", "1"},
+             {"-1", "9007199254740994"}},
+            text("trace_id", {"\"t-1\"", "\"\"", "\"say \\\"hi\\\"\""}, {})};
+
+        for (const char* op : {"cost_tr", "gross_die", "yield", "scenario1",
+                               "scenario2", "mc_yield", "chiplet"}) {
+            sweep_targets_.push_back(op);
+            const serve::request defaults = serve::parse_request(
+                serve::json::parse(std::string{"{\"op\":\""} + op + "\"}"));
+            collect_numbers(serve::request_to_json(defaults), "",
+                            params_[op]);
+        }
+        for (const auto& [op, fields] : ops_) {
+            op_names_.push_back(op);
+            add_sites(op, fields, "");
+            add_sites(op, envelope_, "", /*with_object=*/false);
+        }
+        // The faulting sites grouped by field (or object), and every
+        // pair of fields of one op: whichever order the parser reads an
+        // op's fields in, some pair of these lines tells it apart.
+        for (const schema_site& s : sites_) {
+            if (s.kind == fault::omitted || s.kind == fault::valid) {
+                continue;
+            }
+            if (faulting_.empty() || faulting_.back()[0].op != s.op ||
+                faulting_.back()[0].path != s.path) {
+                faulting_.emplace_back();
+            }
+            faulting_.back().push_back(s);
+        }
+        for (std::size_t a = 0; a < faulting_.size(); ++a) {
+            for (std::size_t b = a + 1; b < faulting_.size() &&
+                                        faulting_[b][0].op == faulting_[a][0].op;
+                 ++b) {
+                pairs_.emplace_back(a, b);
+            }
+        }
+    }
+
+    /// The lines of a seed that visit every site once, then every pair
+    /// of faulting fields once.
+    [[nodiscard]] std::size_t systematic_lines() const {
+        return sites_.size() + pairs_.size();
+    }
+
+    /// Line `index` of the corpus of `seed`: the first
+    /// systematic_lines() lines of any seed visit every site and every
+    /// pair of faulting fields once; the rest pick sites at random.
+    [[nodiscard]] std::string line(std::uint64_t seed, std::size_t index) {
+        splitmix64 rng{seed * 0x100000001b3ull + index};
+        std::vector<schema_site> faults;
+        if (index >= sites_.size() && index < systematic_lines()) {
+            const auto [a, b] = pairs_[index - sites_.size()];
+            faults = {rng.pick(faulting_[a]), rng.pick(faulting_[b])};
+            if (rng.below(2) == 0) {
+                std::swap(faults[0], faults[1]);
+            }
+            return request_line(faults[0].op, faults, rng, 0);
+        }
+        faults.push_back(index < sites_.size() ? sites_[index]
+                                               : rng.pick(sites_));
+        // A second fault in the same op, another field or block.
+        if (rng.below(2) == 0) {
+            for (int tries = 0; tries < 8; ++tries) {
+                const schema_site& s = rng.pick(sites_);
+                if (s.op == faults[0].op && s.path != faults[0].path) {
+                    faults.push_back(s);
+                    break;
+                }
+            }
+        }
+        return request_line(faults[0].op, faults, rng, 0);
+    }
+
+private:
+    static std::vector<std::string> methods() {
+        return {"\"maly_rows\"", "\"maly_rows_best_orient\"",
+                "\"area_ratio\"", "\"circumference\"", "\"ferris_prabhu\"",
+                "\"exact\""};
+    }
+
+    static void collect_numbers(const serve::json::value& v,
+                                const std::string& prefix,
+                                std::vector<std::string>& out) {
+        for (const serve::json::object::member& m : v.as_object().members()) {
+            const std::string path =
+                prefix.empty() ? m.first : prefix + "." + m.first;
+            if (m.second.is_number()) {
+                out.push_back(path);
+            } else if (m.second.is_object()) {
+                collect_numbers(m.second, path, out);
+            }
+        }
+    }
+
+    void add_sites(const std::string& op, const schema_block& fields,
+                   const std::string& prefix, bool with_object = true) {
+        if (with_object) {
+            sites_.push_back({op, prefix, fault::unknown_sibling});
+        }
+        for (const schema_field& f : fields) {
+            const std::string path = prefix.empty() ? f.name
+                                                    : prefix + "." + f.name;
+            for (const fault k : {fault::omitted, fault::valid,
+                                  fault::wrong_type}) {
+                sites_.push_back({op, path, k});
+            }
+            if (f.type == schema_type::integer ||
+                f.type == schema_type::uint53) {
+                sites_.push_back({op, path, fault::non_integral});
+            }
+            if (!f.bad.empty()) {
+                sites_.push_back({op, path, fault::out_of_range});
+            }
+            if (f.members != nullptr) {
+                add_sites(op, *f.members, path);
+            }
+        }
+    }
+
+    std::string random_number(splitmix64& rng) {
+        static const std::vector<std::string> edges = {
+            "0", "-0", "1", "-1", "2.5", "1e300", "-1e300", "5e-324",
+            "1e-300", "0.7", "1.7976931348623157e308", "12345678901234567"};
+        if (rng.below(4) == 0) {
+            return rng.pick(edges);
+        }
+        const double magnitude =
+            std::pow(10.0, static_cast<double>(rng.below(13)) - 6.0);
+        const double unit =
+            static_cast<double>(rng() >> 11) * 0x1.0p-53 * 4.0 - 2.0;
+        return serve::json::format_number(unit * magnitude);
+    }
+
+    std::string valid_value(const schema_field& f, const std::string& op,
+                            const std::string& path,
+                            const std::vector<schema_site>& faults,
+                            splitmix64& rng, int depth) {
+        if (f.type == schema_type::object) {
+            if (f.members == nullptr) {  // a sweep's target
+                return target_value(rng, depth);
+            }
+            return object_value(op, *f.members, path, faults, rng, depth);
+        }
+        if (op == "sweep" && f.name == "param" && !target_op_.empty()) {
+            const auto it = params_.find(target_op_);
+            if (it != params_.end() && rng.below(8) != 0) {
+                return "\"" + rng.pick(it->second) + "\"";
+            }
+            return "\"lambda_um\"";
+        }
+        if (f.valid.empty()) {
+            return random_number(rng);
+        }
+        return rng.pick(f.valid);
+    }
+
+    std::string faulted_value(const schema_field& f, fault kind,
+                              splitmix64& rng) {
+        static const std::vector<std::string> not_number = {
+            "\"1\"", "true", "null", "{}", "{\"a\":1}", "[1]", "false"};
+        static const std::vector<std::string> not_text = {
+            "1", "true", "null", "{\"a\":\"b\"}", "[\"x\"]", "-2.5"};
+        static const std::vector<std::string> not_object = {
+            "\"x\"", "true", "null", "1", "[]", "[{}]"};
+        static const std::vector<std::string> fractions = {
+            "2.5", "0.5", "-0.25", "1e-7", "16.000001"};
+        switch (kind) {
+            case fault::wrong_type:
+                switch (f.type) {
+                    case schema_type::text: return rng.pick(not_text);
+                    case schema_type::object: return rng.pick(not_object);
+                    case schema_type::any: return "null";
+                    default: return rng.pick(not_number);
+                }
+            case fault::non_integral: return rng.pick(fractions);
+            case fault::out_of_range:
+                return f.bad.empty() ? "null" : rng.pick(f.bad);
+            default: return "null";
+        }
+    }
+
+    /// The object of `fields` at `prefix`, with the faults that fall in
+    /// it and random valid members elsewhere, in a shuffled order.
+    std::string object_value(const std::string& op, const schema_block& fields,
+                             const std::string& prefix,
+                             const std::vector<schema_site>& faults,
+                             splitmix64& rng, int depth) {
+        std::vector<std::string> members;
+        for (const schema_field& f : fields) {
+            const std::string path = prefix.empty() ? f.name
+                                                    : prefix + "." + f.name;
+            const schema_site* hit = nullptr;
+            bool inside = false;
+            for (const schema_site& s : faults) {
+                if (s.path == path && s.kind != fault::unknown_sibling) {
+                    hit = &s;
+                } else if (s.path.size() > path.size() &&
+                           s.path.compare(0, path.size(), path) == 0 &&
+                           s.path[path.size()] == '.') {
+                    inside = true;
+                } else if (s.path == path) {
+                    inside = true;  // an unknown member of this object
+                }
+            }
+            std::string value;
+            if (hit != nullptr) {
+                if (hit->kind == fault::omitted) {
+                    continue;
+                }
+                value = hit->kind == fault::valid
+                            ? valid_value(f, op, path, faults, rng, depth)
+                            : faulted_value(f, hit->kind, rng);
+            } else if (inside || f.when == presence::always ||
+                       (f.when == presence::random && rng.below(2) == 0)) {
+                value = valid_value(f, op, path, faults, rng, depth);
+            } else {
+                continue;
+            }
+            members.push_back("\"" + f.name + "\":" + value);
+        }
+        for (const schema_site& s : faults) {
+            if (s.kind == fault::unknown_sibling && s.path == prefix) {
+                static const std::vector<std::string> strays = {
+                    "bogus", "lamda_um", "Op", "chiplets", "row", "model",
+                    "process", "target"};
+                std::string stray = rng.pick(strays);
+                for (const schema_field& f : fields) {
+                    if (f.name == stray) {
+                        stray = "bogus";
+                    }
+                }
+                if (prefix.empty() && stray == "target") {
+                    stray = "bogus";  // an envelope or payload sibling
+                }
+                members.push_back("\"" + stray + "\":1");
+            }
+        }
+        for (std::size_t i = members.size(); i > 1; --i) {
+            std::swap(members[i - 1], members[rng.below(i)]);
+        }
+        std::string out = "{";
+        for (std::size_t i = 0; i < members.size(); ++i) {
+            out += (i == 0 ? "" : ",") + members[i];
+        }
+        return out + "}";
+    }
+
+    /// A sweep target: any op's line (a sweepable one mostly, sometimes
+    /// a nested sweep), with one fault of its own a third of the time.
+    std::string target_value(splitmix64& rng, int depth) {
+        std::string op = rng.below(10) == 0 ? rng.pick(op_names_)
+                                            : rng.pick(sweep_targets_);
+        if (op == "sweep" && depth >= 2) {
+            op = "scenario1";
+        }
+        target_op_ = op;
+        std::vector<schema_site> own;
+        if (rng.below(3) == 0) {
+            for (int tries = 0; tries < 16; ++tries) {
+                const schema_site& s = rng.pick(sites_);
+                if (s.op == op) {
+                    own.push_back(s);
+                    break;
+                }
+            }
+        }
+        return request_line(op, own, rng, depth + 1);
+    }
+
+    std::string request_line(const std::string& op,
+                             const std::vector<schema_site>& faults,
+                             splitmix64& rng, int depth) {
+        // A sweep's target comes first among its fields, so `param` can
+        // name one of the target's own parameters.
+        const std::string saved = std::move(target_op_);
+        target_op_.clear();
+        schema_block fields = {{"op", schema_type::text,
+                                {"\"" + op + "\""}, {}, nullptr,
+                                presence::always}};
+        fields.insert(fields.end(), ops_.at(op).begin(), ops_.at(op).end());
+        for (schema_field f : envelope_) {
+            // A target carries an envelope field only as its fault.
+            if (depth > 0) {
+                f.when = presence::if_faulted;
+            }
+            fields.push_back(std::move(f));
+        }
+        std::string line = object_value(op, fields, "", faults, rng, depth);
+        target_op_ = saved;
+        return line;
+    }
+
+    schema_block yield_spec_;
+    schema_block process_;
+    schema_block product_;
+    schema_block economics_;
+    schema_block chiplet_base_;
+    schema_block envelope_;
+    std::map<std::string, schema_block> ops_;
+    std::map<std::string, std::vector<std::string>> params_;
+    std::vector<std::string> op_names_;
+    std::vector<std::string> sweep_targets_;
+    std::vector<schema_site> sites_;
+    std::vector<std::vector<schema_site>> faulting_;
+    std::vector<std::pair<std::size_t, std::size_t>> pairs_;
+    std::string target_op_;
+};
 
 serve::engine_config fast_config() {
     serve::engine_config config;
@@ -973,14 +1463,20 @@ TEST(ArenaParser, MatchesDomParserOnCorpus) {
 // Differential: fast request parser vs legacy request parser.
 // ---------------------------------------------------------------------------
 
-TEST(FastParse, CanonicalKeysAndErrorsMatchLegacy) {
+/// How the lines of a differential run came out on the reference parser.
+struct parse_tally {
+    std::size_t keys = 0;
+    std::size_t errors = 0;
+    std::vector<std::string> messages;  ///< distinct "code: message"
+};
+
+/// Expects parse_request_fast to give, line for line, the canonical key
+/// or the error code and message that parse_request gives.
+void expect_fast_parse_matches_legacy(const std::vector<std::string>& lines,
+                                      parse_tally& tally) {
     exec::arena arena;
     serve::json::arena_parser parser;
     serve::fast_parse_state state;
-    std::vector<std::string> lines = corpus();
-    const std::vector<std::string> extra = fuzz_corpus(1000);
-    lines.insert(lines.end(), extra.begin(), extra.end());
-
     for (const std::string& line : lines) {
         SCOPED_TRACE(line);
 
@@ -1009,7 +1505,183 @@ TEST(FastParse, CanonicalKeysAndErrorsMatchLegacy) {
 
         EXPECT_EQ(legacy_error, fast_error);
         EXPECT_EQ(legacy_key, fast_key);
+        if (legacy_error.empty()) {
+            ++tally.keys;
+        } else {
+            ++tally.errors;
+            tally.messages.push_back(std::move(legacy_error));
+        }
     }
+    std::sort(tally.messages.begin(), tally.messages.end());
+    tally.messages.erase(
+        std::unique(tally.messages.begin(), tally.messages.end()),
+        tally.messages.end());
+}
+
+/// The generated schema corpus of each seed in [first_seed, first_seed +
+/// seeds): its systematic lines, then `random_lines` more.
+void expect_schema_corpus_matches_legacy(std::uint64_t first_seed,
+                                         std::uint64_t seeds,
+                                         std::size_t random_lines,
+                                         parse_tally& tally) {
+    schema_corpus_generator gen;
+    const std::size_t count = gen.systematic_lines() + random_lines;
+    std::vector<std::string> lines;
+    for (std::uint64_t seed = first_seed; seed < first_seed + seeds; ++seed) {
+        lines.clear();
+        for (std::size_t i = 0; i < count; ++i) {
+            lines.push_back(gen.line(seed, i));
+        }
+        parse_tally part;
+        expect_fast_parse_matches_legacy(lines, part);
+        if (::testing::Test::HasFailure()) {
+            return;  // one seed's report is enough to read
+        }
+        tally.keys += part.keys;
+        tally.errors += part.errors;
+        tally.messages.insert(tally.messages.end(), part.messages.begin(),
+                              part.messages.end());
+    }
+    std::sort(tally.messages.begin(), tally.messages.end());
+    tally.messages.erase(
+        std::unique(tally.messages.begin(), tally.messages.end()),
+        tally.messages.end());
+}
+
+TEST(FastParse, CanonicalKeysAndErrorsMatchLegacy) {
+    std::vector<std::string> lines = corpus();
+    const std::vector<std::string> extra = fuzz_corpus(1000);
+    lines.insert(lines.end(), extra.begin(), extra.end());
+    parse_tally tally;
+    expect_fast_parse_matches_legacy(lines, tally);
+
+    // The generated schema corpus: every site and every pair of
+    // faulting fields of every op once per seed, then random sites,
+    // over a few seeds.
+    parse_tally generated;
+    expect_schema_corpus_matches_legacy(1, 3, 500, generated);
+    // Both outcomes are common, and the faults reach many distinct
+    // checks (each message names its field).
+    EXPECT_GT(generated.keys, 500u);
+    EXPECT_GT(generated.errors, 2000u);
+    EXPECT_GT(generated.messages.size(), 120u);
+}
+
+TEST(FastParse, DISABLED_GeneratedSchemaCorpusLongRun) {
+    // The same differential over many more seeds (about 10^6 lines):
+    // too long for every ctest, run by CI on its own.
+    parse_tally generated;
+    expect_schema_corpus_matches_legacy(1000, 250, 1500, generated);
+    EXPECT_GT(generated.keys, 100000u);
+}
+
+// ---------------------------------------------------------------------------
+// Sweep parameters: every numeric leaf of every sweep target op.
+// ---------------------------------------------------------------------------
+
+/// The dotted paths of `v`'s leaves, numbers and the rest apart.
+void leaf_paths(const serve::json::value& v, const std::string& prefix,
+                std::vector<std::string>& numbers,
+                std::vector<std::string>& others) {
+    for (const serve::json::object::member& m : v.as_object().members()) {
+        const std::string path =
+            prefix.empty() ? m.first : prefix + "." + m.first;
+        if (m.second.is_object()) {
+            others.push_back(path);
+            leaf_paths(m.second, path, numbers, others);
+        } else if (m.second.is_number()) {
+            numbers.push_back(path);
+        } else if (path != "op") {
+            others.push_back(path);
+        }
+    }
+}
+
+std::string set_error(serve::request lane, std::string_view path, double v) {
+    try {
+        serve::set_numeric_param(lane, path, v);
+    } catch (const serve::request_error& e) {
+        return e.code() + ": " + e.what();
+    }
+    return "";
+}
+
+TEST(SweepParams, EveryNumericLeafOfEveryTargetOp) {
+    std::size_t leaves = 0;
+    std::size_t integers = 0;
+    for (int i = 0; i < serve::op_count; ++i) {
+        const auto op = static_cast<serve::op_code>(i);
+        if (op == serve::op_code::sweep || op == serve::op_code::stats ||
+            serve::primary_metric(op) == nullptr) {
+            continue;  // not a sweep target
+        }
+        const std::string name{serve::to_string(op)};
+        SCOPED_TRACE(name);
+        const serve::request defaults = serve::parse_request(
+            serve::json::parse("{\"op\":\"" + name + "\"}"));
+        std::vector<std::string> numbers;
+        std::vector<std::string> others;
+        leaf_paths(serve::request_to_json(defaults), "", numbers, others);
+        ASSERT_FALSE(numbers.empty());
+
+        // Non-leaf, non-numeric and unknown paths are refused.
+        for (const std::string& path : others) {
+            EXPECT_FALSE(serve::numeric_param_exists(defaults, path)) << path;
+        }
+        for (const char* path : {"process", "process.yield.model", "",
+                                 "process.nope", "nope", "op", ".",
+                                 "process.", ".x", "x.y"}) {
+            EXPECT_FALSE(serve::numeric_param_exists(defaults, path)) << path;
+        }
+
+        for (const std::string& path : numbers) {
+            SCOPED_TRACE(path);
+            ++leaves;
+            EXPECT_TRUE(serve::numeric_param_exists(defaults, path));
+            serve::request lane = defaults;
+            const double before = serve::numeric_param_value(lane, path);
+            const bool is_integer =
+                serve::numeric_param_ptr(lane, path) == nullptr;
+            // An integer leaf moves by one (dies, chiplets and seed stay
+            // in range); a double leaf takes a value its default is not.
+            const double v = is_integer ? before + 1.0 : before * 1.5 + 0.25;
+            serve::set_numeric_param(lane, path, v);
+            EXPECT_EQ(serve::numeric_param_value(lane, path), v);
+            std::string key;
+            serve::canonical_key_into(lane, key);
+            EXPECT_EQ(key,
+                      serve::json::canonical(serve::request_to_json(lane)));
+            EXPECT_NE(key, defaults.canonical_key);
+
+            if (!is_integer) {
+                continue;
+            }
+            ++integers;
+            const char* not_integral = path == "seed"
+                                           ? "bad_param: sweep: lane is not a seed"
+                                           : "bad_param: sweep: lane is not an integer";
+            EXPECT_EQ(set_error(defaults, path, 2.5), not_integral);
+            EXPECT_EQ(set_error(defaults, path, -0.5), not_integral);
+            if (path == "seed") {
+                EXPECT_EQ(set_error(defaults, path, -1.0), not_integral);
+            } else {
+                EXPECT_EQ(set_error(defaults, path, 2147483648.0),
+                          not_integral);
+            }
+            if (path == "dies") {
+                EXPECT_EQ(set_error(defaults, path, 0.0),
+                          "bad_param: mc_yield: dies must be in [1, 1e8]");
+            }
+            if (path == "chiplets") {
+                EXPECT_EQ(set_error(defaults, path, 17.0),
+                          "bad_param: chiplet: chiplets must be in [1, 16]");
+            }
+        }
+    }
+    // cost_tr 16, gross_die 5, yield 10, scenario1 5, scenario2 6,
+    // mc_yield 11, chiplet 27.
+    EXPECT_EQ(leaves, 80u);
+    EXPECT_EQ(integers, 5u);  // critical_steps, line_count, dies, seed, chiplets
 }
 
 // ---------------------------------------------------------------------------
