@@ -196,11 +196,8 @@ bool conn::on_jsonl_line(std::string_view line, bool oversized) {
         append_line_too_large(shared_.config.max_line_bytes, reject_);
         reject_ += '\n';
         enqueue(reject_);
-        if (shared_.config.close_on_oversize) {
-            close_after_flush_ = true;  // framing is suspect: drop the peer
-            return false;
-        }
-        return !dead_;
+        close_after_flush_ = true;  // framing is suspect: drop the peer
+        return false;
     }
     if (line.empty()) {
         return true;  // blank lines are keep-alives, not requests

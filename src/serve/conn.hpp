@@ -68,9 +68,6 @@ struct conn_config {
     /// Loop-wide buffered-response byte budget (0 = off); enforced via
     /// admission tickets on the shared ledger.
     std::size_t queue_budget_bytes = 0;
-    /// Drop the connection after answering an oversized line (TCP
-    /// framing is suspect; matches the PR 5 transport).
-    bool close_on_oversize = true;
     /// HTTP parser bounds (431/413 beyond).
     http::parser::config http;
 };

@@ -178,8 +178,11 @@ const json::object& require_object(const json::value& v,
 // Parameter block parse / serialize pairs
 // ---------------------------------------------------------------------------
 
-/// Parse-time name registries: a typo'd model/method name fails the
-/// request before anything is evaluated (or cached inside a sweep).
+}  // namespace
+
+// The name registries and the `splits` grammar (declared in request.hpp,
+// shared with parse_request_fast).
+
 void validate_gross_die_method(const std::string& name, const char* context) {
     for (const char* known :
          {"maly_rows", "maly_rows_best_orient", "area_ratio", "circumference",
@@ -267,6 +270,8 @@ void validate_splits(const std::string& s) {
         throw request_error("bad_param", bad_splits);
     }
 }
+
+namespace {
 
 yield_spec_params parse_yield_spec(const json::value* v) {
     yield_spec_params out;

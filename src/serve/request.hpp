@@ -327,6 +327,14 @@ struct request {
 void check_mc_dies(int dies);
 void check_chiplets(int chiplets);
 
+/// Parse-time name registries and the `splits` grammar, shared by
+/// parse_request and parse_request_fast: a typo'd model or method name
+/// fails the request (bad_param) before anything is evaluated or cached.
+void validate_gross_die_method(const std::string& name, const char* context);
+void validate_yield_model(const std::string& name);
+void validate_substrate(const std::string& name);
+void validate_splits(const std::string& s);
+
 /// The response member holding the endpoint's primary scalar — the
 /// value a sweep extracts per grid point.  nullptr for endpoints that
 /// have no scalar (table3, sweep, stats), which are invalid sweep

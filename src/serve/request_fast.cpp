@@ -1,18 +1,30 @@
 #include "serve/request_fast.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <variant>
 
-// Every parse function below mirrors its namesake in request.cpp member
-// for member and check for check, in the same order, with the same error
-// codes and messages — the equivalence fuzz test in
-// tests/serve/test_hotpath.cpp compares the two parsers over valid and
-// malformed corpora.  When touching request.cpp, touch the mirror here.
+// Each parameter block of the request schema is declared once below, as
+// an ordered table of fields, and three pieces of generic code walk the
+// tables:
+//   - `read_block` parses a block's fields in declared order, each
+//     field's check right after it and the block's check after all of
+//     them.  The order is request.cpp's `parse_request` order, so the
+//     first bad field throws first and an unknown field throws last;
+//   - `write_key` writes the same fields in bytewise-sorted name order,
+//     "op" at its sorted place, an order computed once per block;
+//   - `find_numeric` resolves a sweep's dotted parameter path to its
+//     member.
+// tests/serve/test_hotpath.cpp compares the parser and the key writer
+// with `parse_request` and json::canonical(request_to_json(r)) on a
+// corpus generated over every field of every op.
 
 namespace silicon::serve {
 
@@ -29,76 +41,10 @@ class fast_reader {
     fast_reader(const aview& o, const char* context)
         : o_{o}, context_{context} {}
 
-    [[nodiscard]] double number(const char* key, double fallback) {
-        const aview* v = get(key);
-        if (v == nullptr) {
-            return fallback;
-        }
-        if (!v->is_number()) {
-            fail_type(key, "a number");
-        }
-        return v->number;
-    }
+    [[nodiscard]] const char* context() const { return context_; }
 
-    [[nodiscard]] int integer(const char* key, int fallback) {
-        const aview* v = get(key);
-        if (v == nullptr) {
-            return fallback;
-        }
-        if (!v->is_number() || !is_int_value(v->number)) {
-            fail_type(key, "an integer");
-        }
-        return static_cast<int>(v->number);
-    }
-
-    [[nodiscard]] std::uint64_t uinteger(const char* key,
-                                         std::uint64_t fallback) {
-        const aview* v = get(key);
-        if (v == nullptr) {
-            return fallback;
-        }
-        if (!v->is_number() || !is_uint53_value(v->number)) {
-            fail_type(key, "a non-negative integer (<= 2^53)");
-        }
-        return static_cast<std::uint64_t>(v->number);
-    }
-
-    /// Assigns the member into `out` (capacity-preserving) when present;
-    /// leaves `out` (already holding the default) untouched when absent.
-    void text_into(const char* key, std::string& out) {
-        const aview* v = get(key);
-        if (v == nullptr) {
-            return;
-        }
-        if (!v->is_string()) {
-            fail_type(key, "a string");
-        }
-        out.assign(v->string);
-    }
-
-    [[nodiscard]] const aview* raw(const char* key) { return get(key); }
-
-    void forbid_unknown() const {
-        for (std::uint32_t i = 0; i < o_.count; ++i) {
-            const std::string_view key = o_.members[i].key;
-            bool known = false;
-            for (std::size_t j = 0; j < consumed_count_; ++j) {
-                if (consumed_[j] == key) {
-                    known = true;
-                    break;
-                }
-            }
-            if (!known) {
-                throw request_error("unknown_field",
-                                    std::string{context_} +
-                                        ": unknown field '" +
-                                        std::string{key} + "'");
-            }
-        }
-    }
-
-  private:
-    const aview* get(const char* key) {
+    /// Member `key`, marked as read (nullptr when absent).
+    [[nodiscard]] const aview* raw(std::string_view key) {
         if (consumed_count_ >= consumed_.size()) {
             // Bounds the keys an endpoint's code reads, which no input
             // can raise: reaching it is a bug in this file.
@@ -108,12 +54,27 @@ class fast_reader {
         return o_.find(key);
     }
 
-    [[noreturn]] void fail_type(const char* key, const char* wanted) const {
+    [[noreturn]] void fail_type(std::string_view key,
+                                const char* wanted) const {
         throw request_error("bad_param", std::string{context_} + ": field '" +
                                              std::string{key} +
                                              "' must be " + wanted);
     }
 
+    void forbid_unknown() const {
+        const auto* read_end = consumed_.begin() + consumed_count_;
+        for (std::uint32_t i = 0; i < o_.count; ++i) {
+            const std::string_view key = o_.members[i].key;
+            if (std::find(consumed_.begin(), read_end, key) == read_end) {
+                throw request_error("unknown_field",
+                                    std::string{context_} +
+                                        ": unknown field '" +
+                                        std::string{key} + "'");
+            }
+        }
+    }
+
+  private:
     const aview& o_;
     const char* context_;
     // Sized for the widest reader: partition_explore consumes
@@ -123,97 +84,12 @@ class fast_reader {
     std::size_t consumed_count_ = 0;
 };
 
-const aview& require_object_fast(const aview& v, const char* context) {
+const aview& require_object(const aview& v, const char* context) {
     if (!v.is_object()) {
         throw request_error("bad_param",
                             std::string{context} + " must be a JSON object");
     }
     return v;
-}
-
-// Shared with request.cpp by contract (identical registries/messages).
-
-void validate_gross_die_method_fast(const std::string& name,
-                                    const char* context) {
-    for (const char* known :
-         {"maly_rows", "maly_rows_best_orient", "area_ratio", "circumference",
-          "ferris_prabhu", "exact"}) {
-        if (name == known) {
-            return;
-        }
-    }
-    throw request_error(
-        "bad_param",
-        std::string{context} + ": unknown gross-die method '" + name +
-            "' (maly_rows | maly_rows_best_orient | area_ratio | "
-            "circumference | ferris_prabhu | exact)");
-}
-
-void validate_yield_model_fast(const std::string& name) {
-    for (const char* known :
-         {"poisson", "murphy", "seeds", "bose_einstein", "neg_binomial",
-          "scaled_poisson", "reference"}) {
-        if (name == known) {
-            return;
-        }
-    }
-    throw request_error(
-        "bad_param",
-        "yield.model: unknown model '" + name +
-            "' (poisson | murphy | seeds | bose_einstein | neg_binomial | "
-            "scaled_poisson | reference)");
-}
-
-void validate_substrate_fast(const std::string& name) {
-    for (const char* known : {"organic", "rdl", "interposer"}) {
-        if (name == known) {
-            return;
-        }
-    }
-    throw request_error("bad_param",
-                        "substrate: unknown substrate '" + name +
-                            "' (organic | rdl | interposer)");
-}
-
-void validate_splits_fast(const std::string& s) {
-    static constexpr const char* bad_splits =
-        "partition_explore: splits must be a strictly ascending "
-        "comma-separated list of split counts in [1, 16] including 1 "
-        "(e.g. '1,2,4')";
-    int entries = 0;
-    int prev = 0;
-    bool has_one = false;
-    std::size_t i = 0;
-    while (true) {
-        if (i >= s.size() || s[i] < '1' || s[i] > '9') {
-            throw request_error("bad_param", bad_splits);
-        }
-        int value = 0;
-        while (i < s.size() && s[i] >= '0' && s[i] <= '9') {
-            value = value * 10 + (s[i] - '0');
-            if (value > 16) {
-                throw request_error("bad_param", bad_splits);
-            }
-            ++i;
-        }
-        if (value <= prev || ++entries > 8) {
-            throw request_error("bad_param", bad_splits);
-        }
-        if (value == 1) {
-            has_one = true;
-        }
-        prev = value;
-        if (i == s.size()) {
-            break;
-        }
-        if (s[i] != ',') {
-            throw request_error("bad_param", bad_splits);
-        }
-        ++i;
-    }
-    if (!has_one) {
-        throw request_error("bad_param", bad_splits);
-    }
 }
 
 /// Reuses the payload alternative when the op repeats (preserving string
@@ -228,419 +104,596 @@ T& ensure_payload(request& r) {
 }
 
 // ---------------------------------------------------------------------------
-// Parameter block parsers (in-place twins of request.cpp)
+// The field tables
 // ---------------------------------------------------------------------------
 
-void parse_yield_spec_fast(const aview* v, yield_spec_params& out) {
-    out = yield_spec_params{};
-    if (v == nullptr) {
-        return;
+enum class field_kind : std::uint8_t {
+    // The numbers first: a kind up to uint53 is a number of the key.
+    number,       ///< double
+    integer,      ///< int, integral within the int range
+    uint53,       ///< std::uint64_t, integral within [0, 2^53]
+    text,         ///< std::string
+    yield_model,  ///< yield_spec_params::kind, written as its name
+    block,        ///< a nested JSON object of its own block
+    spliced,      ///< a block whose fields sit in this same JSON object
+};
+
+constexpr std::array<std::string_view, 3> yield_model_names = {
+    "reference", "scaled", "fixed"};
+
+struct block_table;
+
+/// Runs on the block holding a field (or on the block itself) and throws
+/// request_error when the values read so far are invalid.
+using block_check = void (*)(const void* block);
+
+struct field_entry {
+    std::string_view name;
+    field_kind kind;
+    std::size_t offset;                   ///< of the member in its block
+    const block_table* nested = nullptr;  ///< block and spliced
+    block_check check = nullptr;          ///< right after the field is read
+};
+
+/// One member of a block's canonical key: `text` (`{"name":` or
+/// `,"name":`), then the value of `field` at `offset` (spliced blocks
+/// flattened).  "op" is all text: `,"op":"<op>"`, no field.
+struct key_member {
+    std::string text;
+    const field_entry* field;
+    std::size_t offset;
+};
+
+struct block_table {
+    const char* context;  ///< a nested object's name in error messages
+    std::vector<field_entry> fields;  ///< declared order: the parse order
+    block_check check;                ///< after all fields are read
+    /// A payload block's reset: r.payload at this block's type and
+    /// defaults, returned as the block's address.
+    void* (*reset)(request&);
+    std::vector<key_member> key;  ///< bytewise-sorted name order
+};
+
+template <class M>
+M& member_at(char* p) {
+    return *reinterpret_cast<M*>(p);
+}
+
+template <class M>
+const M& member_at(const char* p) {
+    return *reinterpret_cast<const M*>(p);
+}
+
+/// The number a numeric member holds, as its key writes it.
+template <class M>
+double number_of(const char* member) {
+    return static_cast<double>(member_at<M>(member));
+}
+
+/// The number a member of a numeric `kind` holds.
+double number_at(field_kind kind, const char* member) {
+    switch (kind) {
+        case field_kind::integer: return number_of<int>(member);
+        case field_kind::uint53: return number_of<std::uint64_t>(member);
+        default: return number_of<double>(member);
     }
-    fast_reader r{require_object_fast(*v, "process.yield"), "process.yield"};
-    // Legacy reads `model` into a temporary before matching; the match
-    // itself is on the same bytes, so match the view directly.
-    std::string model_name{"reference"};
-    r.text_into("model", model_name);
-    if (model_name == "reference") {
-        out.model = yield_spec_params::kind::reference;
-    } else if (model_name == "scaled") {
-        out.model = yield_spec_params::kind::scaled;
-    } else if (model_name == "fixed") {
-        out.model = yield_spec_params::kind::fixed;
+}
+
+using number_fn = double (*)(const char* member);
+
+number_fn number_reader(field_kind kind) {
+    switch (kind) {
+        case field_kind::integer: return &number_of<int>;
+        case field_kind::uint53: return &number_of<std::uint64_t>;
+        default: return &number_of<double>;
+    }
+}
+
+template <class T, class M>
+std::size_t offset_of(M T::*m) {
+    static const T probe{};
+    return static_cast<std::size_t>(
+        reinterpret_cast<const char*>(&(probe.*m)) -
+        reinterpret_cast<const char*>(&probe));
+}
+
+/// A field of this block's JSON object, its kind from its type.
+template <class T, class M>
+field_entry field(std::string_view name, M T::*m,
+                  block_check check = nullptr) {
+    field_kind kind = field_kind::number;
+    if constexpr (std::is_same_v<M, int>) {
+        kind = field_kind::integer;
+    } else if constexpr (std::is_same_v<M, std::uint64_t>) {
+        kind = field_kind::uint53;
+    } else if constexpr (std::is_same_v<M, std::string>) {
+        kind = field_kind::text;
+    } else if constexpr (std::is_same_v<M, yield_spec_params::kind>) {
+        kind = field_kind::yield_model;
     } else {
-        throw request_error("bad_param",
-                            "process.yield.model: unknown model '" +
-                                model_name + "' (reference | scaled | fixed)");
+        static_assert(std::is_same_v<M, double>);
     }
-    out.y0 = r.number("y0", out.y0);
-    out.a0_cm2 = r.number("a0_cm2", out.a0_cm2);
-    out.d = r.number("d", out.d);
-    out.p = r.number("p", out.p);
-    out.fixed = r.number("fixed", out.fixed);
-    r.forbid_unknown();
+    return {name, kind, offset_of(m), nullptr, check};
 }
 
-void parse_process_fast(const aview* v, process_params& out) {
-    out = process_params{};
-    if (v == nullptr) {
-        return;
-    }
-    fast_reader r{require_object_fast(*v, "process"), "process"};
-    out.c0_usd = r.number("c0_usd", out.c0_usd);
-    out.x = r.number("x", out.x);
-    out.generation_step_um =
-        r.number("generation_step_um", out.generation_step_um);
-    out.wafer_radius_cm = r.number("wafer_radius_cm", out.wafer_radius_cm);
-    out.edge_exclusion_cm =
-        r.number("edge_exclusion_cm", out.edge_exclusion_cm);
-    r.text_into("gross_die_method", out.gross_die_method);
-    validate_gross_die_method_fast(out.gross_die_method,
-                                   "process.gross_die_method");
-    parse_yield_spec_fast(r.raw("yield"), out.yield);
-    r.forbid_unknown();
+/// A field holding a nested JSON object of block `b`.
+template <class T, class M>
+field_entry field(std::string_view name, M T::*m, const block_table& b) {
+    return {name, field_kind::block, offset_of(m), &b, nullptr};
 }
 
-void parse_product_fast(const aview* v, product_params& out) {
-    out = product_params{};
-    if (v == nullptr) {
-        return;
-    }
-    fast_reader r{require_object_fast(*v, "product"), "product"};
-    r.text_into("name", out.name);
-    out.transistors = r.number("transistors", out.transistors);
-    out.design_density = r.number("design_density", out.design_density);
-    out.feature_size_um = r.number("feature_size_um", out.feature_size_um);
-    out.die_aspect_ratio = r.number("die_aspect_ratio", out.die_aspect_ratio);
-    r.forbid_unknown();
+/// Block `b`'s fields, at `offset`, read from this same JSON object.
+field_entry spliced(std::size_t offset, const block_table& b) {
+    return {"", field_kind::spliced, offset, &b, nullptr};
 }
 
-void parse_economics_fast(const aview* v, economics_params& out) {
-    out = economics_params{};
-    if (v == nullptr) {
-        return;
-    }
-    fast_reader r{require_object_fast(*v, "economics"), "economics"};
-    out.overhead_usd = r.number("overhead_usd", out.overhead_usd);
-    out.volume_wafers = r.number("volume_wafers", out.volume_wafers);
-    r.forbid_unknown();
+block_table object_block(const char* context,
+                         std::vector<field_entry> fields) {
+    return {context, std::move(fields), nullptr, nullptr, {}};
 }
 
-// ---------------------------------------------------------------------------
-// Endpoint payload parsers
-// ---------------------------------------------------------------------------
-
-void parse_cost_tr_fast(fast_reader& r, request& req) {
-    cost_tr_request& out = ensure_payload<cost_tr_request>(req);
-    parse_process_fast(r.raw("process"), out.process);
-    parse_product_fast(r.raw("product"), out.product);
-    parse_economics_fast(r.raw("economics"), out.economics);
+template <class T>
+block_table payload_block(std::vector<field_entry> fields,
+                          block_check check = nullptr) {
+    return {nullptr, std::move(fields), check,
+            [](request& r) -> void* { return &ensure_payload<T>(r); }, {}};
 }
 
-void parse_gross_die_fast(fast_reader& r, request& req) {
-    gross_die_request& out = ensure_payload<gross_die_request>(req);
-    out.wafer_radius_cm = r.number("wafer_radius_cm", out.wafer_radius_cm);
-    out.edge_exclusion_cm =
-        r.number("edge_exclusion_cm", out.edge_exclusion_cm);
-    out.die_width_mm = r.number("die_width_mm", out.die_width_mm);
-    out.die_height_mm = r.number("die_height_mm", out.die_height_mm);
-    r.text_into("method", out.method);
-    validate_gross_die_method_fast(out.method, "method");
-    out.scribe_mm = r.number("scribe_mm", out.scribe_mm);
+template <class T, class M>
+T owner_of(M T::*);  // declared only: the class of a member pointer
+
+/// A check of member `M` alone, by `check` on its value.
+template <auto M, auto check>
+void member_check(const void* block) {
+    using T = decltype(owner_of(M));
+    check(static_cast<const T*>(block)->*M);
 }
 
-void parse_yield_fast(fast_reader& r, request& req) {
-    yield_request& out = ensure_payload<yield_request>(req);
-    r.text_into("model", out.model);
-    validate_yield_model_fast(out.model);
-    out.expected_faults = r.number("expected_faults", out.expected_faults);
-    out.die_area_cm2 = r.number("die_area_cm2", out.die_area_cm2);
-    out.defects_per_cm2 = r.number("defects_per_cm2", out.defects_per_cm2);
-    out.critical_steps = r.integer("critical_steps", out.critical_steps);
-    out.alpha = r.number("alpha", out.alpha);
-    out.d = r.number("d", out.d);
-    out.p = r.number("p", out.p);
-    out.lambda_um = r.number("lambda_um", out.lambda_um);
-    out.y0 = r.number("y0", out.y0);
-    out.a0_cm2 = r.number("a0_cm2", out.a0_cm2);
-}
-
-void parse_scenario1_fast(fast_reader& r, request& req) {
-    scenario1_request& out = ensure_payload<scenario1_request>(req);
-    out.lambda_um = r.number("lambda_um", out.lambda_um);
-    out.c0_usd = r.number("c0_usd", out.c0_usd);
-    out.x = r.number("x", out.x);
-    out.wafer_radius_cm = r.number("wafer_radius_cm", out.wafer_radius_cm);
-    out.design_density = r.number("design_density", out.design_density);
-}
-
-void parse_scenario2_fast(fast_reader& r, request& req) {
-    scenario2_request& out = ensure_payload<scenario2_request>(req);
-    out.lambda_um = r.number("lambda_um", out.lambda_um);
-    out.c0_usd = r.number("c0_usd", out.c0_usd);
-    out.x = r.number("x", out.x);
-    out.wafer_radius_cm = r.number("wafer_radius_cm", out.wafer_radius_cm);
-    out.design_density = r.number("design_density", out.design_density);
-    out.y0 = r.number("y0", out.y0);
-}
-
-void parse_table3_fast(fast_reader& r, request& req) {
-    table3_request& out = ensure_payload<table3_request>(req);
-    out.row = r.integer("row", out.row);
-    if (out.row < 0 || out.row > 17) {
-        throw request_error("bad_param",
-                            "table3: row must be 0 (all) or 1-17");
+void check_range(int v, int lo, int hi, const char* message) {
+    if (v < lo || v > hi) {
+        throw request_error("bad_param", message);
     }
 }
 
-void parse_mc_yield_fast(fast_reader& r, request& req) {
-    mc_yield_request& out = ensure_payload<mc_yield_request>(req);
-    out.line_width_um = r.number("line_width_um", out.line_width_um);
-    out.line_spacing_um = r.number("line_spacing_um", out.line_spacing_um);
-    out.line_length_um = r.number("line_length_um", out.line_length_um);
-    out.line_count = r.integer("line_count", out.line_count);
-    out.defect_r0_um = r.number("defect_r0_um", out.defect_r0_um);
-    out.defect_p = r.number("defect_p", out.defect_p);
-    out.defect_q = r.number("defect_q", out.defect_q);
-    out.dies = r.integer("dies", out.dies);
-    out.defects_per_um2 = r.number("defects_per_um2", out.defects_per_um2);
-    out.extra_material_fraction =
-        r.number("extra_material_fraction", out.extra_material_fraction);
-    out.seed = r.uinteger("seed", out.seed);
-    check_mc_dies(out.dies);
+void check_scale(const std::string& scale, const char* message) {
+    if (scale != "linear" && scale != "log") {
+        throw request_error("bad_param", message);
+    }
 }
 
-void parse_chiplet_base_fast(fast_reader& r, chiplet_request& out) {
-    out.logic_area_mm2 = r.number("logic_area_mm2", out.logic_area_mm2);
-    out.memory_area_mm2 = r.number("memory_area_mm2", out.memory_area_mm2);
-    out.io_area_mm2 = r.number("io_area_mm2", out.io_area_mm2);
-    out.d2d_area_mm2 = r.number("d2d_area_mm2", out.d2d_area_mm2);
-    out.lambda_um = r.number("lambda_um", out.lambda_um);
-    out.c0_usd = r.number("c0_usd", out.c0_usd);
-    out.x = r.number("x", out.x);
-    out.generation_step_um =
-        r.number("generation_step_um", out.generation_step_um);
-    out.wafer_radius_cm = r.number("wafer_radius_cm", out.wafer_radius_cm);
-    out.edge_exclusion_cm =
-        r.number("edge_exclusion_cm", out.edge_exclusion_cm);
-    out.defects_per_cm2 = r.number("defects_per_cm2", out.defects_per_cm2);
-    out.memory_defect_factor =
-        r.number("memory_defect_factor", out.memory_defect_factor);
-    out.io_defect_factor = r.number("io_defect_factor", out.io_defect_factor);
-    out.clustering_alpha = r.number("clustering_alpha", out.clustering_alpha);
-    out.test_coverage = r.number("test_coverage", out.test_coverage);
-    out.tester_rate_per_hour =
-        r.number("tester_rate_per_hour", out.tester_rate_per_hour);
-    out.test_seconds_fixed =
-        r.number("test_seconds_fixed", out.test_seconds_fixed);
-    out.test_seconds_per_cm2 =
-        r.number("test_seconds_per_cm2", out.test_seconds_per_cm2);
-    r.text_into("substrate", out.substrate);
-    validate_substrate_fast(out.substrate);
-    out.substrate_cost_per_cm2 =
-        r.number("substrate_cost_per_cm2", out.substrate_cost_per_cm2);
-    out.rdl_cost_per_cm2 = r.number("rdl_cost_per_cm2", out.rdl_cost_per_cm2);
-    out.rdl_defects_per_cm2 =
-        r.number("rdl_defects_per_cm2", out.rdl_defects_per_cm2);
-    out.interposer_cost_per_cm2 =
-        r.number("interposer_cost_per_cm2", out.interposer_cost_per_cm2);
-    out.interposer_defects_per_cm2 =
-        r.number("interposer_defects_per_cm2", out.interposer_defects_per_cm2);
-    out.package_area_factor =
-        r.number("package_area_factor", out.package_area_factor);
-    out.bond_yield = r.number("bond_yield", out.bond_yield);
-    out.bonding_cost_per_chiplet =
-        r.number("bonding_cost_per_chiplet", out.bonding_cost_per_chiplet);
+// The checks of request.cpp's parse_request that are not shared with it.
+void check_process_method(const std::string& method) {
+    validate_gross_die_method(method, "process.gross_die_method");
 }
-
-void parse_chiplet_fast(fast_reader& r, request& req) {
-    chiplet_request& out = ensure_payload<chiplet_request>(req);
-    out.chiplets = r.integer("chiplets", out.chiplets);
-    check_chiplets(out.chiplets);
-    parse_chiplet_base_fast(r, out);
+void check_method(const std::string& method) {
+    validate_gross_die_method(method, "method");
 }
-
-void parse_partition_explore_fast(fast_reader& r, request& req) {
-    partition_explore_request& out =
-        ensure_payload<partition_explore_request>(req);
-    parse_chiplet_base_fast(r, out.base);
-    r.text_into("splits", out.splits);
-    validate_splits_fast(out.splits);
-    out.area_from_mm2 = r.number("area_from_mm2", out.area_from_mm2);
-    out.area_to_mm2 = r.number("area_to_mm2", out.area_to_mm2);
-    if (!std::isfinite(out.area_from_mm2) || !(out.area_from_mm2 > 0.0) ||
-        !std::isfinite(out.area_to_mm2) || !(out.area_to_mm2 > 0.0)) {
+void check_row(int row) {
+    check_range(row, 0, 17, "table3: row must be 0 (all) or 1-17");
+}
+void check_explore_count(int count) {
+    check_range(count, 1, 65536,
+                "partition_explore: count must be in [1, 65536]");
+}
+void check_explore_scale(const std::string& scale) {
+    check_scale(scale, "partition_explore: scale must be 'linear' or 'log'");
+}
+void check_explore_areas(const void* block) {
+    const auto& q = *static_cast<const partition_explore_request*>(block);
+    if (!std::isfinite(q.area_from_mm2) || !(q.area_from_mm2 > 0.0) ||
+        !std::isfinite(q.area_to_mm2) || !(q.area_to_mm2 > 0.0)) {
         throw request_error("bad_param",
                             "partition_explore: area_from_mm2/area_to_mm2 "
                             "must be finite and positive");
     }
-    out.count = r.integer("count", out.count);
-    if (out.count < 1 || out.count > 65536) {
-        throw request_error("bad_param",
-                            "partition_explore: count must be in [1, 65536]");
+}
+
+/// Appends block `b`'s fields at `at` as key members named by `text`,
+/// spliced blocks flattened.
+void flatten(const block_table& b, std::size_t at,
+             std::vector<key_member>& out) {
+    for (const field_entry& f : b.fields) {
+        if (f.kind == field_kind::spliced) {
+            flatten(*f.nested, at + f.offset, out);
+        } else {
+            out.push_back({std::string{f.name}, &f, at + f.offset});
+        }
     }
-    r.text_into("scale", out.scale);
-    if (out.scale != "linear" && out.scale != "log") {
-        throw request_error(
-            "bad_param", "partition_explore: scale must be 'linear' or 'log'");
+}
+
+/// Sorts block `b`'s key members by name, "op" among them for a payload
+/// block (`op` not empty), and renders each one's text.
+void sort_key(block_table& b, std::string_view op) {
+    flatten(b, 0, b.key);
+    if (!op.empty()) {
+        b.key.push_back({"op", nullptr, 0});
     }
+    std::sort(b.key.begin(), b.key.end(),
+              [](const key_member& x, const key_member& y) {
+                  return x.text < y.text;
+              });
+    for (key_member& m : b.key) {
+        m.text = (&m == &b.key.front() ? "{\"" : ",\"") + m.text + "\":";
+        if (m.field == nullptr) {
+            json::write_string_into(m.text, op);
+        }
+    }
+}
+
+/// Every block of the request schema, declared in parse order; built
+/// once, on first use.
+struct schema {
+    block_table yield_spec;
+    block_table process;
+    block_table product;
+    block_table economics;
+    /// The chiplet configuration of chiplet and partition_explore: every
+    /// chiplet_request member but `chiplets`.
+    block_table chiplet_base;
+    /// One per op_code; sweep's stays empty (its fields parse by hand).
+    std::array<block_table, op_count> payloads;
+
+    schema();
+    block_table& payload(op_code op) {
+        return payloads[static_cast<std::size_t>(op)];
+    }
+};
+
+// FIELD(m) is the field named like member `m` of the block type `T` in
+// scope; CHECKED(m, check) runs `check` on its value right after it.
+#define FIELD(m) field(#m, &T::m)
+#define CHECKED(m, check) field(#m, &T::m, &member_check<&T::m, check>)
+
+schema::schema() {
+    {
+        using T = yield_spec_params;
+        yield_spec = object_block("process.yield", {FIELD(model), FIELD(y0),
+                                                    FIELD(a0_cm2), FIELD(d),
+                                                    FIELD(p), FIELD(fixed)});
+    }
+    {
+        using T = process_params;
+        process = object_block(
+            "process", {FIELD(c0_usd), FIELD(x), FIELD(generation_step_um),
+                        FIELD(wafer_radius_cm), FIELD(edge_exclusion_cm),
+                        CHECKED(gross_die_method, check_process_method),
+                        field("yield", &T::yield, yield_spec)});
+    }
+    {
+        using T = product_params;
+        product = object_block(
+            "product", {FIELD(name), FIELD(transistors), FIELD(design_density),
+                        FIELD(feature_size_um), FIELD(die_aspect_ratio)});
+    }
+    {
+        using T = economics_params;
+        economics = object_block("economics",
+                                 {FIELD(overhead_usd), FIELD(volume_wafers)});
+    }
+    {
+        using T = chiplet_request;
+        chiplet_base = object_block(
+            nullptr,
+            {FIELD(logic_area_mm2), FIELD(memory_area_mm2), FIELD(io_area_mm2),
+             FIELD(d2d_area_mm2), FIELD(lambda_um), FIELD(c0_usd), FIELD(x),
+             FIELD(generation_step_um), FIELD(wafer_radius_cm),
+             FIELD(edge_exclusion_cm), FIELD(defects_per_cm2),
+             FIELD(memory_defect_factor), FIELD(io_defect_factor),
+             FIELD(clustering_alpha), FIELD(test_coverage),
+             FIELD(tester_rate_per_hour), FIELD(test_seconds_fixed),
+             FIELD(test_seconds_per_cm2),
+             CHECKED(substrate, validate_substrate),
+             FIELD(substrate_cost_per_cm2), FIELD(rdl_cost_per_cm2),
+             FIELD(rdl_defects_per_cm2), FIELD(interposer_cost_per_cm2),
+             FIELD(interposer_defects_per_cm2), FIELD(package_area_factor),
+             FIELD(bond_yield), FIELD(bonding_cost_per_chiplet)});
+    }
+    {
+        using T = cost_tr_request;
+        payload(op_code::cost_tr) = payload_block<T>(
+            {field("process", &T::process, process),
+             field("product", &T::product, product),
+             field("economics", &T::economics, economics)});
+    }
+    {
+        using T = gross_die_request;
+        payload(op_code::gross_die) = payload_block<T>(
+            {FIELD(wafer_radius_cm), FIELD(edge_exclusion_cm),
+             FIELD(die_width_mm), FIELD(die_height_mm),
+             CHECKED(method, check_method), FIELD(scribe_mm)});
+    }
+    {
+        using T = yield_request;
+        payload(op_code::yield) = payload_block<T>(
+            {CHECKED(model, validate_yield_model), FIELD(expected_faults),
+             FIELD(die_area_cm2), FIELD(defects_per_cm2),
+             FIELD(critical_steps), FIELD(alpha), FIELD(d), FIELD(p),
+             FIELD(lambda_um), FIELD(y0), FIELD(a0_cm2)});
+    }
+    {
+        using T = scenario1_request;
+        payload(op_code::scenario1) = payload_block<T>(
+            {FIELD(lambda_um), FIELD(c0_usd), FIELD(x), FIELD(wafer_radius_cm),
+             FIELD(design_density)});
+    }
+    {
+        using T = scenario2_request;
+        payload(op_code::scenario2) = payload_block<T>(
+            {FIELD(lambda_um), FIELD(c0_usd), FIELD(x), FIELD(wafer_radius_cm),
+             FIELD(design_density), FIELD(y0)});
+    }
+    {
+        using T = table3_request;
+        payload(op_code::table3) = payload_block<T>({CHECKED(row, check_row)});
+    }
+    {
+        using T = mc_yield_request;
+        payload(op_code::mc_yield) = payload_block<T>(
+            {FIELD(line_width_um), FIELD(line_spacing_um),
+             FIELD(line_length_um), FIELD(line_count), FIELD(defect_r0_um),
+             FIELD(defect_p), FIELD(defect_q), FIELD(dies),
+             FIELD(defects_per_um2), FIELD(extra_material_fraction),
+             FIELD(seed)},
+            &member_check<&T::dies, check_mc_dies>);
+    }
+    payload(op_code::stats) = payload_block<stats_request>({});
+    {
+        using T = chiplet_request;
+        payload(op_code::chiplet) = payload_block<T>(
+            {CHECKED(chiplets, check_chiplets), spliced(0, chiplet_base)});
+    }
+    {
+        using T = partition_explore_request;
+        payload(op_code::partition_explore) = payload_block<T>(
+            {spliced(offset_of(&T::base), chiplet_base),
+             CHECKED(splits, validate_splits), FIELD(area_from_mm2),
+             field("area_to_mm2", &T::area_to_mm2, &check_explore_areas),
+             CHECKED(count, check_explore_count),
+             CHECKED(scale, check_explore_scale)});
+    }
+
+    for (block_table* b : {&yield_spec, &process, &product, &economics}) {
+        sort_key(*b, {});
+    }
+    for (int i = 0; i < op_count; ++i) {
+        const auto op = static_cast<op_code>(i);
+        if (op != op_code::sweep) {
+            sort_key(payload(op), to_string(op));
+        }
+    }
+}
+
+#undef CHECKED
+#undef FIELD
+
+const schema& tables() {
+    static const schema s;
+    return s;
+}
+
+/// The table of `op`'s payload; nullptr for a sweep.
+const block_table* payload_table(op_code op) {
+    return op == op_code::sweep
+               ? nullptr
+               : &tables().payloads[static_cast<std::size_t>(op)];
+}
+
+const char* payload_address(const request& r) {
+    return std::visit(
+        [](const auto& p) { return reinterpret_cast<const char*>(&p); },
+        r.payload);
+}
+
+char* payload_address(request& r) {
+    return const_cast<char*>(payload_address(std::as_const(r)));
 }
 
 // ---------------------------------------------------------------------------
-// Canonical-key emitters (sorted member order baked in)
+// The parser, the key writer and the parameter finder
 // ---------------------------------------------------------------------------
 
-// The orders below are the bytewise-sorted key orders json::canonical
-// produces for request_to_json output; the equivalence test compares the
-// emitted keys against json::canonical(request_to_json(r)) for every op.
-
-void emit_number(double d, std::string& out) {
-    json::format_number_into(d, out);
-}
-
-void emit_yield_spec_key(const yield_spec_params& y, std::string& out) {
-    out += "{\"a0_cm2\":";
-    emit_number(y.a0_cm2, out);
-    out += ",\"d\":";
-    emit_number(y.d, out);
-    out += ",\"fixed\":";
-    emit_number(y.fixed, out);
-    out += ",\"model\":";
-    switch (y.model) {
-        case yield_spec_params::kind::reference: out += "\"reference\""; break;
-        case yield_spec_params::kind::scaled: out += "\"scaled\""; break;
-        case yield_spec_params::kind::fixed: out += "\"fixed\""; break;
+/// Reads scalar member `key` of `kind` into `*p`, which keeps its
+/// default when the member is absent.  True when present.
+bool read_value(fast_reader& r, std::string_view key, field_kind kind,
+                void* p) {
+    const aview* v = r.raw(key);
+    if (v == nullptr) {
+        return false;
     }
-    out += ",\"p\":";
-    emit_number(y.p, out);
-    out += ",\"y0\":";
-    emit_number(y.y0, out);
+    switch (kind) {
+        case field_kind::number:
+            if (!v->is_number()) {
+                r.fail_type(key, "a number");
+            }
+            *static_cast<double*>(p) = v->number;
+            break;
+        case field_kind::integer:
+            if (!v->is_number() || !is_int_value(v->number)) {
+                r.fail_type(key, "an integer");
+            }
+            *static_cast<int*>(p) = static_cast<int>(v->number);
+            break;
+        case field_kind::uint53:
+            if (!v->is_number() || !is_uint53_value(v->number)) {
+                r.fail_type(key, "a non-negative integer (<= 2^53)");
+            }
+            *static_cast<std::uint64_t*>(p) =
+                static_cast<std::uint64_t>(v->number);
+            break;
+        default: {  // text and yield_model
+            if (!v->is_string()) {
+                r.fail_type(key, "a string");
+            }
+            if (kind == field_kind::text) {
+                static_cast<std::string*>(p)->assign(v->string);
+                break;
+            }
+            const auto* it = std::find(yield_model_names.begin(),
+                                       yield_model_names.end(), v->string);
+            if (it == yield_model_names.end()) {
+                throw request_error(
+                    "bad_param", std::string{r.context()} + "." +
+                                     std::string{key} +
+                                     ": unknown model '" +
+                                     std::string{v->string} +
+                                     "' (reference | scaled | fixed)");
+            }
+            *static_cast<yield_spec_params::kind*>(p) =
+                static_cast<yield_spec_params::kind>(
+                    it - yield_model_names.begin());
+        }
+    }
+    return true;
+}
+
+void read_block(const block_table& b, fast_reader& r, char* base);
+
+/// A nested object of block `b` into `base`; absent, `base` keeps the
+/// defaults its payload's reset gave it.
+void read_object(const block_table& b, const aview* v, char* base) {
+    if (v == nullptr) {
+        return;
+    }
+    fast_reader r{require_object(*v, b.context), b.context};
+    read_block(b, r, base);
+    r.forbid_unknown();
+}
+
+void read_block(const block_table& b, fast_reader& r, char* base) {
+    for (const field_entry& f : b.fields) {
+        char* p = base + f.offset;
+        if (f.kind == field_kind::block) {
+            read_object(*f.nested, r.raw(f.name), p);
+        } else if (f.kind == field_kind::spliced) {
+            read_block(*f.nested, r, p);
+        } else {
+            read_value(r, f.name, f.kind, p);
+        }
+        if (f.check != nullptr) {
+            f.check(base);
+        }
+    }
+    if (b.check != nullptr) {
+        b.check(base);
+    }
+}
+
+/// The numeric members a lane key template cuts out of the key: their
+/// addresses, and, as the key is written, where each one's number would
+/// go: (position, index in `members`), in key order.
+struct key_cuts {
+    std::span<const char* const> members;
+    std::vector<std::pair<std::size_t, std::size_t>> found;
+
+    bool cut(const char* member, std::size_t at) {
+        for (std::size_t i = 0; i < members.size(); ++i) {
+            if (members[i] == member) {
+                found.emplace_back(at, i);
+                return true;
+            }
+        }
+        return false;
+    }
+};
+
+void write_key(const block_table& b, const char* base, std::string& out,
+               key_cuts* cuts) {
+    for (const key_member& m : b.key) {
+        out += m.text;
+        if (m.field == nullptr) {
+            continue;  // "op", written whole
+        }
+        const char* p = base + m.offset;
+        switch (m.field->kind) {
+            case field_kind::text:
+                json::write_string_into(out, member_at<std::string>(p));
+                break;
+            case field_kind::yield_model:
+                json::write_string_into(
+                    out, yield_model_names[static_cast<std::size_t>(
+                             member_at<yield_spec_params::kind>(p))]);
+                break;
+            case field_kind::block:
+                write_key(*m.field->nested, p, out, cuts);
+                break;
+            default:  // a number (spliced blocks are flattened away)
+                if (cuts == nullptr || !cuts->cut(p, out.size())) {
+                    json::format_number_into(number_at(m.field->kind, p), out);
+                }
+                break;
+        }
+    }
     out += '}';
 }
 
-void emit_cost_tr_key(const cost_tr_request& q, std::string& out) {
-    out += "{\"economics\":{\"overhead_usd\":";
-    emit_number(q.economics.overhead_usd, out);
-    out += ",\"volume_wafers\":";
-    emit_number(q.economics.volume_wafers, out);
-    out += "},\"op\":\"cost_tr\",\"process\":{\"c0_usd\":";
-    emit_number(q.process.c0_usd, out);
-    out += ",\"edge_exclusion_cm\":";
-    emit_number(q.process.edge_exclusion_cm, out);
-    out += ",\"generation_step_um\":";
-    emit_number(q.process.generation_step_um, out);
-    out += ",\"gross_die_method\":";
-    json::write_string_into(out, q.process.gross_die_method);
-    out += ",\"wafer_radius_cm\":";
-    emit_number(q.process.wafer_radius_cm, out);
-    out += ",\"x\":";
-    emit_number(q.process.x, out);
-    out += ",\"yield\":";
-    emit_yield_spec_key(q.process.yield, out);
-    out += "},\"product\":{\"design_density\":";
-    emit_number(q.product.design_density, out);
-    out += ",\"die_aspect_ratio\":";
-    emit_number(q.product.die_aspect_ratio, out);
-    out += ",\"feature_size_um\":";
-    emit_number(q.product.feature_size_um, out);
-    out += ",\"name\":";
-    json::write_string_into(out, q.product.name);
-    out += ",\"transistors\":";
-    emit_number(q.product.transistors, out);
-    out += "}}";
+/// A numeric member found by its dotted path, and the block holding it.
+struct leaf {
+    const field_entry* field = nullptr;
+    char* member = nullptr;
+    const block_table* owner = nullptr;
+    char* owner_base = nullptr;
+};
+
+/// Field `name` of block `b` at `base`, spliced blocks searched too.
+leaf find_field(const block_table& b, char* base, std::string_view name) {
+    for (const field_entry& f : b.fields) {
+        if (f.kind == field_kind::spliced) {
+            if (const leaf l = find_field(*f.nested, base + f.offset, name);
+                l.field != nullptr) {
+                return l;
+            }
+        } else if (name == f.name) {
+            return {&f, base + f.offset, &b, base};
+        }
+    }
+    return {};
 }
 
-void emit_gross_die_key(const gross_die_request& q, std::string& out) {
-    out += "{\"die_height_mm\":";
-    emit_number(q.die_height_mm, out);
-    out += ",\"die_width_mm\":";
-    emit_number(q.die_width_mm, out);
-    out += ",\"edge_exclusion_cm\":";
-    emit_number(q.edge_exclusion_cm, out);
-    out += ",\"method\":";
-    json::write_string_into(out, q.method);
-    out += ",\"op\":\"gross_die\",\"scribe_mm\":";
-    emit_number(q.scribe_mm, out);
-    out += ",\"wafer_radius_cm\":";
-    emit_number(q.wafer_radius_cm, out);
-    out += '}';
+/// The numeric member `path` addresses in `r` ("process.yield.y0"); no
+/// field when the path names no number of the key.
+leaf find_numeric(request& r, std::string_view path) {
+    const block_table* b = payload_table(r.op);
+    char* base = payload_address(r);
+    while (b != nullptr) {
+        const std::size_t dot = path.find('.');
+        const leaf l = find_field(*b, base, path.substr(0, dot));
+        if (l.field != nullptr && dot == std::string_view::npos &&
+            l.field->kind <= field_kind::uint53) {
+            return l;
+        }
+        if (l.field == nullptr || dot == std::string_view::npos ||
+            l.field->kind != field_kind::block) {
+            break;
+        }
+        b = l.field->nested;
+        base = l.member;
+        path.remove_prefix(dot + 1);
+    }
+    return {};
 }
 
-void emit_yield_key(const yield_request& q, std::string& out) {
-    out += "{\"a0_cm2\":";
-    emit_number(q.a0_cm2, out);
-    out += ",\"alpha\":";
-    emit_number(q.alpha, out);
-    out += ",\"critical_steps\":";
-    emit_number(static_cast<double>(q.critical_steps), out);
-    out += ",\"d\":";
-    emit_number(q.d, out);
-    out += ",\"defects_per_cm2\":";
-    emit_number(q.defects_per_cm2, out);
-    out += ",\"die_area_cm2\":";
-    emit_number(q.die_area_cm2, out);
-    out += ",\"expected_faults\":";
-    emit_number(q.expected_faults, out);
-    out += ",\"lambda_um\":";
-    emit_number(q.lambda_um, out);
-    out += ",\"model\":";
-    json::write_string_into(out, q.model);
-    out += ",\"op\":\"yield\",\"p\":";
-    emit_number(q.p, out);
-    out += ",\"y0\":";
-    emit_number(q.y0, out);
-    out += '}';
+leaf find_numeric_or_throw(const request& r, std::string_view path) {
+    // The finder never writes through a const request.
+    const leaf l = find_numeric(const_cast<request&>(r), path);
+    if (l.field == nullptr) {
+        throw std::logic_error("not a numeric parameter: " +
+                               std::string{path});
+    }
+    return l;
 }
 
-void emit_scenario1_key(const scenario1_request& q, std::string& out) {
-    out += "{\"c0_usd\":";
-    emit_number(q.c0_usd, out);
-    out += ",\"design_density\":";
-    emit_number(q.design_density, out);
-    out += ",\"lambda_um\":";
-    emit_number(q.lambda_um, out);
-    out += ",\"op\":\"scenario1\",\"wafer_radius_cm\":";
-    emit_number(q.wafer_radius_cm, out);
-    out += ",\"x\":";
-    emit_number(q.x, out);
-    out += '}';
-}
-
-void emit_scenario2_key(const scenario2_request& q, std::string& out) {
-    out += "{\"c0_usd\":";
-    emit_number(q.c0_usd, out);
-    out += ",\"design_density\":";
-    emit_number(q.design_density, out);
-    out += ",\"lambda_um\":";
-    emit_number(q.lambda_um, out);
-    out += ",\"op\":\"scenario2\",\"wafer_radius_cm\":";
-    emit_number(q.wafer_radius_cm, out);
-    out += ",\"x\":";
-    emit_number(q.x, out);
-    out += ",\"y0\":";
-    emit_number(q.y0, out);
-    out += '}';
-}
-
-void emit_table3_key(const table3_request& q, std::string& out) {
-    out += "{\"op\":\"table3\",\"row\":";
-    emit_number(static_cast<double>(q.row), out);
-    out += '}';
-}
-
-void emit_mc_yield_key(const mc_yield_request& q, std::string& out) {
-    out += "{\"defect_p\":";
-    emit_number(q.defect_p, out);
-    out += ",\"defect_q\":";
-    emit_number(q.defect_q, out);
-    out += ",\"defect_r0_um\":";
-    emit_number(q.defect_r0_um, out);
-    out += ",\"defects_per_um2\":";
-    emit_number(q.defects_per_um2, out);
-    out += ",\"dies\":";
-    emit_number(static_cast<double>(q.dies), out);
-    out += ",\"extra_material_fraction\":";
-    emit_number(q.extra_material_fraction, out);
-    out += ",\"line_count\":";
-    emit_number(static_cast<double>(q.line_count), out);
-    out += ",\"line_length_um\":";
-    emit_number(q.line_length_um, out);
-    out += ",\"line_spacing_um\":";
-    emit_number(q.line_spacing_um, out);
-    out += ",\"line_width_um\":";
-    emit_number(q.line_width_um, out);
-    out += ",\"op\":\"mc_yield\",\"seed\":";
-    emit_number(static_cast<double>(q.seed), out);
-    out += '}';
-}
+// ---------------------------------------------------------------------------
+// The envelope and the sweep
+// ---------------------------------------------------------------------------
 
 /// `target_key` is the already-canonical target serialization (spliced
 /// verbatim — canonical is idempotent under re-sorting).
-void emit_sweep_key(const sweep_request& q, std::string_view target_key,
+void sweep_key_into(const sweep_request& q, std::string_view target_key,
                     std::string& out) {
     out += "{\"count\":";
-    emit_number(static_cast<double>(q.count), out);
+    json::format_number_into(static_cast<double>(q.count), out);
     out += ",\"from\":";
-    emit_number(q.from, out);
+    json::format_number_into(q.from, out);
     out += ",\"op\":\"sweep\",\"param\":";
     json::write_string_into(out, q.param);
     out += ",\"scale\":";
@@ -648,138 +701,18 @@ void emit_sweep_key(const sweep_request& q, std::string_view target_key,
     out += ",\"target\":";
     out += target_key;
     out += ",\"to\":";
-    emit_number(q.to, out);
+    json::format_number_into(q.to, out);
     out += '}';
 }
 
-/// The sorted run of chiplet configuration keys from "bond_yield"
-/// through "clustering_alpha"; both chiplet-family emitters start with
-/// it (partition_explore's "area_*" / "count" keys interleave around
-/// it and are emitted by the caller).
-void emit_chiplet_run_bond_to_c0(const chiplet_request& q, std::string& out) {
-    out += "\"bond_yield\":";
-    emit_number(q.bond_yield, out);
-    out += ",\"bonding_cost_per_chiplet\":";
-    emit_number(q.bonding_cost_per_chiplet, out);
-    out += ",\"c0_usd\":";
-    emit_number(q.c0_usd, out);
-}
-
-/// Sorted keys "d2d_area_mm2" .. "memory_defect_factor" — identical in
-/// both chiplet-family canonical forms.
-void emit_chiplet_run_d2d_to_memory(const chiplet_request& q,
-                                    std::string& out) {
-    out += ",\"d2d_area_mm2\":";
-    emit_number(q.d2d_area_mm2, out);
-    out += ",\"defects_per_cm2\":";
-    emit_number(q.defects_per_cm2, out);
-    out += ",\"edge_exclusion_cm\":";
-    emit_number(q.edge_exclusion_cm, out);
-    out += ",\"generation_step_um\":";
-    emit_number(q.generation_step_um, out);
-    out += ",\"interposer_cost_per_cm2\":";
-    emit_number(q.interposer_cost_per_cm2, out);
-    out += ",\"interposer_defects_per_cm2\":";
-    emit_number(q.interposer_defects_per_cm2, out);
-    out += ",\"io_area_mm2\":";
-    emit_number(q.io_area_mm2, out);
-    out += ",\"io_defect_factor\":";
-    emit_number(q.io_defect_factor, out);
-    out += ",\"lambda_um\":";
-    emit_number(q.lambda_um, out);
-    out += ",\"logic_area_mm2\":";
-    emit_number(q.logic_area_mm2, out);
-    out += ",\"memory_area_mm2\":";
-    emit_number(q.memory_area_mm2, out);
-    out += ",\"memory_defect_factor\":";
-    emit_number(q.memory_defect_factor, out);
-}
-
-/// Sorted keys "package_area_factor" .. "rdl_defects_per_cm2" (the run
-/// right after "op" in both chiplet-family canonical forms).
-void emit_chiplet_run_package_to_rdl(const chiplet_request& q,
-                                     std::string& out) {
-    out += ",\"package_area_factor\":";
-    emit_number(q.package_area_factor, out);
-    out += ",\"rdl_cost_per_cm2\":";
-    emit_number(q.rdl_cost_per_cm2, out);
-    out += ",\"rdl_defects_per_cm2\":";
-    emit_number(q.rdl_defects_per_cm2, out);
-}
-
-/// Sorted keys "substrate" .. "x" — the shared tail of both
-/// chiplet-family canonical forms (partition_explore's "scale" and
-/// "splits" sort immediately before "substrate" and are emitted by the
-/// caller).
-void emit_chiplet_run_substrate_to_x(const chiplet_request& q,
-                                     std::string& out) {
-    out += ",\"substrate\":";
-    json::write_string_into(out, q.substrate);
-    out += ",\"substrate_cost_per_cm2\":";
-    emit_number(q.substrate_cost_per_cm2, out);
-    out += ",\"test_coverage\":";
-    emit_number(q.test_coverage, out);
-    out += ",\"test_seconds_fixed\":";
-    emit_number(q.test_seconds_fixed, out);
-    out += ",\"test_seconds_per_cm2\":";
-    emit_number(q.test_seconds_per_cm2, out);
-    out += ",\"tester_rate_per_hour\":";
-    emit_number(q.tester_rate_per_hour, out);
-    out += ",\"wafer_radius_cm\":";
-    emit_number(q.wafer_radius_cm, out);
-    out += ",\"x\":";
-    emit_number(q.x, out);
-    out += '}';
-}
-
-void emit_chiplet_key(const chiplet_request& q, std::string& out) {
-    out += '{';
-    emit_chiplet_run_bond_to_c0(q, out);
-    out += ",\"chiplets\":";
-    emit_number(static_cast<double>(q.chiplets), out);
-    out += ",\"clustering_alpha\":";
-    emit_number(q.clustering_alpha, out);
-    emit_chiplet_run_d2d_to_memory(q, out);
-    out += ",\"op\":\"chiplet\"";
-    emit_chiplet_run_package_to_rdl(q, out);
-    emit_chiplet_run_substrate_to_x(q, out);
-}
-
-void emit_partition_explore_key(const partition_explore_request& q,
-                                std::string& out) {
-    out += "{\"area_from_mm2\":";
-    emit_number(q.area_from_mm2, out);
-    out += ",\"area_to_mm2\":";
-    emit_number(q.area_to_mm2, out);
-    out += ',';
-    emit_chiplet_run_bond_to_c0(q.base, out);
-    out += ",\"clustering_alpha\":";
-    emit_number(q.base.clustering_alpha, out);
-    out += ",\"count\":";
-    emit_number(static_cast<double>(q.count), out);
-    emit_chiplet_run_d2d_to_memory(q.base, out);
-    out += ",\"op\":\"partition_explore\"";
-    emit_chiplet_run_package_to_rdl(q.base, out);
-    out += ",\"scale\":";
-    json::write_string_into(out, q.scale);
-    out += ",\"splits\":";
-    json::write_string_into(out, q.splits);
-    emit_chiplet_run_substrate_to_x(q.base, out);
-}
-
-// ---------------------------------------------------------------------------
-// Top-level parse
-// ---------------------------------------------------------------------------
-
-void parse_sweep_fast(fast_reader& r, fast_parse_state& st);
+void read_sweep(fast_reader& r, fast_parse_state& st);
 
 /// Parses a request document into `out` and writes its canonical key
 /// into `key_out` (cleared first).  `sweep_state` is the top level's
 /// parse state (which holds a sweep's target); a sweep target passes
 /// nullptr.
-void parse_request_fast_inner(const aview& doc, request& out,
-                              std::string& key_out,
-                              fast_parse_state* sweep_state) {
+void read_request(const aview& doc, request& out, std::string& key_out,
+                  fast_parse_state* sweep_state) {
     if (!doc.is_object()) {
         throw request_error("bad_request", "request must be a JSON object");
     }
@@ -805,12 +738,9 @@ void parse_request_fast_inner(const aview& doc, request& out,
             sweep_state->id_view = id;
         }
     }
-    out.has_deadline = false;
     out.deadline_ms = 0;
-    if (r.raw("deadline_ms") != nullptr) {
-        out.deadline_ms = r.uinteger("deadline_ms", 0);
-        out.has_deadline = true;
-    }
+    out.has_deadline =
+        read_value(r, "deadline_ms", field_kind::uint53, &out.deadline_ms);
     out.has_trace = false;
     if (const aview* trace = r.raw("trace_id")) {
         if (!trace->is_string()) {
@@ -825,55 +755,39 @@ void parse_request_fast_inner(const aview& doc, request& out,
         }
     }
 
-    switch (*op) {
-        case op_code::cost_tr: parse_cost_tr_fast(r, out); break;
-        case op_code::gross_die: parse_gross_die_fast(r, out); break;
-        case op_code::yield: parse_yield_fast(r, out); break;
-        case op_code::scenario1: parse_scenario1_fast(r, out); break;
-        case op_code::scenario2: parse_scenario2_fast(r, out); break;
-        case op_code::table3: parse_table3_fast(r, out); break;
-        case op_code::mc_yield: parse_mc_yield_fast(r, out); break;
-        case op_code::sweep:
-            if (sweep_state == nullptr) {
-                // A sweep as a sweep target: its parent always rejects
-                // it, but only after it parsed, so an error inside it is
-                // the one parse_request raises.  Parse it recursively, in
-                // heap scratch of its own (error path only).
-                nested = std::make_unique<fast_parse_state>();
-                sweep_state = nested.get();
-            }
-            parse_sweep_fast(r, *sweep_state);
-            break;
-        case op_code::stats:
-            ensure_payload<stats_request>(out);
-            break;
-        case op_code::chiplet: parse_chiplet_fast(r, out); break;
-        case op_code::partition_explore:
-            parse_partition_explore_fast(r, out);
-            break;
+    if (*op == op_code::sweep) {
+        if (sweep_state == nullptr) {
+            // A sweep as a sweep target: its parent always rejects it,
+            // but only after it parsed, so an error inside it is the one
+            // parse_request raises.  Parse it recursively, in heap
+            // scratch of its own (error path only).
+            nested = std::make_unique<fast_parse_state>();
+            sweep_state = nested.get();
+        }
+        read_sweep(r, *sweep_state);
+    } else {
+        const block_table& b = *payload_table(*op);
+        read_block(b, r, static_cast<char*>(b.reset(out)));
     }
     r.forbid_unknown();
 
     key_out.clear();
-    switch (*op) {
-        case op_code::sweep:
-            emit_sweep_key(std::get<sweep_request>(sweep_state->req.payload),
-                           sweep_state->target_key, key_out);
-            break;
-        default:
-            canonical_key_into(out, key_out);
-            break;
+    if (*op == op_code::sweep) {
+        sweep_key_into(std::get<sweep_request>(sweep_state->req.payload),
+                       sweep_state->target_key, key_out);
+    } else {
+        canonical_key_into(out, key_out);
     }
 }
 
-void parse_sweep_fast(fast_reader& r, fast_parse_state& st) {
+void read_sweep(fast_reader& r, fast_parse_state& st) {
     sweep_request& out = ensure_payload<sweep_request>(st.req);
 
     const aview* target = r.raw("target");
     if (target == nullptr) {
         throw request_error("bad_param", "sweep: 'target' is required");
     }
-    require_object_fast(*target, "sweep.target");
+    require_object(*target, "sweep.target");
     if (target->find("id") != nullptr) {
         throw request_error("bad_param",
                             "sweep.target: must not carry an 'id'");
@@ -887,8 +801,8 @@ void parse_sweep_fast(fast_reader& r, fast_parse_state& st) {
                             "sweep.target: must not carry a 'trace_id'");
     }
 
-    parse_request_fast_inner(*target, st.target_req, st.target_key,
-                             /*sweep_state=*/nullptr);
+    read_request(*target, st.target_req, st.target_key,
+                 /*sweep_state=*/nullptr);
     if (st.target_req.op == op_code::sweep ||
         st.target_req.op == op_code::stats ||
         primary_metric(st.target_req.op) == nullptr) {
@@ -930,16 +844,10 @@ void parse_sweep_fast(fast_reader& r, fast_parse_state& st) {
                             "sweep: 'from'/'to' must be finite");
     }
 
-    out.count = r.integer("count", out.count);
-    if (out.count < 1 || out.count > 65536) {
-        throw request_error("bad_param",
-                            "sweep: count must be in [1, 65536]");
-    }
-    r.text_into("scale", out.scale);
-    if (out.scale != "linear" && out.scale != "log") {
-        throw request_error("bad_param",
-                            "sweep: scale must be 'linear' or 'log'");
-    }
+    read_value(r, "count", field_kind::integer, &out.count);
+    check_range(out.count, 1, 65536, "sweep: count must be in [1, 65536]");
+    read_value(r, "scale", field_kind::text, &out.scale);
+    check_scale(out.scale, "sweep: scale must be 'linear' or 'log'");
     if (out.scale == "log" && (!(out.from > 0.0) || !(out.to > 0.0))) {
         throw request_error(
             "bad_param", "sweep: log scale requires positive 'from'/'to'");
@@ -951,338 +859,112 @@ void parse_sweep_fast(fast_reader& r, fast_parse_state& st) {
 void parse_request_fast(const json::aview& doc, fast_parse_state& st) {
     st.id_view = nullptr;
     st.trace_view = nullptr;
-    parse_request_fast_inner(doc, st.req, st.req.canonical_key, &st);
+    read_request(doc, st.req, st.req.canonical_key, &st);
 }
 
 void canonical_key_into(const request& r, std::string& out) {
-    switch (r.op) {
-        case op_code::cost_tr:
-            emit_cost_tr_key(std::get<cost_tr_request>(r.payload), out);
-            break;
-        case op_code::gross_die:
-            emit_gross_die_key(std::get<gross_die_request>(r.payload), out);
-            break;
-        case op_code::yield:
-            emit_yield_key(std::get<yield_request>(r.payload), out);
-            break;
-        case op_code::scenario1:
-            emit_scenario1_key(std::get<scenario1_request>(r.payload), out);
-            break;
-        case op_code::scenario2:
-            emit_scenario2_key(std::get<scenario2_request>(r.payload), out);
-            break;
-        case op_code::table3:
-            emit_table3_key(std::get<table3_request>(r.payload), out);
-            break;
-        case op_code::mc_yield:
-            emit_mc_yield_key(std::get<mc_yield_request>(r.payload), out);
-            break;
-        case op_code::sweep: {
-            // Sweeps from parse_request (`target` set);
-            // parse_request_fast splices the target key it canonicalized
-            // while parsing.
-            const auto& q = std::get<sweep_request>(r.payload);
-            std::string target_key;
-            canonical_key_into(*q.target, target_key);
-            emit_sweep_key(q, target_key, out);
-            break;
-        }
-        case op_code::stats:
-            out += "{\"op\":\"stats\"}";
-            break;
-        case op_code::chiplet:
-            emit_chiplet_key(std::get<chiplet_request>(r.payload), out);
-            break;
-        case op_code::partition_explore:
-            emit_partition_explore_key(
-                std::get<partition_explore_request>(r.payload), out);
-            break;
+    if (r.op == op_code::sweep) {
+        // Sweeps from parse_request (`target` set); parse_request_fast
+        // splices the target key it canonicalized while parsing.
+        const auto& q = std::get<sweep_request>(r.payload);
+        std::string target_key;
+        canonical_key_into(*q.target, target_key);
+        sweep_key_into(q, target_key, out);
+        return;
     }
+    write_key(*payload_table(r.op), payload_address(r), out, nullptr);
 }
 
 // ---------------------------------------------------------------------------
-// Numeric parameter tables (the numeric members of request_to_json)
+// Numeric parameters (the numbers of the canonical key, by dotted path)
 // ---------------------------------------------------------------------------
-
-namespace {
-
-double* cost_tr_param(cost_tr_request& q, std::string_view p) {
-    if (p == "process.c0_usd") return &q.process.c0_usd;
-    if (p == "process.x") return &q.process.x;
-    if (p == "process.generation_step_um") return &q.process.generation_step_um;
-    if (p == "process.wafer_radius_cm") return &q.process.wafer_radius_cm;
-    if (p == "process.edge_exclusion_cm") return &q.process.edge_exclusion_cm;
-    if (p == "process.yield.y0") return &q.process.yield.y0;
-    if (p == "process.yield.a0_cm2") return &q.process.yield.a0_cm2;
-    if (p == "process.yield.d") return &q.process.yield.d;
-    if (p == "process.yield.p") return &q.process.yield.p;
-    if (p == "process.yield.fixed") return &q.process.yield.fixed;
-    if (p == "product.transistors") return &q.product.transistors;
-    if (p == "product.design_density") return &q.product.design_density;
-    if (p == "product.feature_size_um") return &q.product.feature_size_um;
-    if (p == "product.die_aspect_ratio") return &q.product.die_aspect_ratio;
-    if (p == "economics.overhead_usd") return &q.economics.overhead_usd;
-    if (p == "economics.volume_wafers") return &q.economics.volume_wafers;
-    return nullptr;
-}
-
-double* gross_die_param(gross_die_request& q, std::string_view p) {
-    if (p == "wafer_radius_cm") return &q.wafer_radius_cm;
-    if (p == "edge_exclusion_cm") return &q.edge_exclusion_cm;
-    if (p == "die_width_mm") return &q.die_width_mm;
-    if (p == "die_height_mm") return &q.die_height_mm;
-    if (p == "scribe_mm") return &q.scribe_mm;
-    return nullptr;
-}
-
-double* yield_param(yield_request& q, std::string_view p) {
-    if (p == "expected_faults") return &q.expected_faults;
-    if (p == "die_area_cm2") return &q.die_area_cm2;
-    if (p == "defects_per_cm2") return &q.defects_per_cm2;
-    if (p == "alpha") return &q.alpha;
-    if (p == "d") return &q.d;
-    if (p == "p") return &q.p;
-    if (p == "lambda_um") return &q.lambda_um;
-    if (p == "y0") return &q.y0;
-    if (p == "a0_cm2") return &q.a0_cm2;
-    return nullptr;
-}
-
-double* scenario1_param(scenario1_request& q, std::string_view p) {
-    if (p == "lambda_um") return &q.lambda_um;
-    if (p == "c0_usd") return &q.c0_usd;
-    if (p == "x") return &q.x;
-    if (p == "wafer_radius_cm") return &q.wafer_radius_cm;
-    if (p == "design_density") return &q.design_density;
-    return nullptr;
-}
-
-double* scenario2_param(scenario2_request& q, std::string_view p) {
-    if (p == "lambda_um") return &q.lambda_um;
-    if (p == "c0_usd") return &q.c0_usd;
-    if (p == "x") return &q.x;
-    if (p == "wafer_radius_cm") return &q.wafer_radius_cm;
-    if (p == "design_density") return &q.design_density;
-    if (p == "y0") return &q.y0;
-    return nullptr;
-}
-
-double* chiplet_param(chiplet_request& q, std::string_view p) {
-    if (p == "logic_area_mm2") return &q.logic_area_mm2;
-    if (p == "memory_area_mm2") return &q.memory_area_mm2;
-    if (p == "io_area_mm2") return &q.io_area_mm2;
-    if (p == "d2d_area_mm2") return &q.d2d_area_mm2;
-    if (p == "lambda_um") return &q.lambda_um;
-    if (p == "c0_usd") return &q.c0_usd;
-    if (p == "x") return &q.x;
-    if (p == "generation_step_um") return &q.generation_step_um;
-    if (p == "wafer_radius_cm") return &q.wafer_radius_cm;
-    if (p == "edge_exclusion_cm") return &q.edge_exclusion_cm;
-    if (p == "defects_per_cm2") return &q.defects_per_cm2;
-    if (p == "memory_defect_factor") return &q.memory_defect_factor;
-    if (p == "io_defect_factor") return &q.io_defect_factor;
-    if (p == "clustering_alpha") return &q.clustering_alpha;
-    if (p == "test_coverage") return &q.test_coverage;
-    if (p == "tester_rate_per_hour") return &q.tester_rate_per_hour;
-    if (p == "test_seconds_fixed") return &q.test_seconds_fixed;
-    if (p == "test_seconds_per_cm2") return &q.test_seconds_per_cm2;
-    if (p == "substrate_cost_per_cm2") return &q.substrate_cost_per_cm2;
-    if (p == "rdl_cost_per_cm2") return &q.rdl_cost_per_cm2;
-    if (p == "rdl_defects_per_cm2") return &q.rdl_defects_per_cm2;
-    if (p == "interposer_cost_per_cm2") return &q.interposer_cost_per_cm2;
-    if (p == "interposer_defects_per_cm2") {
-        return &q.interposer_defects_per_cm2;
-    }
-    if (p == "package_area_factor") return &q.package_area_factor;
-    if (p == "bond_yield") return &q.bond_yield;
-    if (p == "bonding_cost_per_chiplet") return &q.bonding_cost_per_chiplet;
-    return nullptr;
-}
-
-double* mc_yield_param(mc_yield_request& q, std::string_view p) {
-    if (p == "line_width_um") return &q.line_width_um;
-    if (p == "line_spacing_um") return &q.line_spacing_um;
-    if (p == "line_length_um") return &q.line_length_um;
-    if (p == "defect_r0_um") return &q.defect_r0_um;
-    if (p == "defect_p") return &q.defect_p;
-    if (p == "defect_q") return &q.defect_q;
-    if (p == "defects_per_um2") return &q.defects_per_um2;
-    if (p == "extra_material_fraction") return &q.extra_material_fraction;
-    return nullptr;
-}
-
-/// Numeric members serialized from integer storage: addressable by a
-/// sweep, but not double-pokeable (set_numeric_param checks them).
-bool integer_param_exists(const request& r, std::string_view p) {
-    switch (r.op) {
-        case op_code::yield:
-            return p == "critical_steps";
-        case op_code::mc_yield:
-            return p == "line_count" || p == "dies" || p == "seed";
-        case op_code::table3:
-            return p == "row";
-        case op_code::chiplet:
-            return p == "chiplets";
-        default:
-            return false;
-    }
-}
-
-}  // namespace
 
 double* numeric_param_ptr(request& r, std::string_view path) {
-    switch (r.op) {
-        case op_code::cost_tr:
-            return cost_tr_param(std::get<cost_tr_request>(r.payload), path);
-        case op_code::gross_die:
-            return gross_die_param(std::get<gross_die_request>(r.payload),
-                                   path);
-        case op_code::yield:
-            return yield_param(std::get<yield_request>(r.payload), path);
-        case op_code::scenario1:
-            return scenario1_param(std::get<scenario1_request>(r.payload),
-                                   path);
-        case op_code::scenario2:
-            return scenario2_param(std::get<scenario2_request>(r.payload),
-                                   path);
-        case op_code::mc_yield:
-            return mc_yield_param(std::get<mc_yield_request>(r.payload),
-                                  path);
-        case op_code::chiplet:
-            return chiplet_param(std::get<chiplet_request>(r.payload), path);
-        case op_code::table3:
-        case op_code::sweep:
-        case op_code::stats:
-        case op_code::partition_explore:
-            return nullptr;
-    }
-    return nullptr;
+    const leaf l = find_numeric(r, path);
+    return l.field != nullptr && l.field->kind == field_kind::number
+               ? &member_at<double>(l.member)
+               : nullptr;
 }
 
 bool numeric_param_exists(const request& r, std::string_view path) {
-    if (integer_param_exists(r, path)) {
-        return true;
-    }
-    // The pointer table never writes through a const request.
-    return numeric_param_ptr(const_cast<request&>(r), path) != nullptr;
+    // The finder never writes through a const request.
+    return find_numeric(const_cast<request&>(r), path).field != nullptr;
 }
 
 double numeric_param_value(const request& r, std::string_view path) {
-    // The pointer table never writes through a const request.
-    if (const double* slot = numeric_param_ptr(const_cast<request&>(r), path)) {
-        return *slot;
-    }
-    switch (r.op) {
-        case op_code::yield:
-            return std::get<yield_request>(r.payload).critical_steps;
-        case op_code::mc_yield: {
-            const auto& q = std::get<mc_yield_request>(r.payload);
-            return path == "seed"   ? static_cast<double>(q.seed)
-                   : path == "dies" ? q.dies
-                                    : q.line_count;
-        }
-        case op_code::table3:
-            return std::get<table3_request>(r.payload).row;
-        default:
-            return std::get<chiplet_request>(r.payload).chiplets;
-    }
+    const leaf l = find_numeric_or_throw(r, path);
+    return number_at(l.field->kind, l.member);
 }
 
 void set_numeric_param(request& r, std::string_view path, double v) {
-    if (double* slot = numeric_param_ptr(r, path)) {
-        *slot = v;
-        return;
+    const leaf l = find_numeric_or_throw(r, path);
+    switch (l.field->kind) {
+        case field_kind::integer:
+            if (!is_int_value(v)) {
+                throw request_error("bad_param",
+                                    "sweep: lane is not an integer");
+            }
+            member_at<int>(l.member) = static_cast<int>(v);
+            break;
+        case field_kind::uint53:
+            if (!is_uint53_value(v)) {
+                throw request_error("bad_param", "sweep: lane is not a seed");
+            }
+            member_at<std::uint64_t>(l.member) =
+                static_cast<std::uint64_t>(v);
+            break;
+        default:
+            member_at<double>(l.member) = v;
+            break;
     }
-    if (path == "seed") {  // mc_yield's only unsigned parameter
-        if (!is_uint53_value(v)) {
-            throw request_error("bad_param", "sweep: lane is not a seed");
-        }
-        std::get<mc_yield_request>(r.payload).seed =
-            static_cast<std::uint64_t>(v);
-        return;
+    // The checks parsing runs on the field and its block, so a lane is
+    // rejected exactly when its point request would be.
+    if (l.field->check != nullptr) {
+        l.field->check(l.owner_base);
     }
-    if (!is_int_value(v)) {
-        throw request_error("bad_param", "sweep: lane is not an integer");
-    }
-    const int i = static_cast<int>(v);
-    if (r.op == op_code::yield) {
-        std::get<yield_request>(r.payload).critical_steps = i;
-    } else if (r.op == op_code::mc_yield) {
-        auto& q = std::get<mc_yield_request>(r.payload);
-        (path == "dies" ? q.dies : q.line_count) = i;
-        check_mc_dies(q.dies);
-    } else {
-        std::get<chiplet_request>(r.payload).chiplets = i;
-        check_chiplets(i);
+    if (l.owner->check != nullptr) {
+        l.owner->check(l.owner_base);
     }
 }
 
 lane_key_template::lane_key_template(
-    const request& base, std::span<const std::string_view> params)
-    : params_(params.begin(), params.end()) {
-    // Render the key twice, with parameter i at 11 + i and then at
-    // 14 + i: two-digit sentinels every parameter accepts (chiplets
-    // included), so the renders align byte for byte and differ exactly
-    // inside the holes.
-    if (params_.size() > 3) {
+    const request& base, std::span<const std::string_view> params) {
+    if (params.size() > 3) {
         throw std::logic_error("lane_key_template: more than three holes");
     }
-    request first = base;
-    request second = base;
-    for (std::size_t i = 0; i < params_.size(); ++i) {
-        set_numeric_param(first, params_[i], static_cast<double>(11 + i));
-        set_numeric_param(second, params_[i], static_cast<double>(14 + i));
+    // Write the base's key once, cut at the parameters' members: each
+    // hole is where one of their numbers goes.
+    const char* payload = payload_address(base);
+    std::array<const char*, 3> members{};
+    for (std::size_t i = 0; i < params.size(); ++i) {
+        const leaf l = find_numeric(const_cast<request&>(base), params[i]);
+        if (l.field == nullptr ||
+            std::find(members.begin(), members.begin() + i, l.member) !=
+                members.begin() + i) {
+            throw std::logic_error(
+                "lane_key_template: a parameter is not one number of the "
+                "key");
+        }
+        members[i] = l.member;
+        holes_.push_back({0, static_cast<std::size_t>(l.member - payload),
+                          number_reader(l.field->kind)});
     }
-    std::string a;
-    std::string b;
-    canonical_key_into(first, a);
-    canonical_key_into(second, b);
-    const auto is_digit = [](char c) { return c >= '0' && c <= '9'; };
-    std::vector<bool> found(params_.size(), false);
-    std::size_t copied = 0;
-    std::size_t i = 0;
-    while (a.size() == b.size() && i < a.size()) {
-        if (a[i] == b[i]) {
-            ++i;
-            continue;
-        }
-        std::size_t begin = i;
-        while (begin > 0 && is_digit(a[begin - 1])) {
-            --begin;
-        }
-        std::size_t end = i;
-        while (end < a.size() && is_digit(a[end])) {
-            ++end;
-        }
-        const std::string_view token{a.data() + begin, end - begin};
-        const std::size_t param =
-            token.size() == 2 && token[0] == '1'
-                ? static_cast<std::size_t>(token[1] - '1')
-                : params_.size();
-        if (param >= params_.size() || found[param] ||
-            std::string_view{b}.substr(begin, end - begin) !=
-                std::to_string(14 + param)) {
-            break;  // not a sentinel: reported below
-        }
-        found[param] = true;
-        text_.append(a, copied, begin - copied);
-        holes_.push_back({text_.size(), param});
-        copied = end;
-        i = end;
+    key_cuts cuts{{members.data(), params.size()}, {}};
+    write_key(*payload_table(base.op), payload, text_, &cuts);
+    std::vector<hole> ordered;  // key order
+    for (const auto& [at, i] : cuts.found) {
+        ordered.push_back(holes_[i]);
+        ordered.back().end = at;
     }
-    if (a.size() != b.size() || holes_.size() != params_.size()) {
-        throw std::logic_error(
-            "lane_key_template: a parameter is not one number of the key");
-    }
-    text_.append(a, copied);
+    holes_ = std::move(ordered);
 }
 
 void lane_key_template::key_into(const request& lane, std::string& out) const {
+    const char* payload = payload_address(lane);
     std::size_t at = 0;
     for (const hole& h : holes_) {
         out.append(text_.data() + at, h.end - at);
-        json::format_number_into(numeric_param_value(lane, params_[h.param]),
-                                 out);
+        json::format_number_into(h.number(payload + h.offset), out);
         at = h.end;
     }
     out.append(text_.data() + at, text_.size() - at);

@@ -2,13 +2,19 @@
 //
 // `parse_request` (request.hpp) builds heap-owned `json::value` trees and
 // strings per line; that cost would dominate a warm cache hit.  This
-// module is the parser the engine serves every line with, and the
-// allocation-free twin of `parse_request`: it parses an arena-backed
-// `json::aview` document into a *reused* `request` (string members keep
-// their capacity, the payload variant keeps its alternative when the op
-// repeats) and emits the canonical cache key directly into a reused
-// buffer through hand-ordered sorted-key emitters — no DOM, no sort, no
-// temporaries.
+// module is the parser the engine serves every line with: it parses an
+// arena-backed `json::aview` document into a *reused* `request` (string
+// members keep their capacity, the payload variant keeps its alternative
+// when the op repeats) and writes the canonical cache key directly into
+// a reused buffer — no DOM, no sort, no temporaries.
+//
+// Each parameter block (process, product, economics, every op's payload,
+// the chiplet configuration) is declared once in request_fast.cpp as an
+// ordered table of fields: name, member, kind, and an optional check run
+// right after the field is read.  The parser reads a table in declared
+// order, the key writer in bytewise-sorted name order (computed once per
+// block), and the sweep-parameter functions below resolve dotted paths
+// through it.
 //
 // Equivalence contract (pinned by tests/serve/test_hotpath.cpp): for every
 // input document, `parse_request_fast` either
@@ -16,14 +22,14 @@
 //     `parse_request(json::parse(line))` would produce, or
 //   - throws a `request_error` with the same code and message.
 // There is no third outcome: every shape, nested sweep targets included,
-// is parsed here.  `parse_request` stays as the reference the tests and
-// benchmarks compare against.
+// is parsed here.  `parse_request` stays as the independent reference the
+// tests and benchmarks compare against.
 //
 // `numeric_param_exists` / `numeric_param_ptr` / `set_numeric_param` /
-// `numeric_param_value` are member tables over a request's numeric
-// parameters: the `param` values a sweep accepts, and what each sweep
-// lane writes instead of cloning and re-parsing a JSON document.
-// `lane_key_template` keys a grid's lanes from them: the base request's
+// `numeric_param_value` address a request's numeric parameters by dotted
+// path ("process.yield.y0"): the `param` values a sweep accepts, and what
+// each sweep lane writes instead of cloning and re-parsing a JSON
+// document.  `lane_key_template` keys a grid's lanes: the base request's
 // canonical key, cut once per grid at the parameters its lanes bind.
 
 #pragma once
@@ -71,8 +77,8 @@ void parse_request_fast(const json::aview& doc, fast_parse_state& st);
 void canonical_key_into(const request& r, std::string& out);
 
 /// True when dotted `path` addresses a numeric parameter of `r`'s
-/// canonical serialization (integer-typed parameters included) — the
-/// set of `param` values a sweep accepts.
+/// canonical serialization (integer-typed parameters included) — for a
+/// sweep target op, the set of `param` values a sweep accepts.
 [[nodiscard]] bool numeric_param_exists(const request& r,
                                         std::string_view path);
 
@@ -81,10 +87,10 @@ void canonical_key_into(const request& r, std::string& out);
 [[nodiscard]] double* numeric_param_ptr(request& r, std::string_view path);
 
 /// Sets the numeric parameter `path` of `r` to `v` — one sweep lane.
-/// `path` must be one numeric_param_exists accepts for a sweepable op.
-/// Throws request_error exactly when parse_request would reject `v`
-/// there (an integer out of range or not integral, dies outside
-/// [1, 1e8], chiplets outside [1, 16]).
+/// `path` must be one numeric_param_exists accepts (std::logic_error
+/// otherwise).  Throws request_error exactly when parse_request would
+/// reject `v` there (an integer out of range or not integral, dies
+/// outside [1, 1e8], chiplets outside [1, 16]).
 void set_numeric_param(request& r, std::string_view path, double v);
 
 /// The number `r`'s canonical key prints for the numeric parameter
@@ -94,15 +100,16 @@ void set_numeric_param(request& r, std::string_view path, double v);
                                          std::string_view path);
 
 /// The canonical keys of a grid's lanes, which differ from the base
-/// request only in the numeric parameters the lanes bind: the base's key
-/// cut at those parameters' numbers, built once per grid from
-/// canonical_key_into.  A lane's key is then the constant text with its
-/// own values spliced in, byte-identical to canonical_key_into(lane).
+/// request only in the numeric parameters the lanes bind: the base's key,
+/// written once per grid by the key writer with a hole where each of
+/// those parameters' numbers goes.  A lane's key is then the constant
+/// text with its own values spliced in, byte-identical to
+/// canonical_key_into(lane).
 class lane_key_template {
 public:
     /// Cuts `base`'s key at `params` (at most three paths that
-    /// numeric_param_exists accepts, distinct).  The views must outlive
-    /// the template.
+    /// numeric_param_exists accepts, distinct); std::logic_error
+    /// otherwise.
     lane_key_template(const request& base,
                       std::span<const std::string_view> params);
 
@@ -112,14 +119,15 @@ public:
 
 private:
     /// Constant text [previous hole's end, end) of text_, then the
-    /// number of params_[param].
+    /// number of the parameter at byte `offset` of the lane's payload,
+    /// read by `number`.
     struct hole {
         std::size_t end;
-        std::size_t param;
+        std::size_t offset;
+        double (*number)(const char* member);
     };
     std::string text_;
     std::vector<hole> holes_;
-    std::vector<std::string_view> params_;
 };
 
 }  // namespace silicon::serve

@@ -712,7 +712,7 @@ TEST(EventLoop, OversizedLineRejectedInOrderThenClosed) {
     const std::string body = read_to_eof(fd);
     // Reply 1 answers the good line; reply 2 is the too_large envelope
     // at the oversized line's stream position; the connection then
-    // closes (close_on_oversize), so the third line is never served.
+    // closes (framing is suspect), so the third line is never served.
     const std::size_t nl = body.find('\n');
     ASSERT_NE(nl, std::string::npos);
     EXPECT_EQ(body.substr(0, nl), reference.handle_line(ok_line));

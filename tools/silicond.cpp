@@ -546,17 +546,17 @@ long read_some(int fd, char* buf, std::size_t cap) {
 /// Gather a batch's responses (and their newlines) into one buffer and
 /// write it with a single EINTR-safe gathered write — a writev-style
 /// flush instead of one small write per line.  The buffer is reused
-/// across batches.  Returns false when the peer is gone.
+/// across batches.  Returns false when the output is gone.
 bool flush_batch(silicon::serve::engine& engine,
                  std::vector<std::string>& lines, std::string& gather,
-                 int fd, bool is_socket) {
+                 int fd) {
     if (lines.empty()) {
         return true;
     }
     gather.clear();
     engine.handle_batch_into(lines, gather);
     lines.clear();
-    if (!io::write_all_fd(fd, gather, is_socket)) {
+    if (!io::write_all_fd(fd, gather, /*is_socket=*/false)) {
         return false;
     }
     silicon::serve::transport_counters& counters =
@@ -566,20 +566,18 @@ bool flush_batch(silicon::serve::engine& engine,
     return true;
 }
 
-/// Shared per-connection/per-stream line loop: frame bytes through the
-/// bounded splitter, batch complete lines, answer oversized lines with
-/// a `too_large` envelope *after* the pending batch (replies stay in
-/// request order).  Transport-specific behavior (metrics scrape shape,
-/// close-on-oversize) is parameterized.
+/// The stdio line loop: frame bytes through the bounded splitter, batch
+/// complete lines, answer oversized lines with a `too_large` envelope
+/// *after* the pending batch (replies stay in request order).  stdio is
+/// a long-lived session: an oversized line is answered and discarded
+/// and the stream continues; a metrics line emits the exposition inline
+/// and the loop resumes.
 struct line_loop {
     silicon::serve::engine& engine;
     int in_fd;
     int out_fd;
-    bool is_socket;
     std::size_t batch;
     std::size_t max_line_bytes;
-    bool close_on_oversize;
-    bool close_on_scrape;
 
     io::line_splitter splitter{0};
     std::vector<std::string> lines;
@@ -604,7 +602,7 @@ struct line_loop {
             // sends one request and waits must not stall behind the
             // batch-size threshold.
             if (!dead &&
-                !flush_batch(engine, lines, gather, out_fd, is_socket)) {
+                !flush_batch(engine, lines, gather, out_fd)) {
                 dead = true;
             }
         }
@@ -612,7 +610,7 @@ struct line_loop {
             splitter.finish(on_line);
         }
         if (!dead) {
-            flush_batch(engine, lines, gather, out_fd, is_socket);
+            flush_batch(engine, lines, gather, out_fd);
         }
     }
 
@@ -624,7 +622,7 @@ private:
         if (oversized) {
             // Answer pending work first so the rejection lands at the
             // position the oversized line occupied.
-            if (!flush_batch(engine, lines, gather, out_fd, is_socket)) {
+            if (!flush_batch(engine, lines, gather, out_fd)) {
                 dead = true;
                 return;
             }
@@ -633,12 +631,8 @@ private:
             reject.clear();
             silicon::serve::append_line_too_large(max_line_bytes, reject);
             reject += '\n';
-            if (!io::write_all_fd(out_fd, reject, is_socket)) {
+            if (!io::write_all_fd(out_fd, reject, /*is_socket=*/false)) {
                 dead = true;
-                return;
-            }
-            if (close_on_oversize) {
-                dead = true;  // protocol framing is suspect: drop the peer
             }
             return;
         }
@@ -646,55 +640,27 @@ private:
             return;  // blank lines are keep-alives, not requests
         }
         if (is_metrics_request(line)) {
-            // Scrape: answer pending work first, then the exposition
-            // (an HTTP one-shot over TCP, inline text over stdio).
-            if (!flush_batch(engine, lines, gather, out_fd, is_socket)) {
+            // Scrape: answer pending work first, then the exposition.
+            if (!flush_batch(engine, lines, gather, out_fd)) {
                 dead = true;
                 return;
             }
-            emit_metrics();
-            if (close_on_scrape) {
-                dead = true;
-            }
+            io::write_all_fd(out_fd, engine.prometheus_text(),
+                             /*is_socket=*/false);
             return;
         }
         lines.emplace_back(line);
         if (lines.size() >= batch) {
-            if (!flush_batch(engine, lines, gather, out_fd, is_socket)) {
+            if (!flush_batch(engine, lines, gather, out_fd)) {
                 dead = true;
             }
-        }
-    }
-
-    void emit_metrics() {
-        const std::string body = engine.prometheus_text();
-        if (is_socket) {
-            // One-shot HTTP response so `curl :port/metrics` works.
-            std::string response =
-                "HTTP/1.0 200 OK\r\n"
-                "Content-Type: text/plain; version=0.0.4\r\n"
-                "Content-Length: " +
-                std::to_string(body.size()) + "\r\n\r\n";
-            response += body;
-            io::write_all_fd(out_fd, response, is_socket);
-        } else {
-            io::write_all_fd(out_fd, body, is_socket);
         }
     }
 };
 
 int run_stdio(silicon::serve::engine& engine, const options& opt) {
-    // stdio is a long-lived session: an oversized line is answered and
-    // discarded, the stream continues; a metrics line emits the
-    // exposition inline and the loop resumes.
-    line_loop loop{engine,
-                   STDIN_FILENO,
-                   STDOUT_FILENO,
-                   /*is_socket=*/false,
-                   opt.batch,
-                   opt.max_line_bytes,
-                   /*close_on_oversize=*/false,
-                   /*close_on_scrape=*/false};
+    line_loop loop{engine, STDIN_FILENO, STDOUT_FILENO, opt.batch,
+                   opt.max_line_bytes};
     loop.run();
     return 0;
 }
@@ -742,7 +708,6 @@ int run_tcp(silicon::serve::engine& engine, const options& opt) {
     loop_config.write_timeout_ms = opt.write_timeout_ms;
     loop_config.conn.batch = opt.batch;
     loop_config.conn.max_line_bytes = opt.max_line_bytes;
-    loop_config.conn.close_on_oversize = true;
     if (opt.snapshot_interval > 0 && !opt.cache_snapshot.empty()) {
         // Periodic snapshots ride the loop's timerfd tick; the write
         // serializes the cache shard-by-shard and the file I/O is a
