@@ -107,10 +107,6 @@ public:
     /// (one write(2) on an eventfd).
     void stop() noexcept;
 
-    [[nodiscard]] std::size_t open_connections() const noexcept {
-        return conns_.size();
-    }
-
 private:
     static constexpr std::size_t wheel_slots = 256;
 

@@ -787,8 +787,4 @@ std::string canonical(const value& v) {
     return out;
 }
 
-void canonical_into(const value& v, std::string& out) {
-    write_value(out, v, /*sort_keys=*/true);
-}
-
 }  // namespace silicon::serve::json

@@ -142,9 +142,6 @@ private:
 /// string formatting is identical to `dump`.
 [[nodiscard]] std::string canonical(const value& v);
 
-/// Append-style `canonical` (same bytes, appended to `out`).
-void canonical_into(const value& v, std::string& out);
-
 /// Shortest round-trip formatting of a double (std::to_chars' bytes);
 /// the single number formatter used by every writer.  Non-finite values
 /// return "null".

@@ -60,13 +60,6 @@ struct limits_config {
     /// Shed half the memoization-cache shards on every `overloaded`
     /// rejection (reclaims memory exactly when pressure is observed).
     bool shed_on_overload = false;
-
-    [[nodiscard]] bool any_enabled() const noexcept {
-        return max_line_bytes != 0 || max_batch_lines != 0 ||
-               max_sweep_points != 0 || max_mc_dies != 0 ||
-               max_inflight_bytes != 0 || default_deadline_ms != 0 ||
-               max_arena_reserved_bytes != 0;
-    }
 };
 
 /// Stable rejection reason labels (metrics + tests index by these;

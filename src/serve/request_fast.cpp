@@ -21,7 +21,8 @@
 //   - `write_key` writes the same fields in bytewise-sorted name order,
 //     "op" at its sorted place, an order computed once per block;
 //   - `find_numeric` resolves a sweep's dotted parameter path to its
-//     member.
+//     member, once per grid for `numeric_param`, which then binds every
+//     lane by offset.
 // tests/serve/test_hotpath.cpp compares the parser and the key writer
 // with `parse_request` and json::canonical(request_to_json(r)) on a
 // corpus generated over every field of every op.
@@ -897,34 +898,56 @@ double numeric_param_value(const request& r, std::string_view path) {
 }
 
 void set_numeric_param(request& r, std::string_view path, double v) {
+    numeric_param{r, path}.set(r, v);
+}
+
+numeric_param::numeric_param(const request& r, std::string_view path) {
     const leaf l = find_numeric_or_throw(r, path);
-    switch (l.field->kind) {
-        case field_kind::integer:
+    const char* payload = payload_address(r);
+    offset_ = static_cast<std::size_t>(l.member - payload);
+    owner_offset_ = static_cast<std::size_t>(l.owner_base - payload);
+    kind_ = l.field->kind == field_kind::integer ? kind::integer
+            : l.field->kind == field_kind::uint53 ? kind::uint53
+                                                  : kind::number;
+    field_check_ = l.field->check;
+    block_check_ = l.owner->check;
+}
+
+void numeric_param::set(request& lane, double v) const {
+    char* payload = payload_address(lane);
+    char* member = payload + offset_;
+    switch (kind_) {
+        case kind::integer:
             if (!is_int_value(v)) {
                 throw request_error("bad_param",
                                     "sweep: lane is not an integer");
             }
-            member_at<int>(l.member) = static_cast<int>(v);
+            member_at<int>(member) = static_cast<int>(v);
             break;
-        case field_kind::uint53:
+        case kind::uint53:
             if (!is_uint53_value(v)) {
                 throw request_error("bad_param", "sweep: lane is not a seed");
             }
-            member_at<std::uint64_t>(l.member) =
-                static_cast<std::uint64_t>(v);
+            member_at<std::uint64_t>(member) = static_cast<std::uint64_t>(v);
             break;
-        default:
-            member_at<double>(l.member) = v;
+        case kind::number:
+            member_at<double>(member) = v;
             break;
     }
     // The checks parsing runs on the field and its block, so a lane is
     // rejected exactly when its point request would be.
-    if (l.field->check != nullptr) {
-        l.field->check(l.owner_base);
+    if (field_check_ != nullptr) {
+        field_check_(payload + owner_offset_);
     }
-    if (l.owner->check != nullptr) {
-        l.owner->check(l.owner_base);
+    if (block_check_ != nullptr) {
+        block_check_(payload + owner_offset_);
     }
+}
+
+double* numeric_param::ptr(request& lane) const {
+    return kind_ == kind::number
+               ? &member_at<double>(payload_address(lane) + offset_)
+               : nullptr;
 }
 
 lane_key_template::lane_key_template(

@@ -29,8 +29,10 @@
 // `numeric_param_value` address a request's numeric parameters by dotted
 // path ("process.yield.y0"): the `param` values a sweep accepts, and what
 // each sweep lane writes instead of cloning and re-parsing a JSON
-// document.  `lane_key_template` keys a grid's lanes: the base request's
-// canonical key, cut once per grid at the parameters its lanes bind.
+// document.  `numeric_param` resolves such a path once per grid, so
+// binding a lane walks no table.  `lane_key_template` keys a grid's
+// lanes: the base request's canonical key, cut once per grid at the
+// parameters its lanes bind.
 
 #pragma once
 
@@ -38,6 +40,7 @@
 #include "serve/request.hpp"
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
@@ -92,6 +95,40 @@ void canonical_key_into(const request& r, std::string& out);
 /// reject `v` there (an integer out of range or not integral, dies
 /// outside [1, 1e8], chiplets outside [1, 16]).
 void set_numeric_param(request& r, std::string_view path, double v);
+
+/// A numeric parameter of one op's requests, resolved once from its
+/// dotted path: the member's offset in the payload, its kind, and the
+/// field and block checks parsing runs on it.  A grid binds each lane
+/// through it, so no lane walks the field tables.
+class numeric_param {
+public:
+    /// Resolves `path` in `r`'s op; std::logic_error when
+    /// numeric_param_exists(r, path) is false.
+    numeric_param(const request& r, std::string_view path);
+
+    /// set_numeric_param(lane, path, v) for a request of the same op:
+    /// the same member written, the same request_error thrown.
+    void set(request& lane, double v) const;
+
+    /// numeric_param_ptr(lane, path) for a request of the same op: the
+    /// double member, nullptr when the parameter is integer-typed.
+    [[nodiscard]] double* ptr(request& lane) const;
+
+    /// True when the parameter is a double member (ptr is not null).
+    [[nodiscard]] bool is_double() const noexcept {
+        return kind_ == kind::number;
+    }
+
+private:
+    enum class kind : std::uint8_t { number, integer, uint53 };
+    using check_fn = void (*)(const void* block);
+
+    std::size_t offset_ = 0;        ///< of the member in the payload
+    std::size_t owner_offset_ = 0;  ///< of the block holding the member
+    kind kind_ = kind::number;
+    check_fn field_check_ = nullptr;  ///< on the owner, after the write
+    check_fn block_check_ = nullptr;  ///< the owner block's own check
+};
 
 /// The number `r`'s canonical key prints for the numeric parameter
 /// `path` (one numeric_param_exists accepts): the double member, or the

@@ -421,6 +421,19 @@ std::map<std::string, std::string> cached_entries(serve::engine& engine) {
     return out;
 }
 
+/// The metric `cache` stores beside `key` (nullopt when absent), read
+/// by a one-lane batch probe: a lane splice's read, which counts a hit
+/// and promotes the entry.
+std::optional<double> stored_metric(serve::memo_cache& cache,
+                                    std::string_view key) {
+    const serve::memo_cache::hashed_key lane =
+        serve::memo_cache::hashed_key::of(key);
+    std::optional<double> metric;
+    serve::memo_cache::batch_order order;
+    cache.probe_batch({&lane, 1}, {&metric, 1}, order);
+    return metric;
+}
+
 /// Checks the metric the engine's cache stores beside each of `cached`
 /// (key -> bytes, all of its entries): bit for bit the number its bytes
 /// carry under the key's primary metric, or NaN when that member is
@@ -435,7 +448,7 @@ void expect_stored_metrics(serve::engine& engine,
         const json::value* member =
             name != nullptr ? result.as_object().find(name) : nullptr;
         const std::optional<double> stored =
-            engine.cache().get_metric(key);
+            stored_metric(engine.cache(), key);
         ASSERT_TRUE(stored.has_value()) << key;
         if (member != nullptr && member->is_number()) {
             EXPECT_EQ(std::bit_cast<std::uint64_t>(*stored),
@@ -801,25 +814,44 @@ TEST(Engine, CacheAwareSweepSplicesPrewarmedLanes) {
 
 TEST(Engine, FullyCachedSweepIsByteIdenticalToCold) {
     // A coarser sweep whose grid is a subset of an earlier fine sweep
-    // finds every lane in the cache: the kernel runs over zero lanes
+    // finds every lane in the cache: the lanes evaluate over zero points
     // and the response is pure splice — still byte-identical to a
-    // cache-disabled engine's answer.
-    const std::string fine =
-        R"({"op":"sweep","param":"lambda_um","from":1,"to":5,"count":5,
-            "target":{"op":"scenario2","y0":0.8}})";
-    const std::string coarse =
-        R"({"op":"sweep","param":"lambda_um","from":1,"to":5,"count":3,
-            "target":{"op":"scenario2","y0":0.8}})";
-    serve::engine cold{config_with(1, /*cache_capacity=*/0)};
-    const std::string expected = cold.handle_line(coarse);
+    // cache-disabled engine's answer.  Once for a kernel target
+    // (scenario2) and once for each of two scalar targets (gross_die,
+    // cost_tr through a nested path), whose lanes the scalar loop feeds.
+    struct sweep_case {
+        const char* grid;    ///< param, from and to of both sweeps
+        const char* target;  ///< the target object
+    };
+    const std::vector<sweep_case> cases = {
+        {R"("param":"lambda_um","from":1,"to":5)",
+         R"({"op":"scenario2","y0":0.8})"},
+        {R"("param":"die_width_mm","from":10,"to":30)",
+         R"({"op":"gross_die"})"},
+        {R"("param":"product.transistors","from":1000000,"to":5000000)",
+         R"({"op":"cost_tr"})"},
+    };
+    for (const sweep_case& c : cases) {
+        SCOPED_TRACE(c.target);
+        const auto sweep = [&](int count) {
+            return std::string{R"({"op":"sweep",)"} + c.grid +
+                   R"(,"count":)" + std::to_string(count) +
+                   R"(,"target":)" + c.target + "}";
+        };
+        const std::string fine = sweep(5);
+        const std::string coarse = sweep(3);
+        serve::engine cold{config_with(1, /*cache_capacity=*/0)};
+        const std::string expected = cold.handle_line(coarse);
+        ASSERT_EQ(expected.rfind(R"({"ok":true,)", 0), 0u) << expected;
 
-    serve::engine engine{config_with(4)};
-    (void)engine.handle_line(fine);  // caches lanes {1,2,3,4,5}
-    const auto before = engine.cache_stats();
-    EXPECT_EQ(engine.handle_line(coarse), expected);
-    const auto after = engine.cache_stats();
-    EXPECT_GE(after.hits, before.hits + 3)
-        << "all three coarse lanes {1,3,5} must splice from cache";
+        serve::engine engine{config_with(4)};
+        (void)engine.handle_line(fine);  // caches all five lanes
+        const auto before = engine.cache_stats();
+        EXPECT_EQ(engine.handle_line(coarse), expected);
+        const auto after = engine.cache_stats();
+        EXPECT_GE(after.hits, before.hits + 3)
+            << "all three coarse lanes must splice from cache";
+    }
 }
 
 TEST(Engine, ExploreLanesPopulateTheChipletPointCache) {
@@ -1234,7 +1266,7 @@ std::map<std::string, std::pair<std::string, std::uint64_t>> cache_contents(
     serve::memo_cache& cache = engine.cache();
     for (std::size_t i = 0; i < cache.shard_count(); ++i) {
         for (auto& [key, value] : cache.shard_snapshot(i)) {
-            const std::optional<double> metric = cache.get_metric(key);
+            const std::optional<double> metric = stored_metric(cache, key);
             EXPECT_TRUE(metric.has_value()) << key;
             out.emplace(std::move(key),
                         std::pair{std::move(value),

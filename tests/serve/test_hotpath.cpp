@@ -1684,6 +1684,66 @@ TEST(SweepParams, EveryNumericLeafOfEveryTargetOp) {
     EXPECT_EQ(integers, 5u);  // critical_steps, line_count, dies, seed, chiplets
 }
 
+TEST(SweepParams, ResolvedOnceBindsEveryLaneLikeTheDottedPath) {
+    // A grid resolves its swept path once and binds each lane by offset.
+    // For every numeric leaf of every target op, a numeric_param resolved
+    // on the defaults and applied to lanes that differ from them in every
+    // number writes what set_numeric_param writes, throws what it throws
+    // (out-of-range and non-integral lanes included), and points at the
+    // member numeric_param_ptr finds.
+    for (int i = 0; i < serve::op_count; ++i) {
+        const auto op = static_cast<serve::op_code>(i);
+        if (op == serve::op_code::sweep || op == serve::op_code::stats ||
+            serve::primary_metric(op) == nullptr) {
+            continue;
+        }
+        const std::string name{serve::to_string(op)};
+        SCOPED_TRACE(name);
+        const serve::request defaults = serve::parse_request(
+            serve::json::parse("{\"op\":\"" + name + "\"}"));
+        std::vector<std::string> numbers;
+        std::vector<std::string> others;
+        leaf_paths(serve::request_to_json(defaults), "", numbers, others);
+        // A base whose every double differs from the defaults.
+        serve::request base = defaults;
+        for (const std::string& path : numbers) {
+            if (double* p = serve::numeric_param_ptr(base, path)) {
+                *p = *p * 1.25 + 0.5;
+            }
+        }
+        for (const std::string& path : numbers) {
+            SCOPED_TRACE(path);
+            const serve::numeric_param param{defaults, path};
+            serve::request probe = base;
+            EXPECT_EQ(param.ptr(probe), serve::numeric_param_ptr(probe, path));
+            EXPECT_EQ(param.is_double(), param.ptr(probe) != nullptr);
+            for (const double v : {3.0, 2.5, -1.0, 0.0, 17.0, 2147483648.0}) {
+                serve::request resolved = base;
+                serve::request dotted = base;
+                std::string resolved_error;
+                try {
+                    param.set(resolved, v);
+                } catch (const serve::request_error& e) {
+                    resolved_error = e.code() + ": " + e.what();
+                }
+                EXPECT_EQ(resolved_error, set_error(dotted, path, v)) << v;
+                if (resolved_error.empty()) {
+                    serve::set_numeric_param(dotted, path, v);
+                    std::string a;
+                    std::string b;
+                    serve::canonical_key_into(resolved, a);
+                    serve::canonical_key_into(dotted, b);
+                    EXPECT_EQ(a, b) << v;
+                }
+            }
+        }
+    }
+    EXPECT_THROW((serve::numeric_param{serve::parse_request(serve::json::parse(
+                                           R"({"op":"cost_tr"})")),
+                                       "process.nope"}),
+                 std::logic_error);
+}
+
 // ---------------------------------------------------------------------------
 // Differential: whole-engine responses vs the legacy pipeline's.
 // ---------------------------------------------------------------------------
