@@ -127,19 +127,22 @@ void bm_monte_carlo_100k_dies(benchmark::State& state) {
 }
 BENCHMARK(bm_monte_carlo_100k_dies)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(0);
 
-// The mc_yield endpoint's defaults (15 wires of 150 um at 1.2 um spacing,
-// 1e-4 defects/um^2, 10k dies), run serially: the shape silicond serves,
-// reported as dies per second.
+// The mc_yield endpoint's shape (15 wires of 150 um, 10k dies), run
+// serially: the shape silicond serves, reported as dies per second.  The
+// arguments are the line spacing in tenths of a micron and the defect
+// density in defects per 1e6 um^2: the endpoint's defaults (1.2 um,
+// 1e-4) and the corners of the benchmark's mc_yield lines (0.8/1.6 um ×
+// 5e-5/2e-4).
 void bm_monte_carlo_endpoint_defaults(benchmark::State& state) {
     yield::wire_array_layout layout;
     layout.line_width = 1.0;
-    layout.line_spacing = 1.2;
+    layout.line_spacing = static_cast<double>(state.range(0)) * 0.1;
     layout.line_length = 150.0;
     layout.line_count = 15;
     const yield::defect_size_distribution sizes{0.6, 4.07};
     yield::monte_carlo_config config;
     config.dies = 10000;
-    config.defects_per_um2 = 1e-4;
+    config.defects_per_um2 = static_cast<double>(state.range(1)) * 1e-6;
     config.parallelism = 1;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
@@ -148,7 +151,13 @@ void bm_monte_carlo_endpoint_defaults(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(config.dies));
 }
-BENCHMARK(bm_monte_carlo_endpoint_defaults);
+BENCHMARK(bm_monte_carlo_endpoint_defaults)
+    ->ArgNames({"spacing_dum", "density_ppm"})
+    ->Args({12, 100})
+    ->Args({8, 50})
+    ->Args({8, 200})
+    ->Args({16, 50})
+    ->Args({16, 200});
 
 void bm_contour_extraction(benchmark::State& state) {
     const analysis::grid g = analysis::evaluate_grid(

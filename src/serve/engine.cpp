@@ -53,7 +53,7 @@ constexpr double key_lane_ns = 120;       ///< bind + templated key + hash of on
 constexpr double kernel_lane_ns = 65;     ///< one SoA sweep-kernel lane
 constexpr double cell_lane_ns = 500;      ///< one chiplet-kernel cell
 constexpr double scalar_lane_ns = 3'000;  ///< evaluate + write one scalar lane
-constexpr double mc_die_ns = 45;          ///< one Monte-Carlo die
+constexpr double mc_die_ns = 22;          ///< one Monte-Carlo die
 
 double mc_dies_ns(const request& r) {
     return std::get<mc_yield_request>(r.payload).dies * mc_die_ns;

@@ -1,8 +1,10 @@
 #include "yield/monte_carlo.hpp"
 
 #include "exec/thread_pool.hpp"
+#include "yield/monte_carlo_draws.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -110,16 +112,26 @@ poisson_plan plan_poisson(double mean) {
     return plan;
 }
 
-/// One draw from a plan.  The leaves run left to right, the order the
-/// halving recursion visits them, so the RNG stream is the recursion's.
-std::size_t draw_poisson(const poisson_plan& plan, splitmix64& rng) {
+/// Knuth's product loop from a running count and product: multiply in
+/// uniforms from `draw` until the product is at or below `limit`.
+template <class Draw>
+std::size_t knuth_tail(double limit, std::size_t count, double product,
+                       Draw& draw) {
+    while (product > limit) {
+        ++count;
+        product *= draw();
+    }
+    return count;
+}
+
+/// One draw from a plan, taking its uniforms from `draw`.  The leaves run
+/// left to right, the order the halving recursion visits them, so the
+/// stream is the recursion's.
+template <class Draw>
+std::size_t knuth_count(const poisson_plan& plan, Draw& draw) {
     std::size_t count = 0;
     for (std::size_t leaf = 0; leaf < plan.leaves; ++leaf) {
-        double product = rng.next_double();
-        while (product > plan.limit) {
-            ++count;
-            product *= rng.next_double();
-        }
+        count = knuth_tail(plan.limit, count, draw(), draw);
     }
     return count;
 }
@@ -167,6 +179,221 @@ double skip_below(const defect_size_distribution& sizes, double gap,
     return safe ? u : 0.0;
 }
 
+/// What every shard of a run shares.
+struct run_shape {
+    const wire_array_layout& layout;
+    const defect_size_distribution& sizes;
+    poisson_plan defects_per_die;
+    double margin = 0.0;
+    double sample_height = 0.0;
+    double extra_fraction = 0.0;
+    /// skip_below for an open ([0]) and for a short ([1]), indexed by
+    /// the kind test so the skip pass does not branch on it.
+    std::array<double, 2> skip{};
+    double draws_per_die = 0.0;  ///< expected draws: leaves + 4·mean
+    double draws_var_per_die = 0.0;  ///< their variance: 16·mean
+};
+
+struct counters {
+    std::size_t good = 0;
+    std::size_t thrown = 0;
+    std::size_t shorts = 0;
+    std::size_t opens = 0;
+};
+
+/// Draws per buffer fill, defects per skip pass, and the most draws a
+/// die with fewer than four defects reads (its count's n + 1 and three
+/// per defect: at most 4·3 + 1).
+constexpr std::size_t draw_block = 2048;
+constexpr std::size_t defect_block = 256;
+constexpr std::size_t small_die_draws = 13;
+
+/// One shard's dies, walked in blocks (see simulate_layout_yield).
+///
+/// The shard's stream is read by index: draw k is rng.double_at(k),
+/// served from a buffer of consecutive draws.  A block is what the walk
+/// covers between two classifications: at most one buffer fill (the
+/// buffer is only refilled after the block is classified) and at most
+/// defect_block defects.  Each defect of the block is recorded as one
+/// word: the buffer offset of its three draws (y, u, kind) in the low
+/// 16 bits and its die's index within the block in the high 16.  Every
+/// die of a block starts inside its buffer and reads at least one draw,
+/// so a block holds at most draw_block + 1 dies and both fit.
+///
+/// The scratch arrays are written before they are read, so they are
+/// left uninitialized; the walk lives on the shard's stack.
+class shard_walk {
+public:
+    shard_walk(const run_shape& run, std::uint64_t seed)
+        : run_{run}, rng_{seed} {}
+
+    counters run(std::size_t dies) {
+        const bool single_leaf = run_.defects_per_die.leaves == 1;
+        std::size_t die = 0;
+        while (die < dies) {
+            if (pos_ - base_ + small_die_draws > filled_) {
+                classify(die);
+                refill(pos_, dies - die, 0);
+            } else if (defects_ + 3 > defect_block) {
+                classify(die);
+            }
+            if (single_leaf && counts_[pos_ - base_] < 4) {
+                die = small_dies(die, dies);
+            } else {
+                large_die(die, dies);
+                ++die;
+            }
+        }
+        classify(dies);
+        c_.good = dies - faulted_;
+        return c_;
+    }
+
+private:
+    /// Walk dies from `die` on while each has fewer than four defects
+    /// (its buffered count says so), fits the buffer, and the block has
+    /// room for three more defects; return the first die not walked.
+    /// Three defect words are written whatever the die's count n, and n
+    /// of them kept, so nothing branches on n and nothing multiplies on
+    /// the path from one die's position to the next.
+    std::size_t small_dies(std::size_t die, std::size_t dies) {
+        std::size_t at = static_cast<std::size_t>(pos_ - base_);
+        std::size_t defects = defects_;
+        std::size_t thrown = 0;
+        std::uint32_t word = static_cast<std::uint32_t>(die - block_die_)
+                             << 16;
+        const std::size_t last_at = filled_ - small_die_draws;
+        do {
+            const std::uint32_t n = counts_[at];
+            const auto first = static_cast<std::uint32_t>(at + n + 1);
+            defect_[defects] = word | first;
+            defect_[defects + 1] = word | (first + 3);
+            defect_[defects + 2] = word | (first + 6);
+            defects += n;
+            thrown += n;
+            at += 4 * std::size_t{n} + 1;
+            word += std::uint32_t{1} << 16;
+            ++die;
+        } while (die < dies && at <= last_at && defects + 3 <= defect_block &&
+                 counts_[at] < 4);
+        pos_ = base_ + at;
+        defects_ = defects;
+        c_.thrown += thrown;
+        return die;
+    }
+
+    /// A die with four defects or more, or any die of a multi-leaf plan:
+    /// the product loop on indexed draws, then its defects from the
+    /// buffer, refilled at the defects' position when they run past it.
+    /// A single-leaf count goes on from the fourth product, which the
+    /// count pass found above the limit: the loop's state after three
+    /// steps (count 3, product d0·d1·d2·d3, next draw d4).
+    void large_die(std::size_t die, std::size_t dies) {
+        std::uint64_t k = pos_;
+        auto draw = [&] {
+            const std::uint64_t at = k - base_;
+            const double u = at < filled_ ? draws_[at] : rng_.double_at(k);
+            ++k;
+            return u;
+        };
+        std::size_t n = 0;
+        if (run_.defects_per_die.leaves == 1) {
+            const double* d = draws_ + (k - base_);
+            k += 4;
+            n = knuth_tail(run_.defects_per_die.limit, 3,
+                           d[0] * d[1] * d[2] * d[3], draw);
+        } else {
+            n = knuth_count(run_.defects_per_die, draw);
+        }
+        c_.thrown += n;
+        for (std::size_t j = 0; j < n; ++j, k += 3) {
+            if (k + 3 > base_ + filled_) {
+                classify(die);
+                refill(k, dies - die - 1, 3 * (n - j));
+            } else if (defects_ == defect_block) {
+                classify(die);
+            }
+            defect_[defects_++] =
+                (static_cast<std::uint32_t>(die - block_die_) << 16) |
+                static_cast<std::uint32_t>(k - base_);
+        }
+        pos_ = k;
+    }
+
+    /// Buffer the draws from stream index `from` on: the `defect_draws`
+    /// a die still needs plus what `dies_left` more dies are expected to
+    /// read (two standard deviations over the mean), at most draw_block.
+    /// Only a single-leaf plan reads the counts, so only it makes them.
+    void refill(std::uint64_t from, std::size_t dies_left,
+                std::size_t defect_draws) {
+        const double dies_d = static_cast<double>(dies_left);
+        const double want =
+            static_cast<double>(defect_draws) +
+            dies_d * run_.draws_per_die +
+            2.0 * std::sqrt(dies_d * run_.draws_var_per_die) +
+            static_cast<double>(small_die_draws);
+        base_ = from;
+        filled_ = want < static_cast<double>(draw_block)
+                      ? static_cast<std::size_t>(want)
+                      : draw_block;
+        mc::fill_draws(rng_.state(), base_, draws_, filled_,
+                       run_.defects_per_die.limit,
+                       run_.defects_per_die.leaves == 1 ? counts_ : nullptr);
+    }
+
+    /// Classify the block's defects, then start a new block at die
+    /// `next_die`.  A flat pass keeps the defects whose size draw can
+    /// fault (see skip_below); only they get a size and a scan of the
+    /// wires they reach.  Dies come in order, so a die's faults are
+    /// adjacent and each faulted die is counted once.
+    void classify(std::size_t next_die) {
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < defects_; ++i) {
+            const std::size_t at = defect_[i] & 0xffffu;
+            const bool extra = draws_[at + 2] < run_.extra_fraction;
+            kept_[kept] = defect_[i];
+            kept += draws_[at + 1] >= run_.skip[extra] ? 1 : 0;
+        }
+        for (std::size_t j = 0; j < kept; ++j) {
+            const std::size_t at = kept_[j] & 0xffffu;
+            // x is uniform over the wire length; the band criterion does
+            // not depend on it, so it is not drawn explicitly.
+            const double y = -run_.margin + draws_[at] * run_.sample_height;
+            const double diameter = run_.sizes.quantile(draws_[at + 1]);
+            int events = 0;
+            if (draws_[at + 2] < run_.extra_fraction) {
+                events = bridged_pairs(run_.layout, y, diameter);
+                c_.shorts += static_cast<std::size_t>(events);
+            } else {
+                events = severed_wires(run_.layout, y, diameter);
+                c_.opens += static_cast<std::size_t>(events);
+            }
+            const std::size_t die = block_die_ + (kept_[j] >> 16);
+            if (events > 0 && die != last_faulted_) {
+                ++faulted_;
+                last_faulted_ = die;
+            }
+        }
+        defects_ = 0;
+        block_die_ = next_die;
+    }
+
+    const run_shape& run_;
+    splitmix64 rng_;
+    counters c_;
+    std::uint64_t pos_ = 0;    ///< stream index of the next die's first draw
+    std::uint64_t base_ = 0;   ///< stream index of draws_[0]
+    std::size_t filled_ = 0;   ///< draws buffered
+    std::size_t defects_ = 0;  ///< defects in the block
+    std::size_t block_die_ = 0;  ///< the block's first die
+    std::size_t faulted_ = 0;
+    std::size_t last_faulted_ = std::numeric_limits<std::size_t>::max();
+    double draws_[draw_block];
+    std::uint32_t counts_[draw_block];  ///< Knuth counts capped at 4
+    std::uint32_t defect_[defect_block];  ///< die << 16 | buffer offset
+    std::uint32_t kept_[defect_block];
+};
+
 }  // namespace
 
 bool defect_causes_fault(const wire_array_layout& layout, fault_kind kind,
@@ -185,7 +412,8 @@ bool defect_causes_fault(const wire_array_layout& layout, fault_kind kind,
 }
 
 std::size_t poisson_sample(double mean, splitmix64& rng) {
-    return draw_poisson(plan_poisson(mean), rng);
+    auto draw = [&rng] { return rng.next_double(); };
+    return knuth_count(plan_poisson(mean), draw);
 }
 
 monte_carlo_result simulate_layout_yield(const wire_array_layout& layout,
@@ -226,69 +454,32 @@ monte_carlo_result simulate_layout_yield(const wire_array_layout& layout,
     }
     const poisson_plan defects_per_die = plan_poisson(mean_defects);
     const double largest_coordinate = sample_height + layout.pitch();
-    const double skip_short =
-        skip_below(sizes, layout.line_spacing, largest_coordinate);
-    const double skip_open =
-        skip_below(sizes, layout.line_width, largest_coordinate);
+    const run_shape run{
+        layout,
+        sizes,
+        defects_per_die,
+        margin,
+        sample_height,
+        config.extra_material_fraction,
+        {skip_below(sizes, layout.line_width, largest_coordinate),
+         skip_below(sizes, layout.line_spacing, largest_coordinate)},
+        static_cast<double>(defects_per_die.leaves) + 4.0 * mean_defects,
+        16.0 * mean_defects};
 
     // Shard the dies; each shard draws from its own shard_seed-ed stream
     // and the integer counters merge in shard order, so the result is
     // bit-identical at every parallelism level (see monte_carlo_config).
-    struct counters {
-        std::size_t good = 0;
-        std::size_t thrown = 0;
-        std::size_t shorts = 0;
-        std::size_t opens = 0;
-    };
     const counters merged = exec::parallel_reduce(
         config.dies, config.parallelism, counters{},
         [&](const exec::shard_range& shard) {
-            counters c;
             // Cooperative cancellation at shard granularity: a skipped
             // shard contributes nothing and the throw below discards
             // the merge, so no partial result ever escapes.
             if (config.cancel != nullptr && config.cancel->expired()) {
-                return c;
+                return counters{};
             }
-            splitmix64 rng{exec::shard_seed(config.seed, shard.index)};
-            for (std::size_t die = shard.begin; die < shard.end; ++die) {
-                const std::size_t n = draw_poisson(defects_per_die, rng);
-                c.thrown += n;
-                bool good = true;
-                for (std::size_t k = 0; k < n; ++k) {
-                    // Every defect draws its three numbers, skipped or
-                    // not, so the stream does not depend on the skip.
-                    const double y =
-                        -margin + rng.next_double() * sample_height;
-                    const double u = rng.next_double();
-                    const bool extra = rng.next_double() <
-                                       config.extra_material_fraction;
-                    // Too narrow to bridge the gap or cut the wire (see
-                    // skip_below): no event, so no size and no scan.
-                    if (u < (extra ? skip_short : skip_open)) {
-                        continue;
-                    }
-                    const double diameter = sizes.quantile(u);
-                    // x is uniform over the wire length; the band
-                    // criterion does not depend on it, so it is not
-                    // drawn explicitly.
-                    if (extra) {
-                        const int events =
-                            bridged_pairs(layout, y, diameter);
-                        c.shorts += static_cast<std::size_t>(events);
-                        good = good && events == 0;
-                    } else {
-                        const int events =
-                            severed_wires(layout, y, diameter);
-                        c.opens += static_cast<std::size_t>(events);
-                        good = good && events == 0;
-                    }
-                }
-                if (good) {
-                    ++c.good;
-                }
-            }
-            return c;
+            shard_walk walk{run, exec::shard_seed(config.seed, shard.index)};
+            return walk.run(shard.end - shard.begin);
         },
         [](counters a, counters b) {
             a.good += b.good;
@@ -297,11 +488,11 @@ monte_carlo_result simulate_layout_yield(const wire_array_layout& layout,
             a.opens += b.opens;
             return a;
         },
-        // The grain: about 15 ns per die plus 27 ns per defect drawn
-        // (about 45 ns a die at the serve endpoint's defaults, measured
+        // The grain: about 4 ns per die plus 19 ns per defect drawn
+        // (about 22 ns a die at the serve endpoint's defaults, measured
         // serially), so small runs stay on the caller instead of waking
         // the pool (DESIGN.md §7).
-        15.0 + 27.0 * mean_defects);
+        4.0 + 19.0 * mean_defects);
 
     if (config.cancel != nullptr && config.cancel->expired()) {
         throw exec::cancelled_error{};
