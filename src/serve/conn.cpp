@@ -24,10 +24,6 @@ namespace {
     }
 }
 
-[[nodiscard]] bool is_legacy_metrics_line(std::string_view line) noexcept {
-    return line.rfind("GET /metrics", 0) == 0;
-}
-
 }  // namespace
 
 transport_counters& transport_counters::instance() {
@@ -52,6 +48,115 @@ transport_counters& transport_counters::instance() {
     return counters;
 }
 
+jsonl_framer::jsonl_framer(engine& eng, transport& sink, std::size_t batch,
+                           bool http)
+    : eng_{eng},
+      sink_{sink},
+      batch_{batch},
+      http_{http},
+      splitter_{eng.config().limits.max_line_bytes},
+      counters_{transport_counters::instance()} {
+    lines_.reserve(batch < 256 ? batch : 256);
+}
+
+std::size_t jsonl_framer::feed(std::string_view chunk) {
+    return splitter_.feed_some(
+        chunk, [this](std::string_view line, bool oversized) {
+            return on_line(line, oversized);
+        });
+}
+
+void jsonl_framer::finish() {
+    // A line that stops the framing leaves nothing pending.
+    splitter_.finish([this](std::string_view line, bool oversized) {
+        (void)on_line(line, oversized);
+    });
+    flush();
+}
+
+bool jsonl_framer::on_line(std::string_view line, bool oversized) {
+    if (oversized) {
+        // Serve the pending lines first, so the rejection lands at the
+        // position the oversized line occupied.
+        if (!flush()) {
+            return false;
+        }
+        counters_.oversized_lines.add(1);
+        reject_.clear();
+        append_line_too_large(eng_.config().limits.max_line_bytes, reject_);
+        reject_ += '\n';
+        return sink_.write(reject_) &&
+               sink_.on_event(framer_event::oversized, {});
+    }
+    if (line.empty()) {
+        return true;  // blank lines are keep-alives, not requests
+    }
+    // An HTTP request line wins over the bare `GET /metrics` prefix; the
+    // transport answers either behind the pending replies.
+    const bool is_http = http_ && http::is_request_line(line);
+    if (is_http || line.rfind("GET /metrics", 0) == 0) {
+        return flush() &&
+               sink_.on_event(
+                   is_http ? framer_event::http : framer_event::metrics,
+                   line);
+    }
+    // Reuse the slot strings' capacity: a warm stream allocates nothing
+    // per line.
+    if (pending_ == lines_.size()) {
+        lines_.emplace_back(line);
+    } else {
+        lines_[pending_].assign(line.data(), line.size());
+    }
+    ++pending_;
+    return pending_ < batch_ || flush();
+}
+
+bool jsonl_framer::flush() {
+    if (pending_ == 0) {
+        return true;
+    }
+    gather_.clear();
+    eng_.handle_batch_into(pending(), gather_);
+    return deliver(gather_);
+}
+
+bool jsonl_framer::deliver(std::string_view replies) {
+    pending_ = 0;
+    counters_.flushes.add(1);
+    counters_.flushed_bytes.add(replies.size());
+    return sink_.write(replies);
+}
+
+void serve_stdio(engine& eng, std::size_t batch,
+                 const std::function<long(char* buf, std::size_t cap)>& read,
+                 int out_fd) {
+    struct stdio_sink final : jsonl_framer::transport {
+        engine& eng;
+        int fd;
+        bool dead = false;
+        stdio_sink(engine& e, int out) : eng{e}, fd{out} {}
+        bool write(std::string_view replies) override {
+            dead = dead || !io::write_all_fd(fd, replies, false);
+            return !dead;
+        }
+        bool on_event(framer_event event, std::string_view) override {
+            // An oversized line was answered: the stream goes on.
+            return event != framer_event::metrics ||
+                   write(eng.prometheus_text());
+        }
+    } sink{eng, out_fd};
+    jsonl_framer framer{eng, sink, batch, false};
+    char chunk[4096];
+    long got = 0;
+    while (!sink.dead && (got = read(chunk, sizeof chunk)) > 0) {
+        framer.feed({chunk, static_cast<std::size_t>(got)});
+        framer.flush();
+    }
+    if (!sink.dead) {
+        framer.finish();
+    }
+}
+
 conn_shared::conn_shared(engine& engine_ref, conn_config cfg)
     : eng{engine_ref},
       config{cfg},
@@ -70,9 +175,8 @@ conn_shared::conn_shared(engine& engine_ref, conn_config cfg)
 conn::conn(int fd, conn_shared& shared)
     : fd_{fd},
       shared_{shared},
-      splitter_{shared.config.max_line_bytes},
+      framer_{shared.eng, *this, shared.config.batch, true},
       http_{shared.config.http} {
-    lines_.reserve(shared_.config.batch < 256 ? shared_.config.batch : 256);
     shared_.open_conns.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -125,12 +229,8 @@ void conn::on_readable() {
             // may outlive the read side (shutdown(SHUT_WR) clients).
             eof_seen_ = true;
             if (mode_ == mode::jsonl) {
-                splitter_.finish([this](std::string_view line,
-                                        bool oversized) {
-                    (void)on_jsonl_line(line, oversized);
-                });
+                framer_.finish();
             }
-            flush_pending_batch();
             close_after_flush_ = true;
             break;
         }
@@ -159,101 +259,52 @@ void conn::consume(std::string_view data) {
             }
             continue;
         }
-        data.remove_prefix(splitter_.feed_some(
-            data, [this](std::string_view line, bool oversized) {
-                return on_jsonl_line(line, oversized);
-            }));
-        if (switch_to_http_) {
-            switch_to_http_ = false;
-            // JSONL replies already queued stay ahead of the HTTP
-            // response; the request line re-enters through the parser.
-            flush_pending_batch();
-            if (dead_) {
-                return;
-            }
-            mode_ = mode::http;
-            pending_http_line_ += "\r\n";
-            (void)http_.consume(pending_http_line_);
-            pending_http_line_.clear();
-            if (http_.state() == http::parser::status::error) {
-                respond_http_error();
-                close_after_flush_ = true;
-            }
-        }
+        data.remove_prefix(framer_.feed(data));
     }
 }
 
-bool conn::on_jsonl_line(std::string_view line, bool oversized) {
-    if (oversized) {
-        // Answer pending work first so the rejection lands at the
-        // position the oversized line occupied.
-        flush_pending_batch();
-        if (dead_) {
-            return false;
-        }
-        shared_.transport.oversized_lines.add(1);
-        reject_.clear();
-        append_line_too_large(shared_.config.max_line_bytes, reject_);
-        reject_ += '\n';
-        enqueue(reject_);
-        close_after_flush_ = true;  // framing is suspect: drop the peer
-        return false;
-    }
-    if (line.empty()) {
-        return true;  // blank lines are keep-alives, not requests
-    }
-    if (http::is_request_line(line)) {
-        pending_http_line_.assign(line.data(), line.size());
-        switch_to_http_ = true;
-        return false;  // the rest of the stream belongs to the parser
-    }
-    if (is_legacy_metrics_line(line)) {
-        // PR 5 compatibility: a bare `GET /metrics` line (no HTTP
-        // version, so not a real request line) gets the one-shot
-        // HTTP/1.0 response and a close, exactly as before.
-        flush_pending_batch();
-        if (dead_) {
-            return false;
-        }
-        const std::string body = shared_.eng.prometheus_text();
-        std::string response =
-            "HTTP/1.0 200 OK\r\n"
-            "Content-Type: text/plain; version=0.0.4\r\n"
-            "Content-Length: " +
-            std::to_string(body.size()) + "\r\n\r\n";
-        response += body;
-        enqueue(response);
-        close_after_flush_ = true;
-        return false;
-    }
-    // Reuse the slot strings' capacity: a warm connection allocates
-    // nothing per line.
-    if (pending_ == lines_.size()) {
-        lines_.emplace_back(line);
-    } else {
-        lines_[pending_].assign(line.data(), line.size());
-    }
-    ++pending_;
-    if (pending_ >= shared_.config.batch) {
-        flush_pending_batch();
-    }
+bool conn::write(std::string_view replies) {
+    enqueue(replies);
     return !dead_;
 }
 
-void conn::flush_pending_batch() {
-    if (pending_segment().empty()) {
-        return;
+bool conn::on_event(framer_event event, std::string_view line) {
+    if (event == framer_event::http) {
+        // JSONL replies already queued stay ahead of the HTTP response;
+        // the request line re-enters through the parser, and the rest
+        // of the stream belongs to it.
+        mode_ = mode::http;
+        (void)http_.consume(line);
+        (void)http_.consume("\r\n");
+        if (http_.state() == http::parser::status::error) {
+            respond_http_error();
+            close_after_flush_ = true;
+        }
+        return false;
     }
-    gather_.clear();
-    shared_.eng.handle_batch_into(pending_segment(), gather_);
-    deliver(gather_);
+    if (event == framer_event::metrics) {
+        // PR 5 compatibility: a bare `GET /metrics` line (no HTTP
+        // version, so not a real request line) gets the one-shot
+        // HTTP/1.0 response and a close, exactly as before.
+        const std::string body = shared_.eng.prometheus_text();
+        enqueue("HTTP/1.0 200 OK\r\n"
+                "Content-Type: text/plain; version=0.0.4\r\n"
+                "Content-Length: " +
+                std::to_string(body.size()) + "\r\n\r\n" + body);
+    }
+    // An oversized line's framing is suspect: drop the peer.
+    close_after_flush_ = true;
+    return false;
+}
+
+void conn::flush_pending_batch() {
+    if (!dead_) {
+        (void)framer_.flush();
+    }
 }
 
 void conn::deliver(std::string_view replies) {
-    pending_ = 0;
-    shared_.transport.flushes.add(1);
-    shared_.transport.flushed_bytes.add(replies.size());
-    enqueue(replies);
+    (void)framer_.deliver(replies);
 }
 
 void conn::respond_http(const http::request& req) {
@@ -287,23 +338,23 @@ void conn::respond_http(const http::request& req) {
                                  "ok\n", keep_alive, head_only);
         } else if (target == "/statusz") {
             json::value status = shared_.eng.statusz_json();
-            json::object transport;
+            json::object transport_status;
             const double uptime =
                 std::chrono::duration_cast<std::chrono::duration<double>>(
                     std::chrono::steady_clock::now() - shared_.started)
                     .count();
-            transport.set("uptime_seconds", uptime);
-            transport.set("open_conns",
-                          static_cast<double>(shared_.open_conns.load(
-                              std::memory_order_relaxed)));
-            transport.set("queued_bytes",
-                          static_cast<double>(shared_.queued_bytes.load(
-                              std::memory_order_relaxed)));
-            transport.set("paused_conns",
-                          static_cast<double>(shared_.paused_conns.load(
-                              std::memory_order_relaxed)));
-            status.as_object().set("transport",
-                                   json::value{std::move(transport)});
+            transport_status.set("uptime_seconds", uptime);
+            transport_status.set("open_conns",
+                                 static_cast<double>(shared_.open_conns.load(
+                                     std::memory_order_relaxed)));
+            transport_status.set("queued_bytes",
+                                 static_cast<double>(shared_.queued_bytes.load(
+                                     std::memory_order_relaxed)));
+            transport_status.set("paused_conns",
+                                 static_cast<double>(shared_.paused_conns.load(
+                                     std::memory_order_relaxed)));
+            status.as_object().set(
+                "transport", json::value{std::move(transport_status)});
             std::string body = json::dump(status);
             body += '\n';
             response = http::simple_response(200, reason_phrase(200),

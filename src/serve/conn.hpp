@@ -1,15 +1,23 @@
-// conn.hpp — one multiplexed silicond connection (event-loop edition).
+// conn.hpp — the JSONL framer of both silicond transports, and one
+// multiplexed connection of the event loop.
 //
-// A `conn` owns everything per-connection the PR 5 thread-per-client
-// loop kept on its stack, restructured for a non-blocking fd driven by
-// epoll (serve/event_loop):
+// `jsonl_framer` is the one path from request bytes to replies: a
+// bounded `io::line_splitter` frames the stream into reused line slots,
+// skips blank keep-alive lines, serves a `--batch`-full segment at once,
+// answers an oversized line `too_large` (counted) at the position it
+// occupied, behind the pending replies, and hands a bare `GET /metrics`
+// line or an HTTP request line to its transport.  The transports — the
+// stdio loop (`serve_stdio`) and `conn` — keep only what differs: where
+// replies go, and what follows an event (stdio goes on after an
+// oversized line and writes the raw exposition; a conn closes after
+// either, and switches to HTTP on a request line).
 //
-//   * a bounded `io::line_splitter` framing the JSONL stream into the
-//     pending segment, which the event loop serves after the wakeup
+// A `conn` owns, for a non-blocking fd driven by epoll
+// (serve/event_loop):
+//
+//   * a framer whose pending segment the loop serves after the wakeup
 //     together with every other ready connection's (`pending_segment`,
-//     `deliver`); oversized lines are discarded as they arrive and
-//     answered `too_large` in-order, exactly like the blocking
-//     transport;
+//     `deliver`);
 //   * an `http::parser` the connection hands its stream to whenever a
 //     framed line turns out to be an HTTP/1.1 request line — after the
 //     response (keep-alive permitting) the stream drops back to JSONL,
@@ -49,6 +57,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -59,8 +68,6 @@ namespace silicon::serve {
 struct conn_config {
     /// Max lines per engine batch (mirrors silicond --batch).
     std::size_t batch = 1024;
-    /// Per-line byte bound for the splitter (0 = unbounded).
-    std::size_t max_line_bytes = 0;
     /// Pause reading when the write queue holds more than this.
     std::size_t queue_high_bytes = 4u << 20;
     /// Resume reading when it drains below this.
@@ -73,8 +80,8 @@ struct conn_config {
 };
 
 /// The counters both silicond transports (the event loop's conns and
-/// the stdio/blocking line loop in tools/silicond.cpp) add to,
-/// registered once in the process-global obs registry.
+/// the stdio loop) add to, registered once in the process-global obs
+/// registry.
 struct transport_counters {
     obs::counter& flushes;
     obs::counter& flushed_bytes;
@@ -87,6 +94,70 @@ struct transport_counters {
 
     [[nodiscard]] static transport_counters& instance();
 };
+
+/// What the framer meets that is not a request line.
+enum class framer_event : std::uint8_t {
+    oversized,  ///< a line over max_line_bytes, already answered too_large
+    metrics,    ///< a bare `GET /metrics` line
+    http,       ///< an HTTP/1.x request line (when the framer speaks HTTP)
+};
+
+/// The one JSONL framer of both transports (see the top of this file).
+class jsonl_framer {
+public:
+    /// The transport's side.
+    class transport {
+    public:
+        /// Write whole reply lines; false = the peer is gone.
+        virtual bool write(std::string_view replies) = 0;
+        /// An event, after every earlier reply (and an oversized line's
+        /// own) was written; false stops the framing.
+        virtual bool on_event(framer_event event, std::string_view line) = 0;
+
+    protected:
+        ~transport() = default;
+    };
+
+    /// Lines are bounded by the engine's `limits.max_line_bytes`; `http`
+    /// makes HTTP request lines events.
+    jsonl_framer(engine& eng, transport& sink, std::size_t batch, bool http);
+
+    /// Frame `chunk`; returns the bytes consumed (fewer when the framing
+    /// stopped after a line).
+    std::size_t feed(std::string_view chunk);
+    /// End of stream: frame the torn final line, then flush.
+    void finish();
+    /// The lines framed since the last flush.
+    [[nodiscard]] std::span<std::string> pending() noexcept {
+        return {lines_.data(), pending_};
+    }
+    /// Serve the pending lines now, alone, and write their replies.
+    bool flush();
+    /// Write the pending lines' replies, count the flush, start anew.
+    bool deliver(std::string_view replies);
+
+private:
+    bool on_line(std::string_view line, bool oversized);
+
+    engine& eng_;
+    transport& sink_;
+    std::size_t batch_;
+    bool http_;
+    io::line_splitter splitter_;
+    std::vector<std::string> lines_;  ///< slots, capacity reused
+    std::size_t pending_ = 0;
+    std::string gather_;
+    std::string reject_;
+    transport_counters& counters_;
+};
+
+/// The stdio transport: frame what `read` returns (0 = end of stream or
+/// shutdown, negative = dead input) and write replies to `out_fd`,
+/// flushing after every read, so a client that sends one line and waits
+/// never stalls behind the batch threshold.
+void serve_stdio(engine& eng, std::size_t batch,
+                 const std::function<long(char* buf, std::size_t cap)>& read,
+                 int out_fd);
 
 /// State shared by every conn of one event loop: the engine, the
 /// response-queue ledger, and the metric handles (registered once in
@@ -110,7 +181,7 @@ struct conn_shared {
     obs::gauge& queue_bytes_gauge;
 };
 
-class conn {
+class conn final : private jsonl_framer::transport {
 public:
     conn(int fd, conn_shared& shared);
     ~conn();
@@ -129,7 +200,7 @@ public:
     /// of the loop's next wakeup batch (empty once the peer is dead).
     /// The loop may swap the strings out; `deliver` ends the segment.
     [[nodiscard]] std::span<std::string> pending_segment() noexcept {
-        return {lines_.data(), dead_ ? 0 : pending_};
+        return dead_ ? std::span<std::string>{} : framer_.pending();
     }
 
     /// Queue the replies to the pending segment (one '\n'-terminated
@@ -175,9 +246,11 @@ private:
     };
 
     void consume(std::string_view data);
-    /// Splitter callback; returns false to stop framing (mode switch,
-    /// close, or fatal enqueue failure).
-    bool on_jsonl_line(std::string_view line, bool oversized);
+    bool write(std::string_view replies) override;
+    /// An oversized line or a bare `GET /metrics` line closes the
+    /// connection after its reply; an HTTP request line switches the
+    /// stream to the HTTP parser.
+    bool on_event(framer_event event, std::string_view line) override;
     void respond_http(const http::request& req);
     void respond_http_error();
     void enqueue(std::string_view bytes);
@@ -186,15 +259,8 @@ private:
     int fd_;
     conn_shared& shared_;
     mode mode_ = mode::jsonl;
-    io::line_splitter splitter_;
+    jsonl_framer framer_;
     http::parser http_;
-    std::string pending_http_line_;  ///< request line that triggered http mode
-    bool switch_to_http_ = false;
-    /// Pending batch: the first `pending_` slots (capacity reused).
-    std::vector<std::string> lines_;
-    std::size_t pending_ = 0;
-    std::string gather_;
-    std::string reject_;
     std::deque<out_buf> queue_;
     std::size_t queued_bytes_ = 0;
     bool paused_ = false;

@@ -631,14 +631,42 @@ std::chrono::steady_clock::time_point deadline_from(
            std::chrono::milliseconds{static_cast<std::int64_t>(budget_ms)};
 }
 
-/// Per-thread line scratch: the parse arena, the arena-view parser and
-/// the reused request.  Engine instances share it safely — it holds no
-/// engine state, only per-line storage that is fully rewritten by each
-/// parse.
+constexpr std::size_t no_rep = std::numeric_limits<std::size_t>::max();
+
+}  // namespace
+
+/// A request line after its one parse (`engine::parse_line`), with views
+/// into the arena it was parsed into; a batch line adds its cost
+/// estimate and dedup role.
+struct parsed_line {
+    fast_parse_state parsed;
+    bool ok = false;         ///< parsed and canonicalized
+    bool too_large = false;  ///< over max_line_bytes: never parsed
+    /// A line that failed its parse: the error, rethrown when it is
+    /// served, and what its document shows of its id (any JSON value),
+    /// trace_id (strings only) and op (a known name).
+    std::exception_ptr error;
+    const json::aview* id = nullptr;
+    const json::aview* trace = nullptr;
+    std::optional<op_code> op;
+    std::uint64_t parse_ns = 0;  ///< time spent on the parse
+    std::uint64_t arena_bytes = 0;
+    std::size_t key_hash = 0;  ///< of the canonical key, when ok
+    double cost_ns = point_line_ns;
+    std::size_t rep = no_rep;  ///< representative line of a twin
+    bool skip = false;  ///< in a rejected segment: never parsed or served
+};
+
+namespace {
+
+/// Per-thread line scratch: the parse arena, the arena-view parser, the
+/// lone line parsed into that arena and the result body.  Engine
+/// instances share it safely — it holds no engine state, only per-line
+/// storage that is fully rewritten by each parse.
 struct line_state {
     exec::arena arena;
     json::arena_parser parser;
-    fast_parse_state parsed;
+    parsed_line line;
     /// The result body: a hit's bytes copied out of the cache, or a
     /// miss's serialized in place (capacity reused either way).
     std::string cold;
@@ -1727,22 +1755,7 @@ double line_cost_ns(const fast_parse_state& p) {
     }
 }
 
-constexpr std::size_t no_rep = std::numeric_limits<std::size_t>::max();
-
 }  // namespace
-
-/// One batch line after phase A: its fast parse (views into a batch
-/// arena), cost estimate and dedup role.
-struct batch_line {
-    fast_parse_state parsed;
-    bool ok = false;             ///< parsed and canonicalized
-    std::uint64_t parse_ns = 0;  ///< time phase A spent on the line
-    std::uint64_t arena_bytes = 0;
-    double cost_ns = point_line_ns;
-    std::size_t key_hash = 0;
-    std::size_t rep = no_rep;  ///< representative line of a twin
-    bool skip = false;  ///< in a rejected segment: never parsed or served
-};
 
 std::string engine::handle_line(std::string_view line) {
     std::string out;
@@ -1777,11 +1790,11 @@ void engine::handle_line_into(std::string_view line, std::string& out) {
         return;
     }
     if (!record_flight) {
-        serve_line(line, out, nullptr, nullptr);
+        serve_line(parse_lone(line), out, nullptr, nullptr);
         return;
     }
     obs::flight_record rec;
-    serve_line(line, out, nullptr, &rec);
+    serve_line(parse_lone(line), out, nullptr, &rec);
     if (rec.code[0] != '\0') {
         flight.append(rec);
         if (rec.anomaly) {
@@ -1836,21 +1849,86 @@ void engine::evaluate_miss(const fast_parse_state& parsed,
     }
 }
 
-void engine::serve_line(
-    std::string_view line, std::string& out,
-    const std::chrono::steady_clock::time_point* batch_deadline,
-    obs::flight_record* rec, const batch_line* pre) {
-    const obs::trace_span line_span{"serve.handle_line", "serve"};
-    // A line parsed ahead (handle_batch phase A) starts its clock that
-    // much earlier, so stage times, totals and deadlines still count
-    // its parse.
-    auto start = std::chrono::steady_clock::now();
-    if (pre != nullptr) {
-        start -= std::chrono::nanoseconds{pre->parse_ns};
-    }
-    out.clear();
+void engine::parse_line(std::string_view line, exec::arena& arena,
+                        bool& renew, parsed_line& pl) {
+    pl.ok = false;
+    pl.too_large = false;
+    pl.error = nullptr;
+    pl.id = nullptr;
+    pl.trace = nullptr;
+    pl.op.reset();
+    pl.parse_ns = 0;
+    pl.arena_bytes = 0;
     if (config_.limits.max_line_bytes != 0 &&
         line.size() > config_.limits.max_line_bytes) {
+        pl.too_large = true;  // answered too_large, never parsed
+        return;
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    if (renew) {
+        renew = false;
+        const std::size_t max_arena = config_.limits.max_arena_reserved_bytes;
+        // An injected arena allocation failure degrades like the budget.
+        if ((faults::enabled() && faults::should_fail("serve.arena")) ||
+            (max_arena != 0 && arena.bytes_reserved() > max_arena)) {
+            // Graceful degradation: hand the arena's chunks back and
+            // parse into it from small again.
+            arena.release();
+            hot_declines_.fetch_add(1, std::memory_order_relaxed);
+        }
+        arena.reset();
+    }
+    const std::size_t before = arena.bytes_allocated();
+    const json::aview* doc = nullptr;
+    try {
+        {
+            const obs::trace_span span{"serve.parse", "serve"};
+            doc = &tls_line_state().parser.parse(line, arena);
+        }
+        const obs::trace_span span{"serve.canonicalize", "serve"};
+        parse_request_fast(*doc, pl.parsed);
+        pl.ok = true;
+        pl.key_hash =
+            memo_cache::hashed_key::of(pl.parsed.req.canonical_key).hash;
+    } catch (...) {
+        pl.error = std::current_exception();
+        // A schema error still echoes the caller's id and trace_id, and
+        // counts under its op when the name is known.
+        if (doc != nullptr && doc->is_object()) {
+            pl.id = doc->find("id");
+            pl.trace = doc->find("trace_id");
+            if (pl.trace != nullptr && !pl.trace->is_string()) {
+                pl.trace = nullptr;
+            }
+            const json::aview* name = doc->find("op");
+            if (name != nullptr && name->is_string()) {
+                pl.op = op_from_string(name->string);
+            }
+        }
+    }
+    pl.parse_ns = ns_between(t0, std::chrono::steady_clock::now());
+    pl.arena_bytes = arena.bytes_allocated() - before;
+}
+
+parsed_line& engine::parse_lone(std::string_view line) {
+    line_state& st = tls_line_state();
+    bool renew = true;
+    parse_line(line, st.arena, renew, st.line);
+    return st.line;
+}
+
+void engine::serve_line(
+    const parsed_line& pl, std::string& out,
+    const std::chrono::steady_clock::time_point* batch_deadline,
+    obs::flight_record* rec) {
+    const obs::trace_span line_span{"serve.handle_line", "serve"};
+    // The line was parsed before it got here: its clock starts that much
+    // earlier, so stage times, totals and deadlines still count the
+    // parse.
+    const auto start = std::chrono::steady_clock::now() -
+                       std::chrono::nanoseconds{pl.parse_ns};
+    out.clear();
+    if (pl.too_large) {
         admission_.note_rejection(reject_reason::line_too_large);
         append_line_too_large(config_.limits.max_line_bytes, out);
         if (rec != nullptr) {
@@ -1864,7 +1942,7 @@ void engine::serve_line(
     line_state& st = tls_line_state();
     // What the reply and the accounting know about the line: a request
     // that parsed fills id, trace and op from its parse; one that did
-    // not keeps what its document shows (see the canonicalize step).
+    // not keeps what its document shows (see parse_line).
     const json::aview* id = nullptr;
     const json::aview* trace = nullptr;
     std::optional<op_code> op;
@@ -1873,73 +1951,30 @@ void engine::serve_line(
     bool probed = false;
     bool evaluated = false;
     bool cache_hit = false;
-    std::chrono::steady_clock::time_point t_parsed{};
+    const auto t_parsed = start + std::chrono::nanoseconds{pl.parse_ns};
     std::chrono::steady_clock::time_point t_probed{};
     std::chrono::steady_clock::time_point t_evaluated{};
     bool have_deadline = false;
     std::chrono::steady_clock::time_point deadline_at{};
     try {
-        bool release_arena =
-            pre == nullptr && config_.limits.max_arena_reserved_bytes != 0 &&
-            st.arena.bytes_reserved() > config_.limits.max_arena_reserved_bytes;
         if (faults::enabled()) {
             faults::maybe_delay("serve.line");
             if (faults::should_fail("serve.line")) {
-                // Injected allocation failure before the parse: the
-                // generic catch below answers internal_error — one valid
-                // reply per line even when memory is gone.
+                // Injected allocation failure: the generic catch below
+                // answers internal_error, without the line's id — one
+                // valid reply per line even when memory is gone.
                 throw std::bad_alloc{};
             }
-            // An injected arena allocation failure degrades like the
-            // budget does.
-            release_arena = faults::should_fail("serve.arena") || release_arena;
         }
-        if (release_arena) {
-            // Graceful degradation: hand the per-thread arena's chunks
-            // back and parse the line again into it.
-            st.arena.release();
-            hot_declines_.fetch_add(1, std::memory_order_relaxed);
-            pre = nullptr;
+        if (!pl.ok) {
+            id = pl.id;
+            trace = pl.trace;
+            op = pl.op;
+            std::rethrow_exception(pl.error);
         }
-        const fast_parse_state* p = &st.parsed;
-        std::uint64_t arena_bytes = 0;
-        if (pre != nullptr) {
-            p = &pre->parsed;
-            t_parsed = start + std::chrono::nanoseconds{pre->parse_ns};
-            arena_bytes = pre->arena_bytes;
-        } else {
-            st.arena.reset();
-            const json::aview* doc = nullptr;
-            {
-                const obs::trace_span span{"serve.parse", "serve"};
-                doc = &st.parser.parse(line, st.arena);
-            }
-            try {
-                const obs::trace_span span{"serve.canonicalize", "serve"};
-                parse_request_fast(*doc, st.parsed);
-            } catch (...) {
-                // A schema error still echoes the caller's id (any JSON
-                // value) and trace_id (strings only), and counts under
-                // its op when the name is known.
-                if (doc->is_object()) {
-                    id = doc->find("id");
-                    trace = doc->find("trace_id");
-                    if (trace != nullptr && !trace->is_string()) {
-                        trace = nullptr;
-                    }
-                    const json::aview* name = doc->find("op");
-                    if (name != nullptr && name->is_string()) {
-                        op = op_from_string(name->string);
-                    }
-                }
-                throw;
-            }
-            t_parsed = std::chrono::steady_clock::now();
-            arena_bytes = st.arena.bytes_allocated();
-        }
-        const request& req = p->req;
-        id = p->id_view;
-        trace = p->trace_view;
+        const request& req = pl.parsed.req;
+        id = pl.parsed.id_view;
+        trace = pl.parsed.trace_view;
         op = req.op;
         parsed = true;
 
@@ -1972,12 +2007,10 @@ void engine::serve_line(
             // Stats are a live snapshot: never cached, never golden.
             st.cold = json::dump(stats_json());
         } else {
-            // One hash of the key serves the probe and the miss's put; a
-            // batch line brings the one phase A computed.
-            const memo_cache::hashed_key key =
-                pre != nullptr
-                    ? memo_cache::hashed_key{req.canonical_key, pre->key_hash}
-                    : memo_cache::hashed_key::of(req.canonical_key);
+            // One hash of the key, taken at the parse, serves the probe
+            // and the miss's put.
+            const memo_cache::hashed_key key{req.canonical_key,
+                                             pl.key_hash};
             {
                 const obs::trace_span span{"serve.cache", "serve"};
                 cache_hit = cache_.get(key, &st.cold);
@@ -1987,11 +2020,11 @@ void engine::serve_line(
             t_evaluated = t_probed;
             if (!cache_hit) {
                 evaluated = true;
-                evaluate_miss(*p, key, cancel, st.cold);
+                evaluate_miss(pl.parsed, key, cancel, st.cold);
                 t_evaluated = std::chrono::steady_clock::now();
             }
         }
-        arena_bytes_.fetch_add(arena_bytes, std::memory_order_relaxed);
+        arena_bytes_.fetch_add(pl.arena_bytes, std::memory_order_relaxed);
         const obs::trace_span span{"serve.serialize", "serve"};
         envelope_into(id, trace, true, "result", st.cold, out);
     } catch (const json::parse_error& e) {
@@ -2089,7 +2122,7 @@ struct batch_scratch {
     /// The admitted segments' in-flight bytes, released when the batch
     /// returns.
     std::vector<admission_controller::ticket> tickets;
-    std::vector<batch_line> lines;
+    std::vector<parsed_line> lines;
     /// One arena per phase-A shard: parallel shards never share one.
     std::deque<exec::arena> arenas;
     std::vector<std::pair<std::size_t, std::size_t>> by_hash;
@@ -2103,59 +2136,6 @@ batch_scratch& tls_batch_scratch() {
     return scratch;
 }
 
-/// Phase A for one shard: fast-parse its lines into the scratch (its
-/// own arena), with each line's key hash and cost estimate.
-void parse_shard(std::span<const std::string> lines,
-                 const exec::shard_range& r, const limits_config& limits,
-                 const memo_cache& cache, batch_scratch& scratch) {
-    const std::size_t max_arena = limits.max_arena_reserved_bytes;
-    exec::arena& arena = scratch.arenas[r.index];
-    if (max_arena != 0 && arena.bytes_reserved() > max_arena) {
-        arena.release();  // over the budget: start small again
-    }
-    arena.reset();
-    json::arena_parser& parser = tls_line_state().parser;
-    for (std::size_t i = r.begin; i < r.end; ++i) {
-        batch_line& bl = scratch.lines[i];
-        bl.ok = false;
-        bl.rep = no_rep;
-        if (bl.skip) {
-            bl.cost_ns = 0.0;
-            continue;  // its segment is answered by a rejection
-        }
-        bl.cost_ns = point_line_ns;
-        if (limits.max_line_bytes != 0 &&
-            lines[i].size() > limits.max_line_bytes) {
-            continue;  // answered too_large, never parsed
-        }
-        const auto t0 = std::chrono::steady_clock::now();
-        const std::size_t before = arena.bytes_allocated();
-        try {
-            const json::aview* doc = nullptr;
-            {
-                const obs::trace_span span{"serve.parse", "serve"};
-                doc = &parser.parse(lines[i], arena);
-            }
-            const obs::trace_span span{"serve.canonicalize", "serve"};
-            parse_request_fast(*doc, bl.parsed);
-            bl.ok = max_arena == 0 || arena.bytes_reserved() <= max_arena;
-        } catch (...) {
-            // The line's own serve produces the real error.
-        }
-        bl.parse_ns = ns_between(t0, std::chrono::steady_clock::now());
-        if (bl.ok) {
-            const auto key =
-                memo_cache::hashed_key::of(bl.parsed.req.canonical_key);
-            bl.arena_bytes = arena.bytes_allocated() - before;
-            bl.key_hash = key.hash;
-            bl.cost_ns = line_cost_ns(bl.parsed);
-            if (bl.cost_ns > point_line_ns && cache.contains(key)) {
-                bl.cost_ns = point_line_ns;  // a heavy op, but cached
-            }
-        }
-    }
-}
-
 /// Intra-batch dedup over the first `n` parsed lines: the first
 /// occurrence of each canonical key is the representative, and each
 /// later twin gets `rep` set and a cache hit's cost.  Twins are found by
@@ -2166,7 +2146,7 @@ std::uint64_t mark_twins(batch_scratch& scratch, std::size_t n) {
         scratch.by_hash;
     by_hash.clear();
     for (std::size_t i = 0; i < n; ++i) {
-        const batch_line& bl = scratch.lines[i];
+        const parsed_line& bl = scratch.lines[i];
         if (bl.ok && bl.parsed.req.op != op_code::stats) {
             by_hash.emplace_back(bl.key_hash, i);
         }
@@ -2180,7 +2160,7 @@ std::uint64_t mark_twins(batch_scratch& scratch, std::size_t n) {
             ++end;
         }
         for (std::size_t j = g + 1; j < end; ++j) {
-            batch_line& twin = scratch.lines[by_hash[j].second];
+            parsed_line& twin = scratch.lines[by_hash[j].second];
             for (std::size_t k = g; k < j; ++k) {
                 const std::size_t first = by_hash[k].second;
                 if (scratch.lines[first].rep == no_rep &&
@@ -2342,12 +2322,12 @@ void engine::handle_batch_into(std::span<const std::string> lines,
 
     // Phase A: parse every served line once, into scratch that phase B
     // serves from.  A line that fails here (malformed, a schema error,
-    // over the line or arena budget) is not dedupable; its serve parses
-    // its raw bytes again and answers the error.  A single line has
-    // nothing to share or split: it skips phase A, its serve parses it
-    // in the per-thread line state exactly as handle_line does, and any
-    // fan-out happens inside its evaluation.  Dedup spans segments: a
-    // twin's cached bytes are the bytes its own evaluation would write.
+    // over the line bound) is not dedupable; its serve answers the error
+    // its parse recorded.  A single line has nothing to share or split:
+    // it skips phase A, is parsed in the per-thread line state exactly
+    // as handle_line's is, and any fan-out happens inside its
+    // evaluation.  Dedup spans segments: a twin's cached bytes are the
+    // bytes its own evaluation would write.
     const bool single = n == 1;
     std::uint64_t twins = 0;
     double work_ns = 0;
@@ -2368,8 +2348,30 @@ void engine::handle_batch_into(std::span<const std::string> lines,
             // must.
             scratch.arenas.emplace_back(4096);
         }
+        // A shard parses its lines into its own arena, renewed before
+        // its first parse, and estimates each line's cost.
         const auto parse = [&](const exec::shard_range& r) {
-            parse_shard(lines, r, config_.limits, cache_, scratch);
+            exec::arena& arena = scratch.arenas[r.index];
+            bool renew = true;
+            for (std::size_t i = r.begin; i < r.end; ++i) {
+                parsed_line& pl = scratch.lines[i];
+                pl.rep = no_rep;
+                if (pl.skip) {
+                    pl.ok = false;  // never a twin's representative
+                    pl.cost_ns = 0.0;
+                    continue;  // its segment is answered by a rejection
+                }
+                parse_line(lines[i], arena, renew, pl);
+                pl.cost_ns = point_line_ns;
+                if (pl.ok) {
+                    pl.cost_ns = line_cost_ns(pl.parsed);
+                    if (pl.cost_ns > point_line_ns &&
+                        cache_.contains(memo_cache::hashed_key{
+                            pl.parsed.req.canonical_key, pl.key_hash})) {
+                        pl.cost_ns = point_line_ns;  // heavy, but cached
+                    }
+                }
+            }
         };
         // One-reference capture: the std::function stays
         // allocation-free.
@@ -2387,9 +2389,8 @@ void engine::handle_batch_into(std::span<const std::string> lines,
     }
     const auto serve_at = [&](std::size_t i, std::string& out,
                               obs::flight_record* rec) {
-        const batch_line* pre =
-            single || !scratch.lines[i].ok ? nullptr : &scratch.lines[i];
-        serve_line(lines[i], out, batch_deadline, rec, pre);
+        serve_line(single ? parse_lone(lines[i]) : scratch.lines[i], out,
+                   batch_deadline, rec);
     };
 
     if (single || exec::resolve_parallelism(config_.parallelism) <= 1 ||
@@ -2426,7 +2427,7 @@ void engine::handle_batch_into(std::span<const std::string> lines,
     const auto serve_where = [&](bool twin_pass) {
         return [&, twin_pass](const exec::shard_range& r) {
             for (std::size_t i = r.begin; i < r.end; ++i) {
-                const batch_line& bl = scratch.lines[i];
+                const parsed_line& bl = scratch.lines[i];
                 if (!bl.skip && (bl.rep != no_rep) == twin_pass) {
                     serve_at(i, responses[i],
                              record_flight ? &recs[i] : nullptr);

@@ -7,11 +7,13 @@
 // cost/ (wafer cost) — and running batches on the src/exec thread
 // pool.
 //
-// One pipeline serves every line (`serve_line`): the line is parsed
-// once, into a per-thread monotonic arena (json_arena.hpp), and
-// canonicalized by the allocation-free request parser
-// (request_fast.hpp).  That one parse feeds the cache probe, the miss
-// evaluation, the stats reply and every error reply.
+// One pipeline serves every line, lone or batched: `parse_line`, the
+// one parse site, parses it once into a monotonic arena
+// (json_arena.hpp) and canonicalizes it with the allocation-free
+// request parser (request_fast.hpp); `serve_line` serves that parse.
+// It feeds the cache probe, the miss evaluation, the stats reply and
+// every error reply: a line that failed is answered from the failure
+// its parse recorded, never parsed again.
 //
 // Five layers of speed, none of which may change a byte of output:
 //
@@ -86,10 +88,14 @@
 #include <string_view>
 #include <vector>
 
+namespace silicon::exec {
+class arena;
+}  // namespace silicon::exec
+
 namespace silicon::serve {
 
-/// A batch line parsed ahead by handle_batch (engine.cpp).
-struct batch_line;
+/// A request line after its one parse (engine.cpp).
+struct parsed_line;
 /// A parsed request line (request_fast.hpp).
 struct fast_parse_state;
 
@@ -226,8 +232,9 @@ public:
         return deadline_exceeded_.load(std::memory_order_relaxed);
     }
     /// Per-thread arena releases forced by the arena byte budget or an
-    /// injected `serve.arena` fault (graceful degradation: the line is
-    /// parsed again into the released arena) since start.
+    /// injected `serve.arena` fault since start, by lone lines and by
+    /// batch parses alike (graceful degradation: the arena is released
+    /// before the parse, and the line is parsed once into it).
     [[nodiscard]] std::uint64_t hot_declines() const noexcept {
         return hot_declines_.load(std::memory_order_relaxed);
     }
@@ -268,20 +275,31 @@ public:
     [[nodiscard]] snapshot_stats snapshot_info() const;
 
 private:
-    /// Size-checked line dispatch shared by the single-line and batch
-    /// entry points (admission against the in-flight byte budget is the
-    /// caller's job — once per public entry, never per batch line).
-    /// `rec` non-null = the flight recorder is enabled and the caller
-    /// will append the filled record *in line order* (which is what
-    /// keeps dumps byte-identical at any thread count) and fire the
-    /// anomaly trigger afterwards.
-    /// `pre` non-null = the line was already parsed by handle_batch's
-    /// phase A; the line is served from that parse.
-    void serve_line(std::string_view line, std::string& out,
+    /// The one parse site of every request line, lone or batched: a
+    /// line over `max_line_bytes` is only marked; any other is parsed
+    /// and canonicalized into `arena`, once, and a failure is recorded
+    /// with what the document shows of the line's id, trace_id and op.
+    /// `renew` set: before the parse, the arena is released when it is
+    /// over `max_arena_reserved_bytes` or an injected `serve.arena`
+    /// fault hits (counted in `hot_declines`), and reset; `renew` is
+    /// then cleared, so the lines after it share the arena.
+    void parse_line(std::string_view line, exec::arena& arena, bool& renew,
+                    parsed_line& pl);
+
+    /// A lone line (`handle_line_into`, a one-line batch) parsed into the
+    /// calling thread's line arena.
+    parsed_line& parse_lone(std::string_view line);
+
+    /// Serve one parsed line (admission against the in-flight byte
+    /// budget is the caller's job — once per public entry, never per
+    /// batch line).  `rec` non-null = the flight recorder is enabled
+    /// and the caller will append the filled record *in line order*
+    /// (which is what keeps dumps byte-identical at any thread count)
+    /// and fire the anomaly trigger afterwards.
+    void serve_line(const parsed_line& pl, std::string& out,
                     const std::chrono::steady_clock::time_point*
                         batch_deadline,
-                    obs::flight_record* rec,
-                    const batch_line* pre = nullptr);
+                    obs::flight_record* rec);
 
     /// A cache miss of a parsed non-stats request: evaluate it, write
     /// the result body into `out` and cache it under `key` (its

@@ -52,10 +52,6 @@ event_loop::event_loop(engine& eng, int listen_fd, event_loop_config config)
     }
     idle_ticks_ = ms_to_ticks(config_.idle_timeout_ms, config_.tick_ms);
     write_ticks_ = ms_to_ticks(config_.write_timeout_ms, config_.tick_ms);
-    if (config_.periodic_ms != 0 && config_.on_periodic) {
-        periodic_ticks_ = ms_to_ticks(config_.periodic_ms, config_.tick_ms);
-        next_periodic_tick_ = now_tick_ + periodic_ticks_;
-    }
 
     epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
     if (epoll_fd_ < 0) {
@@ -75,7 +71,7 @@ event_loop::event_loop(engine& eng, int listen_fd, event_loop_config config)
     ev.data.fd = stop_fd_;
     (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, stop_fd_, &ev);
 
-    if (idle_ticks_ != 0 || write_ticks_ != 0 || periodic_ticks_ != 0) {
+    if (idle_ticks_ != 0 || write_ticks_ != 0) {
         timer_fd_ =
             ::timerfd_create(CLOCK_MONOTONIC, TFD_CLOEXEC | TFD_NONBLOCK);
         if (timer_fd_ < 0) {
@@ -341,12 +337,6 @@ void event_loop::advance_wheel(std::uint64_t ticks) {
         std::vector<int>& slot = wheel_[now_tick_ % wheel_slots];
         due.insert(due.end(), slot.begin(), slot.end());
         slot.clear();
-    }
-    if (periodic_ticks_ != 0 && now_tick_ >= next_periodic_tick_) {
-        // Fire once per due window even if the loop slept through several
-        // periods (timerfd coalesces missed ticks the same way).
-        next_periodic_tick_ = now_tick_ + periodic_ticks_;
-        config_.on_periodic();
     }
     for (const int fd : due) {
         const auto it = conns_.find(fd);

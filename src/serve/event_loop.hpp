@@ -77,12 +77,6 @@ struct event_loop_config {
     std::uint64_t write_timeout_ms = 0;
     /// Wheel granularity; deadlines round up to a tick.
     std::uint64_t tick_ms = 100;
-    /// Invoke `on_periodic` from the loop thread roughly this often
-    /// (rounded up to a tick; 0 = never).  Used by silicond for periodic
-    /// cache snapshots; the callback runs between epoll wakeups, so it
-    /// must not block for long or connections stall.
-    std::uint64_t periodic_ms = 0;
-    std::function<void()> on_periodic;
     /// Per-connection behavior (framing, batching, watermarks, HTTP).
     conn_config conn;
 };
@@ -138,8 +132,6 @@ private:
     std::uint64_t now_tick_ = 1;  ///< starts at 1 so tick 0 means "unset"
     std::uint64_t idle_ticks_ = 0;
     std::uint64_t write_ticks_ = 0;
-    std::uint64_t periodic_ticks_ = 0;
-    std::uint64_t next_periodic_tick_ = 0;  ///< 0 = no periodic callback
     std::unordered_map<int, std::unique_ptr<conn>> conns_;
     std::unordered_map<int, std::uint32_t> interest_;  ///< fd → epoll mask
     std::array<std::vector<int>, wheel_slots> wheel_;

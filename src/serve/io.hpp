@@ -15,9 +15,10 @@
 //     `line_splitter` frames incoming bytes into lines under a byte
 //     budget: an over-budget line is *discarded* (bytes dropped until
 //     its terminating newline) and surfaced once as an oversized event,
-//     so the transport can answer a `too_large` envelope instead of
-//     OOMing.  Completed in-budget lines queued before the oversized
-//     one are still delivered first — replies stay in request order.
+//     so the JSONL framer both transports share (serve/conn) can
+//     answer a `too_large` envelope instead of OOMing.  Completed
+//     in-budget lines queued before the oversized one are still
+//     delivered first — replies stay in request order.
 //
 // Framing matches the previous transport exactly for in-budget input:
 // lines split on '\n', a single trailing '\r' stripped (CRLF
@@ -92,9 +93,9 @@ public:
 
     /// Like `feed`, but the callback returns false to stop framing: the
     /// bytes after that event's newline are left unconsumed and the
-    /// number of consumed `chunk` bytes is returned.  The event-loop
-    /// connection uses this to hand the rest of the stream to the HTTP
-    /// parser when a line turns out to be an HTTP request line.
+    /// number of consumed `chunk` bytes is returned.  The JSONL framer
+    /// stops after an event this way: a connection then hands the rest
+    /// of the stream to its HTTP parser, or closes.
     std::size_t feed_some(
         std::string_view chunk,
         const std::function<bool(std::string_view line, bool oversized)>&

@@ -38,8 +38,8 @@ namespace silicon::serve {
 
 /// Per-engine resource budgets.  0 always means "unlimited / off".
 struct limits_config {
-    /// Longest accepted request line in bytes (also the transport's
-    /// per-connection buffer bound in silicond).
+    /// Longest accepted request line in bytes (also the bound the
+    /// transports' JSONL framer frames lines under, serve/conn).
     std::size_t max_line_bytes = 0;
     /// Most lines accepted in one handle_batch call.
     std::size_t max_batch_lines = 0;

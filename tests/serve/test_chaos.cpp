@@ -4,6 +4,7 @@
 // must not share a process with the rest of the serve suite.
 
 #include "exec/cancel.hpp"
+#include "exec/thread_pool.hpp"
 #include "serve/engine.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/faults.hpp"
@@ -555,8 +556,8 @@ TEST(EngineFaults, AllocFailAtServeLineAnswersInternalError) {
     config.parallelism = 1;
     engine e{config};
     faults::configure("alloc_fail@serve.line");
-    // The fault fires before the parse, so the envelope carries no id —
-    // but it is still exactly one well-formed reply for the line.
+    // The fault fires before the line's parse is used, so the envelope
+    // carries no id — but it is still exactly one well-formed reply.
     const std::string response =
         e.handle_line("{\"op\":\"scenario1\",\"id\":\"f\"}");
     EXPECT_EQ(error_code(response), "internal_error");
@@ -618,9 +619,29 @@ TEST(EngineFaults, ArenaBudgetDegradesHotPath) {
     engine e{config};
     const std::string line = "{\"op\":\"scenario1\"}";
     const std::string first = e.handle_line(line);
+    std::uint64_t before = e.hot_declines();
     const std::string warm = e.handle_line(line);  // would be a hot hit
     EXPECT_EQ(first, warm);
-    EXPECT_GE(e.hot_declines(), 1u);
+    // The lone line's arena still held the first parse: one release,
+    // counted once, and the line parsed once into the fresh arena.
+    EXPECT_EQ(e.hot_declines() - before, 1u);
+
+    // A batch parses each shard into the shard's own arena, released
+    // before the shard's first parse and counted once per release: 130
+    // lines are 64 shards of two or three lines, not 130 releases.
+    std::vector<std::string> lines;
+    std::vector<std::string> lone;
+    for (int i = 0; i < 130; ++i) {
+        lines.push_back("{\"id\":" + std::to_string(i) +
+                        ",\"op\":\"scenario1\",\"lambda_um\":0." +
+                        std::to_string(3 + i % 5) + "}");
+        lone.push_back(e.handle_line(lines.back()));
+    }
+    (void)e.handle_batch(lines);  // every shard's arena now holds a parse
+    before = e.hot_declines();
+    EXPECT_EQ(e.handle_batch(lines), lone);
+    EXPECT_EQ(e.hot_declines() - before,
+              silicon::exec::shard_count_for(lines.size()));
 }
 
 // ---------------------------------------------------------------------------

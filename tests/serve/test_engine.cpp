@@ -5,6 +5,7 @@
 #include "obs/flight.hpp"
 #include "chiplet/model.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "opt/partition.hpp"
 #include "serve/request_fast.hpp"
 
@@ -354,6 +355,81 @@ TEST(Engine, ErrorAccountingPerLineKind) {
         EXPECT_EQ(r.find("id")->as_string(), lines[i].id);
         EXPECT_EQ(r.find("anomaly")->as_bool(),
                   std::string{lines[i].code} == "deadline_exceeded");
+    }
+}
+
+TEST(Engine, EveryBatchLineIsParsedOnce) {
+    // Valid, malformed-JSON, schema-error and unknown-op lines in one
+    // batch: each is parsed exactly once (one `serve.parse` span), a
+    // failed line is answered from the failure its parse recorded, and
+    // replies and error accounting equal lone-line serving.
+    const std::vector<std::string> lines = {
+        R"({"id":1,"op":"scenario1","lambda_um":0.5})",
+        R"({"id":2,"op":"scenario1")",
+        R"({"id":3,"op":"table3","row":2})",
+        R"([1,2,3])",
+        R"({"id":5,"op":"nope","trace_id":"t5"})",
+        R"({"id":6,"op":"scenario1","lambda":1})",
+        R"({"id":7,"op":"yield","model":"murphy","defects_per_cm2":0.6})",
+        R"(not json at all)",
+        R"({"id":9,"op":"gross_die","die_width_mm":7.5,"die_height_mm":9})",
+        R"({"id":10,"op":"yield","model":"nope"})",
+        R"({"id":1,"op":"scenario1","lambda_um":0.5})",
+        R"({"id":12,"op":"scenario2","y0":"high"})",
+        R"({"id":13,"op":"sweep","param":"lambda_um","from":0.5,)"
+        R"("to":1.5,"count":3,"target":{"op":"nope"}})",
+        R"({"id":14,"op":"table3","row":99})",
+        R"({"id":15,"op":"cost_tr","product":{"transistors":4e6}})",
+        R"({"id":16,"trace_id":7,"op":"scenario2","lambda_um":1.1})",
+    };
+    ASSERT_EQ(lines.size(), 16u);
+    const auto parse_errors = [](serve::engine& e) {
+        const json::value stats =
+            json::parse(e.handle_line(R"({"op":"stats"})"));
+        return stats.as_object()
+            .find("result")
+            ->as_object()
+            .find("parse_errors")
+            ->as_number();
+    };
+    serve::engine lone_engine{config_with(1)};
+    std::string lone;
+    for (const std::string& line : lines) {
+        std::string out;
+        lone_engine.handle_line_into(line, out);
+        lone += out + "\n";
+    }
+    obs::tracer& tracer = obs::tracer::instance();
+    for (const unsigned parallelism : {1u, 4u}) {
+        SCOPED_TRACE(parallelism);
+        serve::engine engine{config_with(parallelism)};
+        tracer.clear();
+        tracer.enable();
+        std::string gather;
+        engine.handle_batch_into(lines, gather);
+        tracer.disable();
+        const std::string trace = tracer.export_chrome_json();
+        tracer.clear();
+        std::size_t spans = 0;
+        for (std::size_t at = trace.find(R"("name":"serve.parse")");
+             at != std::string::npos;
+             at = trace.find(R"("name":"serve.parse")", at + 1)) {
+            ++spans;
+        }
+        EXPECT_EQ(spans, lines.size());
+        EXPECT_EQ(gather, lone);
+        EXPECT_EQ(parse_errors(engine), parse_errors(lone_engine));
+        for (int op = 0; op < serve::op_count; ++op) {
+            const auto code = static_cast<serve::op_code>(op);
+            if (code == serve::op_code::stats) {
+                continue;
+            }
+            SCOPED_TRACE(std::string{serve::to_string(code)});
+            EXPECT_EQ(engine.metrics().at(code).requests.load(),
+                      lone_engine.metrics().at(code).requests.load());
+            EXPECT_EQ(engine.metrics().at(code).errors.load(),
+                      lone_engine.metrics().at(code).errors.load());
+        }
     }
 }
 

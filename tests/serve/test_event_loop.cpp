@@ -701,9 +701,7 @@ TEST(EventLoop, MalformedHttpGets400AndClose) {
 // ---------------------------------------------------------------------------
 
 TEST(EventLoop, OversizedLineRejectedInOrderThenClosed) {
-    serve::event_loop_config cfg;
-    cfg.conn.max_line_bytes = 64;
-    loop_harness h{{}, cfg};
+    loop_harness h{serve::engine_config{.limits = {.max_line_bytes = 64}}};
     serve::engine reference;
     const std::string ok_line = R"({"op":"table3"})";
     const int fd = connect_client(h.port);
@@ -861,10 +859,10 @@ TEST(EventLoop, EofOversizeAndHttpInTheWakeupOfDeferredLines) {
     // once, alone: one reaches EOF, one sends an oversized line, one an
     // HTTP request.  The lines the HTTP one frames after its response,
     // and the fourth connection's lines, wait for the wakeup batch.
-    serve::event_loop_config cfg;
-    cfg.conn.max_line_bytes = 4096;
-    loop_harness h{serve::engine_config{.parallelism = 4}, cfg,
-                   /*run_now=*/false};
+    constexpr std::size_t max_line = 4096;
+    loop_harness h{serve::engine_config{.parallelism = 4,
+                                        .limits = {.max_line_bytes = max_line}},
+                   {}, /*run_now=*/false};
     serve::engine reference{
         serve::engine_config{.parallelism = 1, .cache_capacity = 0}};
 
@@ -902,7 +900,7 @@ TEST(EventLoop, EofOversizeAndHttpInTheWakeupOfDeferredLines) {
     EXPECT_EQ(read_to_eof(eof_fd), replies_of(reference, eof_lines));
 
     std::string too_large;
-    serve::append_line_too_large(cfg.conn.max_line_bytes, too_large);
+    serve::append_line_too_large(max_line, too_large);
     EXPECT_EQ(read_to_eof(oversize_fd),
               replies_of(reference, oversize_lines) + too_large + "\n");
 

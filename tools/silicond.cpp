@@ -24,16 +24,17 @@
 //     bounded by --max-conns / --idle-timeout-ms / --write-timeout-ms.
 //
 // Overload behavior (DESIGN.md §11): both transports frame lines
-// through a bounded splitter (serve/io) — a line over --max-line-bytes
-// is answered with a `too_large` envelope after the pending batch
-// flushes (replies stay in order); over TCP the connection then
-// closes.  --max-batch-lines / --max-sweep-points / --max-mc-dies /
-// --max-inflight-bytes / --deadline-ms / --shed-on-overload configure
-// the engine's admission control and deadline budgets.  All writes
-// retry EINTR and short writes; SIGPIPE is ignored, so a vanished
-// client costs one connection, never the process.  --faults SPEC (or
-// the SILICON_FAULTS environment variable) arms the deterministic
-// fault-injection switchboard (serve/faults) for chaos testing.
+// through the one JSONL framer (serve/conn) — a line over
+// --max-line-bytes is answered with a `too_large` envelope after the
+// pending batch flushes (replies stay in order); stdio then goes on,
+// over TCP the connection closes.  --max-batch-lines /
+// --max-sweep-points / --max-mc-dies / --max-inflight-bytes /
+// --deadline-ms / --shed-on-overload configure the engine's admission
+// control and deadline budgets.  All writes retry EINTR and short
+// writes; SIGPIPE is ignored, so a vanished client costs one
+// connection, never the process.  --faults SPEC (or the SILICON_FAULTS
+// environment variable) arms the deterministic fault-injection
+// switchboard (serve/faults) for chaos testing.
 //
 // Observability (DESIGN.md §9): over TCP the port also speaks real
 // HTTP/1.1 with keep-alive — `GET /metrics HTTP/1.1` (what Prometheus
@@ -58,7 +59,8 @@
 //   --cache-snapshot PATH persist the cache to PATH (restored at boot,
 //                         written atomically on clean shutdown, on
 //                         SIGUSR2, and every --snapshot-interval)
-//   --snapshot-interval S periodic snapshot cadence in seconds
+//   --snapshot-interval S periodic snapshot cadence in seconds, off the
+//                         serving threads in both modes
 //                         (0 = only shutdown/SIGUSR2 writes)
 //   --fast-math           vector-math sweep/partition kernels (ULP-
 //                         bounded drift; off = bit-exact scalar)
@@ -106,13 +108,10 @@
 #include "serve/engine.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/faults.hpp"
-#include "serve/io.hpp"
-#include "serve/limits.hpp"
 #include "serve/snapshot.hpp"
 #include "simd/dispatch.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
@@ -121,8 +120,8 @@
 #include <iostream>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
-#include <vector>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -237,12 +236,12 @@ void process_snapshot_request() {
 }
 
 struct options {
-    unsigned threads = 0;
+    std::size_t threads = 0;
     std::size_t batch = 1024;
     std::size_t cache_capacity = 65536;
     std::size_t cache_shards = 16;
     std::string cache_snapshot;     ///< empty = snapshots off
-    unsigned snapshot_interval = 0;  ///< seconds; 0 = no periodic writes
+    std::size_t snapshot_interval = 0;  ///< seconds; 0 = no periodic writes
     int port = -1;
     std::size_t max_conns = 0;           ///< 0 = unlimited
     std::size_t idle_timeout_ms = 0;     ///< 0 = never
@@ -257,7 +256,7 @@ struct options {
     bool fast_math = false;
     std::string faults_spec;
     bool metrics = false;
-    unsigned metrics_interval = 0;  ///< seconds; 0 = off
+    std::size_t metrics_interval = 0;  ///< seconds; 0 = off
     std::string trace_path;         ///< empty = tracing off
     std::size_t flight_records =
         silicon::obs::flight_recorder::default_capacity;  ///< 0 = off
@@ -356,14 +355,80 @@ bool parse_log_level(const std::string& name, silicon::obs::log_level& out) {
     return false;
 }
 
+/// The flags that take a whole number, and the least value each takes.
+struct number_flag {
+    std::string_view name;
+    std::size_t options::*field;
+    std::size_t min = 0;
+};
+constexpr number_flag number_flags[] = {
+    {"--threads", &options::threads},
+    {"--batch", &options::batch, 1},
+    {"--cache-capacity", &options::cache_capacity},
+    {"--cache-shards", &options::cache_shards, 1},
+    {"--snapshot-interval", &options::snapshot_interval, 1},
+    {"--max-conns", &options::max_conns},
+    {"--idle-timeout-ms", &options::idle_timeout_ms},
+    {"--write-timeout-ms", &options::write_timeout_ms},
+    {"--max-line-bytes", &options::max_line_bytes},
+    {"--max-batch-lines", &options::max_batch_lines},
+    {"--max-sweep-points", &options::max_sweep_points},
+    {"--max-mc-dies", &options::max_mc_dies},
+    {"--max-inflight-bytes", &options::max_inflight_bytes},
+    {"--deadline-ms", &options::deadline_ms},
+    {"--metrics-interval", &options::metrics_interval, 1},
+    {"--flight-records", &options::flight_records},
+};
+
+/// The flags that take a non-empty text.
+struct text_flag {
+    std::string_view name;
+    std::string options::*field;
+};
+constexpr text_flag text_flags[] = {
+    {"--cache-snapshot", &options::cache_snapshot},
+    {"--faults", &options::faults_spec},
+    {"--trace", &options::trace_path},
+    {"--flight-dump", &options::flight_dump},
+};
+
 bool parse_options(int argc, char** argv, options& opt) {
     for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
+        const std::string_view arg = argv[i];
+        const char* t = i + 1 < argc ? argv[i + 1] : nullptr;
+        const auto number = std::find_if(
+            std::begin(number_flags), std::end(number_flags),
+            [arg](const number_flag& f) { return f.name == arg; });
+        const auto text =
+            std::find_if(std::begin(text_flags), std::end(text_flags),
+                         [arg](const text_flag& f) { return f.name == arg; });
         std::size_t v = 0;
-        if (arg == "--help" || arg == "-h") {
+        silicon::obs::log_level level{};
+        if (number != std::end(number_flags)) {
+            if (t == nullptr || !parse_size(t, v) || v < number->min) {
+                return false;
+            }
+            opt.*number->field = v;
+            ++i;
+        } else if (text != std::end(text_flags)) {
+            if (t == nullptr || *t == '\0') {
+                return false;
+            }
+            opt.*text->field = t;
+            ++i;
+        } else if (arg == "--port") {
+            if (t == nullptr || !parse_size(t, v) || v > 65535) {
+                return false;
+            }
+            opt.port = static_cast<int>(v);
+            ++i;
+        } else if (arg == "--log-level") {
+            if (t == nullptr || !parse_log_level(t, level)) {
+                return false;
+            }
+            silicon::obs::set_log_threshold(level);
+            ++i;
+        } else if (arg == "--help" || arg == "-h") {
             usage(std::cout);
             std::exit(0);
         } else if (arg == "--metrics") {
@@ -372,141 +437,8 @@ bool parse_options(int argc, char** argv, options& opt) {
             opt.shed_on_overload = true;
         } else if (arg == "--fast-math") {
             opt.fast_math = true;
-        } else if (arg == "--threads") {
-            const char* t = next();
-            if (t == nullptr || !parse_size(t, v)) {
-                return false;
-            }
-            opt.threads = static_cast<unsigned>(v);
-        } else if (arg == "--batch") {
-            const char* t = next();
-            if (t == nullptr || !parse_size(t, v) || v == 0) {
-                return false;
-            }
-            opt.batch = v;
-        } else if (arg == "--cache-capacity") {
-            const char* t = next();
-            if (t == nullptr || !parse_size(t, v)) {
-                return false;
-            }
-            opt.cache_capacity = v;
-        } else if (arg == "--cache-shards") {
-            const char* t = next();
-            if (t == nullptr || !parse_size(t, v) || v == 0) {
-                return false;
-            }
-            opt.cache_shards = v;
-        } else if (arg == "--cache-snapshot") {
-            const char* t = next();
-            if (t == nullptr || *t == '\0') {
-                return false;
-            }
-            opt.cache_snapshot = t;
-        } else if (arg == "--snapshot-interval") {
-            const char* t = next();
-            if (t == nullptr || !parse_size(t, v) || v == 0) {
-                return false;
-            }
-            opt.snapshot_interval = static_cast<unsigned>(v);
-        } else if (arg == "--port") {
-            const char* t = next();
-            if (t == nullptr || !parse_size(t, v) || v > 65535) {
-                return false;
-            }
-            opt.port = static_cast<int>(v);
-        } else if (arg == "--max-conns") {
-            const char* t = next();
-            if (t == nullptr || !parse_size(t, v)) {
-                return false;
-            }
-            opt.max_conns = v;
-        } else if (arg == "--idle-timeout-ms") {
-            const char* t = next();
-            if (t == nullptr || !parse_size(t, v)) {
-                return false;
-            }
-            opt.idle_timeout_ms = v;
-        } else if (arg == "--write-timeout-ms") {
-            const char* t = next();
-            if (t == nullptr || !parse_size(t, v)) {
-                return false;
-            }
-            opt.write_timeout_ms = v;
-        } else if (arg == "--max-line-bytes") {
-            const char* t = next();
-            if (t == nullptr || !parse_size(t, v)) {
-                return false;
-            }
-            opt.max_line_bytes = v;
-        } else if (arg == "--max-batch-lines") {
-            const char* t = next();
-            if (t == nullptr || !parse_size(t, v)) {
-                return false;
-            }
-            opt.max_batch_lines = v;
-        } else if (arg == "--max-sweep-points") {
-            const char* t = next();
-            if (t == nullptr || !parse_size(t, v)) {
-                return false;
-            }
-            opt.max_sweep_points = v;
-        } else if (arg == "--max-mc-dies") {
-            const char* t = next();
-            if (t == nullptr || !parse_size(t, v)) {
-                return false;
-            }
-            opt.max_mc_dies = v;
-        } else if (arg == "--max-inflight-bytes") {
-            const char* t = next();
-            if (t == nullptr || !parse_size(t, v)) {
-                return false;
-            }
-            opt.max_inflight_bytes = v;
-        } else if (arg == "--deadline-ms") {
-            const char* t = next();
-            if (t == nullptr || !parse_size(t, v)) {
-                return false;
-            }
-            opt.deadline_ms = v;
-        } else if (arg == "--faults") {
-            const char* t = next();
-            if (t == nullptr || *t == '\0') {
-                return false;
-            }
-            opt.faults_spec = t;
-        } else if (arg == "--metrics-interval") {
-            const char* t = next();
-            if (t == nullptr || !parse_size(t, v) || v == 0) {
-                return false;
-            }
-            opt.metrics_interval = static_cast<unsigned>(v);
-        } else if (arg == "--trace") {
-            const char* t = next();
-            if (t == nullptr || *t == '\0') {
-                return false;
-            }
-            opt.trace_path = t;
-        } else if (arg == "--flight-records") {
-            const char* t = next();
-            if (t == nullptr || !parse_size(t, v)) {
-                return false;
-            }
-            opt.flight_records = v;
-        } else if (arg == "--flight-dump") {
-            const char* t = next();
-            if (t == nullptr || *t == '\0') {
-                return false;
-            }
-            opt.flight_dump = t;
         } else if (arg == "--flight-deterministic") {
             opt.flight_deterministic = true;
-        } else if (arg == "--log-level") {
-            const char* t = next();
-            silicon::obs::log_level level{};
-            if (t == nullptr || !parse_log_level(t, level)) {
-                return false;
-            }
-            silicon::obs::set_log_threshold(level);
         } else {
             return false;
         }
@@ -514,11 +446,6 @@ bool parse_options(int argc, char** argv, options& opt) {
     return true;
 }
 
-[[nodiscard]] bool is_metrics_request(std::string_view line) {
-    return line.rfind("GET /metrics", 0) == 0;
-}
-
-namespace io = silicon::serve::io;
 namespace faults = silicon::serve::faults;
 
 /// One read attempt with EINTR retry (real — a signal without
@@ -527,14 +454,15 @@ namespace faults = silicon::serve::faults;
 /// stream.
 long read_some(int fd, char* buf, std::size_t cap) {
     for (;;) {
+        // Before every read: a stop during a serve must not wait on input.
+        if (g_stop != 0) {
+            return 0;  // shutdown: drain and exit
+        }
         if (faults::enabled() && faults::take_eintr("silicond.read")) {
             continue;  // simulated EINTR storm: retry
         }
         const ssize_t got = ::read(fd, buf, cap);
         if (got < 0 && errno == EINTR) {
-            if (g_stop != 0) {
-                return 0;  // interrupted by shutdown: drain and exit
-            }
             process_flight_dump_request();  // SIGUSR1 woke the read
             process_snapshot_request();     // SIGUSR2: snapshot now
             continue;
@@ -543,125 +471,13 @@ long read_some(int fd, char* buf, std::size_t cap) {
     }
 }
 
-/// Gather a batch's responses (and their newlines) into one buffer and
-/// write it with a single EINTR-safe gathered write — a writev-style
-/// flush instead of one small write per line.  The buffer is reused
-/// across batches.  Returns false when the output is gone.
-bool flush_batch(silicon::serve::engine& engine,
-                 std::vector<std::string>& lines, std::string& gather,
-                 int fd) {
-    if (lines.empty()) {
-        return true;
-    }
-    gather.clear();
-    engine.handle_batch_into(lines, gather);
-    lines.clear();
-    if (!io::write_all_fd(fd, gather, /*is_socket=*/false)) {
-        return false;
-    }
-    silicon::serve::transport_counters& counters =
-        silicon::serve::transport_counters::instance();
-    counters.flushes.add(1);
-    counters.flushed_bytes.add(gather.size());
-    return true;
-}
-
-/// The stdio line loop: frame bytes through the bounded splitter, batch
-/// complete lines, answer oversized lines with a `too_large` envelope
-/// *after* the pending batch (replies stay in request order).  stdio is
-/// a long-lived session: an oversized line is answered and discarded
-/// and the stream continues; a metrics line emits the exposition inline
-/// and the loop resumes.
-struct line_loop {
-    silicon::serve::engine& engine;
-    int in_fd;
-    int out_fd;
-    std::size_t batch;
-    std::size_t max_line_bytes;
-
-    io::line_splitter splitter{0};
-    std::vector<std::string> lines;
-    std::string gather;
-    std::string reject;
-    bool dead = false;  ///< write failed or close requested
-
-    void run() {
-        splitter = io::line_splitter{max_line_bytes};
-        lines.reserve(batch);
-        char chunk[4096];
-        const auto on_line = [this](std::string_view line, bool oversized) {
-            handle(line, oversized);
-        };
-        while (!dead && g_stop == 0) {
-            const long got = read_some(in_fd, chunk, sizeof chunk);
-            if (got <= 0) {
-                break;
-            }
-            splitter.feed({chunk, static_cast<std::size_t>(got)}, on_line);
-            // Answer everything complete in this chunk: a client that
-            // sends one request and waits must not stall behind the
-            // batch-size threshold.
-            if (!dead &&
-                !flush_batch(engine, lines, gather, out_fd)) {
-                dead = true;
-            }
-        }
-        if (!dead) {
-            splitter.finish(on_line);
-        }
-        if (!dead) {
-            flush_batch(engine, lines, gather, out_fd);
-        }
-    }
-
-private:
-    void handle(std::string_view line, bool oversized) {
-        if (dead) {
-            return;
-        }
-        if (oversized) {
-            // Answer pending work first so the rejection lands at the
-            // position the oversized line occupied.
-            if (!flush_batch(engine, lines, gather, out_fd)) {
-                dead = true;
-                return;
-            }
-            silicon::serve::transport_counters::instance()
-                .oversized_lines.add(1);
-            reject.clear();
-            silicon::serve::append_line_too_large(max_line_bytes, reject);
-            reject += '\n';
-            if (!io::write_all_fd(out_fd, reject, /*is_socket=*/false)) {
-                dead = true;
-            }
-            return;
-        }
-        if (line.empty()) {
-            return;  // blank lines are keep-alives, not requests
-        }
-        if (is_metrics_request(line)) {
-            // Scrape: answer pending work first, then the exposition.
-            if (!flush_batch(engine, lines, gather, out_fd)) {
-                dead = true;
-                return;
-            }
-            io::write_all_fd(out_fd, engine.prometheus_text(),
-                             /*is_socket=*/false);
-            return;
-        }
-        lines.emplace_back(line);
-        if (lines.size() >= batch) {
-            if (!flush_batch(engine, lines, gather, out_fd)) {
-                dead = true;
-            }
-        }
-    }
-};
-
 int run_stdio(silicon::serve::engine& engine, const options& opt) {
-    line_loop loop{engine, STDIN_FILENO, STDOUT_FILENO, opt.batch,
-                   opt.max_line_bytes};
-    loop.run();
+    silicon::serve::serve_stdio(
+        engine, opt.batch,
+        [](char* buf, std::size_t cap) {
+            return read_some(STDIN_FILENO, buf, cap);
+        },
+        STDOUT_FILENO);
     return 0;
 }
 
@@ -707,16 +523,6 @@ int run_tcp(silicon::serve::engine& engine, const options& opt) {
     loop_config.idle_timeout_ms = opt.idle_timeout_ms;
     loop_config.write_timeout_ms = opt.write_timeout_ms;
     loop_config.conn.batch = opt.batch;
-    loop_config.conn.max_line_bytes = opt.max_line_bytes;
-    if (opt.snapshot_interval > 0 && !opt.cache_snapshot.empty()) {
-        // Periodic snapshots ride the loop's timerfd tick; the write
-        // serializes the cache shard-by-shard and the file I/O is a
-        // local rename, so the pause is bounded and connections keep
-        // their kernel buffers meanwhile.
-        loop_config.periodic_ms =
-            static_cast<std::uint64_t>(opt.snapshot_interval) * 1000u;
-        loop_config.on_periodic = [] { write_snapshot("interval"); };
-    }
     try {
         // The loop owns the listener from here on.  SIGINT/SIGTERM
         // interrupt epoll_wait (no SA_RESTART) and the should_stop
@@ -739,20 +545,28 @@ int run_tcp(silicon::serve::engine& engine, const options& opt) {
     return 0;
 }
 
-/// Background Prometheus dumper: one stderr exposition every
-/// `interval` seconds until stopped (condition variable so shutdown
-/// never waits out a full period).
-class metrics_dumper {
+/// The one periodic thread, in both modes: a Prometheus exposition to
+/// stderr every `metrics_s` seconds and a cache snapshot every
+/// `snapshot_s` seconds (0 = never), off the serving threads, until
+/// stopped (a condition variable, so shutdown never waits out a tick).
+/// The engine serializes snapshot writers, so a tick and a
+/// SIGUSR2-triggered write never tear.
+class periodic_thread {
 public:
-    metrics_dumper(silicon::serve::engine& engine, unsigned interval)
-        : engine_{engine}, interval_{interval} {
-        if (interval_ > 0) {
+    periodic_thread(silicon::serve::engine& engine, std::size_t metrics_s,
+                    std::size_t snapshot_s)
+        : engine_{engine}, metrics_s_{metrics_s}, snapshot_s_{snapshot_s} {
+        if (metrics_s_ != 0 || snapshot_s_ != 0) {
             thread_ = std::thread{[this] { loop(); }};
         }
     }
 
-    ~metrics_dumper() { stop(); }
+    ~periodic_thread() { stop(); }
+    periodic_thread(const periodic_thread&) = delete;
+    periodic_thread& operator=(const periodic_thread&) = delete;
 
+    /// Join the thread, then write a final exposition so shutdown always
+    /// records totals.
     void stop() {
         {
             const std::lock_guard<std::mutex> lock(mutex_);
@@ -765,18 +579,26 @@ public:
         if (thread_.joinable()) {
             thread_.join();
         }
-        if (interval_ > 0) {
-            dump();  // final flush so shutdown always records totals
+        if (metrics_s_ != 0) {
+            dump();
         }
     }
 
 private:
     void loop() {
         std::unique_lock<std::mutex> lock(mutex_);
-        while (!cv_.wait_for(lock, std::chrono::seconds{interval_},
-                             [this] { return done_; })) {
+        // One tick a second after the last one's work: a slow write
+        // delays the next tick instead of leaving several due at once.
+        for (std::size_t s = 1; !cv_.wait_for(lock, std::chrono::seconds{1},
+                                              [this] { return done_; });
+             ++s) {
             lock.unlock();
-            dump();
+            if (metrics_s_ != 0 && s % metrics_s_ == 0) {
+                dump();
+            }
+            if (snapshot_s_ != 0 && s % snapshot_s_ == 0) {
+                write_snapshot("interval");
+            }
             lock.lock();
         }
     }
@@ -788,57 +610,12 @@ private:
     }
 
     silicon::serve::engine& engine_;
-    unsigned interval_;
-    std::thread thread_;
+    std::size_t metrics_s_;
+    std::size_t snapshot_s_;
     std::mutex mutex_;
     std::condition_variable cv_;
     bool done_ = false;
-};
-
-/// Background periodic snapshot writer for stdio mode (TCP mode rides
-/// the event loop's timerfd instead).  The engine serializes snapshot
-/// writers, so this thread and a SIGUSR2-triggered write never tear.
-class snapshot_ticker {
-public:
-    explicit snapshot_ticker(unsigned interval)
-        : interval_{interval} {
-        if (interval_ > 0) {
-            thread_ = std::thread{[this] { loop(); }};
-        }
-    }
-
-    ~snapshot_ticker() { stop(); }
-
-    void stop() {
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            if (done_) {
-                return;
-            }
-            done_ = true;
-        }
-        cv_.notify_all();
-        if (thread_.joinable()) {
-            thread_.join();
-        }
-    }
-
-private:
-    void loop() {
-        std::unique_lock<std::mutex> lock(mutex_);
-        while (!cv_.wait_for(lock, std::chrono::seconds{interval_},
-                             [this] { return done_; })) {
-            lock.unlock();
-            write_snapshot("interval");
-            lock.lock();
-        }
-    }
-
-    unsigned interval_;
-    std::thread thread_;
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    bool done_ = false;
+    std::thread thread_;  ///< last: it uses every member above
 };
 
 }  // namespace
@@ -870,12 +647,10 @@ int main(int argc, char** argv) {
     }
 
     silicon::serve::engine_config config;
-    config.parallelism = opt.threads;
+    config.parallelism = static_cast<unsigned>(opt.threads);
     config.cache_capacity = opt.cache_capacity;
     config.cache_shards = opt.cache_shards;
-    // max_line_bytes is enforced by the transport's bounded splitter;
-    // mirroring it into the engine costs one compare per line and keeps
-    // direct library users of this config equally bounded.
+    // Also the bound both transports frame lines under (serve/conn).
     config.limits.max_line_bytes = opt.max_line_bytes;
     config.limits.max_batch_lines = opt.max_batch_lines;
     config.limits.max_sweep_points = opt.max_sweep_points;
@@ -927,7 +702,8 @@ int main(int argc, char** argv) {
         "silicond.start",
         {{"version", SILICON_VERSION},
          {"threads",
-          silicon::exec::resolve_parallelism(opt.threads)},
+          silicon::exec::resolve_parallelism(
+              static_cast<unsigned>(opt.threads))},
          {"batch", opt.batch},
          {"cache_capacity", opt.cache_capacity},
          {"cache_shards", opt.cache_shards},
@@ -946,19 +722,17 @@ int main(int argc, char** argv) {
          {"flight_records", opt.flight_records},
          {"flight_dump", opt.flight_dump}});
 
-    metrics_dumper dumper{engine, opt.metrics_interval};
-    // stdio has no event loop to carry the periodic tick, so it gets a
-    // dedicated thread; TCP snapshots ride the loop's timerfd.
-    snapshot_ticker ticker{opt.port < 0 ? opt.snapshot_interval : 0u};
+    periodic_thread periodic{
+        engine, opt.metrics_interval,
+        opt.cache_snapshot.empty() ? 0 : opt.snapshot_interval};
 
     const int status =
         opt.port >= 0 ? run_tcp(engine, opt) : run_stdio(engine, opt);
 
-    // Clean shutdown (EOF or SIGINT/SIGTERM): stop the periodic dumper
+    // Clean shutdown (EOF or SIGINT/SIGTERM): stop the periodic thread
     // (which flushes a final exposition), write a final cache snapshot,
     // the flight dump and the trace, then the legacy JSON metrics dump.
-    dumper.stop();
-    ticker.stop();
+    periodic.stop();
     write_snapshot("shutdown");
 
     process_flight_dump_request();  // a SIGUSR1 racing shutdown still dumps
