@@ -37,6 +37,7 @@
 // and skips the speedup gate so CI smoke runs stay cheap and unflaky;
 // the bit-exactness check is deterministic and runs in tiny mode too.
 
+#include "bench_host.hpp"
 #include "core/scenario.hpp"
 #include "core/units.hpp"
 #include "cost/batch.hpp"
@@ -494,6 +495,7 @@ int main(int argc, char** argv) {
     doc.set("simd_target",
             json::value{std::string{
                 silicon::simd::to_string(silicon::simd::active_target())}});
+    doc.set("host", json::value{bench::host_fingerprint()});
     doc.set("required_speedup_vs_engine", json::value{required_speedup});
     json::array rows;
     bool gate_pass = true;

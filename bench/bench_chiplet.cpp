@@ -14,8 +14,9 @@
 //                       This is the gated comparison (>= 4x).
 //   library scalar    - scaled_to_total + evaluate_chiplet per lane.
 //                       Not gated; it is the bit-exactness reference
-//                       (the kernel calls the same scalar core, so any
-//                       mismatch is a real defect, not rounding).
+//                       (the kernel's libm policy performs the scalar
+//                       core's operations, so any mismatch is a real
+//                       defect, not rounding).
 //
 // The crossover check is deterministic and runs even in tiny mode: one
 // partition_explore request is served at parallelism 1/4/0, all three
@@ -28,6 +29,7 @@
 // write into the build tree.  SILICON_BENCH_TINY=1 shrinks the
 // workload and skips the speedup gate.
 
+#include "bench_host.hpp"
 #include "chiplet/batch.hpp"
 #include "chiplet/model.hpp"
 #include "serve/engine.hpp"
@@ -222,6 +224,7 @@ int main(int argc, char** argv) {
     json::object doc;
     doc.set("bench", json::value{std::string{"bench_chiplet"}});
     doc.set("tiny", json::value{tiny});
+    doc.set("host", json::value{bench::host_fingerprint()});
     doc.set("required_speedup_vs_engine", json::value{required_speedup});
     json::object kernel;
     kernel.set("lanes", json::value{static_cast<double>(kernel_lanes)});

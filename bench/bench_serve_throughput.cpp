@@ -40,6 +40,7 @@
 // SILICON_BENCH_TINY=1 shrinks the workload and skips the memoization
 // speedup gate so CI runs stay cheap and unflaky.
 
+#include "bench_host.hpp"
 #include "grid_batch.hpp"
 
 #include "serve/engine.hpp"
@@ -348,19 +349,6 @@ tcp_grid_result tcp_grid(std::size_t conns, std::size_t windows,
     return result;
 }
 
-/// The host a measurement was taken on.
-json::object host_fingerprint() {
-    json::object host;
-    host.set("nproc",
-             json::value{static_cast<double>(std::thread::hardware_concurrency())});
-    host.set("simd_target",
-             json::value{std::string{silicon::simd::to_string(
-                 silicon::simd::active_target())}});
-    host.set("compiler", json::value{std::string{__VERSION__}});
-    host.set("build_type", json::value{std::string{SILICON_BUILD_TYPE}});
-    return host;
-}
-
 }  // namespace
 
 int main() {
@@ -526,7 +514,7 @@ int main() {
     grid.set("responses_identical", json::value{grid_identical});
     doc.set("grid_batch", json::value{std::move(grid)});
     json::object feed;
-    feed.set("host", json::value{host_fingerprint()});
+    feed.set("host", json::value{bench::host_fingerprint()});
     feed.set("grids", json::value{static_cast<double>(kFeedGrids)});
     feed.set("lanes_per_grid", json::value{256.0});
     feed.set("sweep_cache_on_ns_per_lane", json::value{sweep_on});
@@ -535,7 +523,7 @@ int main() {
     feed.set("explore_cache_off_ns_per_lane", json::value{explore_off});
     doc.set("lane_feed", json::value{std::move(feed)});
     json::object tcp_row;
-    tcp_row.set("host", json::value{host_fingerprint()});
+    tcp_row.set("host", json::value{bench::host_fingerprint()});
     tcp_row.set("conns", json::value{static_cast<double>(kTcpConns)});
     tcp_row.set("windows_per_conn",
                 json::value{static_cast<double>(kTcpWindows)});

@@ -34,9 +34,9 @@
 //     the whole bill.
 //
 // Everything is deterministic double arithmetic in one fixed
-// association order; `evaluate_chiplet` is the single scalar core and
-// the batch kernel (batch.hpp) calls it per lane, so the two are
-// bit-identical by construction.
+// association order; `evaluate_chiplet` is the scalar core, and the
+// batch kernel (batch.hpp) performs its operations lane by lane, bit
+// for bit (pinned by tests/chiplet/test_batch_differential.cpp).
 
 #pragma once
 

@@ -5,18 +5,23 @@
 // and the paper's Scenario #1 / Scenario #2 cost-per-transistor curves
 // (Eqs. (8) and (9)), which are what the serve engine's `sweep`
 // endpoint spends its time on (Figs. 6 and 7 are exactly these curves).
+// As there, each kernel body is written once (cost/batch_impl.hpp), as
+// a template over its block transcendentals: std::exp / std::pow per
+// lane for the exact kernels, the dispatched vector math for `*_fast`.
 //
-// Bit-exactness contract (pinned by tests/cost/test_batch.cpp and the
-// serve sweep equivalence tests): each lane performs exactly the
-// floating-point operations, in the same association order, as
+// Bit-exactness contract (pinned by tests/cost/test_batch.cpp, the
+// generated differential tests/cost/test_batch_differential.cpp and
+// the serve sweep equivalence tests): each exact lane performs exactly
+// the floating-point operations, in the same association order, as
 // wafer_cost_model::pure_wafer_cost / scenario1::cost_per_transistor /
 // scenario2::cost_per_transistor through the serve endpoint's
 // constructor chain.  Lanes whose inputs would make the scalar path
 // throw (C_0 <= 0, X < 1, radius <= 0, lambda <= 0, Y_0 outside (0,1],
 // overflow to infinity, yield underflow to zero, ...) produce quiet
 // NaN, which the engine serializes as JSON null — the bytes the
-// per-point error path yields.  Kernels never throw, and lanes are
-// independent (sub-range calls compose bit-identically).
+// per-point error path yields.  Kernels never throw, exact results
+// never depend on simd::active_target(), and lanes are independent
+// (sub-range calls compose bit-identically).
 
 #pragma once
 
@@ -27,8 +32,8 @@ namespace silicon::cost::batch {
 /// Pure wafer cost C_0 * X^((1 - lambda)/step) per lane, mirroring
 /// wafer_cost_model{c0, x, step}.pure_wafer_cost(lambda).  Lane NaN
 /// when the model constructor would reject (c0 non-positive or
-/// non-finite, x < 1, step not strictly positive), lambda is not
-/// strictly positive and finite, or the cost overflows.
+/// non-finite, x < 1, step not strictly positive and finite), lambda
+/// is not strictly positive and finite, or the cost overflows.
 void pure_wafer_cost(const double* c0_usd, const double* x,
                      const double* lambda_um, double generation_step_um,
                      double* out, std::size_t n);
@@ -59,10 +64,10 @@ void scenario2_cost_per_transistor(const scenario_columns& in, double* out,
 
 // ---- fast_math variants --------------------------------------------
 //
-// Same lane-validity classification as the scalar kernels above, but
+// The same kernel bodies as the exact kernels above, but
 // X^((1-lambda)/step), exp(-5.3 lambda) and Y_0^A go through the
 // dispatched vector math in simd/math.hpp, so results agree with the
-// scalar kernels only to the ULP bounds in DESIGN.md §15 — not
+// exact kernels only to the ULP bounds in DESIGN.md §15 — not
 // bitwise.  Invalid lanes are masked to benign arguments before the
 // transcendental and serialize as the same JSON nulls; lanes stay
 // independent, so sub-range calls compose bit-identically and

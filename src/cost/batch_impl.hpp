@@ -1,13 +1,15 @@
-// batch_fast_impl.hpp — fast_math cost kernel bodies, compiled once
-// per instruction-set variant (same scheme as yield/batch_fast_impl.hpp:
-// namespace `baseline` from batch_fast.cpp with portable flags, and on
-// x86-64 namespace `avx2` from batch_fast_avx2.cpp with
-// -mavx2 -mfma -ffp-contract=off so the classification/guard passes run
-// at the transcendentals' register width while staying bit-identical).
+// batch_impl.hpp — the SoA cost kernel bodies, one per model, each a
+// template over the block transcendentals it calls (simd::libm_lanes
+// for the bit-exact kernels, simd::vector_lanes for the `*_fast`
+// ones).  Same scheme as yield/batch_impl.hpp: classify lanes with the
+// scalar guard chain, mask invalid lanes to benign arguments before
+// the transcendental, apply the post-guards; compiled into namespace
+// `baseline` by batch.cpp and, on x86-64, into namespace `avx2` by
+// batch_avx2.cpp with -mavx2 -mfma -ffp-contract=off, bit-identically.
 //
-// Define SILICON_FAST_IMPL_NS to the variant namespace before
-// including.
+// Define SILICON_KERNEL_NS to the variant namespace before including.
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -16,7 +18,7 @@
 #include "simd/math.hpp"
 
 namespace silicon::cost::batch {
-namespace SILICON_FAST_IMPL_NS {
+namespace SILICON_KERNEL_NS {
 
 constexpr double nan_lane = std::numeric_limits<double>::quiet_NaN();
 constexpr double pi = 3.14159265358979323846;  // core/units.hpp disc_area
@@ -31,10 +33,15 @@ inline bool scenario_inputs_valid(double c0, double x, double r, double l) {
            !std::isinf(r) & (l > 0.0) & !std::isinf(l);
 }
 
-void pure_wafer_cost_fast(const double* c0_usd, const double* x,
-                          const double* lambda_um,
-                          double generation_step_um, double* out,
-                          std::size_t n) {
+template <class Math>
+void pure_wafer_cost(const double* c0_usd, const double* x,
+                     const double* lambda_um, double generation_step_um,
+                     double* out, std::size_t n) {
+    if (!(generation_step_um > 0.0) || std::isinf(generation_step_um)) {
+        // microns{step} or wafer_cost_model throws: every lane invalid.
+        std::fill(out, out + n, nan_lane);
+        return;
+    }
     double pb[block];
     double pe[block];
     double xp[block];
@@ -51,7 +58,7 @@ void pure_wafer_cost_fast(const double* c0_usd, const double* x,
             pb[j] = valid ? xi : 1.0;
             pe[j] = valid ? expo : 0.0;
         }
-        simd::pow_lanes(pb, pe, xp, len);
+        Math::pow(pb, pe, xp, len);
         for (std::size_t j = 0; j < len; ++j) {
             const double c0 = c0_usd[base + j];
             const double xi = x[base + j];
@@ -66,8 +73,9 @@ void pure_wafer_cost_fast(const double* c0_usd, const double* x,
     }
 }
 
-void scenario1_cost_per_transistor_fast(const scenario_columns& in,
-                                        double* out, std::size_t n) {
+template <class Math>
+void scenario1_cost_per_transistor(const scenario_columns& in, double* out,
+                                   std::size_t n) {
     // Hoisted column pointers: re-reading them from the struct inside
     // the lane loops makes the vectorizer treat them as loop-variant
     // and give up.
@@ -91,7 +99,7 @@ void scenario1_cost_per_transistor_fast(const scenario_columns& in,
             pb[j] = valid ? x : 1.0;
             pe[j] = valid ? expo : 0.0;
         }
-        simd::pow_lanes(pb, pe, xp, len);
+        Math::pow(pb, pe, xp, len);
         // Branchless guard chain (every intermediate runs on every
         // lane; invalid lanes are discarded by the final select) so
         // the compiler can if-convert and vectorize the pass.
@@ -116,8 +124,9 @@ void scenario1_cost_per_transistor_fast(const scenario_columns& in,
     }
 }
 
-void scenario2_cost_per_transistor_fast(const scenario_columns& in,
-                                        double* out, std::size_t n) {
+template <class Math>
+void scenario2_cost_per_transistor(const scenario_columns& in, double* out,
+                                   std::size_t n) {
     // Hoisted column pointers, as in scenario1.
     const double* const col_l = in.lambda_um;
     const double* const col_c0 = in.c0_usd;
@@ -146,8 +155,8 @@ void scenario2_cost_per_transistor_fast(const scenario_columns& in,
             pe[j] = valid ? expo : 0.0;
             arg[j] = valid ? -5.3 * l : 0.0;
         }
-        simd::pow_lanes(pb, pe, xp, len);
-        simd::exp_lanes(arg, ea, len);
+        Math::pow(pb, pe, xp, len);
+        Math::exp(arg, ea, len);
         for (std::size_t j = 0; j < len; ++j) {
             const double l = col_l[base + j];
             const double c0 = col_c0[base + j];
@@ -160,7 +169,7 @@ void scenario2_cost_per_transistor_fast(const scenario_columns& in,
             pb[j] = valid ? y0 : 1.0;
             pe[j] = valid ? die_area_cm2 / 1.0 : 0.0;
         }
-        simd::pow_lanes(pb, pe, yv, len);
+        Math::pow(pb, pe, yv, len);
         // Branchless guard chain, same shape as scenario1's.
         for (std::size_t j = 0; j < len; ++j) {
             const double l = col_l[base + j];
@@ -189,5 +198,24 @@ void scenario2_cost_per_transistor_fast(const scenario_columns& in,
     }
 }
 
-}  // namespace SILICON_FAST_IMPL_NS
+// The fast_math kernels of this compilation, for batch.cpp's dispatch.
+
+void pure_wafer_cost_fast(const double* c0_usd, const double* x,
+                          const double* lambda_um, double step_um,
+                          double* out, std::size_t n) {
+    pure_wafer_cost<simd::vector_lanes>(c0_usd, x, lambda_um, step_um, out,
+                                        n);
+}
+
+void scenario1_cost_per_transistor_fast(const scenario_columns& in,
+                                        double* out, std::size_t n) {
+    scenario1_cost_per_transistor<simd::vector_lanes>(in, out, n);
+}
+
+void scenario2_cost_per_transistor_fast(const scenario_columns& in,
+                                        double* out, std::size_t n) {
+    scenario2_cost_per_transistor<simd::vector_lanes>(in, out, n);
+}
+
+}  // namespace SILICON_KERNEL_NS
 }  // namespace silicon::cost::batch

@@ -37,6 +37,7 @@
 
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 
 namespace silicon::simd {
@@ -50,6 +51,49 @@ void expm1_lanes(const double* x, double* out, std::size_t n);
 /// out[i] = pow(base[i], expo[i]) for i in [0, n); base[i] >= 0.
 void pow_lanes(const double* base, const double* expo, double* out,
                std::size_t n);
+
+/// The two block-transcendental policies the SoA batch kernels are
+/// written against: each kernel body is one template over `Math`, and
+/// calls only Math::exp, Math::expm1 and Math::pow on whole blocks.
+///
+/// vector_lanes is the dispatched vector math above: the `*_fast`
+/// kernels.
+struct vector_lanes {
+    static void exp(const double* x, double* out, std::size_t n) {
+        exp_lanes(x, out, n);
+    }
+    static void expm1(const double* x, double* out, std::size_t n) {
+        expm1_lanes(x, out, n);
+    }
+    static void pow(const double* base, const double* expo, double* out,
+                    std::size_t n) {
+        pow_lanes(base, expo, out, n);
+    }
+};
+
+/// libm_lanes is one std::exp / std::pow call per lane, the calls the
+/// scalar models make: the bit-exact kernels.  It never depends on
+/// active_target().  Its expm1 is std::exp(x) - 1, not std::expm1: the
+/// scalar Murphy model evaluates (1 - e^-f)/f, and IEEE subtraction is
+/// exactly antisymmetric, so a body's -(e^-f - 1)/f has the same bits.
+struct libm_lanes {
+    static void exp(const double* x, double* out, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+            out[i] = std::exp(x[i]);
+        }
+    }
+    static void expm1(const double* x, double* out, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+            out[i] = std::exp(x[i]) - 1.0;
+        }
+    }
+    static void pow(const double* base, const double* expo, double* out,
+                    std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+            out[i] = std::pow(base[i], expo[i]);
+        }
+    }
+};
 
 namespace detail {
 

@@ -250,9 +250,14 @@ SILICON_SIMD_INLINE void v_pow_log_phase(typename V::reg b,
     v_log_dd<V>(b, lh, ll);
     const R th = V::mul(y, lh);
     const R terr = V::fma(y, lh, V::sub(V::set1(0.0), th));
-    tl = V::fma(y, ll, terr);
     thc = V::min(V::max(th, V::set1(k_exp_lo_clamp)),
                  V::set1(k_exp_hi_clamp));
+    // A clamped product is past overflow or underflow either way, and
+    // its compensation term is no longer small next to it (an
+    // exponent of 1e20 leaves a rounding error in the thousands; an
+    // infinite product leaves inf - inf): drop it, so the result
+    // saturates to inf or 0 as libm's does.
+    tl = V::select(V::eq(th, thc), V::fma(y, ll, terr), V::set1(0.0));
 }
 
 /// The special-case selects of pow applied to a raw exp_core result.

@@ -1,137 +1,139 @@
+// batch.cpp — the public SoA yield kernels.  Each model's body lives
+// once in batch_impl.hpp: the exact kernels run it on simd::libm_lanes
+// in the baseline compilation, whatever the host's SIMD target; the
+// `*_fast` kernels run it on simd::vector_lanes in the AVX2 compilation
+// (batch_avx2.cpp) when simd::active_target() is avx2, else in the
+// baseline one.  The two compilations are bit-identical, so that
+// choice is a speed dispatch only.
+
 #include "yield/batch.hpp"
 
-#include <cmath>
-#include <limits>
+#include <cstddef>
+
+#include "simd/dispatch.hpp"
+
+#define SILICON_KERNEL_NS baseline
+#include "yield/batch_impl.hpp"
+#undef SILICON_KERNEL_NS
 
 namespace silicon::yield::batch {
 
+#if defined(__x86_64__) || defined(_M_X64)
+// Defined in batch_avx2.cpp from the same impl header.
+namespace avx2 {
+void poisson_yield_fast(const double*, double*, std::size_t);
+void murphy_yield_fast(const double*, double*, std::size_t);
+void bose_einstein_yield_fast(const double*, int, double*, std::size_t);
+void negative_binomial_yield_fast(const double*, const double*, double*,
+                                  std::size_t);
+void scaled_poisson_yield_fast(const double*, const double*, const double*,
+                               const double*, double*, std::size_t);
+void reference_yield_fast(const double*, const double*, const double*,
+                          double*, std::size_t);
+}  // namespace avx2
+#else
+namespace avx2 = baseline;
+#endif
+
 namespace {
 
-constexpr double nan_lane = std::numeric_limits<double>::quiet_NaN();
+using exact = simd::libm_lanes;
+
+inline bool wide_passes() {
+#if defined(__x86_64__) || defined(_M_X64)
+    return simd::active_target() == simd::target::avx2;
+#else
+    return false;
+#endif
+}
 
 }  // namespace
 
 void poisson_yield(const double* expected_faults, double* out,
                    std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-        const double f = expected_faults[i];
-        // poisson_model::yield's require_nonnegative guard.
-        out[i] = !(f >= 0.0) ? nan_lane : std::exp(-f);
-    }
+    baseline::poisson_yield<exact>(expected_faults, out, n);
 }
 
 void murphy_yield(const double* expected_faults, double* out,
                   std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-        const double f = expected_faults[i];
-        if (!(f >= 0.0)) {
-            out[i] = nan_lane;
-            continue;
-        }
-        // murphy_model::yield: linearized below 1e-9 to keep full
-        // precision (same branch, same association).
-        double y;
-        if (f < 1e-9) {
-            const double lin = 1.0 - 0.5 * f;
-            y = lin * lin;
-        } else {
-            const double t = (1.0 - std::exp(-f)) / f;
-            y = t * t;
-        }
-        out[i] = !(y >= 0.0 && y <= 1.0) ? nan_lane : y;
-    }
+    baseline::murphy_yield<exact>(expected_faults, out, n);
 }
 
 void seeds_yield(const double* expected_faults, double* out,
                  std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-        const double f = expected_faults[i];
-        out[i] = !(f >= 0.0) ? nan_lane : 1.0 / (1.0 + f);
-    }
+    baseline::seeds_yield(expected_faults, out, n);
 }
 
 void bose_einstein_yield(const double* expected_faults, int critical_steps,
                          double* out, std::size_t n) {
-    if (critical_steps < 1) {
-        // bose_einstein_model's constructor throw: every lane invalid.
-        for (std::size_t i = 0; i < n; ++i) {
-            out[i] = nan_lane;
-        }
-        return;
-    }
-    const double steps = static_cast<double>(critical_steps);
-    for (std::size_t i = 0; i < n; ++i) {
-        const double f = expected_faults[i];
-        if (!(f >= 0.0)) {
-            out[i] = nan_lane;
-            continue;
-        }
-        const double per_step = f / steps;
-        const double y = std::pow(1.0 + per_step, -steps);
-        out[i] = !(y >= 0.0 && y <= 1.0) ? nan_lane : y;
-    }
+    baseline::bose_einstein_yield<exact>(expected_faults, critical_steps,
+                                         out, n);
 }
 
 void negative_binomial_yield(const double* expected_faults,
                              const double* alpha, double* out,
                              std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-        const double f = expected_faults[i];
-        const double a = alpha[i];
-        // Constructor guard (alpha > 0) before the fault-count guard —
-        // matching negative_binomial_model{alpha}.yield(f) order is
-        // irrelevant to the NaN lane, which collapses both throws.
-        if (!(a > 0.0) || !(f >= 0.0)) {
-            out[i] = nan_lane;
-            continue;
-        }
-        const double y = std::pow(1.0 + f / a, -a);
-        out[i] = !(y >= 0.0 && y <= 1.0) ? nan_lane : y;
-    }
+    baseline::negative_binomial_yield<exact>(expected_faults, alpha, out, n);
 }
 
 void scaled_poisson_yield(const double* die_area_cm2,
                           const double* lambda_um, const double* d,
                           const double* p, double* out, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-        const double a = die_area_cm2[i];
-        const double l = lambda_um[i];
-        const double di = d[i];
-        const double pi = p[i];
-        // Constructor guards: scaled_poisson_model{d, p},
-        // square_centimeters{area}, microns{lambda}, then the model's
-        // own lambda > 0 requirement.
-        if (!(di >= 0.0) || !(pi > 2.0) || !(a >= 0.0) || std::isinf(a) ||
-            !(l >= 0.0) || std::isinf(l) || l <= 0.0) {
-            out[i] = nan_lane;
-            continue;
-        }
-        // Exact scalar association: area * (D / lambda^p), then
-        // exp(-faults); the probability constructor's range check maps
-        // to the NaN lane (0 * inf fault counts).
-        const double expected_faults = a * (di / std::pow(l, pi));
-        const double y = std::exp(-expected_faults);
-        out[i] = !(y >= 0.0 && y <= 1.0) ? nan_lane : y;
-    }
+    baseline::scaled_poisson_yield<exact>(die_area_cm2, lambda_um, d, p, out,
+                                          n);
 }
 
 void reference_yield(const double* die_area_cm2, const double* y0,
                      const double* a0_cm2, double* out, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-        const double a = die_area_cm2[i];
-        const double y0i = y0[i];
-        const double a0i = a0_cm2[i];
-        // Constructor guards: probability{y0}, square_centimeters{a0},
-        // reference_die_yield{y0, a0} (y0 > 0, a0 > 0), then the area
-        // argument's own unit check.
-        if (!(y0i >= 0.0 && y0i <= 1.0) || y0i <= 0.0 || !(a0i >= 0.0) ||
-            std::isinf(a0i) || a0i <= 0.0 || !(a >= 0.0) || std::isinf(a)) {
-            out[i] = nan_lane;
-            continue;
-        }
-        const double y = std::pow(y0i, a / a0i);
-        out[i] = !(y >= 0.0 && y <= 1.0) ? nan_lane : y;
-    }
+    baseline::reference_yield<exact>(die_area_cm2, y0, a0_cm2, out, n);
+}
+
+void poisson_yield_fast(const double* expected_faults, double* out,
+                        std::size_t n) {
+    (wide_passes() ? avx2::poisson_yield_fast
+                   : baseline::poisson_yield_fast)(expected_faults, out, n);
+}
+
+void murphy_yield_fast(const double* expected_faults, double* out,
+                       std::size_t n) {
+    (wide_passes() ? avx2::murphy_yield_fast
+                   : baseline::murphy_yield_fast)(expected_faults, out, n);
+}
+
+void seeds_yield_fast(const double* expected_faults, double* out,
+                      std::size_t n) {
+    baseline::seeds_yield(expected_faults, out, n);
+}
+
+void bose_einstein_yield_fast(const double* expected_faults,
+                              int critical_steps, double* out,
+                              std::size_t n) {
+    (wide_passes() ? avx2::bose_einstein_yield_fast
+                   : baseline::bose_einstein_yield_fast)(
+        expected_faults, critical_steps, out, n);
+}
+
+void negative_binomial_yield_fast(const double* expected_faults,
+                                  const double* alpha, double* out,
+                                  std::size_t n) {
+    (wide_passes() ? avx2::negative_binomial_yield_fast
+                   : baseline::negative_binomial_yield_fast)(
+        expected_faults, alpha, out, n);
+}
+
+void scaled_poisson_yield_fast(const double* die_area_cm2,
+                               const double* lambda_um, const double* d,
+                               const double* p, double* out, std::size_t n) {
+    (wide_passes() ? avx2::scaled_poisson_yield_fast
+                   : baseline::scaled_poisson_yield_fast)(
+        die_area_cm2, lambda_um, d, p, out, n);
+}
+
+void reference_yield_fast(const double* die_area_cm2, const double* y0,
+                          const double* a0_cm2, double* out, std::size_t n) {
+    (wide_passes() ? avx2::reference_yield_fast
+                   : baseline::reference_yield_fast)(die_area_cm2, y0,
+                                                      a0_cm2, out, n);
 }
 
 }  // namespace silicon::yield::batch

@@ -4,20 +4,27 @@
 // hundreds of grid points; going through the scalar API costs a JSON
 // round trip, a cache probe and an exception frame per point.  These
 // kernels take contiguous parameter arrays and write one output lane
-// per point, restructured so the compiler can auto-vectorize the
-// straight-line arithmetic (lane validity is decided by branchless-ish
-// guard chains, not exceptions).
+// per point.  Each model's kernel body is written once
+// (yield/batch_impl.hpp): blocks of lanes are classified by branchless
+// guard chains, invalid lanes are masked before one block
+// transcendental, and the post-guards NaN what the scalar model would
+// throw on.  The body is a template over its block transcendentals and
+// has two instantiations, the exact kernels and the `*_fast` ones.
 //
-// Bit-exactness contract (pinned by tests/yield/test_batch.cpp and the
-// serve sweep equivalence tests): every lane performs *exactly* the
-// floating-point operations, in exactly the association order, of the
-// scalar path it mirrors — poisson_model::yield,
+// Bit-exactness contract (pinned by tests/yield/test_batch.cpp, the
+// generated differential tests/yield/test_batch_differential.cpp and
+// the serve sweep equivalence tests): the exact kernels call std::exp
+// and std::pow per lane, and every other operation is the scalar
+// path's, in its association order — poisson_model::yield,
 // scaled_poisson_model::yield, reference_die_yield::yield — including
-// the serve layer's constructor validation.  A lane whose inputs would
-// make the scalar path throw (negative fault count, lambda <= 0,
-// Y_0 outside (0,1], ...) produces quiet NaN instead, which the engine
-// serializes as JSON null — the same bytes the per-point error path
-// yields.  Kernels never throw.
+// the serve layer's constructor validation.  Murphy's expm1 is
+// exp(x) - 1 there, and -(e - 1)/f has the bits of the scalar
+// (1 - e)/f because IEEE subtraction is exactly antisymmetric.  A lane
+// whose inputs would make the scalar path throw (negative fault count,
+// lambda <= 0, Y_0 outside (0,1], ...) produces quiet NaN instead,
+// which the engine serializes as JSON null — the same bytes the
+// per-point error path yields.  Kernels never throw, and their results
+// never depend on simd::active_target().
 //
 // All kernels are lane-independent: splitting [0, n) into sub-ranges
 // and calling the kernel per range produces bit-identical output, which
@@ -78,18 +85,18 @@ void reference_yield(const double* die_area_cm2, const double* y0,
 
 // ---- fast_math variants --------------------------------------------
 //
-// Same signatures, same lane-validity classification (a lane is NaN
-// for exactly the inputs that NaN the scalar kernel above — pinned by
-// tests/yield/test_batch_ulp.cpp), but the transcendentals go through
-// the dispatched vector math in simd/math.hpp instead of libm, so the
-// results are NOT bit-identical to the scalar kernels: they agree to
-// within the ULP bounds in DESIGN.md §15 (<= 4 ULP drift on
-// well-conditioned lanes, <= 4 ULP against a long-double reference).
-// Invalid lanes are masked to benign arguments *before* the
-// transcendental, so guard lanes cannot perturb neighbours and always
-// serialize as the same JSON null bytes as the scalar path.
+// Same signatures and the same kernel bodies, but the transcendentals
+// go through the dispatched vector math in simd/math.hpp instead of
+// libm, so the results are NOT bit-identical to the exact kernels:
+// they agree to within the ULP bounds in DESIGN.md §15 (<= 4 ULP drift
+// on well-conditioned lanes, <= 4 ULP against a long-double
+// reference).  A lane is NaN for exactly the inputs that NaN the exact
+// kernel (pinned by tests/yield/test_batch_ulp.cpp and the generated
+// differential): invalid lanes are masked to benign arguments *before*
+// the transcendental, so they cannot perturb neighbours and always
+// serialize as the same JSON null bytes.
 //
-// Like the scalar kernels, every lane is computed independently (tails
+// Like the exact kernels, every lane is computed independently (tails
 // use the same vector math through a padded register), so sub-range
 // calls compose bit-identically — fast_math sweeps stay deterministic
 // across thread counts.  The engine only selects these when
@@ -100,13 +107,13 @@ void poisson_yield_fast(const double* expected_faults, double* out,
                         std::size_t n);
 
 /// Vector-path murphy_yield.  The f < 1e-9 linearization branch is
-/// bit-identical to the scalar kernel (no transcendental there); the
-/// main branch evaluates ((-expm1(-f))/f)^2, which is better
-/// conditioned than the scalar (1 - exp(-f))/f form.
+/// bit-identical to the exact kernel (no transcendental there); the
+/// main branch evaluates ((-expm1(-f))/f)^2 with a true expm1, which is
+/// better conditioned than the scalar (1 - exp(-f))/f form.
 void murphy_yield_fast(const double* expected_faults, double* out,
                        std::size_t n);
 
-/// seeds_yield has no transcendental: the "fast" path is the scalar
+/// seeds_yield has no transcendental: the "fast" path is the exact
 /// kernel itself (bit-identical on every target).
 void seeds_yield_fast(const double* expected_faults, double* out,
                       std::size_t n);

@@ -5,7 +5,7 @@
 // every position of it, the Knuth count capped at 4 that a Poisson draw
 // starting there would reach.  Both loops are lane-independent: draw k
 // of a stream is mix(state + (k+1)·gamma), and each position's count
-// reads only the four draws from it.  So, as with batch_fast_impl.hpp,
+// reads only the four draws from it.  So, as with batch_impl.hpp,
 // the same body is compiled twice:
 //
 //   * monte_carlo_draws.cpp includes this header into namespace

@@ -59,6 +59,7 @@
 // Usage: chaosclient /path/to/silicond [extra silicond args...]
 
 #include "serve/json.hpp"
+#include "silicond_child.hpp"
 
 #include <chrono>
 #include <csignal>
@@ -89,144 +90,21 @@ void fail(const std::string& scenario, const std::string& what) {
     ++g_failures;
 }
 
-// ---------------------------------------------------------------------------
-// Child process management
-// ---------------------------------------------------------------------------
+using silicond_child::await_port;
+using silicond_child::connect_to;
+using silicond_child::server;
+using silicond_child::spawn_silicond;
 
-struct server {
-    pid_t pid = -1;
-    int stderr_fd = -1;  ///< read side of the child's stderr
-    int port = 0;
-};
-
-/// Spawn `silicond --port 0 <extra...>` with stderr piped back to us.
-server spawn_silicond(const char* binary,
-                      const std::vector<std::string>& extra) {
-    server s;
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0) {
-        std::perror("pipe");
-        return s;
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        std::perror("fork");
-        ::close(pipe_fds[0]);
-        ::close(pipe_fds[1]);
-        return s;
-    }
-    if (pid == 0) {
-        ::close(pipe_fds[0]);
-        ::dup2(pipe_fds[1], STDERR_FILENO);
-        ::close(pipe_fds[1]);
-        std::vector<std::string> args{binary, "--port", "0"};
-        args.insert(args.end(), extra.begin(), extra.end());
-        std::vector<char*> argv;
-        argv.reserve(args.size() + 1);
-        for (std::string& a : args) {
-            argv.push_back(a.data());
-        }
-        argv.push_back(nullptr);
-        ::execv(binary, argv.data());
-        std::perror("execv");
-        std::_Exit(127);
-    }
-    ::close(pipe_fds[1]);
-    s.pid = pid;
-    s.stderr_fd = pipe_fds[0];
-    return s;
-}
-
-/// Read the child's stderr until the `silicond.listening` log line
-/// appears and extract the bound port from its `"port":N` field.
-int await_port(server& s) {
-    std::string log;
-    char buf[512];
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds{kReplyTimeoutMs};
-    while (std::chrono::steady_clock::now() < deadline) {
-        pollfd p{s.stderr_fd, POLLIN, 0};
-        const int ready = ::poll(&p, 1, 100);
-        if (ready <= 0) {
-            continue;
-        }
-        const ssize_t got = ::read(s.stderr_fd, buf, sizeof buf);
-        if (got <= 0) {
-            break;
-        }
-        log.append(buf, static_cast<std::size_t>(got));
-        const std::size_t at = log.find("silicond.listening");
-        if (at == std::string::npos) {
-            continue;
-        }
-        const std::size_t key = log.find("\"port\":", at);
-        if (key == std::string::npos) {
-            continue;  // field not fully received yet
-        }
-        int port = 0;
-        std::size_t i = key + 7;
-        while (i < log.size() && log[i] >= '0' && log[i] <= '9') {
-            port = port * 10 + (log[i] - '0');
-            ++i;
-        }
-        if (i < log.size() && port > 0) {
-            return port;
-        }
-    }
-    std::cerr << "chaosclient: server never reported a port; stderr so far:\n"
-              << log << "\n";
-    return 0;
-}
-
-void stop_silicond(server& s) {
-    if (s.pid <= 0) {
-        return;
-    }
-    ::kill(s.pid, SIGTERM);
-    int status = 0;
-    for (int i = 0; i < 100; ++i) {
-        if (::waitpid(s.pid, &status, WNOHANG) == s.pid) {
-            s.pid = -1;
-            break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds{50});
-    }
-    if (s.pid > 0) {
-        std::cerr << "chaosclient: server ignored SIGTERM, killing\n";
-        ::kill(s.pid, SIGKILL);
-        ::waitpid(s.pid, &status, 0);
-        s.pid = -1;
+/// Stop a child, counting a server that ignored SIGTERM as a failure.
+void stop_child(server& s) {
+    if (!silicond_child::stop_silicond(s)) {
         ++g_failures;
-    }
-    if (s.stderr_fd >= 0) {
-        ::close(s.stderr_fd);
-        s.stderr_fd = -1;
     }
 }
 
 // ---------------------------------------------------------------------------
 // Client-side socket helpers
 // ---------------------------------------------------------------------------
-
-int connect_to(int port) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-        return -1;
-    }
-    sockaddr_in address{};
-    address.sin_family = AF_INET;
-    address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    address.sin_port = htons(static_cast<std::uint16_t>(port));
-    for (int attempt = 0; attempt < 50; ++attempt) {
-        if (::connect(fd, reinterpret_cast<const sockaddr*>(&address),
-                      sizeof address) == 0) {
-            return fd;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds{20});
-    }
-    ::close(fd);
-    return -1;
-}
 
 bool send_bytes(int fd, std::string_view data) {
     const char* p = data.data();
@@ -1116,13 +994,13 @@ void scenario_kill_mid_snapshot(const char* binary,
     a.port = await_port(a);
     if (a.port == 0) {
         fail(name, "first server never reported a port");
-        stop_silicond(a);
+        stop_child(a);
         return;
     }
     const std::vector<std::string> baseline =
         play_snapshot_corpus(name, a.port);
     if (baseline.empty()) {
-        stop_silicond(a);
+        stop_child(a);
         return;
     }
 
@@ -1142,7 +1020,7 @@ void scenario_kill_mid_snapshot(const char* binary,
     }
     if (::access(snap_path.c_str(), F_OK) != 0) {
         fail(name, "first snapshot never appeared at " + snap_path);
-        stop_silicond(a);
+        stop_child(a);
         return;
     }
 
@@ -1179,7 +1057,7 @@ void scenario_kill_mid_snapshot(const char* binary,
     b.port = await_port(b);
     if (b.port == 0) {
         fail(name, "replacement server never came up after the kill");
-        stop_silicond(b);
+        stop_child(b);
         return;
     }
     const std::vector<std::string> warm = play_snapshot_corpus(name, b.port);
@@ -1192,7 +1070,7 @@ void scenario_kill_mid_snapshot(const char* binary,
             }
         }
     }
-    stop_silicond(b);
+    stop_child(b);
     std::remove(snap_path.c_str());
     std::remove((snap_path + ".tmp").c_str());
 }
@@ -1221,7 +1099,7 @@ int main(int argc, char** argv) {
     }
     s.port = await_port(s);
     if (s.port == 0) {
-        stop_silicond(s);
+        stop_child(s);
         return 2;
     }
     std::cerr << "chaosclient: server up on port " << s.port << "\n";
@@ -1235,7 +1113,7 @@ int main(int argc, char** argv) {
     scenario_half_line_close(s.port);
     scenario_metrics_scrape(s.port);
 
-    stop_silicond(s);
+    stop_child(s);
 
     // Second battery: a capped server with the fault switchboard armed
     // on the epoll transport sites, so every scenario below exercises
@@ -1252,7 +1130,7 @@ int main(int argc, char** argv) {
     }
     s2.port = await_port(s2);
     if (s2.port == 0) {
-        stop_silicond(s2);
+        stop_child(s2);
         return 2;
     }
     std::cerr << "chaosclient: fault-armed server up on port " << s2.port
@@ -1264,7 +1142,7 @@ int main(int argc, char** argv) {
     scenario_chiplet_burst_under_faults(s2.port);
     scenario_abrupt_close_pending_write(s2.port);
 
-    stop_silicond(s2);
+    stop_child(s2);
 
     // Third battery: a tight per-request deadline budget forces a heavy
     // burst to shed while the debug surface (/healthz, /flightz,
@@ -1280,7 +1158,7 @@ int main(int argc, char** argv) {
     }
     s3.port = await_port(s3);
     if (s3.port == 0) {
-        stop_silicond(s3);
+        stop_child(s3);
         return 2;
     }
     std::cerr << "chaosclient: shedding server up on port " << s3.port
@@ -1289,7 +1167,7 @@ int main(int argc, char** argv) {
     scenario_health_under_shedding_burst(s3.port);
     scenario_flightz_records_sheds(s3.port);
 
-    stop_silicond(s3);
+    stop_child(s3);
 
     // Fourth battery: cache snapshot persistence.  SIGUSR2 must take a
     // manual snapshot whose write surfaces on /statusz and /metrics;
@@ -1309,7 +1187,7 @@ int main(int argc, char** argv) {
     }
     s4.port = await_port(s4);
     if (s4.port == 0) {
-        stop_silicond(s4);
+        stop_child(s4);
         return 2;
     }
     std::cerr << "chaosclient: snapshotting server up on port " << s4.port
@@ -1317,7 +1195,7 @@ int main(int argc, char** argv) {
 
     scenario_sigusr2_snapshot(s4, snap_path);
 
-    stop_silicond(s4);
+    stop_child(s4);
     std::remove(snap_path.c_str());
 
     scenario_kill_mid_snapshot(argv[1], snap_path);

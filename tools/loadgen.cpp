@@ -39,6 +39,7 @@
 // Exit code 0 = ran and gate passed (or sampled cleanly in tiny mode).
 
 #include "analysis/stats.hpp"
+#include "silicond_child.hpp"
 #include "yield/defect.hpp"
 
 #include <algorithm>
@@ -69,8 +70,6 @@ namespace {
 
 using silicon::yield::splitmix64;
 
-constexpr int kStartupTimeoutMs = 30000;
-
 bool tiny_mode() {
     const char* v = std::getenv("SILICON_BENCH_TINY");
     return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
@@ -85,138 +84,20 @@ std::uint64_t now_ns(clock_type::time_point t0) {
             .count());
 }
 
-// ---------------------------------------------------------------------------
-// Server child (same spawn/await-port pattern as tools/chaosclient)
-// ---------------------------------------------------------------------------
+using silicond_child::await_port;
+using silicond_child::server;
+using silicond_child::spawn_silicond;
+using silicond_child::stop_silicond;
 
-struct server {
-    pid_t pid = -1;
-    int stderr_fd = -1;
-    int port = 0;
-};
-
-server spawn_silicond(const char* binary,
-                      const std::vector<std::string>& extra) {
-    server s;
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0) {
-        std::perror("pipe");
-        return s;
+/// A loopback connection with Nagle off: each request leaves when
+/// scheduled, so its latency sample starts when it is sent.
+int connect_nodelay(int port) {
+    const int fd = silicond_child::connect_to(port);
+    if (fd >= 0) {
+        const int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        std::perror("fork");
-        ::close(pipe_fds[0]);
-        ::close(pipe_fds[1]);
-        return s;
-    }
-    if (pid == 0) {
-        ::close(pipe_fds[0]);
-        ::dup2(pipe_fds[1], STDERR_FILENO);
-        ::close(pipe_fds[1]);
-        std::vector<std::string> args{binary, "--port", "0"};
-        args.insert(args.end(), extra.begin(), extra.end());
-        std::vector<char*> argv;
-        argv.reserve(args.size() + 1);
-        for (std::string& a : args) {
-            argv.push_back(a.data());
-        }
-        argv.push_back(nullptr);
-        ::execv(binary, argv.data());
-        std::perror("execv");
-        std::_Exit(127);
-    }
-    ::close(pipe_fds[1]);
-    s.pid = pid;
-    s.stderr_fd = pipe_fds[0];
-    return s;
-}
-
-int await_port(server& s) {
-    std::string log;
-    char buf[512];
-    const auto deadline = clock_type::now() +
-                          std::chrono::milliseconds{kStartupTimeoutMs};
-    while (clock_type::now() < deadline) {
-        pollfd p{s.stderr_fd, POLLIN, 0};
-        if (::poll(&p, 1, 100) <= 0) {
-            continue;
-        }
-        const ssize_t got = ::read(s.stderr_fd, buf, sizeof buf);
-        if (got <= 0) {
-            break;
-        }
-        log.append(buf, static_cast<std::size_t>(got));
-        const std::size_t at = log.find("silicond.listening");
-        if (at == std::string::npos) {
-            continue;
-        }
-        const std::size_t key = log.find("\"port\":", at);
-        if (key == std::string::npos) {
-            continue;
-        }
-        int port = 0;
-        std::size_t i = key + 7;
-        while (i < log.size() && log[i] >= '0' && log[i] <= '9') {
-            port = port * 10 + (log[i] - '0');
-            ++i;
-        }
-        if (i < log.size() && port > 0) {
-            return port;
-        }
-    }
-    std::cerr << "loadgen: server never reported a port; stderr:\n"
-              << log << "\n";
-    return 0;
-}
-
-void stop_silicond(server& s) {
-    if (s.pid > 0) {
-        ::kill(s.pid, SIGTERM);
-        int status = 0;
-        for (int i = 0; i < 100; ++i) {
-            if (::waitpid(s.pid, &status, WNOHANG) == s.pid) {
-                s.pid = -1;
-                break;
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds{50});
-        }
-        if (s.pid > 0) {
-            ::kill(s.pid, SIGKILL);
-            ::waitpid(s.pid, &status, 0);
-            s.pid = -1;
-        }
-    }
-    if (s.stderr_fd >= 0) {
-        ::close(s.stderr_fd);
-        s.stderr_fd = -1;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Client connections
-// ---------------------------------------------------------------------------
-
-int connect_nonblocking(int port) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-        return -1;
-    }
-    sockaddr_in address{};
-    address.sin_family = AF_INET;
-    address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    address.sin_port = htons(static_cast<std::uint16_t>(port));
-    for (int attempt = 0; attempt < 50; ++attempt) {
-        if (::connect(fd, reinterpret_cast<const sockaddr*>(&address),
-                      sizeof address) == 0) {
-            const int one = 1;
-            ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-            return fd;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds{20});
-    }
-    ::close(fd);
-    return -1;
+    return fd;
 }
 
 /// One corpus request plus the index of its endpoint (top-level "op")
@@ -391,7 +272,7 @@ double calibrate_capacity(int port, const corpus_set& corpus,
                           double seconds, splitmix64& rng) {
     std::vector<lconn> fleet(conns);
     for (lconn& c : fleet) {
-        c.fd = connect_nonblocking(port);
+        c.fd = connect_nodelay(port);
         if (c.fd < 0) {
             return 0.0;
         }
@@ -456,7 +337,7 @@ level_result run_level(int port, const corpus_set& corpus,
     r.duration_s = seconds;
     std::vector<lconn> fleet(conns);
     for (lconn& c : fleet) {
-        c.fd = connect_nonblocking(port);
+        c.fd = connect_nodelay(port);
         if (c.fd < 0) {
             return r;
         }

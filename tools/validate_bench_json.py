@@ -122,8 +122,10 @@ def require_host(host, path):
 def check_kernels(doc, path):
     errors = require(doc, path, "kernels", list)
     errors += require(doc, path, "simd_target", str)
+    errors += require(doc, path, "host", dict)
     if errors:
         return errors
+    errors += require_host(doc["host"], path)
     if not doc["kernels"]:
         return fail(path, "no kernel rows")
     # The fast-path speedup floor only applies when the host actually
@@ -161,8 +163,10 @@ def check_kernels(doc, path):
 def check_chiplet(doc, path):
     errors = require(doc, path, "kernel", dict)
     errors += require(doc, path, "crossover", dict)
+    errors += require(doc, path, "host", dict)
     if errors:
         return errors
+    errors += require_host(doc["host"], path)
     kernel = doc["kernel"]
     for key in ("kernel_lanes_per_s", "library_scalar_lanes_per_s",
                 "engine_perpoint_lanes_per_s", "speedup_vs_engine"):
