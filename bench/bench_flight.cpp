@@ -18,6 +18,7 @@
 // shrinks the workload and skips the timing gate (the schema and the
 // records-appended count are still checked).
 
+#include "bench_host.hpp"
 #include "obs/flight.hpp"
 #include "serve/engine.hpp"
 
@@ -171,6 +172,7 @@ int main(int argc, char** argv) {
     json::object doc;
     doc.set("bench", json::value{std::string{"bench_flight"}});
     doc.set("tiny", json::value{tiny});
+    doc.set("host", json::value{bench::host_fingerprint()});
     json::object f;
     f.set("baseline_req_per_s", json::value{baseline_rps});
     f.set("recording_req_per_s", json::value{recording_rps});

@@ -26,6 +26,7 @@
 // measured and reported).  Lives in its own binary: it replaces the
 // global allocation functions.
 
+#include "bench_host.hpp"
 #include "serve/engine.hpp"
 
 #include <algorithm>
@@ -140,11 +141,6 @@ measured measure(std::size_t iters, std::string& out, Fn&& fn) {
     return m;
 }
 
-double median(std::vector<double> xs) {
-    std::sort(xs.begin(), xs.end());
-    return xs[xs.size() / 2];
-}
-
 }  // namespace
 
 int main() {
@@ -183,8 +179,8 @@ int main() {
             std::max(line_reject.allocs_last, r.allocs_last);
         served.allocs_last = std::max(served.allocs_last, w.allocs_last);
     }
-    line_reject.ns_per_op = median(reject_ns);
-    served.ns_per_op = median(served_ns);
+    line_reject.ns_per_op = bench::median(reject_ns);
+    served.ns_per_op = bench::median(served_ns);
 
     // --- overloaded: admission refusal ---------------------------------
     // A lone request is always admitted (budgets shed load, they do not
@@ -266,6 +262,7 @@ int main() {
     json::object doc;
     doc.set("bench", json::value{std::string{"bench_overload"}});
     doc.set("tiny", json::value{tiny});
+    doc.set("host", json::value{bench::host_fingerprint()});
     doc.set("rejections", json::value{std::move(rejections)});
     json::object gate;
     gate.set("skipped", json::value{tiny});

@@ -277,18 +277,21 @@ void bm_format_number(benchmark::State& state) {
 BENCHMARK(bm_format_number)->Arg(0)->Arg(1);
 
 // The cost a grid lane adds by feeding the point cache: an engine
-// with a full default-size cache (65536 entries) serves grids whose
-// every lane misses, so each lane is keyed, probed, evaluated, written
-// and stored, evicting another entry.  Arg 0 picks the grid (0 = a
-// 256-lane scenario2 sweep, 1 = a 4x64 partition_explore), arg 1 the
-// cache (1 = on, 0 = off: the same grid without the feed), arg 2 the
+// with a full default-size cache (65536 entries) serves fresh grids.
+// A cost_tr sweep's every lane misses, so each is keyed, probed,
+// evaluated, written and stored, evicting another entry; the kernel
+// grids (a scenario2 sweep, an explore) never touch the point cache,
+// so for them only the line's own probe and put differ.  Arg 0 picks
+// the grid (bench::feed_grid: 0 = a 256-lane scenario2 sweep, 1 = a 4x64
+// partition_explore, 2 = a 256-lane cost_tr sweep), arg 1 the cache
+// (1 = on, 0 = off: the same grid without the feed), arg 2 the
 // serving (0 = one line at a time on a serial engine; 1 = four fresh
 // lines per handle_batch at parallelism 0, so pool workers feed the
 // cache at once; 2 = one line at a time at parallelism 0, as an
 // open-loop client's line arrives alone — both timed in wall-clock
 // time).  Reported as seconds per lane.
 void bm_lane_cache_feed(benchmark::State& state) {
-    const bool explore = state.range(0) == 1;
+    const auto kind = static_cast<bench::feed_grid>(state.range(0));
     const std::int64_t serving = state.range(2);
     serve::engine_config config;
     config.parallelism = serving == 0 ? 1 : 0;
@@ -305,12 +308,12 @@ void bm_lane_cache_feed(benchmark::State& state) {
         // A fresh grid every time, so no lane is ever a hit.
         if (serving == 1) {
             for (std::string& line : batch) {
-                line = bench::lane_feed_line(explore, ++n);
+                line = bench::lane_feed_line(kind, ++n);
             }
             benchmark::DoNotOptimize(engine.handle_batch(batch));
         } else {
             benchmark::DoNotOptimize(
-                engine.handle_line(bench::lane_feed_line(explore, ++n)));
+                engine.handle_line(bench::lane_feed_line(kind, ++n)));
         }
     }
     state.counters["s_per_lane"] = benchmark::Counter(
@@ -322,7 +325,9 @@ BENCHMARK(bm_lane_cache_feed)
     ->Args({0, 1, 0})
     ->Args({0, 0, 0})
     ->Args({1, 1, 0})
-    ->Args({1, 0, 0});
+    ->Args({1, 0, 0})
+    ->Args({2, 1, 0})
+    ->Args({2, 0, 0});
 BENCHMARK(bm_lane_cache_feed)
     ->Args({0, 1, 1})
     ->Args({0, 0, 1})

@@ -23,10 +23,14 @@
 //    again from inside.  Lines/s is recorded, never gated; the replies
 //    must be byte-identical to a parallelism-1, cache-off engine's.
 //
-// 4. The lane feed (grid_batch.hpp): fresh 256-lane scenario2 sweeps and
-//    4x64 explores served one line at a time by a serial engine, with a
-//    full default-size point cache and with the cache off.  Recorded
-//    as ns per lane, with a host fingerprint, never gated.
+// 4. The lane feed (grid_batch.hpp): fresh 256-lane scenario2 sweeps,
+//    4x64 explores and 256-lane cost_tr sweeps served one line at a time
+//    by two serial engines, one with a full default-size point cache and
+//    one with the cache off, in alternating rounds.  Recorded as the
+//    median ns per lane of each side, with a host fingerprint.  The
+//    kernel grids never feed the point cache, so outside tiny mode their
+//    cache-on median must stay within 1.5x of the cache-off one; the
+//    cost_tr sweep, whose lanes feed it, is recorded, never gated.
 //
 // 5. The TCP grid: grid batches through a real serve::event_loop on an
 //    ephemeral loopback port, from four connections that each keep one
@@ -178,30 +182,49 @@ double run_pass(serve::engine& engine, const std::vector<std::string>& lines,
     return rate;
 }
 
-/// ns per lane of `grids` fresh lane-feed grids (explores or scenario2
-/// sweeps) served one line at a time by a serial engine, its default-size
-/// point cache filled first (`cache`) or off.
-double lane_feed_ns(bool explore, bool cache, std::size_t grids) {
+/// The lane feed of one kind of grid: ns per lane with the point cache
+/// on and off, each the median of its rounds.
+struct feed_row {
+    double on_ns;
+    double off_ns;
+};
+
+/// Serves fresh lane-feed grids of `kind` one line at a time on two
+/// serial engines, one with its default-size point cache filled first
+/// and one with the cache off, alternating between them over `rounds`
+/// rounds of `grids` grids each, so both sides see the same moments of
+/// a shared host.
+feed_row lane_feed(silicon::bench::feed_grid kind, std::size_t rounds,
+                   std::size_t grids) {
     serve::engine_config config;
     config.parallelism = 1;
-    config.cache_capacity = cache ? 65536 : 0;
-    serve::engine engine{config};
-    if (cache) {
-        silicon::bench::fill_point_cache(engine);
-    }
-    std::vector<std::string> lines;
-    for (std::size_t n = 1; n <= grids; ++n) {
-        lines.push_back(silicon::bench::lane_feed_line(explore, n));
-    }
+    serve::engine on{config};
+    silicon::bench::fill_point_cache(on);
+    config.cache_capacity = 0;
+    serve::engine off{config};
+    std::uint64_t n = 0;
     std::string out;
-    const auto start = std::chrono::steady_clock::now();
-    for (const std::string& line : lines) {
-        engine.handle_line_into(line, out);
+    const auto round_ns = [&](serve::engine& engine) {
+        std::vector<std::string> lines;
+        for (std::size_t g = 0; g < grids; ++g) {
+            lines.push_back(silicon::bench::lane_feed_line(kind, ++n));
+        }
+        const auto start = std::chrono::steady_clock::now();
+        for (const std::string& line : lines) {
+            engine.handle_line_into(line, out);
+        }
+        const double seconds = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - start)
+                                   .count();
+        return seconds * 1e9 / static_cast<double>(256 * grids);
+    };
+    std::vector<double> on_ns;
+    std::vector<double> off_ns;
+    for (std::size_t r = 0; r < rounds; ++r) {
+        on_ns.push_back(round_ns(on));
+        off_ns.push_back(round_ns(off));
     }
-    const double seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-    return seconds * 1e9 / static_cast<double>(256 * grids);
+    return {bench::median(on_ns), bench::median(off_ns)};
 }
 
 /// A listening loopback socket on an ephemeral port.
@@ -455,17 +478,29 @@ int main() {
                 grid_rate, grid_identical ? "byte-identical" : "DIFFER");
 
     // --- Pass set 4: the lane feed ---------------------------------------
-    const std::size_t kFeedGrids = tiny ? 4 : 200;
-    const double sweep_on = lane_feed_ns(false, true, kFeedGrids);
-    const double sweep_off = lane_feed_ns(false, false, kFeedGrids);
-    const double explore_on = lane_feed_ns(true, true, kFeedGrids);
-    const double explore_off = lane_feed_ns(true, false, kFeedGrids);
-    std::printf("lane feed (%zu fresh grids of 256 lanes, serial)\n",
-                kFeedGrids);
-    std::printf("  %-22s %8.0f ns/lane cache on, %8.0f off\n",
-                "scenario2 sweep", sweep_on, sweep_off);
-    std::printf("  %-22s %8.0f ns/lane cache on, %8.0f off\n",
-                "4x64 explore", explore_on, explore_off);
+    using silicon::bench::feed_grid;
+    const std::size_t kFeedRounds = tiny ? 3 : 9;
+    const std::size_t kFeedGrids = tiny ? 2 : 40;
+    const feed_row sweep_feed =
+        lane_feed(feed_grid::scenario2_sweep, kFeedRounds, kFeedGrids);
+    const feed_row explore_feed =
+        lane_feed(feed_grid::explore, kFeedRounds, kFeedGrids);
+    const feed_row scalar_feed =
+        lane_feed(feed_grid::cost_tr_sweep, kFeedRounds, kFeedGrids);
+    const double sweep_ratio = sweep_feed.on_ns / sweep_feed.off_ns;
+    const double explore_ratio = explore_feed.on_ns / explore_feed.off_ns;
+    std::printf("lane feed (medians of %zu alternating rounds of %zu fresh "
+                "grids of 256 lanes, serial)\n",
+                kFeedRounds, kFeedGrids);
+    std::printf("  %-22s %8.0f ns/lane cache on, %8.0f off (%.2fx)\n",
+                "scenario2 sweep", sweep_feed.on_ns, sweep_feed.off_ns,
+                sweep_ratio);
+    std::printf("  %-22s %8.0f ns/lane cache on, %8.0f off (%.2fx)\n",
+                "4x64 explore", explore_feed.on_ns, explore_feed.off_ns,
+                explore_ratio);
+    std::printf("  %-22s %8.0f ns/lane cache on, %8.0f off (%.2fx)\n",
+                "cost_tr sweep", scalar_feed.on_ns, scalar_feed.off_ns,
+                scalar_feed.on_ns / scalar_feed.off_ns);
 
     // --- Pass set 5: the TCP grid ----------------------------------------
     const std::size_t kTcpConns = 4;
@@ -515,12 +550,20 @@ int main() {
     doc.set("grid_batch", json::value{std::move(grid)});
     json::object feed;
     feed.set("host", json::value{bench::host_fingerprint()});
+    feed.set("rounds", json::value{static_cast<double>(kFeedRounds)});
     feed.set("grids", json::value{static_cast<double>(kFeedGrids)});
     feed.set("lanes_per_grid", json::value{256.0});
-    feed.set("sweep_cache_on_ns_per_lane", json::value{sweep_on});
-    feed.set("sweep_cache_off_ns_per_lane", json::value{sweep_off});
-    feed.set("explore_cache_on_ns_per_lane", json::value{explore_on});
-    feed.set("explore_cache_off_ns_per_lane", json::value{explore_off});
+    feed.set("sweep_cache_on_ns_per_lane", json::value{sweep_feed.on_ns});
+    feed.set("sweep_cache_off_ns_per_lane", json::value{sweep_feed.off_ns});
+    feed.set("explore_cache_on_ns_per_lane",
+             json::value{explore_feed.on_ns});
+    feed.set("explore_cache_off_ns_per_lane",
+             json::value{explore_feed.off_ns});
+    feed.set("scalar_cache_on_ns_per_lane", json::value{scalar_feed.on_ns});
+    feed.set("scalar_cache_off_ns_per_lane",
+             json::value{scalar_feed.off_ns});
+    feed.set("sweep_on_off_ratio", json::value{sweep_ratio});
+    feed.set("explore_on_off_ratio", json::value{explore_ratio});
     doc.set("lane_feed", json::value{std::move(feed)});
     json::object tcp_row;
     tcp_row.set("host", json::value{bench::host_fingerprint()});

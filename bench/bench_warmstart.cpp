@@ -19,6 +19,7 @@
 // req/s columns are recorded for the ledger but not gated: absolute
 // throughput jitters on shared machines, hit ratios do not.
 
+#include "bench_host.hpp"
 #include "serve/cache.hpp"
 #include "serve/engine.hpp"
 #include "serve/json.hpp"
@@ -283,6 +284,7 @@ int main(int argc, char** argv) {
     json::object doc;
     doc.set("bench", json::value{std::string{"bench_warmstart"}});
     doc.set("tiny", json::value{tiny});
+    doc.set("host", json::value{bench::host_fingerprint()});
     json::object ws_obj;
     ws_obj.set("requests", json::value{static_cast<double>(lines.size())});
     ws_obj.set("distinct_keys", json::value{static_cast<double>(distinct)});

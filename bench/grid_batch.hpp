@@ -2,7 +2,8 @@
 // kinds of line silibench's grid_explore generator sends, in its order
 // (sweep, sweep, partition_explore, mc_yield), served together in one
 // handle_batch as a closed-loop client with a window of four does.  Also
-// the lane feed both benches time: fresh grids into a full point cache.
+// the lane feed both benches time: fresh grids into a full point cache,
+// against the same grids with the cache off.
 
 #pragma once
 
@@ -57,20 +58,43 @@ inline std::vector<std::string> grid_batch(std::uint64_t n) {
     };
 }
 
+/// Batch `n`'s 256-lane cost_tr sweep over a nested parameter: a
+/// sweep with no batch kernel, whose lanes the lane planner keys, probes,
+/// evaluates one by one and caches.
+inline std::string cost_tr_sweep_line(std::uint64_t n) {
+    const double shift = grid_shift(n);
+    return R"({"op":"sweep","param":"product.transistors","from":)" +
+           grid_number(1e6 * shift) + R"(,"to":)" + grid_number(8e6 * shift) +
+           R"(,"count":256,"target":{"op":"cost_tr"}})";
+}
+
 /// Fills `engine`'s default-size (65,536-entry) point cache: 17 sweeps
-/// of 4,096 distinct scenario1 lanes, so every later lane put evicts.
+/// of 4,096 distinct gross_die lanes (lanes the point cache holds), so
+/// every later put evicts.
 inline void fill_point_cache(serve::engine& engine) {
     for (int i = 0; i < 17; ++i) {
         (void)engine.handle_line(
-            R"({"op":"sweep","param":"lambda_um","from":)" +
+            R"({"op":"sweep","param":"die_width_mm","from":)" +
             std::to_string(i + 1) + R"(.3,"to":)" + std::to_string(i + 1) +
-            R"(.9,"count":4096,"target":{"op":"scenario1"}})");
+            R"(.9,"count":4096,"target":{"op":"gross_die"}})");
     }
 }
 
-/// Lane-feed grid `n`: batch n's scenario2 sweep or its explore.
-inline std::string lane_feed_line(bool explore, std::uint64_t n) {
-    return explore ? explore_line(n) : scenario2_sweep_line(n);
+/// The grids the lane feed times: two that run on a batch kernel and
+/// one whose lanes feed the point cache.
+enum class feed_grid : int { scenario2_sweep = 0, explore = 1, cost_tr_sweep = 2 };
+
+/// Lane-feed grid `n` of `kind`: batch n's scenario2 sweep, its explore,
+/// or its cost_tr sweep.
+inline std::string lane_feed_line(feed_grid kind, std::uint64_t n) {
+    switch (kind) {
+        case feed_grid::explore:
+            return explore_line(n);
+        case feed_grid::cost_tr_sweep:
+            return cost_tr_sweep_line(n);
+        default:
+            return scenario2_sweep_line(n);
+    }
 }
 
 }  // namespace silicon::bench

@@ -81,12 +81,10 @@ bool spec_invariants_ok(const chiplet_spec& base, int chiplets) {
     return true;
 }
 
-/// The kernel body.  `breakdowns`, when not null, receives every valid
-/// lane's full chiplet_breakdown (NaN lanes leave their slot as is).
+/// The kernel body.
 template <class Math>
 void kernel(const chiplet_spec& base, int chiplets,
-            const double* total_area_mm2, double* out,
-            chiplet_breakdown* breakdowns, std::size_t n) {
+            const double* total_area_mm2, double* out, std::size_t n) {
     if (!spec_invariants_ok(base, chiplets)) {
         std::fill(out, out + n, nan_lane);
         return;
@@ -121,7 +119,6 @@ void kernel(const chiplet_spec& base, int chiplets,
     double chip_mm2_v[block];
     double gross_v[block];
     double y_die[block];
-    double dl_v[block];
     double known_good[block];
     double sub_yield[block];
     double mod_pow[block];
@@ -189,7 +186,6 @@ void kernel(const chiplet_spec& base, int chiplets,
         for (std::size_t j = 0; j < len; ++j) {
             double dl = 1.0 - known_good[j];
             dl = dl < 0.0 ? 0.0 : (dl > 1.0 ? 1.0 : dl);
-            dl_v[j] = dl;
             known_good[j] = 1.0 - dl;
             const double pkg_cm2 =
                 base.package_area_factor * (total_v[j] / 100.0);
@@ -254,26 +250,6 @@ void kernel(const chiplet_spec& base, int chiplets,
                 continue;
             }
             out[lo + j] = good_usd;
-            if (breakdowns != nullptr) {
-                chiplet_breakdown& b = breakdowns[lo + j];
-                b.chiplets = chiplets;
-                b.total_area_mm2 = total_v[j];
-                b.chiplet_area_mm2 = chip_mm2_v[j];
-                b.die_yield = y_die[j];
-                b.gross_dies_per_wafer = gross_v[j];
-                b.wafer_cost_usd = wafer_usd;
-                b.die_cost_usd = die_usd;
-                b.test_cost_per_die_usd = test_per_good_usd;
-                b.defect_level = dl_v[j];
-                b.package_area_cm2 = pkg_cm2;
-                b.substrate_cost_usd = sub_usd;
-                b.substrate_yield = sy;
-                b.assembly_yield = assembly;
-                b.module_yield = module;
-                b.bonding_cost_usd = bonding_usd;
-                b.cost_per_system_usd = system_usd;
-                b.cost_per_good_system_usd = good_usd;
-            }
         }
     }
 }
@@ -283,22 +259,13 @@ void kernel(const chiplet_spec& base, int chiplets,
 void cost_per_good_system(const chiplet_spec& base, int chiplets,
                           const double* total_area_mm2, double* out,
                           std::size_t n) {
-    kernel<simd::libm_lanes>(base, chiplets, total_area_mm2, out, nullptr,
-                             n);
-}
-
-void cost_per_good_system(const chiplet_spec& base, int chiplets,
-                          const double* total_area_mm2, double* out,
-                          chiplet_breakdown* breakdowns, std::size_t n) {
-    kernel<simd::libm_lanes>(base, chiplets, total_area_mm2, out,
-                             breakdowns, n);
+    kernel<simd::libm_lanes>(base, chiplets, total_area_mm2, out, n);
 }
 
 void cost_per_good_system_fast(const chiplet_spec& base, int chiplets,
                                const double* total_area_mm2, double* out,
                                std::size_t n) {
-    kernel<simd::vector_lanes>(base, chiplets, total_area_mm2, out, nullptr,
-                               n);
+    kernel<simd::vector_lanes>(base, chiplets, total_area_mm2, out, n);
 }
 
 }  // namespace silicon::chiplet::batch

@@ -33,16 +33,6 @@ void cost_per_good_system(const chiplet_spec& base, int chiplets,
                           const double* total_area_mm2, double* out,
                           std::size_t n);
 
-/// As above, but additionally stores each successful lane's full
-/// breakdown (all 17 fields, the bits evaluate_chiplet returns) into
-/// breakdowns[i]; NaN lanes leave their slot untouched.  The engine
-/// uses it to feed explore lanes into the per-point memoization cache
-/// without a second evaluation.  Passing nullptr is exactly the plain
-/// variant.
-void cost_per_good_system(const chiplet_spec& base, int chiplets,
-                          const double* total_area_mm2, double* out,
-                          chiplet_breakdown* breakdowns, std::size_t n);
-
 /// fast_math variant: the same body and lane classification (a lane
 /// is NaN for exactly the inputs that make evaluate_chiplet throw), but
 /// the transcendental tail — negative-binomial die yield,

@@ -26,7 +26,6 @@
 #include <cstring>
 #include <deque>
 #include <exception>
-#include <functional>
 #include <limits>
 #include <new>
 #include <optional>
@@ -66,9 +65,7 @@ constexpr double null_lane = std::numeric_limits<double>::quiet_NaN();
 // Result writers: each appends one result object (or array) to `out` in
 // the json::dump format — compact, members in a fixed order, numbers via
 // format_number_into (non-finite prints null), strings via
-// write_string_into — without building a json::value.  The endpoint
-// evaluators below and the kernel lane sinks share the point writers, so
-// a cached lane and a point miss write the same bytes.
+// write_string_into — without building a json::value.
 // ---------------------------------------------------------------------------
 
 /// Appends `prefix` (the member's separator, quoted name and colon,
@@ -98,21 +95,6 @@ void write_lanes(const std::vector<double>& v, std::string& out) {
     out += ']';
 }
 
-void write_scenario1_result(double ctr, std::string& out) {
-    number_member("{\"cost_per_transistor_usd\":", ctr, out);
-    number_member(",\"cost_per_transistor_micro_usd\":", ctr * 1e6, out);
-    out += '}';
-}
-
-void write_scenario2_result(double ctr, double die_area_cm2,
-                            double transistors, std::string& out) {
-    number_member("{\"cost_per_transistor_usd\":", ctr, out);
-    number_member(",\"cost_per_transistor_micro_usd\":", ctr * 1e6, out);
-    number_member(",\"die_area_cm2\":", die_area_cm2, out);
-    number_member(",\"transistors\":", transistors, out);
-    out += '}';
-}
-
 /// The scaled_poisson and reference yield results: the yield, then the
 /// model's defect density under `density_name`.
 void write_density_yield_result(std::string_view model, double y,
@@ -124,40 +106,6 @@ void write_density_yield_result(std::string_view model, double y,
     out += density_name;
     out += "\":";
     json::format_number_into(density, out);
-    out += '}';
-}
-
-/// The fault-count yield models' result.
-void write_fault_yield_result(std::string_view model, double faults,
-                              double y, std::string& out) {
-    string_member("{\"model\":", model, out);
-    number_member(",\"expected_faults\":", faults, out);
-    number_member(",\"yield\":", y, out);
-    out += '}';
-}
-
-void write_chiplet_result(const chiplet::chiplet_breakdown& b,
-                          std::string_view substrate, std::string& out) {
-    number_member("{\"chiplets\":", static_cast<double>(b.chiplets), out);
-    number_member(",\"total_area_mm2\":", b.total_area_mm2, out);
-    number_member(",\"chiplet_area_mm2\":", b.chiplet_area_mm2, out);
-    number_member(",\"die_yield\":", b.die_yield, out);
-    number_member(",\"gross_dies_per_wafer\":", b.gross_dies_per_wafer, out);
-    number_member(",\"wafer_cost_usd\":", b.wafer_cost_usd, out);
-    number_member(",\"die_cost_usd\":", b.die_cost_usd, out);
-    number_member(",\"test_cost_per_die_usd\":", b.test_cost_per_die_usd,
-                  out);
-    number_member(",\"defect_level\":", b.defect_level, out);
-    string_member(",\"substrate\":", substrate, out);
-    number_member(",\"package_area_cm2\":", b.package_area_cm2, out);
-    number_member(",\"substrate_cost_usd\":", b.substrate_cost_usd, out);
-    number_member(",\"substrate_yield\":", b.substrate_yield, out);
-    number_member(",\"assembly_yield\":", b.assembly_yield, out);
-    number_member(",\"module_yield\":", b.module_yield, out);
-    number_member(",\"bonding_cost_usd\":", b.bonding_cost_usd, out);
-    number_member(",\"cost_per_system_usd\":", b.cost_per_system_usd, out);
-    number_member(",\"cost_per_good_system_usd\":",
-                  b.cost_per_good_system_usd, out);
     out += '}';
 }
 
@@ -306,7 +254,10 @@ double yield_into(const yield_request& q, std::string& out) {
         throw request_error("bad_param",
                             "yield: unknown model '" + q.model + "'");
     }
-    write_fault_yield_result(q.model, faults, y.value(), out);
+    string_member("{\"model\":", q.model, out);
+    number_member(",\"expected_faults\":", faults, out);
+    number_member(",\"yield\":", y.value(), out);
+    out += '}';
     return y.value();
 }
 
@@ -316,7 +267,9 @@ double scenario1_into(const scenario1_request& q, std::string& out) {
     s.wafer = geometry::wafer{centimeters{q.wafer_radius_cm}};
     s.design_density = q.design_density;
     const double ctr = s.cost_per_transistor(microns{q.lambda_um}).value();
-    write_scenario1_result(ctr, out);
+    number_member("{\"cost_per_transistor_usd\":", ctr, out);
+    number_member(",\"cost_per_transistor_micro_usd\":", ctr * 1e6, out);
+    out += '}';
     return ctr;
 }
 
@@ -328,8 +281,11 @@ double scenario2_into(const scenario2_request& q, std::string& out) {
     s.yield = yield::reference_die_yield{probability{q.y0}};
     const microns lambda{q.lambda_um};
     const double ctr = s.cost_per_transistor(lambda).value();
-    write_scenario2_result(ctr, s.die_area(lambda).value(),
-                           s.transistors(lambda), out);
+    number_member("{\"cost_per_transistor_usd\":", ctr, out);
+    number_member(",\"cost_per_transistor_micro_usd\":", ctr * 1e6, out);
+    number_member(",\"die_area_cm2\":", s.die_area(lambda).value(), out);
+    number_member(",\"transistors\":", s.transistors(lambda), out);
+    out += '}';
     return ctr;
 }
 
@@ -462,7 +418,27 @@ chiplet::chiplet_spec spec_from(const chiplet_request& q) {
 double chiplet_into(const chiplet_request& q, std::string& out) {
     const chiplet::chiplet_breakdown b =
         chiplet::evaluate_chiplet(spec_from(q));
-    write_chiplet_result(b, q.substrate, out);
+    number_member("{\"chiplets\":", static_cast<double>(b.chiplets), out);
+    number_member(",\"total_area_mm2\":", b.total_area_mm2, out);
+    number_member(",\"chiplet_area_mm2\":", b.chiplet_area_mm2, out);
+    number_member(",\"die_yield\":", b.die_yield, out);
+    number_member(",\"gross_dies_per_wafer\":", b.gross_dies_per_wafer, out);
+    number_member(",\"wafer_cost_usd\":", b.wafer_cost_usd, out);
+    number_member(",\"die_cost_usd\":", b.die_cost_usd, out);
+    number_member(",\"test_cost_per_die_usd\":", b.test_cost_per_die_usd,
+                  out);
+    number_member(",\"defect_level\":", b.defect_level, out);
+    string_member(",\"substrate\":", q.substrate, out);
+    number_member(",\"package_area_cm2\":", b.package_area_cm2, out);
+    number_member(",\"substrate_cost_usd\":", b.substrate_cost_usd, out);
+    number_member(",\"substrate_yield\":", b.substrate_yield, out);
+    number_member(",\"assembly_yield\":", b.assembly_yield, out);
+    number_member(",\"module_yield\":", b.module_yield, out);
+    number_member(",\"bonding_cost_usd\":", b.bonding_cost_usd, out);
+    number_member(",\"cost_per_system_usd\":", b.cost_per_system_usd, out);
+    number_member(",\"cost_per_good_system_usd\":",
+                  b.cost_per_good_system_usd, out);
+    out += '}';
     return b.cost_per_good_system_usd;
 }
 
@@ -771,29 +747,6 @@ double engine::evaluate_into(const request& req, std::string& out,
 
 namespace {
 
-/// Writes every finite kernel lane in `out` into its slot of `keep`
-/// (empty: the lanes are not cached): write_lane(j, bytes) appends lane
-/// j's result to keep[j], which eval_lanes handed over empty.  NaN
-/// lanes, and lanes whose side values throw, keep an empty slot and are
-/// never cached.
-template <typename WriteLane>
-void keep_lanes(const std::vector<double>& out, std::span<std::string> keep,
-                WriteLane&& write_lane) {
-    if (keep.empty()) {
-        return;
-    }
-    for (std::size_t j = 0; j < out.size(); ++j) {
-        if (std::isnan(out[j])) {
-            continue;
-        }
-        try {
-            write_lane(j, keep[j]);
-        } catch (const std::exception&) {
-            keep[j].clear();  // side values threw where the metric did not
-        }
-    }
-}
-
 /// True when a sweep over `param` runs on the SoA batch kernels:
 /// scenario #1/#2 and every yield model, swept over a double parameter.
 bool has_sweep_kernel(const sweep_request& q, const numeric_param& param) {
@@ -805,15 +758,13 @@ bool has_sweep_kernel(const sweep_request& q, const numeric_param& param) {
 
 /// The SoA sweep kernels (yield/batch.hpp, cost/batch.hpp) over the
 /// values `kxs` of the swept parameter: each lane's metric into `out`
-/// (NaN where the scalar library throws) and, into its slot of `keep`,
-/// each lane's point result rebuilt with the bytes a scalar evaluation
-/// writes.
-/// Sub-range kernel calls are bit-exact (batch contract), so any gather
-/// of lanes at any thread count gives the same values.
+/// (NaN where the scalar library throws).  Sub-range kernel calls are
+/// bit-exact (batch contract), so any sharding of the lanes at any
+/// thread count gives the same values.
 void sweep_kernel(const request& tgt, const numeric_param& param,
                   const std::vector<double>& kxs, std::vector<double>& out,
-                  std::span<std::string> keep, unsigned parallelism,
-                  bool fm, const exec::cancel_token* cancel) {
+                  unsigned parallelism, bool fm,
+                  const exec::cancel_token* cancel) {
     const std::size_t m = kxs.size();
     request tmp = tgt;
     const double* slot = param.ptr(tmp);
@@ -854,9 +805,6 @@ void sweep_kernel(const request& tgt, const numeric_param& param,
                     : cost::batch::scenario1_cost_per_transistor)(
                     cols, out.data() + b, len);
             });
-            keep_lanes(out, keep, [&](std::size_t i, std::string& bytes) {
-                write_scenario1_result(out[i], bytes);
-            });
             return;
         }
         case op_code::scenario2: {
@@ -876,17 +824,6 @@ void sweep_kernel(const request& tgt, const numeric_param& param,
                     : cost::batch::scenario2_cost_per_transistor)(
                     cols, out.data() + b, len);
             });
-            keep_lanes(out, keep, [&](std::size_t i, std::string& bytes) {
-                core::scenario2 s;
-                s.wafer_cost =
-                    cost::wafer_cost_model{dollars{c0[i]}, x[i]};
-                s.wafer = geometry::wafer{centimeters{r[i]}};
-                s.design_density = dd[i];
-                s.yield = yield::reference_die_yield{probability{y0[i]}};
-                const microns l{lambda[i]};
-                const double area = s.die_area(l).value();
-                write_scenario2_result(out[i], area, s.transistors(l), bytes);
-            });
             return;
         }
         case op_code::yield: {
@@ -901,13 +838,6 @@ void sweep_kernel(const request& tgt, const numeric_param& param,
                         area.data() + b, lambda.data() + b, d.data() + b,
                         p.data() + b, out.data() + b, len);
                 });
-                keep_lanes(out, keep, [&](std::size_t i, std::string& bytes) {
-                    const yield::scaled_poisson_model model{d[i], p[i]};
-                    write_density_yield_result(
-                        t.model, out[i], "effective_defects_per_cm2",
-                        model.effective_defect_density(microns{lambda[i]}),
-                        bytes);
-                });
                 return;
             }
             if (t.model == "reference") {
@@ -918,13 +848,6 @@ void sweep_kernel(const request& tgt, const numeric_param& param,
                         : yield::batch::reference_yield)(
                         area.data() + b, y0.data() + b, a0.data() + b,
                         out.data() + b, len);
-                });
-                keep_lanes(out, keep, [&](std::size_t i, std::string& bytes) {
-                    const yield::reference_die_yield model{
-                        probability{y0[i]}, square_centimeters{a0[i]}};
-                    write_density_yield_result(
-                        t.model, out[i], "equivalent_defects_per_cm2",
-                        model.equivalent_defect_density(), bytes);
                 });
                 return;
             }
@@ -964,10 +887,6 @@ void sweep_kernel(const request& tgt, const numeric_param& param,
                         : yield::batch::negative_binomial_yield)(
                         fb, alpha.data() + b, out.data() + b, len);
                 }
-            });
-            keep_lanes(out, keep, [&](std::size_t i, std::string& bytes) {
-                const double f = ef[i] >= 0.0 ? ef[i] : area[i] * dpc[i];
-                write_fault_yield_result(t.model, f, out[i], bytes);
             });
             return;
         }
@@ -1013,43 +932,22 @@ struct lane_scratch {
 
 }  // namespace
 
-/// A grid of point requests ("lanes") for the lane planner: lane i is
-/// `base` bound to the grid value xs[i], valued by primary_metric.
-struct engine::lane_grid {
-    request base;
-    /// The numeric parameters `bind` sets: the only numbers in which a
-    /// lane's canonical key differs from the base's.
-    std::vector<std::string_view> params;
-    /// Makes `lane` (a copy of `base`) the point request at grid value
-    /// `x`; throws request_error when parse_request would reject it.
-    std::function<void(double x, request& lane)> bind;
-    /// Batch kernel over the grid values `xs` of the lanes to evaluate:
-    /// out[j] is lane j's metric (NaN = infeasible), and keep[j] (when
-    /// `keep` is not empty) receives each cacheable lane's point result
-    /// bytes.  Empty function: lanes evaluate one by one on the scalar
-    /// library.
-    std::function<void(const std::vector<double>& xs,
-                       std::vector<double>& out, std::span<std::string> keep)>
-        kernel;
-};
-
 std::vector<double> engine::eval_lanes(const std::vector<double>& xs,
-                                       const lane_grid& grid,
+                                       const sweep_request& q,
+                                       const numeric_param& param,
                                        const exec::cancel_token* cancel) {
     const std::size_t n = xs.size();
-    // The one cache rule: a lane reads and writes the point cache
-    // exactly when scalar code evaluates it — never a fast_math kernel
-    // lane (point queries must keep returning scalar bytes), and never
-    // with caching off.
-    const bool use_cache =
-        config_.cache_capacity != 0 && !(grid.kernel && config_.fast_math);
+    const request& base = *q.target;
+    // Lane i is the target bound to xs[i]: a point request, keyed,
+    // probed and cached like one whenever the cache is on.
+    const bool use_cache = config_.cache_capacity != 0;
     std::vector<double> ys(n, null_lane);
 
     // 1-2. Key and hash every lane, then probe the cache in one batch; a
     // hit's stored metric is its lane value.  The probe counts a hit but
     // not a miss.  A lane rejected as a point request stays null and is
     // never probed.  Keys come from the grid's key template: the
-    // constant text with the lane's bound numbers spliced in.  They go
+    // constant text with the lane's swept number spliced in.  They go
     // into this thread's scratch, bound here: the pool tasks below
     // write into it, and a thread_local named inside a task would be
     // the worker's own.
@@ -1061,15 +959,15 @@ std::vector<double> engine::eval_lanes(const std::vector<double>& xs,
     missing.reserve(n);
     if (use_cache) {
         lanes.fit(n);
-        const lane_key_template key_template{grid.base, grid.params};
+        const lane_key_template key_template{base, q.param};
         exec::parallel_for(
             n, config_.parallelism,
             [&](const exec::shard_range& r) {
-                request lane = grid.base;
+                request lane = base;
                 for (std::size_t i = r.begin; i < r.end; ++i) {
                     lanes.hashed[i] = {};
                     try {
-                        grid.bind(xs[i], lane);
+                        param.set(lane, xs[i]);
                     } catch (const request_error&) {
                         continue;
                     }
@@ -1110,10 +1008,8 @@ std::vector<double> engine::eval_lanes(const std::vector<double>& xs,
             lanes.puts.clear();
             for (std::size_t j = 0; j < keep.size(); ++j) {
                 if (!keep[j].empty()) {
-                    const double metric = ys[missing[j]];
                     lanes.puts.push_back(
-                        {lanes.hashed[missing[j]], keep[j],
-                         std::isfinite(metric) ? metric : null_lane});
+                        {lanes.hashed[missing[j]], keep[j], ys[missing[j]]});
                 }
             }
             cache_.put_batch(lanes.puts, lanes.order);
@@ -1123,43 +1019,29 @@ std::vector<double> engine::eval_lanes(const std::vector<double>& xs,
         }
     };
     try {
-        if (grid.kernel) {
-            std::vector<double> kxs(m);
-            for (std::size_t j = 0; j < m; ++j) {
-                kxs[j] = xs[missing[j]];
-            }
-            std::vector<double> out;
-            grid.kernel(kxs, out, keep);
-            for (std::size_t j = 0; j < m; ++j) {
-                ys[missing[j]] = out[j];
-            }
-        } else {
-            exec::parallel_for(
-                m, config_.parallelism,
-                [&](const exec::shard_range& r) {
-                    request lane = grid.base;
-                    std::string scratch;
-                    for (std::size_t j = r.begin; j < r.end; ++j) {
-                        std::string& bytes = keep.empty() ? scratch : keep[j];
-                        try {
-                            grid.bind(xs[missing[j]], lane);
-                            bytes.clear();
-                            ys[missing[j]] = evaluate_into(lane, bytes, cancel);
-                        } catch (const std::exception&) {
-                            // Infeasible or rejected point: null lane,
-                            // never cached.  A cancelled Monte-Carlo lane
-                            // lands here too, but the cancellable
-                            // parallel_for re-raises after the join, so a
-                            // deadline always surfaces as
-                            // deadline_exceeded, never as nulls.
-                            bytes.clear();
-                        }
+        exec::parallel_for(
+            m, config_.parallelism,
+            [&](const exec::shard_range& r) {
+                request lane = base;
+                std::string scratch;
+                for (std::size_t j = r.begin; j < r.end; ++j) {
+                    std::string& bytes = keep.empty() ? scratch : keep[j];
+                    try {
+                        param.set(lane, xs[missing[j]]);
+                        bytes.clear();
+                        ys[missing[j]] = evaluate_into(lane, bytes, cancel);
+                    } catch (const std::exception&) {
+                        // Infeasible or rejected point: null lane, never
+                        // cached.  A cancelled Monte-Carlo lane lands
+                        // here too, but the cancellable parallel_for
+                        // re-raises after the join, so a deadline always
+                        // surfaces as deadline_exceeded, never as nulls.
+                        bytes.clear();
                     }
-                },
-                cancel,
-                grid.base.op == op_code::mc_yield ? mc_dies_ns(grid.base)
-                                                  : scalar_lane_ns);
-        }
+                }
+            },
+            cancel,
+            base.op == op_code::mc_yield ? mc_dies_ns(base) : scalar_lane_ns);
     } catch (...) {
         put_kept();
         throw;
@@ -1174,20 +1056,13 @@ void engine::sweep_into(const sweep_request& q,
         grid_points(q.from, q.to, q.count, q.scale == "log");
     // The swept path is resolved once; every lane binds by offset.
     const numeric_param param{*q.target, q.param};
-    lane_grid grid;
-    grid.base = *q.target;
-    grid.params = {q.param};
-    grid.bind = [&param](double x, request& lane) { param.set(lane, x); };
+    std::vector<double> ys;
     if (has_sweep_kernel(q, param)) {
-        grid.kernel = [&](const std::vector<double>& kxs,
-                          std::vector<double>& kys,
-                          std::span<std::string> keep) {
-            sweep_kernel(*q.target, param, kxs, kys, keep,
-                         config_.parallelism, config_.fast_math, cancel);
-        };
+        sweep_kernel(*q.target, param, xs, ys, config_.parallelism,
+                     config_.fast_math, cancel);
+    } else {
+        ys = eval_lanes(xs, q, param, cancel);
     }
-
-    const std::vector<double> ys = eval_lanes(xs, grid, cancel);
     string_member("{\"target_op\":", to_string(q.target->op), out);
     string_member(",\"param\":", q.param, out);
     string_member(",\"metric\":", primary_metric(q.target->op), out);
@@ -1208,56 +1083,22 @@ void engine::partition_explore_into(const partition_explore_request& q,
     const chiplet::chiplet_spec base = spec_from(q.base);
     const std::size_t n = xs.size();
 
-    // One lane grid per split (<= 8).  Each cell is the chiplet point
-    // request for the base rescaled to that total area at that split,
-    // so cells share the point cache with `op:chiplet`; the kernel runs
+    // One row per split (<= 8), every cell on the SoA chiplet kernel:
     // the scalar core per cell (infeasible cells are NaN, never a
     // throw), or under fast_math the vector tail (DESIGN.md §15).
-    std::vector<std::vector<double>> cost;
-    cost.reserve(splits.size());
-    for (const int split : splits) {
-        lane_grid grid;
-        chiplet_request point = q.base;
-        point.chiplets = split;
-        grid.base.op = op_code::chiplet;
-        grid.base.payload = std::move(point);
-        grid.params = {"logic_area_mm2", "memory_area_mm2", "io_area_mm2"};
-        grid.bind = [&base](double x, request& lane) {
-            const chiplet::chiplet_spec spec =
-                chiplet::scaled_to_total(base, x);
-            auto& cell = std::get<chiplet_request>(lane.payload);
-            cell.logic_area_mm2 = spec.logic_area_mm2;
-            cell.memory_area_mm2 = spec.memory_area_mm2;
-            cell.io_area_mm2 = spec.io_area_mm2;
-        };
-        grid.kernel = [&, split](const std::vector<double>& kxs,
-                                 std::vector<double>& kys,
-                                 std::span<std::string> keep) {
-            const std::size_t m = kxs.size();
-            kys.resize(m);
-            std::vector<chiplet::chiplet_breakdown> breakdowns(
-                config_.fast_math ? 0 : m);
-            exec::parallel_for(
-                m, config_.parallelism,
-                [&](const exec::shard_range& r) {
-                    const std::size_t b = r.begin;
-                    const std::size_t len = r.end - r.begin;
-                    if (config_.fast_math) {
-                        chiplet::batch::cost_per_good_system_fast(
-                            base, split, kxs.data() + b, kys.data() + b,
-                            len);
-                    } else {
-                        chiplet::batch::cost_per_good_system(
-                            base, split, kxs.data() + b, kys.data() + b,
-                            breakdowns.data() + b, len);
-                    }
-                },
-                cancel, cell_lane_ns);
-            keep_lanes(kys, keep, [&](std::size_t j, std::string& bytes) {
-                write_chiplet_result(breakdowns[j], q.base.substrate, bytes);
-            });
-        };
-        cost.push_back(eval_lanes(xs, grid, cancel));
+    std::vector<std::vector<double>> cost(splits.size(),
+                                          std::vector<double>(n));
+    for (std::size_t s = 0; s < splits.size(); ++s) {
+        double* const row = cost[s].data();
+        exec::parallel_for(
+            n, config_.parallelism,
+            [&](const exec::shard_range& r) {
+                (config_.fast_math ? chiplet::batch::cost_per_good_system_fast
+                                   : chiplet::batch::cost_per_good_system)(
+                    base, splits[s], xs.data() + r.begin, row + r.begin,
+                    r.end - r.begin);
+            },
+            cancel, cell_lane_ns);
     }
 
     // Post-processing: per grid point, the cheapest feasible

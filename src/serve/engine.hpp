@@ -33,8 +33,8 @@
 //     (cache.hpp) keyed by the request's canonical serialization;
 //     endpoints are pure functions of their canonical request, so a
 //     hit returns exactly the bytes a fresh evaluation would produce.
-//     Sweep and partition_explore lanes share the same cache as
-//     top-level point requests (see the lane planner below).
+//     The lanes of a sweep with no batch kernel share the same cache
+//     as top-level point requests (see the lane planner below).
 //     A warm cache hit is answered without a single heap allocation:
 //     the cached bytes are spliced into the response envelope in a
 //     reused buffer.  So is a miss of a closed-form point op with
@@ -49,15 +49,15 @@
 //     fans out.  Error responses are never coalesced — a twin whose
 //     representative failed re-evaluates individually, and every
 //     response keeps its own `id` (DESIGN.md §10).
-//   * Lane planner: `sweep` and `partition_explore` evaluate their grid
-//     as lanes, one point request each, keyed and probed in the cache.
-//     Only missing lanes are evaluated — on the SoA batch kernels where
-//     the op has one (cost/, yield/ and chiplet/batch.hpp, bit-identical
-//     to the scalar library, whose lanes the point writers serialize),
-//     else lane by lane through `evaluate_into`, which returns the
-//     lane's metric beside the bytes it caches — and cached lanes
-//     splice back in order.  A lane uses the cache exactly when scalar
-//     code evaluates it (DESIGN.md §10).
+//   * Grid kernels and the lane planner: a `sweep` whose target has a
+//     SoA batch kernel (cost/ and yield/batch.hpp) and every split of a
+//     `partition_explore` (chiplet/batch.hpp) run all their lanes on
+//     the kernel, bit-identical to the scalar library, and never touch
+//     the point cache.  Any other sweep evaluates its grid as lanes,
+//     one point request each, keyed and probed in the cache; only
+//     missing lanes are evaluated, lane by lane through `evaluate_into`,
+//     which returns the lane's metric beside the bytes it caches, and
+//     cached lanes splice back in order (DESIGN.md §10).
 //   * Parallel kernels: endpoints that are themselves parallel
 //     (mc_yield) inherit the engine parallelism; inside a batch they
 //     fan out again from the line's pool task (exec's nested fan-out),
@@ -98,6 +98,8 @@ namespace silicon::serve {
 struct parsed_line;
 /// A parsed request line (request_fast.hpp).
 struct fast_parse_state;
+/// A sweep's resolved numeric parameter (request_fast.hpp).
+class numeric_param;
 
 struct engine_config {
     /// Max batch fan-out width: 0 = hardware concurrency, 1 = serial.
@@ -113,11 +115,11 @@ struct engine_config {
     /// Off (the default) keeps every response bit-identical to the
     /// scalar library; on, sweep curve values may drift from the
     /// scalar path within the ULP bounds documented in DESIGN.md §15
-    /// (NaN/null lanes are still classified identically), results
+    /// (NaN/null lanes are still classified identically), and results
     /// remain deterministic across thread counts and repeat runs on
-    /// the same host, and fast lanes never populate the per-point
-    /// memoization cache (point queries must keep returning scalar
-    /// bytes).  Do not enable under golden/bit-exact workflows.
+    /// the same host.  Kernel lanes never enter the point cache with
+    /// either setting, so point queries always return scalar bytes.
+    /// Do not enable under golden/bit-exact workflows.
     bool fast_math = false;
     /// Resource budgets and overload behavior (limits.hpp); all
     /// defaults are 0/off, so an unconfigured engine is byte-identical
@@ -172,8 +174,8 @@ public:
 
     /// The one result path of every op: run the model once and append
     /// the result object to `out`, bypassing the request's cache entry,
-    /// metrics and the response envelope (a grid's lanes still use the
-    /// point cache, when there is one).  Returns the primary metric
+    /// metrics and the response envelope (the lanes of a sweep with no
+    /// batch kernel still use the point cache, when there is one).  Returns the primary metric
     /// (`primary_metric`) as the bytes carry it: NaN when the op has
     /// none or it prints null.  The structural too_large budgets apply;
     /// `cancel` reaches the cancellable endpoints.  Throws on
@@ -312,17 +314,19 @@ private:
     /// Shed cache shards if configured (called on overloaded rejects).
     void on_overload();
 
-    /// A grid of point requests for the lane planner (engine.cpp).
-    struct lane_grid;
-    /// The lane planner: each lane's primary metric, NaN for a null
-    /// lane (infeasible, or rejected as a point request).
+    /// The lane planner of a sweep with no batch kernel: lane i is the
+    /// target's point request with `param` bound to xs[i], keyed, probed
+    /// and cached like one.  Returns each lane's primary metric, NaN for
+    /// a null lane (infeasible, or rejected as a point request).
     [[nodiscard]] std::vector<double> eval_lanes(
-        const std::vector<double>& xs, const lane_grid& grid,
-        const exec::cancel_token* cancel);
+        const std::vector<double>& xs, const sweep_request& q,
+        const numeric_param& param, const exec::cancel_token* cancel);
+    /// A sweep: on the SoA batch kernel when its target has one, else
+    /// through the lane planner.
     void sweep_into(const sweep_request& q, const exec::cancel_token* cancel,
                     std::string& out);
     /// Monolithic-vs-N-way split exploration over a total-area grid:
-    /// one lane grid per split, evaluated on the SoA chiplet kernel.
+    /// every cell of every split on the SoA chiplet kernel.
     void partition_explore_into(const partition_explore_request& q,
                                 const exec::cancel_token* cancel,
                                 std::string& out);

@@ -10,6 +10,7 @@
 #include <type_traits>
 #include <utility>
 #include <variant>
+#include <vector>
 
 // Each parameter block of the request schema is declared once below, as
 // an ordered table of fields, and three pieces of generic code walk the
@@ -579,26 +580,15 @@ void read_block(const block_table& b, fast_reader& r, char* base) {
     }
 }
 
-/// The numeric members a lane key template cuts out of the key: their
-/// addresses, and, as the key is written, where each one's number would
-/// go: (position, index in `members`), in key order.
-struct key_cuts {
-    std::span<const char* const> members;
-    std::vector<std::pair<std::size_t, std::size_t>> found;
-
-    bool cut(const char* member, std::size_t at) {
-        for (std::size_t i = 0; i < members.size(); ++i) {
-            if (members[i] == member) {
-                found.emplace_back(at, i);
-                return true;
-            }
-        }
-        return false;
-    }
+/// The numeric member a lane key template cuts out of the key, and, once
+/// the key is written, where its number would go.
+struct key_cut {
+    const char* member = nullptr;
+    std::size_t at = std::string::npos;
 };
 
 void write_key(const block_table& b, const char* base, std::string& out,
-               key_cuts* cuts) {
+               key_cut* cut) {
     for (const key_member& m : b.key) {
         out += m.text;
         if (m.field == nullptr) {
@@ -615,10 +605,12 @@ void write_key(const block_table& b, const char* base, std::string& out,
                              member_at<yield_spec_params::kind>(p))]);
                 break;
             case field_kind::block:
-                write_key(*m.field->nested, p, out, cuts);
+                write_key(*m.field->nested, p, out, cut);
                 break;
             default:  // a number (spliced blocks are flattened away)
-                if (cuts == nullptr || !cuts->cut(p, out.size())) {
+                if (cut != nullptr && cut->member == p) {
+                    cut->at = out.size();
+                } else {
                     json::format_number_into(number_at(m.field->kind, p), out);
                 }
                 break;
@@ -950,47 +942,29 @@ double* numeric_param::ptr(request& lane) const {
                : nullptr;
 }
 
-lane_key_template::lane_key_template(
-    const request& base, std::span<const std::string_view> params) {
-    if (params.size() > 3) {
-        throw std::logic_error("lane_key_template: more than three holes");
-    }
-    // Write the base's key once, cut at the parameters' members: each
-    // hole is where one of their numbers goes.
+lane_key_template::lane_key_template(const request& base,
+                                     std::string_view param) {
+    // Write the base's key once, cut at the parameter's member: the hole
+    // is where its number goes.
+    const leaf l = find_numeric(const_cast<request&>(base), param);
     const char* payload = payload_address(base);
-    std::array<const char*, 3> members{};
-    for (std::size_t i = 0; i < params.size(); ++i) {
-        const leaf l = find_numeric(const_cast<request&>(base), params[i]);
-        if (l.field == nullptr ||
-            std::find(members.begin(), members.begin() + i, l.member) !=
-                members.begin() + i) {
-            throw std::logic_error(
-                "lane_key_template: a parameter is not one number of the "
-                "key");
-        }
-        members[i] = l.member;
-        holes_.push_back({0, static_cast<std::size_t>(l.member - payload),
-                          number_reader(l.field->kind)});
+    key_cut cut{l.member};
+    if (l.field != nullptr) {
+        write_key(*payload_table(base.op), payload, text_, &cut);
     }
-    key_cuts cuts{{members.data(), params.size()}, {}};
-    write_key(*payload_table(base.op), payload, text_, &cuts);
-    std::vector<hole> ordered;  // key order
-    for (const auto& [at, i] : cuts.found) {
-        ordered.push_back(holes_[i]);
-        ordered.back().end = at;
+    if (cut.at == std::string::npos) {
+        throw std::logic_error(
+            "lane_key_template: the parameter is not a number of the key");
     }
-    holes_ = std::move(ordered);
+    hole_ = cut.at;
+    offset_ = static_cast<std::size_t>(l.member - payload);
+    number_ = number_reader(l.field->kind);
 }
 
 void lane_key_template::key_into(const request& lane, std::string& out) const {
-    const char* payload = payload_address(lane);
-    std::size_t at = 0;
-    for (const hole& h : holes_) {
-        out.append(text_.data() + at, h.end - at);
-        json::format_number_into(h.number(payload + h.offset), out);
-        at = h.end;
-    }
-    out.append(text_.data() + at, text_.size() - at);
+    out.append(text_.data(), hole_);
+    json::format_number_into(number_(payload_address(lane) + offset_), out);
+    out.append(text_.data() + hole_, text_.size() - hole_);
 }
 
 }  // namespace silicon::serve

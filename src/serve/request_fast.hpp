@@ -30,9 +30,9 @@
 // path ("process.yield.y0"): the `param` values a sweep accepts, and what
 // each sweep lane writes instead of cloning and re-parsing a JSON
 // document.  `numeric_param` resolves such a path once per grid, so
-// binding a lane walks no table.  `lane_key_template` keys a grid's
+// binding a lane walks no table.  `lane_key_template` keys a sweep's
 // lanes: the base request's canonical key, cut once per grid at the
-// parameters its lanes bind.
+// swept parameter.
 
 #pragma once
 
@@ -41,10 +41,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace silicon::serve {
 
@@ -136,35 +134,26 @@ private:
 [[nodiscard]] double numeric_param_value(const request& r,
                                          std::string_view path);
 
-/// The canonical keys of a grid's lanes, which differ from the base
-/// request only in the numeric parameters the lanes bind: the base's key,
-/// written once per grid by the key writer with a hole where each of
-/// those parameters' numbers goes.  A lane's key is then the constant
-/// text with its own values spliced in, byte-identical to
-/// canonical_key_into(lane).
+/// The canonical keys of a sweep's lanes, which differ from the base
+/// request only in the swept parameter: the base's key, written once per
+/// grid by the key writer with a hole where that parameter's number
+/// goes.  A lane's key is then the constant text with its own value
+/// spliced in, byte-identical to canonical_key_into(lane).
 class lane_key_template {
 public:
-    /// Cuts `base`'s key at `params` (at most three paths that
-    /// numeric_param_exists accepts, distinct); std::logic_error
-    /// otherwise.
-    lane_key_template(const request& base,
-                      std::span<const std::string_view> params);
+    /// Cuts `base`'s key at `param` (a path numeric_param_exists
+    /// accepts); std::logic_error otherwise.
+    lane_key_template(const request& base, std::string_view param);
 
     /// Appends the canonical key of `lane`: `base` with only the
-    /// template's parameters changed (set_numeric_param or direct).
+    /// template's parameter changed (set_numeric_param or direct).
     void key_into(const request& lane, std::string& out) const;
 
 private:
-    /// Constant text [previous hole's end, end) of text_, then the
-    /// number of the parameter at byte `offset` of the lane's payload,
-    /// read by `number`.
-    struct hole {
-        std::size_t end;
-        std::size_t offset;
-        double (*number)(const char* member);
-    };
     std::string text_;
-    std::vector<hole> holes_;
+    std::size_t hole_ = 0;    ///< where the number goes in text_
+    std::size_t offset_ = 0;  ///< of the parameter in the lane's payload
+    double (*number_)(const char* member) = nullptr;
 };
 
 }  // namespace silicon::serve

@@ -3,7 +3,6 @@
 #include "exec/thread_pool.hpp"
 #include "grid_reference.hpp"
 #include "obs/flight.hpp"
-#include "chiplet/model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "opt/partition.hpp"
@@ -32,7 +31,6 @@ namespace json = silicon::serve::json;
 namespace grid_reference = silicon::serve::grid_reference;
 namespace exec = silicon::exec;
 namespace obs = silicon::obs;
-namespace chiplet = silicon::chiplet;
 
 namespace {
 
@@ -451,30 +449,53 @@ TEST(Engine, StatsEndpointIsLive) {
 
 TEST(Engine, SweepSharesCacheWithPointQueries) {
     // A grid point answered earlier as a standalone request is a cache
-    // hit inside a later sweep — on kernel lanes (scenario1) and scalar
-    // lanes (an integer chiplet parameter, an mc_yield target) alike —
-    // and the spliced reply still matches the per-point reference.
+    // hit inside a later sweep whose target has no batch kernel — a
+    // gross_die, a cost_tr through a nested path, an integer chiplet
+    // parameter, an mc_yield seed — and the spliced reply still matches
+    // the per-point reference.  A kernel sweep (scenario1) never probes
+    // the point cache, and its reply matches the reference too.
     serve::engine reference{config_with(1, /*cache_capacity=*/0)};
-    const std::vector<std::pair<std::string, std::string>> cases = {
-        {R"({"op":"scenario1","lambda_um":0.5})",
-         R"({"op":"sweep","param":"lambda_um","from":0.5,"to":1.0,"count":2,
-             "target":{"op":"scenario1"}})"},
+    struct sweep_case {
+        std::string point;
+        std::string sweep;
+        bool kernel;
+    };
+    const std::vector<sweep_case> cases = {
+        {R"({"op":"gross_die","die_width_mm":10})",
+         R"({"op":"sweep","param":"die_width_mm","from":10,"to":20,"count":2,
+             "target":{"op":"gross_die"}})",
+         false},
+        {R"({"op":"cost_tr","product":{"transistors":1000000}})",
+         R"({"op":"sweep","param":"product.transistors","from":1000000,
+             "to":2000000,"count":2,"target":{"op":"cost_tr"}})",
+         false},
         {R"({"op":"chiplet","chiplets":2})",
          R"({"op":"sweep","param":"chiplets","from":1,"to":3,"count":3,
-             "target":{"op":"chiplet"}})"},
+             "target":{"op":"chiplet"}})",
+         false},
         {R"({"op":"mc_yield","dies":200,"seed":2})",
          R"({"op":"sweep","param":"seed","from":1,"to":3,"count":3,
-             "target":{"op":"mc_yield","dies":200}})"},
+             "target":{"op":"mc_yield","dies":200}})",
+         false},
+        {R"({"op":"scenario1","lambda_um":0.5})",
+         R"({"op":"sweep","param":"lambda_um","from":0.5,"to":1.0,"count":2,
+             "target":{"op":"scenario1"}})",
+         true},
     };
-    for (const auto& [point, sweep] : cases) {
+    for (const sweep_case& c : cases) {
         serve::engine engine{config_with(1)};
-        (void)engine.handle_line(point);
+        (void)engine.handle_line(c.point);
         const auto before = engine.cache_stats();
-        const std::string got = engine.handle_line(sweep);
-        // The sweep hit the pre-warmed point.
-        EXPECT_GT(engine.cache_stats().hits, before.hits) << sweep;
-        EXPECT_EQ(got, grid_reference::sweep_reference(reference, sweep, got))
-            << sweep;
+        const std::string got = engine.handle_line(c.sweep);
+        if (c.kernel) {
+            EXPECT_EQ(engine.cache_stats().hits, before.hits) << c.sweep;
+        } else {
+            // The sweep hit the pre-warmed point.
+            EXPECT_GT(engine.cache_stats().hits, before.hits) << c.sweep;
+        }
+        EXPECT_EQ(got,
+                  grid_reference::sweep_reference(reference, c.sweep, got))
+            << c.sweep;
     }
 }
 
@@ -486,7 +507,8 @@ std::map<std::string, std::string> cached_entries(serve::engine& engine) {
     EXPECT_TRUE(engine.snapshot_write(path).ok);
     serve::memo_cache copy{std::size_t{1} << 20, 1};
     const serve::snapshot::restore_result r = serve::snapshot::restore_file(
-        copy, serve::snapshot::config_fingerprint(false), path);
+        copy, serve::snapshot::config_fingerprint(engine.config().fast_math),
+        path);
     std::remove(path.c_str());
     EXPECT_EQ(r.outcome, serve::snapshot::restore_outcome::restored)
         << r.reason;
@@ -542,8 +564,8 @@ void expect_stored_metrics(serve::engine& engine,
 /// each lane a parallelism-1, cache-off engine answers ok must be cached
 /// under its canonical key with exactly that reply's result bytes (which
 /// also equal the DOM evaluation's), and nothing else may be cached.  A
-/// lane whose point request errors — rejected, NaN on the kernel, or a
-/// side value that throws — thus has no entry.  Returns the error lanes.
+/// lane whose point request errors (rejected, or infeasible) thus has no
+/// entry.  Returns the error lanes.
 std::size_t expect_lane_entries(serve::engine& engine,
                                 serve::engine& reference,
                                 const std::string& grid_line,
@@ -687,12 +709,51 @@ std::vector<double> lane_values(double base, std::mt19937_64& rng) {
     return xs;
 }
 
+/// Sweeps over every numeric parameter of targets with no batch kernel:
+/// gross_die, cost_tr (nested process.*, product.* and economics.*
+/// paths), chiplet (its integer chiplets included) and a small
+/// mc_yield.  Like generated_sweeps, each grid spans the parameter's
+/// default scaled by factors in [-0.5, 2.5], so grids cross into lanes
+/// the library rejects and integer parameters get non-integral lanes.
+std::vector<std::string> generated_scalar_sweeps(std::uint64_t seed) {
+    const std::vector<std::string> targets = {
+        R"({"op":"gross_die"})",
+        R"({"op":"gross_die","method":"area_ratio"})",
+        R"({"op":"cost_tr"})",
+        R"({"op":"chiplet","chiplets":4,"substrate":"rdl"})",
+        R"({"op":"mc_yield","dies":64})",
+    };
+    std::mt19937_64 rng{seed};
+    std::uniform_real_distribution<double> factor{-0.5, 2.5};
+    std::vector<std::string> sweeps;
+    for (const std::string& target : targets) {
+        const serve::request base = serve::parse_request(json::parse(target));
+        std::vector<std::string> paths;
+        number_paths(json::parse(base.canonical_key), "", paths);
+        for (const std::string& path : paths) {
+            if (!serve::numeric_param_exists(base, path)) {
+                continue;
+            }
+            const double v = serve::numeric_param_value(base, path);
+            const double scale = v != 0.0 ? std::abs(v) : 1.0;
+            const int count = 2 + static_cast<int>(rng() % 15);
+            sweeps.push_back(R"({"op":"sweep","param":")" + path +
+                             R"(","from":)" +
+                             json::format_number(scale * factor(rng)) +
+                             R"(,"to":)" +
+                             json::format_number(scale * factor(rng)) +
+                             R"(,"count":)" + std::to_string(count) +
+                             R"(,"target":)" + target + "}");
+        }
+    }
+    return sweeps;
+}
+
 TEST(EngineLaneKeys, TemplateKeysMatchCanonicalKeys) {
     // Every lane of generated grids over every sweepable (op, param) —
     // double, integer and nested process.* parameters, mc_yield's seed
-    // and dies — and explore cells over all three substrates and splits
-    // 1-8: the template's key equals canonical_key_into of the bound
-    // lane, byte for byte.  A rejected lane is never keyed.
+    // and dies: the template's key equals canonical_key_into of the
+    // bound lane, byte for byte.  A rejected lane is never keyed.
     const std::vector<std::string> targets = {
         R"({"op":"cost_tr"})",
         R"({"op":"cost_tr","process":{"yield":{"model":"scaled"},
@@ -726,8 +787,7 @@ TEST(EngineLaneKeys, TemplateKeysMatchCanonicalKeys) {
             if (!serve::numeric_param_exists(base, path)) {
                 continue;
             }
-            const std::string_view param = path;
-            const serve::lane_key_template keys{base, {&param, 1}};
+            const serve::lane_key_template keys{base, path};
             ++grids;
             serve::request lane = base;
             const double v = serve::numeric_param_value(base, path);
@@ -747,105 +807,87 @@ TEST(EngineLaneKeys, TemplateKeysMatchCanonicalKeys) {
             }
         }
     }
-    // Explore cells: the chiplet point request at each split, its three
-    // areas rescaled to each grid total as partition_explore binds them.
-    const std::vector<std::string_view> areas = {
-        "logic_area_mm2", "memory_area_mm2", "io_area_mm2"};
-    for (const char* substrate : {"organic", "rdl", "interposer"}) {
-        for (int split = 1; split <= 8; ++split) {
-            serve::request base = serve::parse_request(json::parse(
-                std::string{R"({"op":"chiplet","substrate":")"} + substrate +
-                R"(","memory_area_mm2":)" +
-                json::format_number(400.0 * std::uniform_real_distribution<double>{0, 1}(rng)) +
-                "}"));
-            auto& cell = std::get<serve::chiplet_request>(base.payload);
-            cell.chiplets = split;
-            const serve::lane_key_template keys{base, areas};
-            ++grids;
-            chiplet::chiplet_spec spec;
-            spec.logic_area_mm2 = cell.logic_area_mm2;
-            spec.memory_area_mm2 = cell.memory_area_mm2;
-            spec.io_area_mm2 = cell.io_area_mm2;
-            serve::request lane = base;
-            for (const double x : lane_values(900.0, rng)) {
-                const chiplet::chiplet_spec scaled =
-                    chiplet::scaled_to_total(spec, x);
-                auto& c = std::get<serve::chiplet_request>(lane.payload);
-                c.logic_area_mm2 = scaled.logic_area_mm2;
-                c.memory_area_mm2 = scaled.memory_area_mm2;
-                c.io_area_mm2 = scaled.io_area_mm2;
-                got.clear();
-                want.clear();
-                keys.key_into(lane, got);
-                serve::canonical_key_into(lane, want);
-                ASSERT_EQ(got, want) << substrate << " split " << split
-                                     << " total " << x;
-                ++lanes;
-            }
-        }
-    }
     EXPECT_GT(grids, 150u);
     EXPECT_GT(lanes, 6000u);
     EXPECT_GT(rejected, 50u);  // integer lanes off the integers or range
 }
 
 TEST(EngineLaneKeys, ATemplateRejectsAParameterOutsideTheKey) {
-    const serve::request base =
-        serve::parse_request(json::parse(R"({"op":"scenario1"})"));
-    const std::string_view twice[] = {"x", "x"};
-    EXPECT_THROW((serve::lane_key_template{base, twice}), std::logic_error);
-    const std::string_view four[] = {"x", "c0_usd", "lambda_um", "design_density"};
-    EXPECT_THROW((serve::lane_key_template{base, four}), std::logic_error);
+    // A template cuts the key at one number: a path that names no
+    // number of the key (a string member, a block, an unknown name) is
+    // a logic error.
+    const serve::request base = serve::parse_request(
+        json::parse(R"({"op":"cost_tr","product":{"name":"a"}})"));
+    for (const std::string_view path :
+         {"product.name", "process", "nope", "process.yield.model"}) {
+        EXPECT_THROW((serve::lane_key_template{base, path}), std::logic_error)
+            << path;
+    }
+    EXPECT_NO_THROW((serve::lane_key_template{base, "process.yield.y0"}));
 }
 
 TEST(Engine, SweepKernelLanesPopulateThePointCache) {
-    // PR 4 follow-up: kernel-evaluated grid points land in the
-    // memoization cache under their point-request canonical keys, with
-    // bytes identical to a fresh scalar evaluation — so a post-sweep
-    // point query is a warm hit, for SoA-kernel and typed-per-lane
-    // targets alike.
-    const std::vector<std::pair<std::string, std::string>> cases = {
+    // A point query after a sweep answers with the bytes of a fresh
+    // scalar evaluation.  Lanes evaluated one by one land in the point
+    // cache under their point-request canonical keys, so that query is a
+    // warm hit; SoA-kernel lanes never enter the cache, so after a
+    // kernel sweep it is a miss.
+    struct sweep_case {
+        std::string sweep;
+        std::string point;
+        bool kernel;
+    };
+    const std::vector<sweep_case> cases = {
         {R"({"op":"sweep","param":"lambda_um","from":0.5,"to":1.0,
              "count":2,"target":{"op":"scenario1"}})",
-         R"({"op":"scenario1","lambda_um":1.0})"},
+         R"({"op":"scenario1","lambda_um":1.0})", true},
         {R"({"op":"sweep","param":"lambda_um","from":0.6,"to":1.2,
              "count":2,"target":{"op":"scenario2","y0":0.8}})",
-         R"({"op":"scenario2","lambda_um":1.2,"y0":0.8})"},
+         R"({"op":"scenario2","lambda_um":1.2,"y0":0.8})", true},
         {R"({"op":"sweep","param":"expected_faults","from":0.5,"to":2,
              "count":2,"target":{"op":"yield","model":"murphy"}})",
-         R"({"op":"yield","model":"murphy","expected_faults":2})"},
+         R"({"op":"yield","model":"murphy","expected_faults":2})", true},
         {R"({"op":"sweep","param":"die_area_cm2","from":0.5,"to":1.5,
              "count":2,"target":{"op":"yield","model":"reference"}})",
-         R"({"op":"yield","model":"reference","die_area_cm2":1.5})"},
-        // Typed per-lane targets (no SoA kernel) share the cache too.
+         R"({"op":"yield","model":"reference","die_area_cm2":1.5})", true},
         {R"({"op":"sweep","param":"die_width_mm","from":5,"to":9,
              "count":2,"target":{"op":"gross_die"}})",
-         R"({"op":"gross_die","die_width_mm":9})"},
+         R"({"op":"gross_die","die_width_mm":9})", false},
+        {R"({"op":"sweep","param":"product.transistors","from":1000000,
+             "to":3000000,"count":2,"target":{"op":"cost_tr"}})",
+         R"({"op":"cost_tr","product":{"transistors":3000000}})", false},
         {R"({"op":"sweep","param":"d2d_area_mm2","from":2,"to":6,
              "count":2,"target":{"op":"chiplet","chiplets":4}})",
-         R"({"op":"chiplet","chiplets":4,"d2d_area_mm2":6})"},
+         R"({"op":"chiplet","chiplets":4,"d2d_area_mm2":6})", false},
+        {R"({"op":"sweep","param":"chiplets","from":0,"to":20,
+             "count":11,"target":{"op":"chiplet"}})",
+         R"({"op":"chiplet","chiplets":8})", false},
+        {R"({"op":"sweep","param":"seed","from":1,"to":3,
+             "count":3,"target":{"op":"mc_yield","dies":100}})",
+         R"({"op":"mc_yield","dies":100,"seed":3})", false},
     };
-    for (const auto& [sweep, point] : cases) {
+    for (const sweep_case& c : cases) {
         serve::engine engine{config_with(1)};
-        (void)engine.handle_line(sweep);
+        (void)engine.handle_line(c.sweep);
         const auto before = engine.cache_stats();
-        const std::string warm = engine.handle_line(point);
+        const std::string warm = engine.handle_line(c.point);
         const auto after = engine.cache_stats();
-        EXPECT_EQ(after.hits, before.hits + 1) << point;
-        EXPECT_EQ(after.misses, before.misses) << point;
+        EXPECT_EQ(after.hits, before.hits + (c.kernel ? 0 : 1)) << c.point;
+        EXPECT_EQ(after.misses, before.misses + (c.kernel ? 1 : 0))
+            << c.point;
 
-        // The cached bytes equal a fresh evaluation's.
+        // The answer equals a fresh evaluation's.
         serve::engine cold{config_with(1)};
-        EXPECT_EQ(warm, cold.handle_line(point)) << point;
+        EXPECT_EQ(warm, cold.handle_line(c.point)) << c.point;
     }
 
-    // Generated grids: every entry a sweep leaves equals the point
-    // reply, and no lane that errors as a point leaves one.
+    // Generated scalar grids: every entry a sweep leaves equals the
+    // point reply, and no lane that errors as a point leaves one.
     serve::engine reference{config_with(1, /*cache_capacity=*/0)};
     for (const unsigned parallelism : {1u, 4u}) {
         std::size_t lanes = 0;
         std::size_t error_lanes = 0;
-        for (const std::string& sweep : generated_sweeps(0x5eed)) {
+        for (const std::string& sweep : generated_scalar_sweeps(0x5eed)) {
             serve::engine engine{config_with(parallelism)};
             const std::string reply = engine.handle_line(sweep);
             ASSERT_EQ(reply.rfind(R"({"ok":true,)", 0), 0u) << reply;
@@ -860,52 +902,108 @@ TEST(Engine, SweepKernelLanesPopulateThePointCache) {
         EXPECT_LT(error_lanes, lanes / 2 + lanes / 4)
             << "parallelism=" << parallelism;
     }
-}
 
-TEST(Engine, CacheAwareSweepSplicesPrewarmedLanes) {
-    // The kernel sweep planner probes the point cache per lane, runs the
-    // batch kernel over the missing lanes only, and splices the cached
-    // bytes back in lane order — so a pre-warmed grid point is served
-    // from memory and the response stays byte-identical at every thread
-    // count.  Grid [1,5]x5 has exact-double lanes {1,2,3,4,5}.
-    const std::string sweep =
-        R"({"op":"sweep","param":"lambda_um","from":1,"to":5,"count":5,
-            "target":{"op":"scenario1"}})";
-    serve::engine cold{config_with(1, /*cache_capacity=*/0)};
-    const std::string expected = cold.handle_line(sweep);
-
-    for (unsigned parallelism : {1u, 4u, 0u}) {
-        serve::engine engine{config_with(parallelism)};
-        (void)engine.handle_line(R"({"op":"scenario1","lambda_um":2})");
-        (void)engine.handle_line(R"({"op":"scenario1","lambda_um":4})");
-        const auto before = engine.cache_stats();
-        EXPECT_EQ(engine.handle_line(sweep), expected)
-            << "parallelism=" << parallelism;
-        const auto after = engine.cache_stats();
-        // Both pre-warmed lanes were cache hits inside the sweep.
-        EXPECT_GE(after.hits, before.hits + 2)
+    // Generated kernel grids: every lane equals its point reply's
+    // metric, a lane that errors as a point is null, and the cache holds
+    // only the sweep's own reply.
+    for (const unsigned parallelism : {1u, 4u}) {
+        std::size_t lanes = 0;
+        std::size_t null_lanes = 0;
+        for (const std::string& sweep : generated_sweeps(0x5eed)) {
+            serve::engine engine{config_with(parallelism)};
+            const std::string reply = engine.handle_line(sweep);
+            ASSERT_EQ(reply.rfind(R"({"ok":true,)", 0), 0u) << reply;
+            EXPECT_EQ(reply,
+                      grid_reference::sweep_reference(reference, sweep, reply));
+            EXPECT_EQ(engine.cache_stats().entries, 1u) << sweep;
+            const json::value doc = json::parse(reply);
+            for (const json::value& y : doc.as_object()
+                                            .find("result")
+                                            ->as_object()
+                                            .find("ys")
+                                            ->as_array()) {
+                ++lanes;
+                null_lanes += y.is_null() ? 1 : 0;
+            }
+        }
+        // The grids cover both kinds of lane.
+        EXPECT_GT(null_lanes, lanes / 10) << "parallelism=" << parallelism;
+        EXPECT_LT(null_lanes, lanes / 2 + lanes / 4)
             << "parallelism=" << parallelism;
     }
 }
 
+TEST(Engine, CacheAwareSweepSplicesPrewarmedLanes) {
+    // The lane planner probes the point cache per lane, evaluates the
+    // missing lanes only, and splices the cached lanes back in lane
+    // order — so a pre-warmed grid point is served from memory and the
+    // response stays byte-identical at every thread count.  Grid
+    // [10,50]x5 has exact-double lanes {10,20,30,40,50}.  A kernel sweep
+    // over the same kind of grid ignores the pre-warmed points and is
+    // byte-identical too.
+    struct sweep_case {
+        std::string sweep;
+        std::vector<std::string> prewarm;
+        bool kernel;
+    };
+    const std::vector<sweep_case> cases = {
+        {R"({"op":"sweep","param":"die_width_mm","from":10,"to":50,
+             "count":5,"target":{"op":"gross_die"}})",
+         {R"({"op":"gross_die","die_width_mm":20})",
+          R"({"op":"gross_die","die_width_mm":40})"},
+         false},
+        {R"({"op":"sweep","param":"lambda_um","from":1,"to":5,"count":5,
+             "target":{"op":"scenario1"}})",
+         {R"({"op":"scenario1","lambda_um":2})",
+          R"({"op":"scenario1","lambda_um":4})"},
+         true},
+    };
+    for (const sweep_case& c : cases) {
+        SCOPED_TRACE(c.sweep);
+        serve::engine cold{config_with(1, /*cache_capacity=*/0)};
+        const std::string expected = cold.handle_line(c.sweep);
+
+        for (unsigned parallelism : {1u, 4u, 0u}) {
+            serve::engine engine{config_with(parallelism)};
+            for (const std::string& point : c.prewarm) {
+                (void)engine.handle_line(point);
+            }
+            const auto before = engine.cache_stats();
+            EXPECT_EQ(engine.handle_line(c.sweep), expected)
+                << "parallelism=" << parallelism;
+            const auto after = engine.cache_stats();
+            // Both pre-warmed lanes were cache hits inside a scalar
+            // sweep; a kernel sweep never probes.
+            EXPECT_EQ(after.hits, before.hits + (c.kernel ? 0 : 2))
+                << "parallelism=" << parallelism;
+        }
+    }
+}
+
 TEST(Engine, FullyCachedSweepIsByteIdenticalToCold) {
-    // A coarser sweep whose grid is a subset of an earlier fine sweep
-    // finds every lane in the cache: the lanes evaluate over zero points
-    // and the response is pure splice — still byte-identical to a
-    // cache-disabled engine's answer.  Once for a kernel target
-    // (scenario2) and once for each of two scalar targets (gross_die,
-    // cost_tr through a nested path), whose lanes the scalar loop feeds.
+    // A coarser sweep whose grid is a subset of an earlier fine sweep:
+    // byte-identical to a cache-disabled engine's answer.  For the
+    // scalar targets (gross_die, cost_tr through a nested path, chiplet
+    // over d2d_area_mm2, and the integer chiplets with rejected lanes)
+    // every ok lane is in the cache, so the lanes evaluate over zero
+    // points and the response is pure splice; a kernel target
+    // (scenario2) evaluates its lanes again.
     struct sweep_case {
         const char* grid;    ///< param, from and to of both sweeps
         const char* target;  ///< the target object
+        int coarse_hits;     ///< ok lanes of the coarse sweep
     };
     const std::vector<sweep_case> cases = {
         {R"("param":"lambda_um","from":1,"to":5)",
-         R"({"op":"scenario2","y0":0.8})"},
+         R"({"op":"scenario2","y0":0.8})", 0},
         {R"("param":"die_width_mm","from":10,"to":30)",
-         R"({"op":"gross_die"})"},
+         R"({"op":"gross_die"})", 3},
         {R"("param":"product.transistors","from":1000000,"to":5000000)",
-         R"({"op":"cost_tr"})"},
+         R"({"op":"cost_tr"})", 3},
+        {R"("param":"d2d_area_mm2","from":2,"to":10)",
+         R"({"op":"chiplet","chiplets":4})", 3},
+        {R"("param":"chiplets","from":0,"to":20)",
+         R"({"op":"chiplet"})", 1},  // lanes 0, 10, 20: only 10 is ok
     };
     for (const sweep_case& c : cases) {
         SCOPED_TRACE(c.target);
@@ -921,61 +1019,110 @@ TEST(Engine, FullyCachedSweepIsByteIdenticalToCold) {
         ASSERT_EQ(expected.rfind(R"({"ok":true,)", 0), 0u) << expected;
 
         serve::engine engine{config_with(4)};
-        (void)engine.handle_line(fine);  // caches all five lanes
+        (void)engine.handle_line(fine);  // caches its ok lanes
         const auto before = engine.cache_stats();
         EXPECT_EQ(engine.handle_line(coarse), expected);
         const auto after = engine.cache_stats();
-        EXPECT_GE(after.hits, before.hits + 3)
-            << "all three coarse lanes must splice from cache";
+        EXPECT_EQ(after.hits, before.hits + c.coarse_hits)
+            << "every ok coarse lane must splice from cache";
     }
 }
 
 TEST(Engine, ExploreLanesPopulateTheChipletPointCache) {
-    // partition_explore cells are chiplet point evaluations; the SoA
-    // kernel exports each feasible cell's full breakdown so the engine
-    // caches it under the equivalent chiplet point request's canonical
-    // key.  Defaults sum to 600 mm^2, so totals {600,1200} scale by
-    // exact factors {1,2} and a handwritten point request produces the
-    // same canonical doubles.
-    serve::engine engine{config_with(1)};
-    (void)engine.handle_line(
-        R"({"op":"partition_explore","splits":"1,2","area_from_mm2":600,
-            "area_to_mm2":1200,"count":2})");
-    const auto before = engine.cache_stats();
-    const std::vector<std::string> points = {
-        R"({"op":"chiplet","chiplets":1})",  // total 600, factor 1
-        R"({"op":"chiplet","chiplets":2,"logic_area_mm2":700,
-            "memory_area_mm2":300,"io_area_mm2":200})",  // total 1200
-    };
+    // partition_explore cells run on the SoA chiplet kernel and never
+    // enter the point cache: after an explore, a chiplet point request
+    // for one of its cells is a miss, answered with a fresh evaluation's
+    // bytes.  The chiplet point cache is fed by chiplet sweeps instead:
+    // after one over d2d_area_mm2, each lane's point request is a hit
+    // with the same bytes.  Defaults sum to 600 mm^2, so totals
+    // {600,1200} scale by exact factors {1,2} and a handwritten point
+    // request produces the same canonical doubles.
     serve::engine fresh{config_with(1, /*cache_capacity=*/0)};
-    for (const std::string& point : points) {
-        EXPECT_EQ(engine.handle_line(point), fresh.handle_line(point))
-            << point;
+    {
+        serve::engine engine{config_with(1)};
+        (void)engine.handle_line(
+            R"({"op":"partition_explore","splits":"1,2","area_from_mm2":600,
+                "area_to_mm2":1200,"count":2})");
+        EXPECT_EQ(engine.cache_stats().entries, 1u);
+        const auto before = engine.cache_stats();
+        const std::vector<std::string> points = {
+            R"({"op":"chiplet","chiplets":1})",  // total 600, factor 1
+            R"({"op":"chiplet","chiplets":2,"logic_area_mm2":700,
+                "memory_area_mm2":300,"io_area_mm2":200})",  // total 1200
+        };
+        for (const std::string& point : points) {
+            EXPECT_EQ(engine.handle_line(point), fresh.handle_line(point))
+                << point;
+        }
+        const auto after = engine.cache_stats();
+        EXPECT_EQ(after.hits, before.hits);
+        EXPECT_EQ(after.misses, before.misses + points.size());
     }
-    const auto after = engine.cache_stats();
-    EXPECT_EQ(after.hits, before.hits + points.size());
-    EXPECT_EQ(after.misses, before.misses);
+    {
+        serve::engine engine{config_with(1)};
+        (void)engine.handle_line(
+            R"({"op":"sweep","param":"d2d_area_mm2","from":0,"to":20,
+                "count":3,"target":{"op":"chiplet","chiplets":4,
+                "substrate":"interposer"}})");
+        const auto before = engine.cache_stats();
+        const std::vector<std::string> points = {
+            R"({"op":"chiplet","chiplets":4,"substrate":"interposer",
+                "d2d_area_mm2":0})",
+            R"({"op":"chiplet","chiplets":4,"substrate":"interposer",
+                "d2d_area_mm2":10})",
+            R"({"op":"chiplet","chiplets":4,"substrate":"interposer",
+                "d2d_area_mm2":20})",
+        };
+        for (const std::string& point : points) {
+            EXPECT_EQ(engine.handle_line(point), fresh.handle_line(point))
+                << point;
+        }
+        const auto after = engine.cache_stats();
+        EXPECT_EQ(after.hits, before.hits + points.size());
+        EXPECT_EQ(after.misses, before.misses);
+    }
 
-    // Generated grids: every entry an explore leaves equals the chiplet
-    // point reply, and no infeasible cell leaves one.
+    // Generated explores: every reply matches its chiplet point
+    // requests, and the cache holds only the explore's own reply.
+    // Generated chiplet sweeps over d2d_area_mm2, some with infeasible
+    // lanes: every entry equals the chiplet point reply, and no lane
+    // that errors as a point leaves one.
     serve::engine reference{config_with(1, /*cache_capacity=*/0)};
     for (const unsigned parallelism : {1u, 4u}) {
-        std::size_t cells = 0;
-        std::size_t infeasible = 0;
         for (const std::string& explore : generated_explores(0xce11)) {
             serve::engine grid{config_with(parallelism)};
             const std::string reply = grid.handle_line(explore);
             ASSERT_EQ(reply.rfind(R"({"ok":true,)", 0), 0u) << reply;
-            std::vector<json::value> all;
-            for (std::vector<json::value>& row :
-                 grid_reference::explore_points(explore, reply)) {
-                all.insert(all.end(), row.begin(), row.end());
-            }
-            cells += all.size();
-            infeasible += expect_lane_entries(grid, reference, explore, all);
+            EXPECT_EQ(reply, grid_reference::explore_reference(
+                                 reference, explore, reply));
+            EXPECT_EQ(grid.cache_stats().entries, 1u) << explore;
         }
-        EXPECT_GT(infeasible, cells / 20) << "parallelism=" << parallelism;
-        EXPECT_LT(infeasible, cells / 2) << "parallelism=" << parallelism;
+        std::mt19937_64 rng{0xd2d};
+        std::uniform_real_distribution<double> unit{0.0, 1.0};
+        std::size_t lanes = 0;
+        std::size_t infeasible = 0;
+        for (int g = 0; g < 12; ++g) {
+            const std::string sweep =
+                R"({"op":"sweep","param":"d2d_area_mm2","from":)" +
+                json::format_number(-40.0 + 60.0 * unit(rng)) +
+                R"(,"to":)" + json::format_number(30000.0 * unit(rng)) +
+                R"(,"count":)" + std::to_string(2 + rng() % 23) +
+                R"(,"target":{"op":"chiplet","chiplets":)" +
+                std::to_string(1 + rng() % 8) + R"(,"logic_area_mm2":)" +
+                json::format_number(100.0 + 4000.0 * unit(rng)) +
+                R"(,"substrate":")" +
+                (g % 3 == 0 ? "organic" : g % 3 == 1 ? "rdl" : "interposer") +
+                "\"}}";
+            serve::engine grid{config_with(parallelism)};
+            const std::string reply = grid.handle_line(sweep);
+            ASSERT_EQ(reply.rfind(R"({"ok":true,)", 0), 0u) << reply;
+            const std::vector<json::value> points =
+                grid_reference::sweep_points(sweep, reply);
+            lanes += points.size();
+            infeasible += expect_lane_entries(grid, reference, sweep, points);
+        }
+        EXPECT_GT(infeasible, lanes / 20) << "parallelism=" << parallelism;
+        EXPECT_LT(infeasible, lanes / 2) << "parallelism=" << parallelism;
     }
 }
 
@@ -1072,28 +1219,115 @@ TEST(Engine, EvaluateIntoWritesDumpBytesAndReturnsTheMetric) {
 }
 
 TEST(Engine, OverlappingExploreSplicesCachedCellsByteIdentical) {
-    // A second explore over a sub-grid of the first answers its cells
-    // from the point cache; the spliced response must be byte-identical
-    // to a cache-disabled engine's at every thread count.
-    const std::string fine =
-        R"({"op":"partition_explore","splits":"1,2,4","area_from_mm2":100,
-            "area_to_mm2":400,"count":4})";
-    const std::string coarse =
-        R"({"op":"partition_explore","splits":"1,2,4","area_from_mm2":100,
-            "area_to_mm2":400,"count":2})";
-    serve::engine cold{config_with(1, /*cache_capacity=*/0)};
-    const std::string expected = cold.handle_line(coarse);
+    // A second explore over a sub-grid of the first: the response must
+    // be byte-identical to a cache-disabled engine's at every thread
+    // count, and no cell is a cache hit, since explore cells never enter
+    // the point cache.  A chiplet sweep over the integer chiplets does
+    // splice its overlap: a coarse 0..20 grid after a fine one answers
+    // each ok lane (2..16 in steps of 2) from the cache, and its
+    // rejected lanes (0, 18, 20) are never probed.
+    struct overlap_case {
+        std::string fine;
+        std::string coarse;
+        std::uint64_t coarse_hits;
+    };
+    const std::vector<overlap_case> cases = {
+        {R"({"op":"partition_explore","splits":"1,2,4","area_from_mm2":100,
+             "area_to_mm2":400,"count":4})",
+         R"({"op":"partition_explore","splits":"1,2,4","area_from_mm2":100,
+             "area_to_mm2":400,"count":2})",
+         0},
+        {R"({"op":"sweep","param":"chiplets","from":0,"to":20,"count":21,
+             "target":{"op":"chiplet","substrate":"rdl"}})",
+         R"({"op":"sweep","param":"chiplets","from":0,"to":20,"count":11,
+             "target":{"op":"chiplet","substrate":"rdl"}})",
+         8},
+    };
+    for (const overlap_case& c : cases) {
+        SCOPED_TRACE(c.coarse);
+        serve::engine cold{config_with(1, /*cache_capacity=*/0)};
+        const std::string expected = cold.handle_line(c.coarse);
 
-    for (unsigned parallelism : {1u, 4u, 0u}) {
-        serve::engine engine{config_with(parallelism)};
-        (void)engine.handle_line(fine);  // caches cells {100,200,300,400}
-        const auto before = engine.cache_stats();
-        EXPECT_EQ(engine.handle_line(coarse), expected)
-            << "parallelism=" << parallelism;
-        const auto after = engine.cache_stats();
-        // Every feasible coarse cell {100,400} x 3 splits was a hit.
-        EXPECT_GT(after.hits, before.hits)
-            << "parallelism=" << parallelism;
+        for (unsigned parallelism : {1u, 4u, 0u}) {
+            serve::engine engine{config_with(parallelism)};
+            (void)engine.handle_line(c.fine);
+            const auto before = engine.cache_stats();
+            EXPECT_EQ(engine.handle_line(c.coarse), expected)
+                << "parallelism=" << parallelism;
+            const auto after = engine.cache_stats();
+            EXPECT_EQ(after.hits, before.hits + c.coarse_hits)
+                << "parallelism=" << parallelism;
+        }
+    }
+}
+
+TEST(Engine, KernelGridsCacheOnlyTheirOwnLine) {
+    // The cache rule.  A sweep whose target has a batch kernel and a
+    // partition_explore evaluate every lane on the kernel and never
+    // touch the point cache: afterwards it holds exactly the grid line's
+    // own reply, with fast_math off and on, at threads 1 and 4.  A sweep
+    // with no kernel caches each ok lane under its point request's key,
+    // with that point reply's bytes, under either fast_math setting.
+    const std::vector<std::string> kernel_grids = {
+        R"({"op":"sweep","param":"lambda_um","from":0.3,"to":1.5,
+            "count":40,"target":{"op":"scenario1"}})",
+        R"({"op":"sweep","param":"lambda_um","from":0.3,"to":1.5,
+            "count":40,"target":{"op":"scenario2","y0":0.7}})",
+        R"({"op":"sweep","param":"die_area_cm2","from":0.1,"to":3,
+            "count":40,"target":{"op":"yield","model":"poisson"}})",
+        R"({"op":"sweep","param":"die_area_cm2","from":0.1,"to":3,
+            "count":40,"target":{"op":"yield","model":"murphy"}})",
+        R"({"op":"sweep","param":"die_area_cm2","from":0.1,"to":3,
+            "count":40,"target":{"op":"yield","model":"seeds"}})",
+        R"({"op":"sweep","param":"die_area_cm2","from":0.1,"to":3,
+            "count":40,"target":{"op":"yield","model":"bose_einstein"}})",
+        R"({"op":"sweep","param":"die_area_cm2","from":0.1,"to":3,
+            "count":40,"target":{"op":"yield","model":"neg_binomial"}})",
+        R"({"op":"sweep","param":"die_area_cm2","from":0.1,"to":3,
+            "count":40,"target":{"op":"yield","model":"scaled_poisson"}})",
+        R"({"op":"sweep","param":"die_area_cm2","from":0.1,"to":3,
+            "count":40,"target":{"op":"yield","model":"reference"}})",
+        R"({"op":"partition_explore","splits":"1,2,4,8","area_from_mm2":100,
+            "area_to_mm2":2000,"count":16})",
+    };
+    const std::vector<std::string> scalar_grids = {
+        R"({"op":"sweep","param":"die_width_mm","from":5,"to":40,
+            "count":8,"target":{"op":"gross_die"}})",
+        R"({"op":"sweep","param":"chiplets","from":0,"to":20,
+            "count":21,"target":{"op":"chiplet"}})",
+    };
+    serve::engine reference{config_with(1, /*cache_capacity=*/0)};
+    for (const bool fast_math : {false, true}) {
+        for (const unsigned parallelism : {1u, 4u}) {
+            SCOPED_TRACE(testing::Message() << "fast_math=" << fast_math
+                                            << " parallelism="
+                                            << parallelism);
+            serve::engine_config config = config_with(parallelism);
+            config.fast_math = fast_math;
+            for (const std::string& grid : kernel_grids) {
+                serve::engine engine{config};
+                const std::string reply = engine.handle_line(grid);
+                ASSERT_EQ(reply.rfind(R"({"ok":true,)", 0), 0u) << reply;
+                const auto after = engine.cache_stats();
+                EXPECT_EQ(after.entries, 1u) << grid;
+                EXPECT_EQ(after.hits, 0u) << grid;
+                // The one entry is the line's own: a repeat is a hit.
+                EXPECT_EQ(engine.handle_line(grid), reply) << grid;
+                EXPECT_EQ(engine.cache_stats().hits, 1u) << grid;
+            }
+            for (const std::string& grid : scalar_grids) {
+                serve::engine engine{config};
+                const std::string reply = engine.handle_line(grid);
+                ASSERT_EQ(reply.rfind(R"({"ok":true,)", 0), 0u) << reply;
+                const std::vector<json::value> points =
+                    grid_reference::sweep_points(grid, reply);
+                const std::size_t errors =
+                    expect_lane_entries(engine, reference, grid, points);
+                EXPECT_EQ(engine.cache_stats().entries,
+                          points.size() - errors + 1)
+                    << grid;
+            }
+        }
     }
 }
 

@@ -1182,38 +1182,37 @@ TEST_F(HotPathAllocations, FreshSweepIntoFullCacheAllocatesPerGridNotPerLane) {
     // put into a full cache reuses the block its eviction freed.  So,
     // once buffers have grown, a fresh 256-lane grid (256 keyed, probed,
     // evaluated and cached lanes, 256 evictions) allocates exactly as
-    // much as a fresh 16-lane one: only per-grid storage.  Checked for a
-    // scenario2 sweep, a yield-model sweep and a 4-split explore.
+    // much as a fresh 16-lane one: only per-grid storage.  Checked for
+    // sweeps the scalar planner feeds: gross_die, cost_tr through a
+    // nested path and chiplet over d2d_area_mm2.
     struct grid_kind {
         const char* name;
-        /// A fresh grid of `count` lanes (an explore: count / 4 areas at
-        /// four splits).
+        /// A fresh sweep of `count` lanes.
         std::function<std::string(int count, double shift)> line;
     };
     const auto num = [](double x) { return serve::json::format_number(x); };
     const std::vector<grid_kind> kinds = {
-        {"scenario2 sweep",
+        {"gross_die sweep",
          [&](int count, double shift) {
-             return R"({"op":"sweep","param":"lambda_um","from":)" +
-                    num(0.4 * shift) + R"(,"to":)" + num(1.4 * shift) +
+             return R"({"op":"sweep","param":"die_width_mm","from":)" +
+                    num(4.0 * shift) + R"(,"to":)" + num(24.0 * shift) +
                     R"(,"count":)" + std::to_string(count) +
-                    R"(,"target":{"op":"scenario2","y0":0.8}})";
+                    R"(,"target":{"op":"gross_die"}})";
          }},
-        {"neg_binomial sweep",
+        {"cost_tr sweep",
          [&](int count, double shift) {
-             return R"({"op":"sweep","param":"die_area_cm2","from":)" +
-                    num(0.1 * shift) + R"(,"to":)" + num(2.0 * shift) +
+             return R"({"op":"sweep","param":"product.transistors","from":)" +
+                    num(1e6 * shift) + R"(,"to":)" + num(8e6 * shift) +
                     R"(,"count":)" + std::to_string(count) +
-                    R"(,"target":{"op":"yield","model":"neg_binomial",)"
-                    R"("defects_per_cm2":0.7,"alpha":1.5}})";
+                    R"(,"target":{"op":"cost_tr"}})";
          }},
-        {"explore",
+        {"chiplet sweep",
          [&](int count, double shift) {
-             return R"({"op":"partition_explore","splits":"1,2,4,8",)"
-                    R"("area_from_mm2":)" +
-                    num(100.0 * shift) + R"(,"area_to_mm2":)" +
-                    num(900.0 * shift) + R"(,"count":)" +
-                    std::to_string(count / 4) + "}";
+             return R"({"op":"sweep","param":"d2d_area_mm2","from":)" +
+                    num(1.0 * shift) + R"(,"to":)" + num(30.0 * shift) +
+                    R"(,"count":)" + std::to_string(count) +
+                    R"(,"target":{"op":"chiplet","chiplets":4,)"
+                    R"("substrate":"interposer"}})";
          }},
     };
     for (const grid_kind& kind : kinds) {
@@ -1249,13 +1248,12 @@ TEST_F(HotPathAllocations, FreshSweepIntoFullCacheAllocatesPerGridNotPerLane) {
             return taken;
         };
         // A grid's own storage can take one allocation more on one
-        // repeat than the next (20 or 21 for either size on the same
-        // sequence before key templates), so compare the fewest over
-        // four repeats of each size: an allocation per lane would add
-        // 240 to every 256-lane repeat.
+        // repeat than the next (11 to 14 for either size of these
+        // sweeps on the same sequence), so compare the fewest over eight repeats of each size: an
+        // allocation per lane would add 240 to every 256-lane repeat.
         std::uint64_t small = UINT64_MAX;
         std::uint64_t large = UINT64_MAX;
-        for (int r = 0; r < 4; ++r) {
+        for (int r = 0; r < 8; ++r) {
             small = std::min(small, allocations_of(16));
             large = std::min(large, allocations_of(256));
         }

@@ -459,17 +459,22 @@ TEST(EngineSnapshot, RestoredGridSplicesEveryLaneFromTheCache) {
     // evaluate_into (which bypasses the grid's own entry) must splice
     // every lane from the cache — no miss, no new entry — and give the
     // writer's bytes, so each restored metric is the one the writer
-    // stored.  Kernel sweeps, scalar lanes with an integer metric, a
-    // sweep with rejected lanes and an explore with infeasible cells.
+    // stored.  Sweeps whose lanes the scalar planner feeds: gross_die
+    // (an integer metric), cost_tr through a nested path, chiplet over
+    // d2d_area_mm2 with infeasible lanes, the integer chiplets with
+    // rejected lanes, and mc_yield over its seed.
     const std::vector<std::string> grids = {
-        R"({"op":"sweep","param":"lambda_um","from":0.4,"to":1.6,
-            "count":40,"target":{"op":"scenario2","y0":0.7}})",
         R"({"op":"sweep","param":"die_width_mm","from":3,"to":30,
             "count":12,"target":{"op":"gross_die"}})",
-        R"({"op":"sweep","param":"expected_faults","from":-1,"to":3,
-            "count":9,"target":{"op":"yield","model":"murphy"}})",
-        R"({"op":"partition_explore","splits":"1,2,4","area_from_mm2":200,
-            "area_to_mm2":60000,"count":9,"scale":"log"})",
+        R"({"op":"sweep","param":"process.yield.y0","from":0.3,"to":0.9,
+            "count":9,"target":{"op":"cost_tr"}})",
+        R"({"op":"sweep","param":"d2d_area_mm2","from":-10,"to":60,
+            "count":8,"target":{"op":"chiplet","chiplets":4,
+            "substrate":"rdl"}})",
+        R"({"op":"sweep","param":"chiplets","from":0,"to":20,
+            "count":21,"target":{"op":"chiplet"}})",
+        R"({"op":"sweep","param":"seed","from":1,"to":6,
+            "count":6,"target":{"op":"mc_yield","dies":100}})",
     };
     const std::string ok_prefix = R"({"ok":true,"result":)";
     for (const std::string& grid : grids) {

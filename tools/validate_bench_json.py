@@ -11,6 +11,10 @@ is intentionally dependency-free (stdlib json only).
 import json
 import sys
 
+# A full run's bound on a kernel grid's lane cost with the point cache on
+# over the cost with it off (lane_feed in BENCH_serve.json).
+MAX_KERNEL_FEED_RATIO = 1.5
+
 
 def fail(path, message):
     print(f"{path}: {message}", file=sys.stderr)
@@ -78,20 +82,34 @@ def check_serve(doc, path):
     errors += require(grid, path, "responses_identical", bool)
     if not errors and grid["responses_identical"] is False:
         errors += fail(path, "grid batch replies differ from the reference")
-    # The lane feed: ns per lane with the cache on and off, recorded with
-    # the host they were measured on, never compared.
+    # The lane feed: ns per lane with the cache on and off, medians of
+    # alternating rounds, recorded with the host they were measured on.
+    # Kernel grids (the scenario2 sweep, the explore) never feed the
+    # point cache, so in a full run their cache-on median must stay
+    # within MAX_KERNEL_FEED_RATIO of the cache-off one.  The cost_tr
+    # sweep, whose lanes feed the cache, is recorded, never compared.
     errors += require(doc, path, "lane_feed", dict)
     if errors:
         return errors
     feed = doc["lane_feed"]
-    for key in ("grids", "lanes_per_grid", "sweep_cache_on_ns_per_lane",
-                "sweep_cache_off_ns_per_lane", "explore_cache_on_ns_per_lane",
-                "explore_cache_off_ns_per_lane"):
+    for key in ("rounds", "grids", "lanes_per_grid",
+                "sweep_cache_on_ns_per_lane", "sweep_cache_off_ns_per_lane",
+                "explore_cache_on_ns_per_lane",
+                "explore_cache_off_ns_per_lane", "scalar_cache_on_ns_per_lane",
+                "scalar_cache_off_ns_per_lane", "sweep_on_off_ratio",
+                "explore_on_off_ratio"):
         errors += require(feed, path, key, (int, float))
     errors += require(feed, path, "host", dict)
     if errors:
         return errors
     errors += require_host(feed["host"], path)
+    if doc.get("tiny") is False:
+        for grid in ("sweep", "explore"):
+            ratio = feed[f"{grid}_on_off_ratio"]
+            if ratio > MAX_KERNEL_FEED_RATIO:
+                errors += fail(path, f"{grid} lane feed with the cache costs "
+                                     f"{ratio:.2f}x the cache-off figure, "
+                                     f"want <= {MAX_KERNEL_FEED_RATIO}x")
     # The TCP grid: four loopback connections through a real event loop,
     # lines/s recorded with its host, never compared; the replies must
     # match the reference.
@@ -142,6 +160,10 @@ def check_kernels(doc, path):
                     "fast_max_ulp"):
             errors += require(row, path, key, (int, float))
         errors += require(row, path, "name", str)
+        errors += require(row, path, "fast_speedup_rounds", list)
+        if len(row.get("fast_speedup_rounds", [])) < 5:
+            errors += fail(path, f"kernel {row.get('name')} fast speedup "
+                                 f"taken over fewer than 5 rounds")
         errors += require(row, path, "bit_exact", bool)
         errors += require(row, path, "fast_ulp_gated", bool)
         errors += require(row, path, "fast_speedup_gated", bool)
@@ -192,8 +214,10 @@ def check_chiplet(doc, path):
 
 def check_overload(doc, path):
     errors = require(doc, path, "rejections", dict)
+    errors += require(doc, path, "host", dict)
     if errors:
         return errors
+    errors += require_host(doc["host"], path)
     rejections = doc["rejections"]
     for key in ("line_too_large_ns", "overloaded_ns", "batch_too_large_ns",
                 "served_warm_ns", "allocs_per_line_reject",
@@ -246,8 +270,10 @@ def check_load(doc, path):
 def check_flight(doc, path):
     """BENCH_flight.json: flight-recorder hot-path overhead."""
     errors = require(doc, path, "flight", dict)
+    errors += require(doc, path, "host", dict)
     if errors:
         return errors
+    errors += require_host(doc["host"], path)
     flight = doc["flight"]
     for key in ("baseline_req_per_s", "recording_req_per_s",
                 "ns_per_request_baseline", "ns_per_append",
@@ -262,8 +288,10 @@ def check_flight(doc, path):
 def check_warmstart(doc, path):
     """BENCH_warmstart.json: snapshot restore vs cold-start economics."""
     errors = require(doc, path, "warmstart", dict)
+    errors += require(doc, path, "host", dict)
     if errors:
         return errors
+    errors += require_host(doc["host"], path)
     ws = doc["warmstart"]
     for key in ("requests", "distinct_keys", "warm_hit_ratio",
                 "warm_req_per_s", "restored_hit_ratio", "restored_req_per_s",
